@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
     opts.poolSize = pool;
     opts.subprocess = false;  // in-process pool: the sanitizer-safe config
     opts.exitWhenIdle = true;
-    opts.pollMs = 1;
     const auto t0 = std::chrono::steady_clock::now();
     const int rc = serve::Server(std::move(opts)).run();
     const double sec = secondsSince(t0);

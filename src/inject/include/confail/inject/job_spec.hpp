@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "confail/detect/finding.hpp"
+#include "confail/events/trace.hpp"
 #include "confail/inject/campaign.hpp"
 
 namespace confail::inject {
@@ -130,6 +131,13 @@ struct RunShardOptions {
 /// the same counters and the same finding sequence.
 ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
                      const RunShardOptions& opts = {});
+
+/// runShard that always captures the shard's run, into the caller's empty
+/// `run` instead of rendering it: eventsJsonl stays empty and
+/// opts.captureEvents is ignored.  This is what lets a shard writer stream
+/// the events to disk without holding them as one string.
+ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
+                     const RunShardOptions& opts, events::Trace& run);
 
 /// Fold ordered shard results into the classic campaign result.  `shards`
 /// must be in expandShards order (the caller sorts by ShardSpec::index).

@@ -277,8 +277,12 @@ std::vector<ShardSpec> expandShards(const JobSpec& spec) {
   return shards;
 }
 
-ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
-                     const RunShardOptions& opts) {
+namespace {
+
+/// Both runShard overloads: `run`, when given, always receives the captured
+/// run; otherwise one is captured only when finding names need it.
+ShardResult executeShard(const JobSpec& spec, const ShardSpec& shard,
+                         bool resolveNames, events::Trace* run) {
   ShardResult r;
   r.spec = shard;
   const NamedScenario* sc = components::scenarios::find(shard.scenario);
@@ -304,12 +308,13 @@ ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
     r.findings.push_back(std::move(f));
   }
 
-  const bool needNames = opts.resolveNames && !r.findings.empty();
-  if (needNames || opts.captureEvents) {
+  const bool needNames = resolveNames && !r.findings.empty();
+  if (needNames || run != nullptr) {
     // One deterministic captured run: the scenario's wiring assigns ids in
     // construction order, so this trace's name tables cover the ids the
     // exploration's findings carry.
-    events::Trace captured;
+    events::Trace local;
+    events::Trace& captured = run != nullptr ? *run : local;
     obs::Registry reg;
     ExploreConfig cfg;
     cfg.scenario(*sc);
@@ -332,9 +337,26 @@ ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
         }
       }
     }
-    if (opts.captureEvents) r.eventsJsonl = obs::toJsonl(captured);
   }
   return r;
+}
+
+}  // namespace
+
+ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
+                     const RunShardOptions& opts) {
+  if (!opts.captureEvents) {
+    return executeShard(spec, shard, opts.resolveNames, nullptr);
+  }
+  events::Trace run;
+  ShardResult r = executeShard(spec, shard, opts.resolveNames, &run);
+  r.eventsJsonl = obs::toJsonl(run);
+  return r;
+}
+
+ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
+                     const RunShardOptions& opts, events::Trace& run) {
+  return executeShard(spec, shard, opts.resolveNames, &run);
 }
 
 CampaignResult campaignFromShards(const JobSpec& spec,

@@ -16,10 +16,27 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
 namespace confail::obs {
+
+/// Append `s` to `out` escaped as the body of a JSON string (no quotes):
+/// JsonWriter's escaping, for writers that emit a long string value in
+/// pieces.
+inline void appendJsonEscaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: out += c; break;
+    }
+  }
+}
 
 class JsonWriter {
  public:
@@ -103,18 +120,7 @@ class JsonWriter {
     out_ += '\n';
     out_.append(static_cast<std::size_t>(depth_) * 2, ' ');
   }
-  void escape(const std::string& s) {
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        case '\r': out_ += "\\r"; break;
-        default: out_ += c; break;
-      }
-    }
-  }
+  void escape(const std::string& s) { appendJsonEscaped(out_, s); }
 
   std::string out_;
   int depth_ = 0;

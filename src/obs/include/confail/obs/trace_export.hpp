@@ -22,6 +22,7 @@
 //     data tooling without a JSON-array parse of the whole file.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "confail/events/trace.hpp"
@@ -32,7 +33,14 @@ namespace confail::obs {
 /// {"traceEvents": [...]} object form).
 std::string toChromeTrace(const events::Trace& trace);
 
-/// Render `trace` as JSON Lines, one event object per line.
+/// Emit `trace` as JSON Lines one event at a time: `line` receives each
+/// event's object without its trailing newline.  The buffer is reused
+/// between calls, so a consumer that writes lines out holds only one.
+void forEachJsonlLine(const events::Trace& trace,
+                      const std::function<void(const std::string&)>& line);
+
+/// Render `trace` as JSON Lines: forEachJsonlLine's lines, each followed by
+/// a newline.
 std::string toJsonl(const events::Trace& trace);
 
 /// Write either export to a file; returns false on I/O failure.

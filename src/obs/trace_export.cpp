@@ -255,8 +255,9 @@ std::string toChromeTrace(const events::Trace& trace) {
   return w.str();
 }
 
-std::string toJsonl(const events::Trace& trace) {
-  std::string out;
+void forEachJsonlLine(const events::Trace& trace,
+                      const std::function<void(const std::string&)>& emit) {
+  std::string line;
   for (const Event& e : trace.events()) {
     JsonWriter w;
     w.beginObject();
@@ -308,11 +309,9 @@ std::string toJsonl(const events::Trace& trace) {
     }
     w.endObject();
     // The writer pretty-prints with newlines; flatten to one line per event.
-    std::string doc = w.str();
-    std::string line;
-    line.reserve(doc.size());
+    line.clear();
     bool lastWasSpace = false;
-    for (char c : doc) {
+    for (char c : w.str()) {
       if (c == '\n') {
         c = ' ';
       }
@@ -321,9 +320,16 @@ std::string toJsonl(const events::Trace& trace) {
       lastWasSpace = isSpace;
       line += c;
     }
+    emit(line);
+  }
+}
+
+std::string toJsonl(const events::Trace& trace) {
+  std::string out;
+  forEachJsonlLine(trace, [&out](const std::string& line) {
     out += line;
     out += '\n';
-  }
+  });
   return out;
 }
 

@@ -10,11 +10,12 @@
 //       job.json                 the adopted canonical spec
 //       state.json               confail.jobstate.v1 progress summary
 //       shards/shard-NNNN.json   one confail.shard.v1 result per done shard
-//       journal.jsonl            append-only completion log (one line per
-//                                shard the daemon observed finishing; a
-//                                resumed daemon never re-journals a shard
-//                                whose file already exists — the crash-
-//                                resume tests key off this)
+//       journal.jsonl            append-only completion log, exactly one
+//                                line per landed shard across crashes: the
+//                                daemon journals a shard when it reaps it,
+//                                and at adoption journals any landed shard
+//                                the log lacks (a daemon killed between the
+//                                file landing and the journal line)
 //       events.jsonl             heartbeat feed: each shard's captured run
 //                                as obs::toJsonl lines (`confail ingest`
 //                                consumes this directly)
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "confail/events/trace.hpp"
 #include "confail/inject/job_spec.hpp"
 
 namespace confail::serve {
@@ -122,8 +124,19 @@ class CampaignStore {
   static bool shardFromJson(const std::string& json, inject::ShardResult& out,
                             std::string& error);
 
-  /// Atomically persist one shard result file.
-  bool writeShard(const std::string& id, const inject::ShardResult& r) const;
+  /// Atomically write one shard result to `path`.  Given `run` (the shard's
+  /// captured run, from the runShard overload that takes a trace), the
+  /// events_jsonl value is streamed into the file one event line at a time
+  /// instead of taken from r.eventsJsonl, so the payload is never held as
+  /// one string.  Either way the bytes are shardToJson + "\n" of the result
+  /// whose eventsJsonl is obs::toJsonl(*run).
+  static bool writeShardFile(const std::string& path,
+                             const inject::ShardResult& r,
+                             const events::Trace* run = nullptr);
+
+  /// writeShardFile into shard r.spec.index of job `id`.
+  bool writeShard(const std::string& id, const inject::ShardResult& r,
+                  const events::Trace* run = nullptr) const;
 
   /// True (and parses into `out`) when shard `index` completed earlier.
   bool readShard(const std::string& id, std::size_t index,
@@ -140,6 +153,10 @@ class CampaignStore {
 
   /// Append one completion line to journal.jsonl ({"shard": N}).
   bool journalShard(const std::string& id, std::size_t index) const;
+
+  /// journaled[i] == true iff journal.jsonl has a line for shard i.
+  std::vector<bool> journaledShards(const std::string& id,
+                                    std::size_t count) const;
 
   /// Append a shard's captured JSONL events to the job's heartbeat feed.
   bool appendEvents(const std::string& id, const std::string& jsonl) const;

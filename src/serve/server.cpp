@@ -1,10 +1,15 @@
 #include "confail/serve/server.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -13,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "confail/events/trace.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/serve/merge.hpp"
 #include "confail/support/assert.hpp"
@@ -26,6 +32,22 @@ using inject::ShardSpec;
 namespace {
 
 constexpr int kMaxAttempts = 2;  ///< one retry per shard before giving up
+
+/// A close-on-exec fd that turns readable when `pid` exits, or -1 where the
+/// kernel offers no pidfd_open; such a worker is reaped on a timed wake.
+int openPidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
+
+void closeFd(int& fd) {
+  if (fd >= 0) ::close(fd);
+  fd = -1;
+}
 
 }  // namespace
 
@@ -49,10 +71,20 @@ struct Server::Impl {
     workersBusy = &reg->gauge("serve.workers_busy");
   }
 
+  ~Impl() {
+    for (Worker& w : workers) closeFd(w.pidfd);
+    closeFd(wakeFd);
+  }
+
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+
   struct JobRun {
     JobSpec spec;
     std::vector<ShardSpec> shards;
     std::vector<bool> done;
+    /// Landed shards' results without their events: what the merge reads.
+    std::vector<ShardResult> results;
     std::vector<int> attempts;
     std::deque<std::size_t> pending;
     std::size_t inFlight = 0;
@@ -62,7 +94,8 @@ struct Server::Impl {
   struct Worker {
     std::string jobId;
     std::size_t shardIndex = 0;
-    pid_t pid = -1;  ///< subprocess mode
+    pid_t pid = -1;    ///< subprocess mode
+    int pidfd = -1;    ///< readable once `pid` exits (-1: none)
     std::thread thread;
     std::shared_ptr<std::atomic<int>> state;  ///< 0 running, 1 ok, 2 failed
   };
@@ -80,10 +113,16 @@ struct Server::Impl {
   obs::Gauge* jobsActive = nullptr;
   obs::Gauge* workersBusy = nullptr;
 
+  /// In-process workers bump this eventfd after storing their state, so the
+  /// daemon's poll(2) wakes on them as it does on a subprocess's pidfd.
+  int wakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+
   std::map<std::string, JobRun> jobs;  ///< in-flight jobs by id
   std::vector<Worker> workers;
   std::uint64_t mergedJobs = 0;
   bool anyFailed = false;
+  std::chrono::steady_clock::time_point lastSnapshot;
+  bool snapshotWritten = false;
 
   // -- job lifecycle -------------------------------------------------------
 
@@ -110,17 +149,42 @@ struct Server::Impl {
       failJob(id, &jr.spec);
       return;
     }
+    const std::size_t n = jr.shards.size();
+    jr.done.assign(n, false);
+    jr.results.resize(n);
+    jr.attempts.assign(n, 0);
     // Resume criterion: a shard whose result file exists and parses was
-    // completed by an earlier daemon run and is never re-executed (nor
-    // re-journaled).
-    jr.done = store.completedShards(id, jr.shards.size());
-    jr.attempts.assign(jr.shards.size(), 0);
-    for (std::size_t i = 0; i < jr.shards.size(); ++i) {
-      if (!jr.done[i]) jr.pending.push_back(i);
+    // completed by an earlier daemon run and is never re-executed.  One
+    // killed between a shard landing and journaling it left the journal
+    // short: record such a landing now, so each shard is journaled once.
+    const std::vector<bool> journaled = store.journaledShards(id, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ShardResult r;
+      if (!store.readShard(id, i, r)) {
+        jr.pending.push_back(i);
+        continue;
+      }
+      if (!journaled[i]) recordLanding(id, i, r);
+      keep(jr, i, std::move(r));
     }
     publishState(id, jr, "running");
     jobsAdopted->inc();
     jobs.emplace(id, std::move(jr));
+  }
+
+  /// Journal a landed shard and feed its events to the job's heartbeat
+  /// feed (journal first: a journaled shard is never recorded again).
+  void recordLanding(const std::string& id, std::size_t index,
+                     const ShardResult& r) const {
+    (void)store.journalShard(id, index);
+    (void)store.appendEvents(id, r.eventsJsonl);
+  }
+
+  /// Keep a landed shard's result for the merge, which never reads events.
+  static void keep(JobRun& jr, std::size_t index, ShardResult r) {
+    std::string().swap(r.eventsJsonl);  // release the buffer, not just clear
+    jr.done[index] = true;
+    jr.results[index] = std::move(r);
   }
 
   void publishState(const std::string& id, const JobRun& jr,
@@ -199,20 +263,27 @@ struct Server::Impl {
         ::_exit(127);  // exec failed; the parent records a shard failure
       }
       w.pid = pid;
+      w.pidfd = openPidfd(pid);
     } else {
       w.state = std::make_shared<std::atomic<int>>(0);
       // Copies keep the thread self-contained; CampaignStore is a plain
       // path wrapper, safe to use concurrently.
       w.thread = std::thread(
           [state = w.state, st = store, spec = jr.spec,
-           shard = jr.shards[shardIndex], id]() {
+           shard = jr.shards[shardIndex], id, wake = wakeFd]() {
+            int result = 2;
             try {
-              inject::RunShardOptions ro;
-              ro.captureEvents = true;
-              const ShardResult r = inject::runShard(spec, shard, ro);
-              state->store(st.writeShard(id, r) ? 1 : 2);
+              events::Trace run;
+              const ShardResult r = inject::runShard(spec, shard, {}, run);
+              result = st.writeShard(id, r, &run) ? 1 : 2;
             } catch (...) {
-              state->store(2);
+              // result stays 2: the daemon retries or fails the shard
+            }
+            state->store(result);
+            if (wake >= 0) {
+              const std::uint64_t one = 1;
+              [[maybe_unused]] const ssize_t n =
+                  ::write(wake, &one, sizeof one);
             }
           });
     }
@@ -255,11 +326,9 @@ struct Server::Impl {
                    bool workerOk) {
     --jr.inFlight;
     ShardResult r;
-    const bool landed = workerOk && store.readShard(id, index, r);
-    if (landed) {
-      jr.done[index] = true;
-      (void)store.journalShard(id, index);
-      (void)store.appendEvents(id, r.eventsJsonl);
+    if (workerOk && store.readShard(id, index, r)) {
+      recordLanding(id, index, r);
+      keep(jr, index, std::move(r));
       shardsCompleted->inc();
       publishState(id, jr, "running");
       return;
@@ -283,11 +352,31 @@ struct Server::Impl {
       Worker w = std::move(workers[i]);
       workers.erase(workers.begin() +
                     static_cast<std::ptrdiff_t>(i));
+      closeFd(w.pidfd);
       auto it = jobs.find(w.jobId);
       if (it != jobs.end()) {
         onShardDone(w.jobId, it->second, w.shardIndex, result == 0);
       }
     }
+  }
+
+  /// Block until a worker finishes or `pollMs` passes.  Returns false when
+  /// the wait timed out, i.e. the daemon was idle for a whole poll interval.
+  bool waitForWorker() {
+    std::vector<pollfd> fds;
+    fds.reserve(workers.size() + 1);
+    if (wakeFd >= 0) fds.push_back({wakeFd, POLLIN, 0});
+    for (const Worker& w : workers) {
+      if (w.pidfd >= 0) fds.push_back({w.pidfd, POLLIN, 0});
+    }
+    const int timeoutMs =
+        static_cast<int>(std::min<std::uint64_t>(opts.pollMs, INT_MAX));
+    const int ready = ::poll(fds.data(), fds.size(), timeoutMs);
+    if (ready > 0 && wakeFd >= 0 && (fds.front().revents & POLLIN) != 0) {
+      std::uint64_t count = 0;  // reset the eventfd; reap() finds who woke
+      [[maybe_unused]] const ssize_t n = ::read(wakeFd, &count, sizeof count);
+    }
+    return ready != 0;  // an EINTR wake is not an idle interval either
   }
 
   // -- merge ---------------------------------------------------------------
@@ -306,49 +395,39 @@ struct Server::Impl {
         jobsFailed->inc();
         anyFailed = true;
       } else {
-        std::vector<ShardResult> results;
-        results.reserve(jr.shards.size());
-        bool readable = true;
-        for (std::size_t i = 0; i < jr.shards.size(); ++i) {
-          ShardResult r;
-          if (!store.readShard(id, i, r)) {
-            readable = false;
-            break;
-          }
-          results.push_back(std::move(r));
-        }
-        if (!readable) {
-          publishState(id, jr, "failed");
-          jobsFailed->inc();
-          anyFailed = true;
-        } else {
-          const MergedReports merged =
-              mergeShards(jr.spec, id, std::move(results));
-          (void)CampaignStore::writeFileAtomic(store.findingsPath(id),
-                                               merged.findingsJson + "\n");
-          (void)CampaignStore::writeFileAtomic(store.sarifPath(id),
-                                               merged.sarif + "\n");
-          (void)CampaignStore::writeFileAtomic(store.matrixPath(id),
-                                               merged.matrixJson + "\n");
-          publishState(id, jr, "completed", merged.uniqueFindings);
-          jobsCompleted->inc();
-          ++mergedJobs;
-        }
+        const MergedReports merged =
+            mergeShards(jr.spec, id, std::move(jr.results));
+        (void)CampaignStore::writeFileAtomic(store.findingsPath(id),
+                                             merged.findingsJson + "\n");
+        (void)CampaignStore::writeFileAtomic(store.sarifPath(id),
+                                             merged.sarif + "\n");
+        (void)CampaignStore::writeFileAtomic(store.matrixPath(id),
+                                             merged.matrixJson + "\n");
+        publishState(id, jr, "completed", merged.uniqueFindings);
+        jobsCompleted->inc();
+        ++mergedJobs;
       }
       it = jobs.erase(it);
     }
   }
 
-  // -- heartbeat -----------------------------------------------------------
+  // -- metrics -------------------------------------------------------------
 
-  void heartbeat() {
-    heartbeats->inc();
+  /// Refresh the gauges; write the metricsOut snapshot when `force`d or
+  /// when pollMs has passed since the last one.
+  void publishMetrics(bool force) {
     jobsActive->set(static_cast<double>(jobs.size()));
     workersBusy->set(static_cast<double>(workers.size()));
-    if (!opts.metricsOut.empty()) {
-      (void)CampaignStore::writeFileAtomic(opts.metricsOut,
-                                           reg->snapshot().toJson() + "\n");
+    if (opts.metricsOut.empty()) return;
+    const auto now = std::chrono::steady_clock::now();
+    if (!force && snapshotWritten &&
+        now - lastSnapshot < std::chrono::milliseconds(opts.pollMs)) {
+      return;
     }
+    lastSnapshot = now;
+    snapshotWritten = true;
+    (void)CampaignStore::writeFileAtomic(opts.metricsOut,
+                                         reg->snapshot().toJson() + "\n");
   }
 
   int run() {
@@ -358,10 +437,11 @@ struct Server::Impl {
     for (;;) {
       if (!draining) adoptQueued();
       if (store.drainRequested()) draining = true;
-      dispatch();
+      // Reap before dispatching, so a freed slot refills in this iteration.
       reap();
       mergeFinished();
-      heartbeat();
+      dispatch();
+      publishMetrics(false);
       if (opts.maxJobs != 0 && mergedJobs >= opts.maxJobs && jobs.empty()) {
         break;
       }
@@ -369,12 +449,12 @@ struct Server::Impl {
       if (opts.exitWhenIdle && jobs.empty() && store.scanQueue().empty()) {
         break;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(opts.pollMs));
+      if (!waitForWorker()) heartbeats->inc();
     }
     // A drain marker is a one-shot request: consume it so the next daemon
     // started on this root serves normally instead of exiting immediately.
     if (draining) store.clearDrain();
-    heartbeat();
+    publishMetrics(true);
     return anyFailed ? 1 : 0;
   }
 };

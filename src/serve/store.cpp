@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
 #include "confail/obs/json.hpp"
+#include "confail/obs/trace_export.hpp"
 
 namespace confail::serve {
 
@@ -88,6 +91,133 @@ std::string stringOf(const obs::JsonValue& doc, const std::string& key) {
 bool boolOf(const obs::JsonValue& doc, const std::string& key) {
   const obs::JsonValue* v = doc.get(key);
   return v != nullptr && v->boolean;
+}
+
+/// Receives a document in pieces.
+using Emit = std::function<void(std::string_view)>;
+
+/// The one confail.shard.v1 serializer.  JsonWriter renders every field up
+/// to the events_jsonl key; that string value is escaped piece by piece,
+/// from `run` a line at a time when given, else from r.eventsJsonl.
+void renderShard(const ShardResult& r, const events::Trace* run,
+                 const Emit& out) {
+  obs::JsonWriter w;
+  w.beginObject();
+  w.field("schema", "confail.shard.v1");
+  w.field("index", static_cast<std::uint64_t>(r.spec.index));
+  w.field("control", r.spec.control);
+  w.field("scenario", r.spec.scenario);
+  if (!r.spec.control) {
+    w.field("class", taxonomy::failureClassName(r.spec.cls));
+  }
+  w.field("reduction", inject::reductionName(r.spec.reduction));
+  if (r.spec.control) {
+    w.key("control_cell");
+    w.beginObject();
+    w.field("runs", r.control.runs);
+    w.field("findings", r.control.findings);
+    w.field("failing_runs", r.control.failingRuns);
+    w.field("wall_ms", r.control.wallMs);
+    w.field("host_concurrency",
+            static_cast<std::uint64_t>(r.control.hostConcurrency));
+    w.endObject();
+  } else {
+    w.key("cell");
+    w.beginObject();
+    w.field("runs", r.cell.runs);
+    w.field("deviated_runs", r.cell.deviatedRuns);
+    w.field("failing_runs", r.cell.failingRuns);
+    w.field("caught", r.cell.caught);
+    w.field("classifier_agrees", r.cell.classifierAgrees);
+    w.field("wall_ms", r.cell.wallMs);
+    w.field("host_concurrency",
+            static_cast<std::uint64_t>(r.cell.hostConcurrency));
+    w.key("detectors");
+    w.beginArray();
+    for (const inject::DetectorCell& d : r.cell.detectors) {
+      w.beginObject();
+      w.field("detector", d.detector);
+      w.field("findings", d.findings);
+      w.field("hits", d.hits);
+      w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+  }
+  w.key("findings");
+  w.beginArray();
+  for (const ShardFinding& f : r.findings) {
+    w.beginObject();
+    w.field("detector", f.detector);
+    w.field("kind", detect::findingKindName(f.finding.kind));
+    w.field("message", f.finding.message);
+    w.field("thread_id", static_cast<std::uint64_t>(f.finding.thread));
+    w.field("thread2_id", static_cast<std::uint64_t>(f.finding.thread2));
+    w.field("monitor_id", static_cast<std::uint64_t>(f.finding.monitor));
+    w.field("var_id", static_cast<std::uint64_t>(f.finding.var));
+    w.field("seq", f.finding.seq);
+    w.field("thread", f.thread);
+    w.field("thread2", f.thread2);
+    w.field("monitor", f.monitor);
+    w.field("var", f.var);
+    w.endObject();
+  }
+  w.endArray();
+  w.key("events_jsonl");
+  out(w.str());
+  out("\"");
+  std::string escaped;
+  auto events = [&](std::string_view raw) {
+    escaped.clear();
+    obs::appendJsonEscaped(escaped, raw);
+    out(escaped);
+  };
+  if (run == nullptr) {
+    events(r.eventsJsonl);
+  } else {
+    obs::forEachJsonlLine(*run, [&events](const std::string& line) {
+      events(line);
+      events("\n");
+    });
+  }
+  // What JsonWriter::endObject would close the document with.
+  out("\"\n}");
+}
+
+/// Write-to-temp + same-directory rename; `write` fills the temp file.
+bool writeAtomically(const std::string& path,
+                     const std::function<bool(std::FILE*)>& write) {
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool wrote = write(f);
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !flushed || !closed) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool writeAll(std::FILE* f, std::string_view piece) {
+  return piece.empty() ||
+         std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+}
+
+/// Append `head` then `tail` to `path` in one open.
+bool appendTo(const std::string& path, std::string_view head,
+              std::string_view tail) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr) return false;
+  const bool wrote = writeAll(f, head) && writeAll(f, tail);
+  const bool flushed = std::fflush(f) == 0;
+  return (std::fclose(f) == 0) && wrote && flushed;
 }
 
 }  // namespace
@@ -270,71 +400,10 @@ std::string CampaignStore::matrixPath(const std::string& id) const {
 // -- shard serialization ----------------------------------------------------
 
 std::string CampaignStore::shardToJson(const ShardResult& r) {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.field("schema", "confail.shard.v1");
-  w.field("index", static_cast<std::uint64_t>(r.spec.index));
-  w.field("control", r.spec.control);
-  w.field("scenario", r.spec.scenario);
-  if (!r.spec.control) {
-    w.field("class", taxonomy::failureClassName(r.spec.cls));
-  }
-  w.field("reduction", inject::reductionName(r.spec.reduction));
-  if (r.spec.control) {
-    w.key("control_cell");
-    w.beginObject();
-    w.field("runs", r.control.runs);
-    w.field("findings", r.control.findings);
-    w.field("failing_runs", r.control.failingRuns);
-    w.field("wall_ms", r.control.wallMs);
-    w.field("host_concurrency",
-            static_cast<std::uint64_t>(r.control.hostConcurrency));
-    w.endObject();
-  } else {
-    w.key("cell");
-    w.beginObject();
-    w.field("runs", r.cell.runs);
-    w.field("deviated_runs", r.cell.deviatedRuns);
-    w.field("failing_runs", r.cell.failingRuns);
-    w.field("caught", r.cell.caught);
-    w.field("classifier_agrees", r.cell.classifierAgrees);
-    w.field("wall_ms", r.cell.wallMs);
-    w.field("host_concurrency",
-            static_cast<std::uint64_t>(r.cell.hostConcurrency));
-    w.key("detectors");
-    w.beginArray();
-    for (const inject::DetectorCell& d : r.cell.detectors) {
-      w.beginObject();
-      w.field("detector", d.detector);
-      w.field("findings", d.findings);
-      w.field("hits", d.hits);
-      w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-  }
-  w.key("findings");
-  w.beginArray();
-  for (const ShardFinding& f : r.findings) {
-    w.beginObject();
-    w.field("detector", f.detector);
-    w.field("kind", detect::findingKindName(f.finding.kind));
-    w.field("message", f.finding.message);
-    w.field("thread_id", static_cast<std::uint64_t>(f.finding.thread));
-    w.field("thread2_id", static_cast<std::uint64_t>(f.finding.thread2));
-    w.field("monitor_id", static_cast<std::uint64_t>(f.finding.monitor));
-    w.field("var_id", static_cast<std::uint64_t>(f.finding.var));
-    w.field("seq", f.finding.seq);
-    w.field("thread", f.thread);
-    w.field("thread2", f.thread2);
-    w.field("monitor", f.monitor);
-    w.field("var", f.var);
-    w.endObject();
-  }
-  w.endArray();
-  w.field("events_jsonl", r.eventsJsonl);
-  w.endObject();
-  return w.str();
+  std::string doc;
+  renderShard(r, nullptr,
+              [&doc](std::string_view piece) { doc.append(piece); });
+  return doc;
 }
 
 bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
@@ -440,15 +509,32 @@ bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
       r.findings.push_back(std::move(sf));
     }
   }
-  r.eventsJsonl = stringOf(doc, "events_jsonl");
+  // The events are the bulk of a captured shard: move them out of the DOM.
+  if (auto ev = doc.object.find("events_jsonl"); ev != doc.object.end()) {
+    r.eventsJsonl = std::move(ev->second.string);
+  }
   out = std::move(r);
   error.clear();
   return true;
 }
 
-bool CampaignStore::writeShard(const std::string& id,
-                               const ShardResult& r) const {
-  return writeFileAtomic(shardPath(id, r.spec.index), shardToJson(r) + "\n");
+bool CampaignStore::writeShardFile(const std::string& path,
+                                   const ShardResult& r,
+                                   const events::Trace* run) {
+  return writeAtomically(path, [&](std::FILE* f) {
+    bool ok = true;
+    const Emit out = [&](std::string_view piece) {
+      ok = ok && writeAll(f, piece);
+    };
+    renderShard(r, run, out);
+    out("\n");
+    return ok;
+  });
+}
+
+bool CampaignStore::writeShard(const std::string& id, const ShardResult& r,
+                               const events::Trace* run) const {
+  return writeShardFile(shardPath(id, r.spec.index), r, run);
 }
 
 bool CampaignStore::readShard(const std::string& id, std::size_t index,
@@ -497,42 +583,52 @@ bool CampaignStore::journalShard(const std::string& id,
   return appendFile(journalPath(id), flat + "\n");
 }
 
+std::vector<bool> CampaignStore::journaledShards(const std::string& id,
+                                                 std::size_t count) const {
+  std::vector<bool> journaled(count, false);
+  std::string text;
+  if (!readFile(journalPath(id), text)) return journaled;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    try {
+      const obs::JsonValue doc =
+          obs::parseJson(text.substr(begin, end - begin));
+      const obs::JsonValue* shard = doc.get("shard");
+      if (shard != nullptr && shard->isNumber() && shard->number >= 0 &&
+          shard->number < static_cast<double>(count)) {
+        journaled[static_cast<std::size_t>(shard->number)] = true;
+      }
+    } catch (const Error&) {
+      // A line that does not parse journals nothing.
+    }
+    begin = end + 1;
+  }
+  return journaled;
+}
+
 bool CampaignStore::appendEvents(const std::string& id,
                                  const std::string& jsonl) const {
   if (jsonl.empty()) return true;
-  std::string chunk = jsonl;
-  if (chunk.back() != '\n') chunk += '\n';
-  return appendFile(eventsPath(id), chunk);
+  return appendTo(eventsPath(id), jsonl, jsonl.back() == '\n' ? "" : "\n");
 }
 
 // -- primitives -------------------------------------------------------------
 
 bool CampaignStore::writeFileAtomic(const std::string& path,
                                     const std::string& content) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      content.empty() ||
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return writeAtomically(
+      path, [&content](std::FILE* f) { return writeAll(f, content); });
 }
 
 bool CampaignStore::readFile(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
   out.clear();
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (!ec) out.reserve(static_cast<std::size_t>(size));
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
@@ -543,12 +639,7 @@ bool CampaignStore::readFile(const std::string& path, std::string& out) {
 
 bool CampaignStore::appendFile(const std::string& path,
                                const std::string& chunk) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(chunk.data(), 1, chunk.size(), f) == chunk.size();
-  const bool flushed = std::fflush(f) == 0;
-  return (std::fclose(f) == 0) && wrote && flushed;
+  return appendTo(path, chunk, "");
 }
 
 }  // namespace confail::serve

@@ -4,6 +4,7 @@
 // merged reports.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -13,10 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "confail/events/trace.hpp"
 #include "confail/inject/job_spec.hpp"
+#include "confail/obs/metrics.hpp"
+#include "confail/obs/trace_export.hpp"
 #include "confail/serve/client.hpp"
 #include "confail/serve/merge.hpp"
 #include "confail/serve/server.hpp"
@@ -64,6 +69,12 @@ std::string slurp(const std::string& path) {
   std::string out;
   EXPECT_TRUE(serve::CampaignStore::readFile(path, out)) << path;
   return out;
+}
+
+ino_t inodeOf(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
 }
 
 std::size_t journalLines(const std::string& path) {
@@ -231,6 +242,21 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   EXPECT_EQ(serve::CampaignStore::shardToJson(back),
             serve::CampaignStore::shardToJson(r));
 
+  // The same shard with its events streamed from the captured run, line by
+  // line: the file must be exactly the one serializer's document.
+  confail::events::Trace run;
+  inject::ShardResult streamed = inject::runShard(spec, shards[0], {}, run);
+  ASSERT_GT(run.size(), 0u);
+  EXPECT_TRUE(streamed.eventsJsonl.empty());
+  ASSERT_TRUE(store.writeShard(id, streamed, &run));
+  streamed.eventsJsonl = confail::obs::toJsonl(run);
+  EXPECT_EQ(streamed.eventsJsonl, r.eventsJsonl);
+  EXPECT_EQ(slurp(store.shardPath(id, 0)),
+            serve::CampaignStore::shardToJson(streamed) + "\n");
+  inject::ShardResult streamedBack;
+  ASSERT_TRUE(store.readShard(id, 0, streamedBack));
+  EXPECT_EQ(streamedBack.eventsJsonl, streamed.eventsJsonl);
+
   const std::vector<bool> done = store.completedShards(id, shards.size());
   EXPECT_TRUE(done[0]);
   for (std::size_t i = 1; i < done.size(); ++i) EXPECT_FALSE(done[i]);
@@ -274,6 +300,36 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   EXPECT_EQ(journalLines(store.journalPath(id)), st.shardsTotal);
 }
 
+TEST(Server, WakesOnShardCompletionNotOnPollTimeout) {
+  TempRoot root;
+  const std::string id = serve::submitJob(root.str(), smallSpec());
+  ASSERT_FALSE(id.empty());
+
+  // A minute-long poll: the job can only drain in time if every finished
+  // shard wakes the daemon.
+  confail::obs::Registry reg;
+  serve::ServerOptions opts;
+  opts.root = root.str();
+  opts.poolSize = 2;
+  opts.subprocess = false;
+  opts.exitWhenIdle = true;
+  opts.pollMs = 60000;
+  opts.metrics = &reg;
+  serve::Server server(std::move(opts));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(server.run(), 0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
+
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "completed");
+  // Heartbeats count only waits that timed out idle.
+  EXPECT_EQ(reg.snapshot().counter("serve.heartbeats"), 0u);
+}
+
 TEST(Server, CrashResumeRerunsOnlyMissingShards) {
 #if defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
@@ -302,7 +358,6 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
     opts.poolSize = 1;
     opts.subprocess = false;
     opts.exitWhenIdle = true;
-    opts.pollMs = 1;
     serve::Server server(std::move(opts));
     ::_exit(server.run());
   }
@@ -328,7 +383,17 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   std::size_t landedAtKill = 0;
   for (const bool d : doneBeforeResume) landedAtKill += d ? 1 : 0;
   ASSERT_LT(landedAtKill, total) << "daemon finished before the kill";
-  const std::size_t journalBefore = journalLines(store.journalPath(id));
+  struct Landed {
+    std::size_t index;
+    ino_t inode;
+    std::string bytes;
+  };
+  std::vector<Landed> landedFiles;
+  for (std::size_t i = 0; i < total; ++i) {
+    if (!doneBeforeResume[i]) continue;
+    const std::string path = store.shardPath(id, i);
+    landedFiles.push_back({i, inodeOf(path), slurp(path)});
+  }
 
   // Second daemon over the same root: must finish the job.
   serve::ServerOptions opts;
@@ -344,11 +409,18 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   EXPECT_EQ(st.status, "completed");
   EXPECT_EQ(st.shardsDone, total);
 
-  // Zero re-runs: the journal is append-only, completed shards are never
-  // re-journaled, so both daemons together journal each shard exactly once.
+  // Zero re-runs: a re-run shard would rename a fresh file over its old
+  // one, so every file that had landed before the kill keeps its inode and
+  // its bytes.
+  for (const Landed& l : landedFiles) {
+    const std::string path = store.shardPath(id, l.index);
+    EXPECT_EQ(inodeOf(path), l.inode) << "shard " << l.index << " re-ran";
+    EXPECT_EQ(slurp(path), l.bytes) << "shard " << l.index << " re-ran";
+  }
+  // Exactly-once journaling across the crash, including a shard that
+  // landed after the first daemon's last journal line.
   EXPECT_EQ(journalLines(store.journalPath(id)), total);
-  EXPECT_EQ(journalLines(store.journalPath(id)) - journalBefore,
-            total - landedAtKill);
+  for (const bool j : store.journaledShards(id, total)) EXPECT_TRUE(j);
 
   // Byte-identical reports: an uninterrupted run of the same spec in a
   // fresh root merges to the same findings and SARIF documents.

@@ -7,6 +7,9 @@
 //       worker` subprocesses, checkpoint every shard, merge finished jobs
 //       into findings/SARIF/matrix documents.  Resumable: restarting over
 //       the same root (even after SIGKILL) re-runs only missing shards.
+//       The daemon wakes the moment a worker exits; --poll-ms (default 25)
+//       only bounds how long it waits before rescanning queue/ and the
+//       drain marker, and how often --metrics-out is rewritten.
 //
 //   worker  --job FILE --shard N --out FILE
 //       Execute one shard of a job spec and atomically write its
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "cli.hpp"
+#include "confail/events/trace.hpp"
 #include "confail/inject/job_spec.hpp"
 #include "confail/serve/client.hpp"
 #include "confail/serve/server.hpp"
@@ -52,7 +56,12 @@ int usageServe(const char* prog) {
                "usage: %s --root DIR [--pool N] [--in-process] "
                "[--exit-when-idle]\n"
                "               [--max-jobs N] [--poll-ms N] "
-               "[--metrics-out FILE] [--worker-bin PATH]\n",
+               "[--metrics-out FILE] [--worker-bin PATH]\n"
+               "  --poll-ms N  longest wait between scans for new jobs and "
+               "the drain marker;\n"
+               "               also the --metrics-out write interval (a "
+               "finished shard wakes\n"
+               "               the daemon at once; default 25)\n",
                prog);
   return 2;
 }
@@ -211,13 +220,10 @@ int cmdWorker(const char* prog, int argc, char** argv) {
                    shards.size());
       return 2;
     }
-    inject::RunShardOptions ro;
-    ro.captureEvents = true;
-    const inject::ShardResult result =
-        inject::runShard(spec, shards[static_cast<std::size_t>(shardIndex)],
-                         ro);
-    if (!serve::CampaignStore::writeFileAtomic(
-            outPath, serve::CampaignStore::shardToJson(result) + "\n")) {
+    events::Trace run;
+    const inject::ShardResult result = inject::runShard(
+        spec, shards[static_cast<std::size_t>(shardIndex)], {}, run);
+    if (!serve::CampaignStore::writeShardFile(outPath, result, &run)) {
       std::fprintf(stderr, "%s: cannot write %s\n", prog, outPath.c_str());
       return 3;
     }
