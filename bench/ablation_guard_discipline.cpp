@@ -71,8 +71,8 @@ Outcomes measure(bool ifGuard, double spuriousProb, int seeds) {
     } else if (got != "v") {
       ++out.wrongValue;
     }
-    detect::WaitNotifyAnalyzer wn;
-    for (const auto& finding : wn.analyze(trace)) {
+    detect::WaitNotifyCore wn;
+    for (const auto& finding : detect::analyzeWithCore(wn, trace)) {
       if (finding.kind == detect::FindingKind::GuardNotRechecked) {
         ++out.guardFindings;
         break;

@@ -140,8 +140,8 @@ ev::Trace makeAccessTrace(std::size_t events) {
 static void BM_LocksetAnalysis(benchmark::State& state) {
   ev::Trace trace = makeAccessTrace(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    confail::detect::LocksetDetector d;
-    benchmark::DoNotOptimize(d.analyze(trace));
+    confail::detect::LocksetCore d;
+    benchmark::DoNotOptimize(confail::detect::analyzeWithCore(d, trace));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -150,8 +150,8 @@ BENCHMARK(BM_LocksetAnalysis)->Arg(1000)->Arg(10000)->Arg(100000);
 static void BM_HappensBeforeAnalysis(benchmark::State& state) {
   ev::Trace trace = makeAccessTrace(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    confail::detect::HbDetector d;
-    benchmark::DoNotOptimize(d.analyze(trace));
+    confail::detect::HbCore d;
+    benchmark::DoNotOptimize(confail::detect::analyzeWithCore(d, trace));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -71,17 +71,17 @@ struct Harness {
 };
 
 std::vector<detect::Finding> runDetectors(const ev::Trace& trace) {
-  detect::LocksetDetector lockset;
-  detect::HbDetector hb;
-  detect::LockOrderGraph lg;
-  detect::WaitNotifyAnalyzer wn;
-  detect::StarvationDetector sv;
-  detect::UnnecessarySyncDetector us;
-  detect::ReleaseDisciplineDetector rd;
+  detect::LocksetCore lockset;
+  detect::HbCore hb;
+  detect::LockOrderCore lg;
+  detect::WaitNotifyCore wn;
+  detect::StarvationCore sv;
+  detect::UnnecessarySyncCore us;
+  detect::ReleaseDisciplineCore rd;
   std::vector<detect::Finding> all;
-  for (detect::Detector* d : std::initializer_list<detect::Detector*>{
+  for (detect::StreamCore* d : std::initializer_list<detect::StreamCore*>{
            &lockset, &hb, &lg, &wn, &sv, &us, &rd}) {
-    auto fs = d->analyze(trace);
+    auto fs = detect::analyzeWithCore(*d, trace);
     all.insert(all.end(), fs.begin(), fs.end());
   }
   return all;

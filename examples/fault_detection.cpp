@@ -51,13 +51,13 @@ tax::FailureReport testMutant(const char* name,
 
   auto results = driver.execute();
 
-  detect::LocksetDetector lockset;
-  detect::WaitNotifyAnalyzer waitNotify;
-  detect::ReleaseDisciplineDetector release;
+  detect::LocksetCore lockset;
+  detect::WaitNotifyCore waitNotify;
+  detect::ReleaseDisciplineCore release;
   std::vector<detect::Finding> findings;
-  for (detect::Detector* d : std::initializer_list<detect::Detector*>{
+  for (detect::StreamCore* d : std::initializer_list<detect::StreamCore*>{
            &lockset, &waitNotify, &release}) {
-    auto fs = d->analyze(trace);
+    auto fs = detect::analyzeWithCore(*d, trace);
     findings.insert(findings.end(), fs.begin(), fs.end());
   }
 

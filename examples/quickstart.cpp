@@ -75,10 +75,10 @@ int main() {
   std::printf("sum of fetched values: %ld (expected 15)\n", sum);
 
   // Vet the execution with two of the Table 1 detectors.
-  confail::detect::LocksetDetector lockset;
-  confail::detect::WaitNotifyAnalyzer waitNotify;
-  auto f1 = lockset.analyze(trace);
-  auto f2 = waitNotify.analyze(trace);
+  confail::detect::LocksetCore lockset;
+  confail::detect::WaitNotifyCore waitNotify;
+  auto f1 = confail::detect::analyzeWithCore(lockset, trace);
+  auto f2 = confail::detect::analyzeWithCore(waitNotify, trace);
   std::printf("lockset findings: %zu, wait/notify findings: %zu\n",
               f1.size(), f2.size());
 

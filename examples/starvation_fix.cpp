@@ -48,8 +48,8 @@ int main() {
     rt.spawn("aggressor-1", aggressor);
     s.run();
 
-    confail::detect::StarvationDetector detector(50);
-    auto findings = detector.analyze(trace);
+    confail::detect::StarvationCore detector(50);
+    auto findings = confail::detect::analyzeWithCore(detector, trace);
     tax::FailureReport report;
     tax::Classifier::addFindings(report, findings, trace);
     std::printf("%s", report.describe().c_str());
@@ -79,8 +79,8 @@ int main() {
     });
     auto r = s.run();
 
-    confail::detect::StarvationDetector detector(50);
-    auto findings = detector.analyze(trace);
+    confail::detect::StarvationCore detector(50);
+    auto findings = confail::detect::analyzeWithCore(detector, trace);
     std::printf("victim served: %s; starvation findings: %zu; run: %s\n",
                 victimServed ? "yes" : "NO", findings.size(),
                 sched::outcomeName(r.outcome));

@@ -103,9 +103,4 @@ void HbCore::feed(const Event& e, std::vector<Finding>& out) {
 
 void HbCore::finish(const NameSource&, std::vector<Finding>&) {}
 
-std::vector<Finding> HbDetector::analyze(const events::Trace& trace) {
-  HbCore core;
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

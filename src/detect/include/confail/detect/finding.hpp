@@ -91,36 +91,20 @@ class TraceNames final : public NameSource {
 /// requests, whole-run structural critiques) and must be called exactly
 /// once, after the last feed().
 ///
-/// The offline Detector::analyze implementations drive these same cores
-/// over trace.events(), so an online analysis that feeds a recorded run's
-/// event stream through a core produces a byte-identical finding vector —
-/// the differential contract the streaming ingest pipeline is tested
-/// against.
+/// The battery runs these cores through StreamingSuite, both online and
+/// offline (DetectorSuite feeds it a recorded trace's events), so a
+/// streamed run and the offline analysis of the same events produce the
+/// same finding vector by construction.
 class StreamCore {
  public:
   virtual ~StreamCore() = default;
   virtual const char* name() const = 0;
-  virtual std::vector<FindingKind> detectableKinds() const = 0;
   virtual void feed(const events::Event& e, std::vector<Finding>& out) = 0;
   virtual void finish(const NameSource& names, std::vector<Finding>& out) = 0;
 };
 
-/// Uniform detector interface: analyze a completed trace.
-class Detector {
- public:
-  virtual ~Detector() = default;
-  virtual const char* name() const = 0;
-  virtual std::vector<Finding> analyze(const events::Trace& trace) = 0;
-
-  /// The finding kinds this detector can produce.  Combined with
-  /// taxonomy::Classifier::classesOf, this is the per-detector
-  /// expected-class mapping the injection campaign's detection matrix is
-  /// checked against (a class a detector *could* indicate but did not).
-  virtual std::vector<FindingKind> detectableKinds() const = 0;
-};
-
-/// Drive a core over a completed trace: feed every event, then finish.
-/// The shared body of every Detector::analyze.
+/// Drive one core over a completed trace: feed every event, then finish.
+/// For targeted single-technique analyses; DetectorSuite runs the battery.
 std::vector<Finding> analyzeWithCore(StreamCore& core,
                                      const events::Trace& trace);
 

@@ -1,4 +1,4 @@
-// HbDetector: a vector-clock happens-before race detector (FastTrack-style,
+// HbCore: a vector-clock happens-before race detector (FastTrack-style,
 // simplified to full vector clocks).
 //
 // Complements the lockset detector for FF-T1: lockset flags *policy*
@@ -14,11 +14,11 @@
 //     woken waiter re-acquires the lock after the notifier released it;
 //   * ThreadSpawn orders the parent's prefix before the child.
 //
-// HbCore is the incremental form.  For unbounded streams the per-variable
+// For unbounded streams the per-variable
 // access history can be capped (Options::maxVarHistory): when the map
 // exceeds the cap the least-recently-touched variable is evicted and
 // evictions() counts the loss of precision.  The default (0) keeps every
-// variable, which is what the offline detector and the streaming-vs-offline
+// variable, which is what the offline battery (DetectorSuite) and the
 // differential tests use — with zero evictions the two are exact.
 #pragma once
 
@@ -41,9 +41,6 @@ class HbCore final : public StreamCore {
   explicit HbCore(Options opts) : opts_(opts) {}
 
   const char* name() const override { return "happens-before(vector-clock)"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::DataRace};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -72,15 +69,6 @@ class HbCore final : public StreamCore {
   std::map<std::uint64_t, events::VarId> touchOrder_;  // lastTouch -> var
   std::uint64_t touchCounter_ = 0;
   std::uint64_t evictions_ = 0;
-};
-
-class HbDetector final : public Detector {
- public:
-  const char* name() const override { return "happens-before(vector-clock)"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::DataRace};
-  }
 };
 
 }  // namespace confail::detect

@@ -1,4 +1,4 @@
-// LockOrderGraph: the LockTree/GoodLock-style deadlock-potential analysis
+// LockOrderCore: the LockTree/GoodLock-style deadlock-potential analysis
 // referenced by the paper (JPF's runtime analysis; Table 1 testing notes
 // for FF-T2: "static and dynamic analysis").
 //
@@ -23,9 +23,6 @@ namespace confail::detect {
 class LockOrderCore final : public StreamCore {
  public:
   const char* name() const override { return "lock-order-graph"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::DeadlockCycle};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -36,15 +33,6 @@ class LockOrderCore final : public StreamCore {
   std::map<std::pair<events::MonitorId, events::MonitorId>,
            std::pair<events::ThreadId, std::uint64_t>>
       edges_;
-};
-
-class LockOrderGraph final : public Detector {
- public:
-  const char* name() const override { return "lock-order-graph"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::DeadlockCycle};
-  }
 };
 
 }  // namespace confail::detect

@@ -1,4 +1,4 @@
-// LocksetDetector: the Eraser algorithm (Savage et al. 1997, the paper's
+// LocksetCore: the Eraser algorithm (Savage et al. 1997, the paper's
 // reference [24]) over confail traces.
 //
 // Detects FF-T1 interference ("race condition or data race" in Table 1):
@@ -12,7 +12,7 @@
 // thread and refined (intersected with the accessor's held locks) on every
 // subsequent access.  An empty C(v) in SharedModified state is a race.
 //
-// LocksetCore is the incremental form: a rolling lock-set per thread plus
+// The core is incremental: a rolling lock-set per thread plus
 // the per-variable state machine, fed one event at a time.  Every finding's
 // evidence is complete at the triggering access, so nothing waits for
 // finish() and the core runs unchanged over an unbounded event stream.
@@ -29,9 +29,6 @@ namespace confail::detect {
 class LocksetCore final : public StreamCore {
  public:
   const char* name() const override { return "lockset(Eraser)"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::DataRace};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -56,15 +53,6 @@ class LocksetCore final : public StreamCore {
 
   std::map<events::ThreadId, LockSet> held_;
   std::map<events::VarId, VarInfo> vars_;
-};
-
-class LocksetDetector final : public Detector {
- public:
-  const char* name() const override { return "lockset(Eraser)"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::DataRace};
-  }
 };
 
 }  // namespace confail::detect

@@ -1,4 +1,4 @@
-// ProtocolDeviationDetector: trace-level checks for deviations of the
+// ProtocolDeviationCore: trace-level checks for deviations of the
 // Figure-1 wait/notify protocol itself — the oracles the deviation-
 // injection campaign (confail::inject) relies on for the Table 1 classes
 // that leave no hang or race behind:
@@ -27,9 +27,8 @@
 //                               broken-JVM EF-T2 deviation and only sound
 //                               against FIFO-policy monitors.
 //
-// ProtocolDeviationCore: every check is a running state machine whose
-// evidence completes at the deviating event, so all findings emit inline
-// from feed().
+// Every check is a running state machine whose evidence completes at the
+// deviating event, so all findings emit inline from feed().
 #pragma once
 
 #include <cstdint>
@@ -55,14 +54,6 @@ class ProtocolDeviationCore final : public StreamCore {
   explicit ProtocolDeviationCore(Options opts) : opts_(opts) {}
 
   const char* name() const override { return "protocol-deviation"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    if (opts_.flagBarging) {
-      return {FindingKind::MissedWait, FindingKind::SpuriousWakeup,
-              FindingKind::PhantomNotify, FindingKind::BargingAcquire};
-    }
-    return {FindingKind::MissedWait, FindingKind::SpuriousWakeup,
-            FindingKind::PhantomNotify};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -84,23 +75,6 @@ class ProtocolDeviationCore final : public StreamCore {
   // monitor; a grant to anyone but the oldest arrival is an overtake.
   std::map<events::MonitorId, std::deque<events::ThreadId>> arrivals_;
   std::set<events::MonitorId> bargeReported_;
-};
-
-class ProtocolDeviationDetector final : public Detector {
- public:
-  using Options = ProtocolDeviationCore::Options;
-
-  ProtocolDeviationDetector() : ProtocolDeviationDetector(Options()) {}
-  explicit ProtocolDeviationDetector(Options opts) : opts_(opts) {}
-
-  const char* name() const override { return "protocol-deviation"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return ProtocolDeviationCore(opts_).detectableKinds();
-  }
-
- private:
-  Options opts_;
 };
 
 }  // namespace confail::detect

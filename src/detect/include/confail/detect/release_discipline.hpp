@@ -1,4 +1,4 @@
-// ReleaseDisciplineDetector: EF-T4 — "thread releases the object lock
+// ReleaseDisciplineCore: EF-T4 — "thread releases the object lock
 // prematurely ... thread exits [the critical section] and subsequent
 // statements may access shared resources" (Table 1).
 //
@@ -6,7 +6,7 @@
 // used a monitor, any shared-variable access performed after the thread's
 // last lock release — while holding no lock at all — is flagged.
 //
-// ReleaseDisciplineCore: evidence is complete at the offending access, so
+// Evidence is complete at the offending access, so
 // all findings emit inline from feed(); finish() has nothing to add.
 #pragma once
 
@@ -22,9 +22,6 @@ namespace confail::detect {
 class ReleaseDisciplineCore final : public StreamCore {
  public:
   const char* name() const override { return "release-discipline"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::EarlyRelease};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -43,15 +40,6 @@ class ReleaseDisciplineCore final : public StreamCore {
 
   std::map<events::ThreadId, ThreadState> state_;
   std::set<std::pair<events::ThreadId, events::MethodId>> reported_;
-};
-
-class ReleaseDisciplineDetector final : public Detector {
- public:
-  const char* name() const override { return "release-discipline"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::EarlyRelease};
-  }
 };
 
 }  // namespace confail::detect

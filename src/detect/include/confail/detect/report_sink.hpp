@@ -1,8 +1,8 @@
 // ReportSink: the single funnel every finding-producing path reports into.
 //
-// The offline DetectorSuite (trace detect, the injection campaign) and the
-// streaming ingest pipeline all append attributed findings here; the sink
-// renders them as
+// The detector battery's reports — offline through DetectorSuite (trace
+// detect, the injection campaign) and streaming through the ingest
+// pipeline — are all appended here, attributed; the sink renders them as
 //
 //   * confail.findings.v1 — the project's own machine-readable JSON
 //     (schema key, source label, one object per finding with ids and

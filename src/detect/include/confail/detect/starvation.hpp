@@ -1,4 +1,4 @@
-// StarvationDetector: FF-T2's second failure mode — "one or more threads
+// StarvationCore: FF-T2's second failure mode — "one or more threads
 // repeatedly acquire the lock being requested by this thread" under an
 // unfair scheduler/JVM (Table 1: the JVM "is not required to be fair").
 //
@@ -8,7 +8,7 @@
 // intervening grants is reported as LockHeldForever/Starvation depending on
 // whether the lock holder ever released.
 //
-// StarvationCore: threshold crossings are reported inline as they happen
+// Threshold crossings are reported inline as they happen
 // (complete evidence mid-stream); still-pending requests are reported at
 // finish(), since "never granted" needs the end of the stream.
 #pragma once
@@ -27,9 +27,6 @@ class StarvationCore final : public StreamCore {
       : grantThreshold_(grantThreshold) {}
 
   const char* name() const override { return "starvation"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::Starvation, FindingKind::LockHeldForever};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -45,21 +42,6 @@ class StarvationCore final : public StreamCore {
   // Current holder per monitor and whether it ever released.
   std::map<events::MonitorId, events::ThreadId> holder_;
   std::map<events::MonitorId, std::uint64_t> releases_;
-};
-
-class StarvationDetector final : public Detector {
- public:
-  explicit StarvationDetector(std::uint64_t grantThreshold = 50)
-      : grantThreshold_(grantThreshold) {}
-
-  const char* name() const override { return "starvation"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::Starvation, FindingKind::LockHeldForever};
-  }
-
- private:
-  std::uint64_t grantThreshold_;
 };
 
 }  // namespace confail::detect

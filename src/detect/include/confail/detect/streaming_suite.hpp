@@ -1,11 +1,12 @@
-// StreamingSuite: the full Table 1 detector battery in incremental form.
+// StreamingSuite: the full Table 1 detector battery, and its only
+// definition.
 //
-// Owns one StreamCore per detector (same construction options and battery
-// order as DetectorSuite) and advances all of them one event at a time.
-// Findings are buffered per core and flattened in battery order at
-// finish(), so a stream carrying the events of a recorded trace yields a
-// finding vector byte-identical to DetectorSuite::analyze on that trace —
-// the differential contract the ingest tests pin down.
+// Owns one StreamCore per technique in the paper's Table 1 testing notes —
+// its constructor is the one place the battery's cores, options and order
+// are set — and advances all of them one event at a time.  Findings are
+// buffered per core and flattened in battery order at finish().  The
+// offline entry point (DetectorSuite) is this same suite fed a recorded
+// trace's events, so streaming and offline analysis agree by construction.
 //
 // Live consumers (confail ingest --follow) can register an onFinding
 // callback to observe findings the moment a core emits them, without
@@ -20,6 +21,8 @@
 #include "confail/detect/finding.hpp"
 
 namespace confail::obs {
+class Counter;
+class Histogram;
 class Registry;
 }
 
@@ -29,13 +32,16 @@ class HbCore;
 
 class StreamingSuite {
  public:
+  /// The battery's construction options (shared by DetectorSuite).
   struct Options {
     /// Grants-while-pending threshold for the starvation core.
     std::uint64_t starvationGrantThreshold = 50;
     /// Skip the unnecessary-sync core (it flags single-threaded use,
     /// which is expected in some micro-tests).
     bool includeUnnecessarySync = true;
-    /// Flag non-FIFO lock grants (protocol-deviation EF-T2 oracle).
+    /// Flag non-FIFO lock grants (protocol-deviation EF-T2 oracle).  Off by
+    /// default: arbitrary grant order is JLS-legal, so this is only sound
+    /// against components whose monitors use the Fifo policies.
     bool flagBarging = false;
     /// Bound on the happens-before core's per-variable history; 0 keeps
     /// every variable (exact, unbounded memory).  See HbCore::Options.
@@ -57,15 +63,15 @@ class StreamingSuite {
   void finish(const NameSource& names);
 
   /// All findings flattened in battery order (valid after finish()).
-  /// Byte-identical to DetectorSuite::analyze over the same events.
   std::vector<Finding> findings() const;
 
-  /// Per-core findings, attributed (valid after finish()).
-  struct CoreReport {
-    const char* core;
+  /// Findings from one core, attributed by its name.
+  struct Report {
+    const char* detector;
     std::vector<Finding> findings;
   };
-  std::vector<CoreReport> reports() const;
+  /// Per-core reports in battery order (valid after finish()).
+  std::vector<Report> reports() const;
 
   std::vector<const char*> coreNames() const;
   std::uint64_t eventsFed() const { return eventsFed_; }
@@ -74,10 +80,12 @@ class StreamingSuite {
   std::uint64_t hbEvictions() const;
 
   /// Attach a metrics registry: feed() then records per-core feed latency
-  /// (ingest.<core>.feed_ns histogram) and finding counts
-  /// (ingest.<core>.findings).  Costs two clock reads per core per event —
-  /// leave detached on peak-throughput paths.
-  void setMetrics(obs::Registry* metrics) { metrics_ = metrics; }
+  /// (detect.<core>.feed_ns histogram) and feed() and finish() per-core
+  /// finding counts (detect.<core>.findings).  The handles are resolved
+  /// here, once; recording costs two clock reads per core per event —
+  /// leave detached on peak-throughput paths.  Null detaches; the registry
+  /// must outlive the suite's feed() and finish() calls.
+  void setMetrics(obs::Registry* metrics);
 
   /// Called for every finding as its core emits it (before ordering).
   void setOnFinding(
@@ -89,10 +97,14 @@ class StreamingSuite {
   struct Slot {
     std::unique_ptr<StreamCore> core;
     std::vector<Finding> findings;
+    obs::Histogram* feedNs = nullptr;  // null when metrics are detached
+    obs::Counter* found = nullptr;
   };
+  /// Count and publish the findings `s` appended past `before`.
+  void emitted(Slot& s, std::size_t before);
+
   std::vector<Slot> slots_;
   HbCore* hb_ = nullptr;  // borrowed from slots_
-  obs::Registry* metrics_ = nullptr;
   std::function<void(const char*, const Finding&)> onFinding_;
   std::uint64_t eventsFed_ = 0;
   bool finished_ = false;

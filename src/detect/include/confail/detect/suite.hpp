@@ -1,15 +1,17 @@
-// DetectorSuite: the full Table 1 detector battery behind one call.
+// DetectorSuite: the Table 1 detector battery over a recorded trace.
 //
-// Owns one instance of every detector in the library and runs them all
-// over a trace, concatenating findings in a stable order (the order the
-// detectors appear in Table 1's testing-notes techniques).  Individual
-// detectors remain available for targeted analyses.
+// The offline entry point to the one battery StreamingSuite defines: each
+// call builds a StreamingSuite with the suite's options, feeds it the
+// trace's events and finishes it against the trace's name tables.  Findings
+// are therefore in battery order and identical to what a stream of the
+// same events yields.  analyzeWithCore (finding.hpp) runs a single core for
+// targeted analyses.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "confail/detect/finding.hpp"
+#include "confail/detect/streaming_suite.hpp"
 
 namespace confail::obs {
 class Registry;
@@ -19,55 +21,32 @@ namespace confail::detect {
 
 class DetectorSuite {
  public:
-  struct Options {
-    /// Grants-while-pending threshold for the starvation detector.
-    std::uint64_t starvationGrantThreshold = 50;
-    /// Skip the unnecessary-sync detector (it flags single-threaded use,
-    /// which is expected in some micro-tests).
-    bool includeUnnecessarySync = true;
-    /// Flag non-FIFO lock grants (protocol-deviation EF-T2 oracle).  Off by
-    /// default: arbitrary grant order is JLS-legal, so this is only sound
-    /// against components whose monitors use the Fifo policies.
-    bool flagBarging = false;
-  };
+  using Options = StreamingSuite::Options;
 
   DetectorSuite() : DetectorSuite(Options()) {}
-  explicit DetectorSuite(Options opts);
-  ~DetectorSuite();
-
-  DetectorSuite(const DetectorSuite&) = delete;
-  DetectorSuite& operator=(const DetectorSuite&) = delete;
+  explicit DetectorSuite(Options opts) : opts_(opts) {}
 
   /// Run every detector over the trace; findings in battery order.
-  std::vector<Finding> analyze(const events::Trace& trace);
-
-  /// Findings from one detector, attributed by name.
-  struct DetectorReport {
-    const char* detector;
-    std::vector<Finding> findings;
-  };
+  std::vector<Finding> analyze(const events::Trace& trace) const;
 
   /// Run every detector over the trace, keeping findings attributed to the
   /// detector that produced them (the injection campaign's detection matrix
   /// needs the per-detector view; analyze() flattens it).
-  std::vector<DetectorReport> analyzeEach(const events::Trace& trace);
-
-  /// The detectors themselves, in battery order (for detectableKinds()).
-  const std::vector<std::unique_ptr<Detector>>& detectors() const {
-    return detectors_;
-  }
+  std::vector<StreamingSuite::Report> analyzeEach(
+      const events::Trace& trace) const;
 
   /// Names of the detectors in the battery, in execution order.
   std::vector<const char*> detectorNames() const;
 
-  /// Attach a metrics registry: analyze() then records events seen
-  /// (detect.events), per-detector findings (detect.<name>.findings) and
-  /// per-detector analysis latency (detect.<name>.analyze_ns histogram).
-  /// Null detaches; the registry must outlive the suite's analyze() calls.
+  /// Attach a metrics registry, forwarded to every battery analyze() and
+  /// analyzeEach() build (see StreamingSuite::setMetrics for the metrics).
+  /// Null detaches; the registry must outlive those calls.
   void setMetrics(obs::Registry* metrics) { metrics_ = metrics; }
 
  private:
-  std::vector<std::unique_ptr<Detector>> detectors_;
+  void run(StreamingSuite& battery, const events::Trace& trace) const;
+
+  Options opts_;
   obs::Registry* metrics_ = nullptr;
 };
 

@@ -1,4 +1,4 @@
-// UnnecessarySyncDetector: EF-T1 — "program logic accesses critical section"
+// UnnecessarySyncCore: EF-T1 — "program logic accesses critical section"
 // when it does not need to (Table 1: "No more than one thread accesses
 // shared resources.  The thread is not required to wait or notify other
 // threads.  Consequence: unnecessary synchronization" — an inefficiency,
@@ -25,9 +25,6 @@ namespace confail::detect {
 class UnnecessarySyncCore final : public StreamCore {
  public:
   const char* name() const override { return "unnecessary-sync"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::UnnecessarySync};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -44,15 +41,6 @@ class UnnecessarySyncCore final : public StreamCore {
   std::map<events::MonitorId, MonUse> mons_;
   std::map<events::ThreadId, std::vector<events::MonitorId>> held_;
   std::map<events::VarId, std::set<events::ThreadId>> varThreads_;
-};
-
-class UnnecessarySyncDetector final : public Detector {
- public:
-  const char* name() const override { return "unnecessary-sync"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::UnnecessarySync};
-  }
 };
 
 }  // namespace confail::detect

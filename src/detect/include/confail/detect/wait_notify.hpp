@@ -1,4 +1,4 @@
-// WaitNotifyAnalyzer: notification-protocol analyses for the T3/T5 rows of
+// WaitNotifyCore: notification-protocol analyses for the T3/T5 rows of
 // Table 1.
 //
 // Findings produced:
@@ -18,13 +18,13 @@
 //                            its wait-loop guard (an `if` around wait():
 //                            vulnerable to premature wake, EF-T5).
 //
-// WaitNotifyCore fuses the analyzer's two passes into one incremental scan:
+// The core fuses the analysis's two passes into one incremental scan:
 // the wait-set bookkeeping and the guard-recheck state machine both advance
 // per event in feed().  Everything here is end-of-stream evidence ("never
 // woken" is only decidable when the stream ends), so the protocol findings
 // are assembled at finish(); guard findings are detected mid-stream but
-// buffered so the emitted order matches the offline analyzer exactly
-// (LostNotify, NotifySingleInsufficient, WaitingForever, GuardNotRechecked).
+// buffered so findings always emit in one kind order (LostNotify,
+// NotifySingleInsufficient, WaitingForever, GuardNotRechecked).
 #pragma once
 
 #include <cstdint>
@@ -40,11 +40,6 @@ namespace confail::detect {
 class WaitNotifyCore final : public StreamCore {
  public:
   const char* name() const override { return "wait-notify"; }
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::WaitingForever, FindingKind::LostNotify,
-            FindingKind::NotifySingleInsufficient,
-            FindingKind::GuardNotRechecked};
-  }
   void feed(const events::Event& e, std::vector<Finding>& out) override;
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
@@ -66,18 +61,7 @@ class WaitNotifyCore final : public StreamCore {
   std::map<events::ThreadId, std::pair<std::uint64_t, events::MethodId>>
       pendingWake_;
   std::set<std::pair<events::ThreadId, events::MethodId>> reportedGuard_;
-  std::vector<Finding> guardFindings_;  // buffered to preserve offline order
-};
-
-class WaitNotifyAnalyzer final : public Detector {
- public:
-  const char* name() const override { return "wait-notify"; }
-  std::vector<Finding> analyze(const events::Trace& trace) override;
-  std::vector<FindingKind> detectableKinds() const override {
-    return {FindingKind::WaitingForever, FindingKind::LostNotify,
-            FindingKind::NotifySingleInsufficient,
-            FindingKind::GuardNotRechecked};
-  }
+  std::vector<Finding> guardFindings_;  // buffered to keep the kind order
 };
 
 }  // namespace confail::detect

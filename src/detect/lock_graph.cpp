@@ -106,9 +106,4 @@ void LockOrderCore::finish(const NameSource& names,
   }
 }
 
-std::vector<Finding> LockOrderGraph::analyze(const events::Trace& trace) {
-  LockOrderCore core;
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

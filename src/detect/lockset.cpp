@@ -81,9 +81,4 @@ void LocksetCore::feed(const Event& e, std::vector<Finding>& out) {
 
 void LocksetCore::finish(const NameSource&, std::vector<Finding>&) {}
 
-std::vector<Finding> LocksetDetector::analyze(const events::Trace& trace) {
-  LocksetCore core;
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

@@ -117,10 +117,4 @@ void ProtocolDeviationCore::feed(const Event& e, std::vector<Finding>& out) {
 
 void ProtocolDeviationCore::finish(const NameSource&, std::vector<Finding>&) {}
 
-std::vector<Finding> ProtocolDeviationDetector::analyze(
-    const events::Trace& trace) {
-  ProtocolDeviationCore core(opts_);
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

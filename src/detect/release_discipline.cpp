@@ -59,10 +59,4 @@ void ReleaseDisciplineCore::feed(const Event& e, std::vector<Finding>& out) {
 
 void ReleaseDisciplineCore::finish(const NameSource&, std::vector<Finding>&) {}
 
-std::vector<Finding> ReleaseDisciplineDetector::analyze(
-    const events::Trace& trace) {
-  ReleaseDisciplineCore core;
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

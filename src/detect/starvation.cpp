@@ -72,9 +72,4 @@ void StarvationCore::finish(const NameSource&, std::vector<Finding>& out) {
   }
 }
 
-std::vector<Finding> StarvationDetector::analyze(const events::Trace& trace) {
-  StarvationCore core(grantThreshold_);
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

@@ -38,29 +38,26 @@ StreamingSuite::StreamingSuite(Options opts) {
 
 StreamingSuite::~StreamingSuite() = default;
 
+void StreamingSuite::setMetrics(obs::Registry* metrics) {
+  for (Slot& s : slots_) {
+    s.feedNs = nullptr;
+    s.found = nullptr;
+    if (metrics == nullptr) continue;
+    const std::string prefix = std::string("detect.") + s.core->name();
+    s.feedNs = &metrics->histogram(prefix + ".feed_ns");
+    s.found = &metrics->counter(prefix + ".findings");
+  }
+}
+
 void StreamingSuite::feed(const events::Event& e) {
   ++eventsFed_;
   for (Slot& s : slots_) {
     const std::size_t before = s.findings.size();
-    if (metrics_ != nullptr) {
-      const std::string prefix = std::string("ingest.") + s.core->name();
-      obs::ScopedTimer timer(&metrics_->histogram(prefix + ".feed_ns"));
-      s.core->feed(e, s.findings);
-    } else {
+    {
+      obs::ScopedTimer timer(s.feedNs);
       s.core->feed(e, s.findings);
     }
-    if (s.findings.size() != before) {
-      if (metrics_ != nullptr) {
-        metrics_->counter(std::string("ingest.") + s.core->name() +
-                          ".findings")
-            .add(s.findings.size() - before);
-      }
-      if (onFinding_) {
-        for (std::size_t i = before; i < s.findings.size(); ++i) {
-          onFinding_(s.core->name(), s.findings[i]);
-        }
-      }
-    }
+    if (s.findings.size() != before) emitted(s, before);
   }
 }
 
@@ -70,17 +67,15 @@ void StreamingSuite::finish(const NameSource& names) {
   for (Slot& s : slots_) {
     const std::size_t before = s.findings.size();
     s.core->finish(names, s.findings);
-    if (s.findings.size() != before) {
-      if (metrics_ != nullptr) {
-        metrics_->counter(std::string("ingest.") + s.core->name() +
-                          ".findings")
-            .add(s.findings.size() - before);
-      }
-      if (onFinding_) {
-        for (std::size_t i = before; i < s.findings.size(); ++i) {
-          onFinding_(s.core->name(), s.findings[i]);
-        }
-      }
+    if (s.findings.size() != before) emitted(s, before);
+  }
+}
+
+void StreamingSuite::emitted(Slot& s, std::size_t before) {
+  if (s.found != nullptr) s.found->add(s.findings.size() - before);
+  if (onFinding_) {
+    for (std::size_t i = before; i < s.findings.size(); ++i) {
+      onFinding_(s.core->name(), s.findings[i]);
     }
   }
 }
@@ -93,11 +88,11 @@ std::vector<Finding> StreamingSuite::findings() const {
   return all;
 }
 
-std::vector<StreamingSuite::CoreReport> StreamingSuite::reports() const {
-  std::vector<CoreReport> out;
+std::vector<StreamingSuite::Report> StreamingSuite::reports() const {
+  std::vector<Report> out;
   out.reserve(slots_.size());
   for (const Slot& s : slots_) {
-    out.push_back(CoreReport{s.core->name(), s.findings});
+    out.push_back(Report{s.core->name(), s.findings});
   }
   return out;
 }

@@ -1,69 +1,29 @@
 #include "confail/detect/suite.hpp"
 
-#include <string>
-
-#include "confail/detect/hb_detector.hpp"
-#include "confail/detect/lock_graph.hpp"
-#include "confail/detect/lockset.hpp"
-#include "confail/detect/protocol_deviation.hpp"
-#include "confail/detect/release_discipline.hpp"
-#include "confail/detect/starvation.hpp"
-#include "confail/detect/unnecessary_sync.hpp"
-#include "confail/detect/wait_notify.hpp"
-#include "confail/obs/metrics.hpp"
-
 namespace confail::detect {
 
-DetectorSuite::DetectorSuite(Options opts) {
-  detectors_.push_back(std::make_unique<LocksetDetector>());
-  detectors_.push_back(std::make_unique<HbDetector>());
-  detectors_.push_back(std::make_unique<LockOrderGraph>());
-  detectors_.push_back(std::make_unique<WaitNotifyAnalyzer>());
-  detectors_.push_back(
-      std::make_unique<StarvationDetector>(opts.starvationGrantThreshold));
-  if (opts.includeUnnecessarySync) {
-    detectors_.push_back(std::make_unique<UnnecessarySyncDetector>());
-  }
-  detectors_.push_back(std::make_unique<ReleaseDisciplineDetector>());
-  ProtocolDeviationDetector::Options pd;
-  pd.flagBarging = opts.flagBarging;
-  detectors_.push_back(std::make_unique<ProtocolDeviationDetector>(pd));
+void DetectorSuite::run(StreamingSuite& battery,
+                        const events::Trace& trace) const {
+  battery.setMetrics(metrics_);
+  for (const events::Event& e : trace.events()) battery.feed(e);
+  battery.finish(TraceNames(trace));
 }
 
-DetectorSuite::~DetectorSuite() = default;
-
-std::vector<Finding> DetectorSuite::analyze(const events::Trace& trace) {
-  if (metrics_ != nullptr) metrics_->counter("detect.events").add(trace.size());
-  std::vector<Finding> all;
-  for (auto& d : detectors_) {
-    std::vector<Finding> fs;
-    if (metrics_ != nullptr) {
-      const std::string prefix = std::string("detect.") + d->name();
-      obs::ScopedTimer timer(&metrics_->histogram(prefix + ".analyze_ns"));
-      fs = d->analyze(trace);
-      metrics_->counter(prefix + ".findings").add(fs.size());
-    } else {
-      fs = d->analyze(trace);
-    }
-    all.insert(all.end(), fs.begin(), fs.end());
-  }
-  return all;
+std::vector<Finding> DetectorSuite::analyze(const events::Trace& trace) const {
+  StreamingSuite battery(opts_);
+  run(battery, trace);
+  return battery.findings();
 }
 
-std::vector<DetectorSuite::DetectorReport> DetectorSuite::analyzeEach(
-    const events::Trace& trace) {
-  std::vector<DetectorReport> reports;
-  reports.reserve(detectors_.size());
-  for (auto& d : detectors_) {
-    reports.push_back(DetectorReport{d->name(), d->analyze(trace)});
-  }
-  return reports;
+std::vector<StreamingSuite::Report> DetectorSuite::analyzeEach(
+    const events::Trace& trace) const {
+  StreamingSuite battery(opts_);
+  run(battery, trace);
+  return battery.reports();
 }
 
 std::vector<const char*> DetectorSuite::detectorNames() const {
-  std::vector<const char*> names;
-  for (const auto& d : detectors_) names.push_back(d->name());
-  return names;
+  return StreamingSuite(opts_).coreNames();
 }
 
 }  // namespace confail::detect

@@ -72,10 +72,4 @@ void UnnecessarySyncCore::finish(const NameSource&, std::vector<Finding>& out) {
   }
 }
 
-std::vector<Finding> UnnecessarySyncDetector::analyze(
-    const events::Trace& trace) {
-  UnnecessarySyncCore core;
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

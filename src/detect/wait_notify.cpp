@@ -135,9 +135,4 @@ void WaitNotifyCore::finish(const NameSource&, std::vector<Finding>& out) {
   out.insert(out.end(), guardFindings_.begin(), guardFindings_.end());
 }
 
-std::vector<Finding> WaitNotifyAnalyzer::analyze(const events::Trace& trace) {
-  WaitNotifyCore core;
-  return analyzeWithCore(core, trace);
-}
-
 }  // namespace confail::detect

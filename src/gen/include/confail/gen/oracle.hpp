@@ -35,7 +35,8 @@
 //                            through the streaming ingest pipeline yields a
 //                            findings document byte-identical to the
 //                            offline DetectorSuite's on the same trace
-//                            (the ingest pipeline's differential contract);
+//                            (both run the one battery, so this pins the
+//                            JSONL export, the decoder and the ring);
 //   model-cross-check        every marking a generated program's runs visit
 //                            is a reachable marking of the thread/lock
 //                            Petri net of the same shape, and all-waiting

@@ -129,8 +129,8 @@ IngestStats IngestPipeline::run(std::istream& in, detect::ReportSink& sink) {
   producer.join();
 
   suite_.finish(decoder_.names());
-  for (const detect::StreamingSuite::CoreReport& r : suite_.reports()) {
-    sink.addAll(r.core, r.findings);
+  for (const detect::StreamingSuite::Report& r : suite_.reports()) {
+    sink.addAll(r.detector, r.findings);
   }
 
   const auto t1 = std::chrono::steady_clock::now();

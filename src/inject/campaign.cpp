@@ -122,8 +122,8 @@ MatrixCell runCell(const NamedScenario& sc, const InjectionPlan& plan,
   const auto started = std::chrono::steady_clock::now();
 
   detect::DetectorSuite suite(suiteOptions());
-  for (const auto& d : suite.detectors()) {
-    cell.detectors.push_back(DetectorCell{d->name()});
+  for (const char* name : suite.detectorNames()) {
+    cell.detectors.push_back(DetectorCell{name});
   }
 
   ExploreConfig cfg;

@@ -3,9 +3,9 @@
 // For every scenario in the registry and every injectable Table 1 class
 // that applies to it (lock classes need a monitor, wait/notify classes need
 // a wait/notify protocol), the campaign explores the scenario with a fresh
-// per-run Injector executing the class's default plan and runs the full
-// DetectorSuite over every deviated run's trace.  The product is a
-// machine-readable matrix
+// per-run Injector executing the class's default plan and runs the
+// detector battery (DetectorSuite) over every deviated run's trace.  The
+// product is a machine-readable matrix
 //
 //     deviation class x scenario x detector  ->  caught / missed
 //

@@ -542,8 +542,8 @@ TEST(ThreadPoolTest, NoDetectorFindingsOnCleanRun) {
     pool->shutdown();
   });
   ASSERT_EQ(h.sched.run().outcome, Outcome::Completed);
-  confail::detect::LocksetDetector lockset;
-  auto findings = lockset.analyze(h.trace);
+  confail::detect::LocksetCore lockset;
+  auto findings = confail::detect::analyzeWithCore(lockset, h.trace);
   EXPECT_TRUE(findings.empty());
   auto v = confail::petri::validateTraceAgainstModel(h.trace, 0);
   EXPECT_TRUE(v.ok) << v.message;

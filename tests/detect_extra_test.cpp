@@ -68,8 +68,8 @@ TEST(LockGraphExtra, ThreeLockCycleDetected) {
     Synchronized l2(a);
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LockOrderGraph d;
-  auto fs = d.analyze(h.trace);
+  detect::LockOrderCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::DeadlockCycle));
   // The cycle message names all three monitors.
   const std::string msg = fs[0].message;
@@ -86,8 +86,8 @@ TEST(LockGraphExtra, ReentrantAcquisitionIsNotAnEdge) {
     Synchronized inner(a);  // reentrant: no self-edge, no cycle
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LockOrderGraph d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LockOrderCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(LockGraphExtra, WaitBreaksTheHeldChain) {
@@ -108,8 +108,9 @@ TEST(LockGraphExtra, WaitBreaksTheHeldChain) {
     a.notifyAll();
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LockOrderGraph d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());  // single order, no cycle
+  detect::LockOrderCore d;
+  // Single order, no cycle.
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(LocksetExtra, TwoLocksProtectingDifferentVarsAreIndependent) {
@@ -129,8 +130,8 @@ TEST(LocksetExtra, TwoLocksProtectingDifferentVarsAreIndependent) {
     });
   }
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(LocksetExtra, MixedLockingIsARace) {
@@ -148,8 +149,9 @@ TEST(LocksetExtra, MixedLockingIsARace) {
     x.set(x.get() + 1);
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::DataRace));
+  detect::LocksetCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::DataRace));
 }
 
 TEST(LocksetExtra, NestedLocksKeepInnerCandidate) {
@@ -168,8 +170,8 @@ TEST(LocksetExtra, NestedLocksKeepInnerCandidate) {
     x.set(2);
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(HappensBeforeExtra, TransitiveOrderingAcrossTwoMonitors) {
@@ -196,8 +198,8 @@ TEST(HappensBeforeExtra, TransitiveOrderingAcrossTwoMonitors) {
     EXPECT_EQ(x.get(), 42);
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(HappensBeforeExtra, LocksetFalsePositiveHbTrueNegative) {
@@ -226,11 +228,12 @@ TEST(HappensBeforeExtra, LocksetFalsePositiveHbTrueNegative) {
     x.set(20);  // unlocked, but after the handoff completed
   });
   ASSERT_TRUE(h.sched.run().ok());
-  detect::LocksetDetector lockset;
-  detect::HbDetector hb;
-  EXPECT_TRUE(h.has(lockset.analyze(h.trace), FindingKind::DataRace))
+  detect::LocksetCore lockset;
+  detect::HbCore hb;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(lockset, h.trace),
+                    FindingKind::DataRace))
       << "Eraser-style lockset is expected to false-positive here";
-  EXPECT_TRUE(hb.analyze(h.trace).empty())
+  EXPECT_TRUE(detect::analyzeWithCore(hb, h.trace).empty())
       << "happens-before must recognize the handoff";
 }
 
@@ -247,8 +250,8 @@ TEST(WaitNotifyExtra, NotifyAllWithNoWaitersThenHangingWaitIsLostNotify) {
     m.wait();
   });
   EXPECT_EQ(h.sched.run().outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  auto fs = d.analyze(h.trace);
+  detect::WaitNotifyCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   EXPECT_TRUE(h.has(fs, FindingKind::LostNotify));
 }
 
@@ -279,8 +282,8 @@ TEST(WaitNotifyExtra, SatisfiedWaitersProduceNoFindings) {
   });
   ASSERT_TRUE(h.sched.run().ok());
   EXPECT_EQ(woken, 3);
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::WaitNotifyCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(StarvationExtra, ThresholdBoundary) {
@@ -304,8 +307,8 @@ TEST(StarvationExtra, ThresholdBoundary) {
     }
     push(0, ev::EventKind::LockAcquire, 0);
     push(0, ev::EventKind::LockRelease, 0);
-    detect::StarvationDetector d(threshold);
-    return d.analyze(trace);
+    detect::StarvationCore d(threshold);
+    return detect::analyzeWithCore(d, trace);
   };
   EXPECT_TRUE(runWith(4, 5).empty());
   EXPECT_FALSE(runWith(5, 5).empty());

@@ -57,8 +57,8 @@ TEST(Lockset, FlagsUnsynchronizedSharedWrite) {
     h.rt.spawn("t" + std::to_string(t), [&] { x.set(x.get() + 1); });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  auto fs = d.analyze(h.trace);
+  detect::LocksetCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::DataRace));
   EXPECT_EQ(fs[0].var, x.id());
 }
@@ -76,8 +76,8 @@ TEST(Lockset, QuietWhenConsistentlyLocked) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Lockset, QuietForSingleThreadUnlocked) {
@@ -88,8 +88,8 @@ TEST(Lockset, QuietForSingleThreadUnlocked) {
     for (int i = 0; i < 10; ++i) x.set(x.get() + 1);
   });
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Lockset, ReadSharingWithoutWritesIsNotARace) {
@@ -101,8 +101,8 @@ TEST(Lockset, ReadSharingWithoutWritesIsNotARace) {
   }
   ASSERT_TRUE(h.run().ok());
   // Writer runs first (round-robin, spawn order), then read-only sharing.
-  detect::LocksetDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LocksetCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Lockset, FlagsProducerConsumerSkipSyncMutant) {
@@ -116,8 +116,9 @@ TEST(Lockset, FlagsProducerConsumerSkipSyncMutant) {
     pc.receive();
   });
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::DataRace));
+  detect::LocksetCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::DataRace));
 }
 
 TEST(Lockset, QuietOnCorrectProducerConsumer) {
@@ -129,14 +130,14 @@ TEST(Lockset, QuietOnCorrectProducerConsumer) {
     pc.receive();
   });
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector lock;
-  detect::HbDetector hb;
-  detect::WaitNotifyAnalyzer wn;
-  detect::ReleaseDisciplineDetector rd;
-  EXPECT_TRUE(lock.analyze(h.trace).empty());
-  EXPECT_TRUE(hb.analyze(h.trace).empty());
-  EXPECT_TRUE(wn.analyze(h.trace).empty());
-  EXPECT_TRUE(rd.analyze(h.trace).empty());
+  detect::LocksetCore lock;
+  detect::HbCore hb;
+  detect::WaitNotifyCore wn;
+  detect::ReleaseDisciplineCore rd;
+  EXPECT_TRUE(detect::analyzeWithCore(lock, h.trace).empty());
+  EXPECT_TRUE(detect::analyzeWithCore(hb, h.trace).empty());
+  EXPECT_TRUE(detect::analyzeWithCore(wn, h.trace).empty());
+  EXPECT_TRUE(detect::analyzeWithCore(rd, h.trace).empty());
 }
 
 TEST(HappensBefore, FlagsTrulyUnorderedAccesses) {
@@ -146,8 +147,9 @@ TEST(HappensBefore, FlagsTrulyUnorderedAccesses) {
     h.rt.spawn("t" + std::to_string(t), [&] { x.set(1); });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::DataRace));
+  detect::HbCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::DataRace));
 }
 
 TEST(HappensBefore, MonitorOrderingSuppressesFalsePositives) {
@@ -161,8 +163,8 @@ TEST(HappensBefore, MonitorOrderingSuppressesFalsePositives) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(HappensBefore, SpawnEdgeOrdersParentAndChild) {
@@ -173,8 +175,8 @@ TEST(HappensBefore, SpawnEdgeOrdersParentAndChild) {
     h.rt.spawn("child", [x] { x->set(2); });
   });
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(HappensBefore, WaitNotifyCreatesOrdering) {
@@ -194,8 +196,8 @@ TEST(HappensBefore, WaitNotifyCreatesOrdering) {
     m.notifyAll();
   });
   ASSERT_TRUE(h.run().ok());
-  detect::HbDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::HbCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(LockGraph, FlagsInconsistentAcquisitionOrder) {
@@ -215,8 +217,8 @@ TEST(LockGraph, FlagsInconsistentAcquisitionOrder) {
     Synchronized a(m1);
   });
   ASSERT_TRUE(h.run().ok());  // completes — the hazard is latent
-  detect::LockOrderGraph d;
-  auto fs = d.analyze(h.trace);
+  detect::LockOrderCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::DeadlockCycle));
   EXPECT_NE(fs[0].message.find("m1"), std::string::npos);
   EXPECT_NE(fs[0].message.find("m2"), std::string::npos);
@@ -232,8 +234,8 @@ TEST(LockGraph, QuietOnConsistentNesting) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LockOrderGraph d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::LockOrderCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(WaitNotify, FlagsWaitingForever) {
@@ -245,8 +247,8 @@ TEST(WaitNotify, FlagsWaitingForever) {
   });
   auto r = h.run();
   EXPECT_EQ(r.outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  auto fs = d.analyze(h.trace);
+  detect::WaitNotifyCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   EXPECT_TRUE(h.has(fs, FindingKind::WaitingForever));
 }
 
@@ -263,8 +265,8 @@ TEST(WaitNotify, FlagsLostNotify) {
     m.unlock();
   });
   EXPECT_EQ(h.run().outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  auto fs = d.analyze(h.trace);
+  detect::WaitNotifyCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   EXPECT_TRUE(h.has(fs, FindingKind::LostNotify));
   EXPECT_TRUE(h.has(fs, FindingKind::WaitingForever));
 }
@@ -286,8 +288,9 @@ TEST(WaitNotify, FlagsNotifySingleInsufficient) {
     m.notifyOne();
   });
   EXPECT_EQ(h.run().outcome, sched::Outcome::Deadlock);
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::NotifySingleInsufficient));
+  detect::WaitNotifyCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::NotifySingleInsufficient));
 }
 
 TEST(WaitNotify, FlagsIfInsteadOfWhileViaGuardDiscipline) {
@@ -302,8 +305,9 @@ TEST(WaitNotify, FlagsIfInsteadOfWhileViaGuardDiscipline) {
     pc.send("x");
   });
   ASSERT_TRUE(h.run().ok());
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::GuardNotRechecked));
+  detect::WaitNotifyCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::GuardNotRechecked));
 }
 
 TEST(WaitNotify, WhileLoopSatisfiesGuardDiscipline) {
@@ -315,8 +319,9 @@ TEST(WaitNotify, WhileLoopSatisfiesGuardDiscipline) {
     pc.send("x");
   });
   ASSERT_TRUE(h.run().ok());
-  detect::WaitNotifyAnalyzer d;
-  EXPECT_FALSE(h.has(d.analyze(h.trace), FindingKind::GuardNotRechecked));
+  detect::WaitNotifyCore d;
+  EXPECT_FALSE(h.has(detect::analyzeWithCore(d, h.trace),
+                     FindingKind::GuardNotRechecked));
 }
 
 TEST(Starvation, FlagsStarvedRequestUnderLifoGrant) {
@@ -346,8 +351,9 @@ TEST(Starvation, FlagsStarvedRequestUnderLifoGrant) {
   // The final wait of one aggressor is never notified, so the run ends in
   // a deadlock — irrelevant here; the starvation already happened.
   h.run();
-  detect::StarvationDetector d(/*grantThreshold=*/50);
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::Starvation));
+  detect::StarvationCore d(/*grantThreshold=*/50);
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::Starvation));
 }
 
 TEST(Starvation, QuietUnderFifoGrant) {
@@ -361,8 +367,8 @@ TEST(Starvation, QuietUnderFifoGrant) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::StarvationDetector d(50);
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::StarvationCore d(50);
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Starvation, FlagsLockHeldForever) {
@@ -378,8 +384,9 @@ TEST(Starvation, FlagsLockHeldForever) {
   sched::VirtualScheduler::Options o;
   auto r = h.run();
   EXPECT_EQ(r.outcome, sched::Outcome::StepLimit);
-  detect::StarvationDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::LockHeldForever));
+  detect::StarvationCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::LockHeldForever));
 }
 
 TEST(UnnecessarySync, FlagsSingleThreadedLockedComponent) {
@@ -393,8 +400,8 @@ TEST(UnnecessarySync, FlagsSingleThreadedLockedComponent) {
     }
   });
   ASSERT_TRUE(h.run().ok());
-  detect::UnnecessarySyncDetector d;
-  auto fs = d.analyze(h.trace);
+  detect::UnnecessarySyncCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_TRUE(h.has(fs, FindingKind::UnnecessarySync));
   EXPECT_EQ(fs[0].monitor, m.id());
 }
@@ -410,8 +417,8 @@ TEST(UnnecessarySync, QuietWhenContended) {
     });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::UnnecessarySyncDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::UnnecessarySyncCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(UnnecessarySync, QuietWhenWaitNotifyUsed) {
@@ -422,8 +429,8 @@ TEST(UnnecessarySync, QuietWhenWaitNotifyUsed) {
     m.notifyAll();  // even single-threaded, notify implies protocol use
   });
   ASSERT_TRUE(h.run().ok());
-  detect::UnnecessarySyncDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::UnnecessarySyncCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(ReleaseDiscipline, FlagsEarlyReleaseSendMutant) {
@@ -434,8 +441,9 @@ TEST(ReleaseDiscipline, FlagsEarlyReleaseSendMutant) {
   h.rt.spawn("p", [&] { pc.send("x"); });
   h.rt.spawn("c", [&] { pc.receive(); });
   ASSERT_TRUE(h.run().ok());
-  detect::ReleaseDisciplineDetector d;
-  EXPECT_TRUE(h.has(d.analyze(h.trace), FindingKind::EarlyRelease));
+  detect::ReleaseDisciplineCore d;
+  EXPECT_TRUE(h.has(detect::analyzeWithCore(d, h.trace),
+                    FindingKind::EarlyRelease));
 }
 
 TEST(ReleaseDiscipline, QuietOnDisciplinedComponent) {
@@ -444,8 +452,8 @@ TEST(ReleaseDiscipline, QuietOnDisciplinedComponent) {
   h.rt.spawn("p", [&] { pc.send("x"); });
   h.rt.spawn("c", [&] { pc.receive(); });
   ASSERT_TRUE(h.run().ok());
-  detect::ReleaseDisciplineDetector d;
-  EXPECT_TRUE(d.analyze(h.trace).empty());
+  detect::ReleaseDisciplineCore d;
+  EXPECT_TRUE(detect::analyzeWithCore(d, h.trace).empty());
 }
 
 TEST(Findings, DescribeMentionsNames) {
@@ -455,8 +463,8 @@ TEST(Findings, DescribeMentionsNames) {
     h.rt.spawn("racer-" + std::to_string(t), [&] { x.set(1); });
   }
   ASSERT_TRUE(h.run().ok());
-  detect::LocksetDetector d;
-  auto fs = d.analyze(h.trace);
+  detect::LocksetCore d;
+  auto fs = detect::analyzeWithCore(d, h.trace);
   ASSERT_FALSE(fs.empty());
   std::string desc = fs[0].describe(h.trace);
   EXPECT_NE(desc.find("data-race"), std::string::npos);

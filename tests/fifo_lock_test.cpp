@@ -11,6 +11,7 @@
 #include "confail/events/trace.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
+#include "confail/obs/metrics.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 
 namespace comps = confail::components;
@@ -150,6 +151,20 @@ TEST(DetectorSuite, RunsEveryDetectorAndFindsSeededFaults) {
   bool race = false;
   for (const auto& f : findings) race = race || f.kind == detect::FindingKind::DataRace;
   EXPECT_TRUE(race);
+
+  // The per-detector view records through the same battery metrics as
+  // analyze(): one findings counter per detector, matching its report.
+  confail::obs::Registry metrics;
+  suite.setMetrics(&metrics);
+  const auto reports = suite.analyzeEach(trace);
+  ASSERT_EQ(reports.size(), 8u);
+  const confail::obs::Snapshot snap = metrics.snapshot();
+  for (const auto& r : reports) {
+    const std::string counter =
+        std::string("detect.") + r.detector + ".findings";
+    EXPECT_TRUE(snap.has(counter)) << counter;
+    EXPECT_EQ(snap.counter(counter), r.findings.size()) << counter;
+  }
 }
 
 TEST(DetectorSuite, UnnecessarySyncCanBeExcluded) {

@@ -55,7 +55,7 @@ TEST(Injector, RejectsStructuralClass) {
 }
 
 // ---------------------------------------------------------------------------
-// ProtocolDeviationDetector on synthetic traces
+// ProtocolDeviationCore on synthetic traces
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -75,10 +75,10 @@ ev::Event mk(ev::ThreadId t, ev::EventKind k, ev::MonitorId m,
 
 std::vector<detect::Finding> analyzeProtocol(const ev::Trace& trace,
                                              bool flagBarging = false) {
-  detect::ProtocolDeviationDetector::Options opts;
+  detect::ProtocolDeviationCore::Options opts;
   opts.flagBarging = flagBarging;
-  detect::ProtocolDeviationDetector d(opts);
-  return d.analyze(trace);
+  detect::ProtocolDeviationCore d(opts);
+  return detect::analyzeWithCore(d, trace);
 }
 
 }  // namespace

@@ -35,15 +35,15 @@ using confail::monitor::Runtime;
 namespace {
 
 std::vector<detect::Finding> detectorBattery(const ev::Trace& trace) {
-  detect::LocksetDetector lockset;
-  detect::HbDetector hb;
-  detect::LockOrderGraph lg;
-  detect::WaitNotifyAnalyzer wn;
-  detect::ReleaseDisciplineDetector rd;
+  detect::LocksetCore lockset;
+  detect::HbCore hb;
+  detect::LockOrderCore lg;
+  detect::WaitNotifyCore wn;
+  detect::ReleaseDisciplineCore rd;
   std::vector<detect::Finding> all;
-  for (detect::Detector* d : std::initializer_list<detect::Detector*>{
+  for (detect::StreamCore* d : std::initializer_list<detect::StreamCore*>{
            &lockset, &hb, &lg, &wn, &rd}) {
-    auto fs = d->analyze(trace);
+    auto fs = detect::analyzeWithCore(*d, trace);
     all.insert(all.end(), fs.begin(), fs.end());
   }
   return all;

@@ -148,9 +148,9 @@ TEST(Classifier, SkipNotifyMutantClassifiedAsFFT5) {
   h.driver.addVoid("producer", 2, "send(x)", [&pc] { pc.send("x"); });
 
   auto res = h.driver.execute();
-  detect::WaitNotifyAnalyzer wn;
-  auto report = Classifier::classifyAll(wn.analyze(h.trace), res.run, res,
-                                        h.trace);
+  detect::WaitNotifyCore wn;
+  auto report = Classifier::classifyAll(detect::analyzeWithCore(wn, h.trace),
+                                        res.run, res, h.trace);
   EXPECT_TRUE(report.has(FailureClass::FF_T5)) << report.describe();
   EXPECT_FALSE(report.has(FailureClass::FF_T1));
 }
@@ -277,13 +277,13 @@ TEST(Classifier, CleanRunProducesEmptyReport) {
   auto res = h.driver.execute();
   ASSERT_TRUE(res.allPassed()) << res.describe();
 
-  detect::LocksetDetector lockset;
-  detect::WaitNotifyAnalyzer wn;
-  detect::UnnecessarySyncDetector us;
+  detect::LocksetCore lockset;
+  detect::WaitNotifyCore wn;
+  detect::UnnecessarySyncCore us;
   std::vector<detect::Finding> all;
-  for (detect::Detector* d :
-       std::initializer_list<detect::Detector*>{&lockset, &wn, &us}) {
-    auto fs = d->analyze(h.trace);
+  for (detect::StreamCore* d :
+       std::initializer_list<detect::StreamCore*>{&lockset, &wn, &us}) {
+    auto fs = detect::analyzeWithCore(*d, h.trace);
     all.insert(all.end(), fs.begin(), fs.end());
   }
   auto report = Classifier::classifyAll(all, res.run, res, h.trace);
