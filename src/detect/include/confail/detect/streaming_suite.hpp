@@ -80,11 +80,11 @@ class StreamingSuite {
   std::uint64_t hbEvictions() const;
 
   /// Attach a metrics registry: feed() then records per-core feed latency
-  /// (detect.<core>.feed_ns histogram) and feed() and finish() per-core
-  /// finding counts (detect.<core>.findings).  The handles are resolved
-  /// here, once; recording costs two clock reads per core per event —
-  /// leave detached on peak-throughput paths.  Null detaches; the registry
-  /// must outlive the suite's feed() and finish() calls.
+  /// (detect.<core>.feed_ns histogram, sampled: one event in 64, the first
+  /// event included) and feed() and finish() exact per-core finding counts
+  /// (detect.<core>.findings).  The handles are resolved here, once; a
+  /// sampled event costs two clock reads per core.  Null detaches; the
+  /// registry must outlive the suite's feed() and finish() calls.
   void setMetrics(obs::Registry* metrics);
 
   /// Called for every finding as its core emits it (before ordering).

@@ -10,15 +10,19 @@
 //
 // UnnecessarySyncCore accumulates per-monitor usage in feed(); the whole-run
 // critique is inherently end-of-stream evidence, so all findings emit at
-// finish().
+// finish().  Each condition, once broken, stays broken, so feed() records
+// it as one sticky `disqualified` bit per monitor: a variable remembers the
+// monitors it was accessed under only until a second thread touches it,
+// and then disqualifies them.  Per-event cost is linear in the accessor's
+// held locks and independent of stream length; a wait releases its
+// monitor like a release does.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "confail/detect/finding.hpp"
+#include "confail/support/id_table.hpp"
 
 namespace confail::detect {
 
@@ -30,17 +34,26 @@ class UnnecessarySyncCore final : public StreamCore {
 
  private:
   struct MonUse {
-    std::set<events::ThreadId> lockers;
-    bool waitedOrNotified = false;
+    bool seen = false;  // acquired at least once
+    /// A second locker, a wait or notify, or a variable accessed under it
+    /// that another thread also touched: never flagged.
+    bool disqualified = false;
+    events::ThreadId locker = events::kNoThread;  // the first locker
     std::uint64_t firstSeq = 0;
-    bool seen = false;
-    // variables accessed while this lock was held
-    std::set<events::VarId> varsUnder;
+  };
+  struct VarUse {
+    bool touched = false;
+    bool shared = false;  // accessed by more than one thread
+    events::ThreadId first = events::kNoThread;
+    /// Monitors held across its accesses while not shared (no repeats).
+    std::vector<events::MonitorId> guards;
   };
 
-  std::map<events::MonitorId, MonUse> mons_;
-  std::map<events::ThreadId, std::vector<events::MonitorId>> held_;
-  std::map<events::VarId, std::set<events::ThreadId>> varThreads_;
+  void disqualify(events::MonitorId m) { mons_[m].disqualified = true; }
+
+  IdTable<MonUse> mons_;
+  IdTable<std::vector<events::MonitorId>> held_;  // per thread, in order
+  IdTable<VarUse> vars_;
 };
 
 }  // namespace confail::detect

@@ -1,49 +1,74 @@
 #include "confail/detect/unnecessary_sync.hpp"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 namespace confail::detect {
 
 using events::Event;
 using events::EventKind;
 using events::MonitorId;
-using events::ThreadId;
 using events::VarId;
+
+namespace {
+
+/// Drop the innermost hold of `m` from a thread's lock stack.
+void releaseInnermost(std::vector<MonitorId>& stack, MonitorId m) {
+  for (std::size_t i = stack.size(); i-- > 0;) {
+    if (stack[i] == m) {
+      stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(i));
+      return;
+    }
+  }
+}
+
+}  // namespace
 
 void UnnecessarySyncCore::feed(const Event& e, std::vector<Finding>&) {
   switch (e.kind) {
     case EventKind::LockAcquire: {
       MonUse& mu = mons_[e.monitor];
-      mu.lockers.insert(e.thread);
       if (!mu.seen) {
         mu.seen = true;
+        mu.locker = e.thread;
         mu.firstSeq = e.seq;
+      } else if (mu.locker != e.thread) {
+        mu.disqualified = true;
       }
       held_[e.thread].push_back(e.monitor);
       break;
     }
-    case EventKind::LockRelease: {
-      auto& stack = held_[e.thread];
-      for (std::size_t i = stack.size(); i-- > 0;) {
-        if (stack[i] == e.monitor) {
-          stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
+    case EventKind::LockRelease:
+      releaseInnermost(held_[e.thread], e.monitor);
       break;
-    }
-    case EventKind::WaitBegin:
+    case EventKind::WaitBegin:  // wait releases the object lock
+      releaseInnermost(held_[e.thread], e.monitor);
+      disqualify(e.monitor);
+      break;
     case EventKind::Notified:
     case EventKind::NotifyCall:
     case EventKind::NotifyAllCall:
-      mons_[e.monitor].waitedOrNotified = true;
+      disqualify(e.monitor);
       break;
     case EventKind::Read:
     case EventKind::Write: {
-      const VarId v = static_cast<VarId>(e.aux);
-      varThreads_[v].insert(e.thread);
-      for (MonitorId m : held_[e.thread]) mons_[m].varsUnder.insert(v);
+      VarUse& v = vars_[static_cast<VarId>(e.aux)];
+      if (!v.touched) {
+        v.touched = true;
+        v.first = e.thread;
+      } else if (!v.shared && v.first != e.thread) {
+        v.shared = true;
+        for (MonitorId m : v.guards) disqualify(m);
+        std::vector<MonitorId>().swap(v.guards);
+      }
+      for (MonitorId m : held_[e.thread]) {
+        if (mons_[m].disqualified) continue;
+        if (v.shared) {
+          disqualify(m);
+        } else if (std::find(v.guards.begin(), v.guards.end(), m) ==
+                   v.guards.end()) {
+          v.guards.push_back(m);
+        }
+      }
       break;
     }
     default:
@@ -52,24 +77,19 @@ void UnnecessarySyncCore::feed(const Event& e, std::vector<Finding>&) {
 }
 
 void UnnecessarySyncCore::finish(const NameSource&, std::vector<Finding>& out) {
-  for (const auto& [mon, mu] : mons_) {
-    if (!mu.seen || mu.lockers.size() != 1 || mu.waitedOrNotified) continue;
-    bool varsSingleThreaded = true;
-    for (VarId v : mu.varsUnder) {
-      varsSingleThreaded = varsSingleThreaded && varThreads_[v].size() <= 1;
-    }
-    if (!varsSingleThreaded) continue;
+  mons_.forEach([&out](MonitorId mon, const MonUse& mu) {
+    if (!mu.seen || mu.disqualified) return;
     Finding f;
     f.kind = FindingKind::UnnecessarySync;
     f.message =
         "monitor acquired by a single thread only, never waited on or "
         "notified, guarding no multi-thread data: synchronization is "
         "unnecessary overhead";
-    f.thread = *mu.lockers.begin();
+    f.thread = mu.locker;
     f.monitor = mon;
     f.seq = mu.firstSeq;
     out.push_back(std::move(f));
-  }
+  });
 }
 
 }  // namespace confail::detect

@@ -9,28 +9,35 @@
 namespace confail::events {
 
 namespace {
-constexpr std::array<const char*, 19> kKindNames = {
+constexpr std::array<std::string_view, 18> kKindNames = {
     "LockRequest",  "LockAcquire", "WaitBegin",  "LockRelease", "Notified",
     "NotifyCall",   "NotifyAllCall", "SpuriousWake",
     "Read",         "Write",
     "ThreadSpawn",  "ThreadStart", "ThreadEnd",
     "MethodEnter",  "MethodExit",  "GuardEval",
     "ClockAwait",   "ClockTick",
-    nullptr,
 };
 }  // namespace
 
 const char* kindName(EventKind k) {
   auto idx = static_cast<std::size_t>(k);
-  CONFAIL_ASSERT(idx < kKindNames.size() && kKindNames[idx] != nullptr,
-                 "unknown EventKind");
-  return kKindNames[idx];
+  CONFAIL_ASSERT(idx < kKindNames.size(), "unknown EventKind");
+  return kKindNames[idx].data();  // literals: NUL-terminated
+}
+
+bool tryKindFromName(std::string_view name, EventKind& out) {
+  for (std::size_t i = 0; i < kKindNames.size(); ++i) {
+    if (name == kKindNames[i]) {
+      out = static_cast<EventKind>(i);
+      return true;
+    }
+  }
+  return false;
 }
 
 EventKind kindFromName(const std::string& name) {
-  for (std::size_t i = 0; i < kKindNames.size() && kKindNames[i] != nullptr; ++i) {
-    if (name == kKindNames[i]) return static_cast<EventKind>(i);
-  }
+  EventKind k = EventKind::ThreadStart;
+  if (tryKindFromName(name, k)) return k;
   throw UsageError("unknown event kind name: " + name);
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace confail::events {
 
@@ -65,6 +66,9 @@ const char* kindName(EventKind k);
 
 /// Parse a kind name produced by kindName().  Throws UsageError on unknown.
 EventKind kindFromName(const std::string& name);
+
+/// kindFromName without the throw: false when `name` names no kind.
+bool tryKindFromName(std::string_view name, EventKind& out);
 
 /// True if this kind corresponds to a Figure-1 Petri-net transition.
 bool isModelTransition(EventKind k);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "confail/ingest/line_scan.hpp"
 #include "confail/obs/json.hpp"
 #include "confail/support/assert.hpp"
 
@@ -14,25 +15,38 @@ using events::EventKind;
 // ---------------------------------------------------------------------------
 // NameTable
 
-void NameTable::store(std::vector<std::string>& table, std::uint32_t id,
-                      const std::string& name) {
+void NameTable::Table::store(std::uint32_t id, std::string_view name) {
   if (id == 0xffffffffu) return;  // sentinel ids are never named
-  if (table.size() <= id) table.resize(id + 1);
-  if (table[id].empty()) table[id] = name;
+  std::string& slot = names_[id];
+  if (!slot.empty() || name.empty()) return;
+  slot = name;
+  const auto [it, fresh] = index_.try_emplace(slot, id);
+  if (!fresh && id < it->second) it->second = id;
 }
 
-std::uint32_t NameTable::intern(std::vector<std::string>& table,
-                                const std::string& name) {
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table[i] == name) return static_cast<std::uint32_t>(i);
+std::uint32_t NameTable::Table::intern(std::string_view name) {
+  if (name.empty()) {
+    // Every unnamed slot carries the empty name: the lowest one wins.
+    std::uint32_t id = 0;
+    for (; id < names_.size(); ++id) {
+      const std::string* slot = names_.find(id);
+      if (slot == nullptr || slot->empty()) return id;
+    }
+    names_[id];
+    return id;
   }
-  table.push_back(name);
-  return static_cast<std::uint32_t>(table.size() - 1);
+  if (const auto it = index_.find(name); it != index_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  std::string& slot = names_[id];
+  slot = name;
+  index_.try_emplace(slot, id);
+  return id;
 }
 
-std::string NameTable::lookup(const std::vector<std::string>& table,
-                              std::uint32_t id, const char* prefix) {
-  if (id < table.size() && !table[id].empty()) return table[id];
+std::string NameTable::Table::lookup(std::uint32_t id,
+                                     const char* prefix) const {
+  const std::string* slot = names_.find(id);
+  if (slot != nullptr && !slot->empty()) return *slot;
   return std::string(prefix) + std::to_string(id);
 }
 
@@ -41,172 +55,203 @@ std::string NameTable::lookup(const std::vector<std::string>& table,
 
 namespace {
 
-std::uint64_t asU64(const obs::JsonValue* v) {
-  return v != nullptr && v->isNumber() ? static_cast<std::uint64_t>(v->number)
-                                       : 0;
-}
-
-const std::string* asString(const obs::JsonValue* v) {
-  return v != nullptr && v->kind == obs::JsonValue::Kind::String ? &v->string
-                                                                 : nullptr;
-}
-
-}  // namespace
-
-bool JsonlDecoder::decodeLine(const std::string& line, events::Event& out) {
-  obs::JsonValue v;
-  try {
-    v = obs::parseJson(line);
-  } catch (const confail::UsageError&) {
-    return false;
-  }
+/// The DOM path: flatten a parsed line into `out`.  Map keys are unique
+/// (parseJson keeps the first of repeated keys).
+bool domFields(const obs::JsonValue& v, LineFields& out) {
+  out.clear();
   if (!v.isObject()) return false;
-  const obs::JsonValue* kindV = v.get("kind");
-  const obs::JsonValue* seqV = v.get("seq");
-  const std::string* kindName = asString(kindV);
-  if (kindName == nullptr || seqV == nullptr || !seqV->isNumber()) {
+  for (const auto& [name, value] : v.object) {
+    LineKey key = LineKey::Seq;
+    if (!lineKeyFromName(name, key)) continue;
+    LineFields::Field& f = *out.add(key);
+    f.type = LineFields::Type::Other;
+    switch (value.kind) {
+      case obs::JsonValue::Kind::Number:
+        // A number no event field can hold is not a number to the decoder.
+        if (value.number >= 0.0 && value.number < 18446744073709551616.0) {
+          f.type = LineFields::Type::Number;
+          f.number = static_cast<std::uint64_t>(value.number);
+        }
+        break;
+      case obs::JsonValue::Kind::String:
+        f.type = LineFields::Type::String;
+        f.string = value.string;
+        break;
+      case obs::JsonValue::Kind::Bool:
+        f.type = LineFields::Type::Bool;
+        f.boolean = value.boolean;
+        break;
+      default:
+        break;
+    }
+  }
+  return true;
+}
+
+/// Build the Event a line's fields describe, registering the names it
+/// carries.  False when the fields are not an event.
+bool assemble(const LineFields& f, NameTable& names, Event& out) {
+  using K = LineKey;
+  const TextView* kindName = f.string(K::Kind);
+  const std::uint64_t* seq = f.number(K::Seq);
+  EventKind kind = EventKind::ThreadStart;
+  if (kindName == nullptr || seq == nullptr ||
+      !events::tryKindFromName(*kindName, kind)) {
     return false;
   }
-  EventKind kind;
-  try {
-    kind = events::kindFromName(*kindName);
-  } catch (const confail::UsageError&) {
-    return false;
-  }
+  const auto u64 = [&f](LineKey k) {
+    const std::uint64_t* n = f.number(k);
+    return n != nullptr ? *n : 0;
+  };
 
   Event e;
   e.kind = kind;
-  e.seq = asU64(seqV);
-  if (const obs::JsonValue* t = v.get("thread"); t != nullptr && t->isNumber()) {
-    e.thread = static_cast<events::ThreadId>(t->number);
-    if (const std::string* n = asString(v.get("thread_name"))) {
-      names_.thread(e.thread, *n);
-    }
+  e.seq = *seq;
+  if (const std::uint64_t* t = f.number(K::Thread)) {
+    e.thread = static_cast<events::ThreadId>(*t);
+    if (const TextView* n = f.string(K::ThreadName)) names.thread(e.thread, *n);
   }
-  if (const obs::JsonValue* m = v.get("monitor");
-      m != nullptr && m->isNumber()) {
-    e.monitor = static_cast<events::MonitorId>(m->number);
-    if (const std::string* n = asString(v.get("monitor_name"))) {
-      names_.monitor(e.monitor, *n);
+  if (const std::uint64_t* m = f.number(K::Monitor)) {
+    e.monitor = static_cast<events::MonitorId>(*m);
+    if (const TextView* n = f.string(K::MonitorName)) {
+      names.monitor(e.monitor, *n);
     }
   }
   // Method context: v2 writes the numeric id next to the name; v1 wrote the
   // name only, so fall back to first-seen interning.
-  if (const obs::JsonValue* mc = v.get("method_ctx");
-      mc != nullptr && mc->isNumber()) {
-    e.method = static_cast<events::MethodId>(mc->number);
-    if (const std::string* n = asString(v.get("method"))) {
-      names_.method(e.method, *n);
-    }
-  } else if (const std::string* n = asString(v.get("method"));
+  if (const std::uint64_t* mc = f.number(K::MethodCtx)) {
+    e.method = static_cast<events::MethodId>(*mc);
+    if (const TextView* n = f.string(K::Method)) names.method(e.method, *n);
+  } else if (const TextView* n = f.string(K::Method);
              n != nullptr && kind != EventKind::MethodEnter &&
              kind != EventKind::MethodExit) {
-    e.method = names_.internMethod(*n);
+    e.method = names.internMethod(*n);
   }
 
   switch (kind) {
     case EventKind::Read:
     case EventKind::Write: {
-      const obs::JsonValue* id = v.get("var_id");
-      const std::string* name = asString(v.get("var"));
-      if (id != nullptr && id->isNumber()) {
-        e.aux = asU64(id);
-        if (name != nullptr) {
-          names_.var(static_cast<events::VarId>(e.aux), *name);
-        }
+      const TextView* name = f.string(K::Var);
+      if (const std::uint64_t* id = f.number(K::VarId)) {
+        e.aux = *id;
+        if (name != nullptr) names.var(static_cast<events::VarId>(e.aux), *name);
       } else if (name != nullptr) {
-        e.aux = names_.internVar(*name);
+        e.aux = names.internVar(*name);
       }
       break;
     }
     case EventKind::NotifyCall:
     case EventKind::NotifyAllCall:
-      e.aux = asU64(v.get("waiters"));
+      e.aux = u64(K::Waiters);
       break;
     case EventKind::ThreadSpawn: {
-      const obs::JsonValue* id = v.get("child_id");
-      const std::string* name = asString(v.get("child"));
-      if (id != nullptr && id->isNumber()) {
-        e.aux = asU64(id);
+      const TextView* name = f.string(K::Child);
+      if (const std::uint64_t* id = f.number(K::ChildId)) {
+        e.aux = *id;
         if (name != nullptr) {
-          names_.thread(static_cast<events::ThreadId>(e.aux), *name);
+          names.thread(static_cast<events::ThreadId>(e.aux), *name);
         }
       } else if (name != nullptr) {
-        e.aux = names_.internThread(*name);
+        e.aux = names.internThread(*name);
       }
       break;
     }
     case EventKind::GuardEval: {
-      const obs::JsonValue* id = v.get("guard_method_id");
-      const std::string* name = asString(v.get("guard_method"));
-      if (id != nullptr && id->isNumber()) {
-        e.aux = asU64(id);
+      const TextView* name = f.string(K::GuardMethod);
+      if (const std::uint64_t* id = f.number(K::GuardMethodId)) {
+        e.aux = *id;
         if (name != nullptr) {
-          names_.method(static_cast<events::MethodId>(e.aux), *name);
+          names.method(static_cast<events::MethodId>(e.aux), *name);
         }
       } else if (name != nullptr) {
-        e.aux = names_.internMethod(*name);
+        e.aux = names.internMethod(*name);
       }
-      if (const obs::JsonValue* fl = v.get("value");
-          fl != nullptr && fl->kind == obs::JsonValue::Kind::Bool) {
-        e.flag = fl->boolean;
-      }
+      if (const bool* value = f.boolean(K::Value)) e.flag = *value;
       break;
     }
     case EventKind::MethodEnter:
     case EventKind::MethodExit: {
-      const obs::JsonValue* id = v.get("method_id");
-      if (id != nullptr && id->isNumber()) {
-        e.aux = asU64(id);
-      } else {
-        e.aux = asU64(v.get("aux"));  // v1 wrote the raw aux when nonzero
-      }
-      if (const std::string* n = asString(v.get("method"))) {
-        names_.method(static_cast<events::MethodId>(e.aux), *n);
+      const std::uint64_t* id = f.number(K::MethodId);
+      e.aux = id != nullptr ? *id : u64(K::Aux);  // v1 wrote the raw aux
+      if (const TextView* n = f.string(K::Method)) {
+        names.method(static_cast<events::MethodId>(e.aux), *n);
       }
       break;
     }
     case EventKind::ClockAwait:
     case EventKind::ClockTick:
-      e.aux = asU64(v.get("t"));
+      e.aux = u64(K::T);
       break;
     default:
-      e.aux = asU64(v.get("aux"));
+      e.aux = u64(K::Aux);
       break;
   }
   out = e;
   return true;
 }
 
+}  // namespace
+
+bool decodeJsonlLine(std::string_view line, NameTable& names,
+                     events::Event& out) {
+  LineFields f;
+  if (scanLine(line, f)) return assemble(f, names, out);
+  return decodeJsonlLineDom(line, names, out);
+}
+
+bool decodeJsonlLineDom(std::string_view line, NameTable& names,
+                        events::Event& out) {
+  obs::JsonValue v;
+  try {
+    v = obs::parseJson(std::string(line));
+  } catch (const confail::UsageError&) {
+    return false;
+  }
+  LineFields f;
+  return domFields(v, f) && assemble(f, names, out);
+}
+
+void JsonlDecoder::decodeLine(std::string_view line, const Emit& emit) {
+  ++stats_.lines;
+  events::Event e;
+  if (decodeJsonlLine(line, names_, e)) {
+    ++stats_.events;
+    emit(e);
+  } else {
+    ++stats_.malformed;
+  }
+}
+
 void JsonlDecoder::feed(std::string_view chunk, const Emit& emit) {
   stats_.bytes += chunk.size();
   std::size_t start = 0;
+  if (!pending_.empty()) {
+    // Complete the line the previous chunk cut.
+    const std::size_t nl = chunk.find('\n');
+    if (nl == std::string_view::npos) {
+      pending_.append(chunk);
+      return;
+    }
+    pending_.append(chunk.substr(0, nl));
+    decodeLine(pending_, emit);
+    pending_.clear();
+    start = nl + 1;
+  }
   while (start < chunk.size()) {
     const std::size_t nl = chunk.find('\n', start);
     if (nl == std::string_view::npos) {
-      pending_.append(chunk.substr(start));
+      pending_.assign(chunk.substr(start));
       return;
     }
-    pending_.append(chunk.substr(start, nl - start));
+    if (nl != start) decodeLine(chunk.substr(start, nl - start), emit);
     start = nl + 1;
-    if (!pending_.empty()) {
-      ++stats_.lines;
-      events::Event e;
-      if (decodeLine(pending_, e)) {
-        ++stats_.events;
-        emit(e);
-      } else {
-        ++stats_.malformed;
-      }
-    }
-    pending_.clear();
   }
 }
 
 void JsonlDecoder::flush(const Emit& emit) {
   if (pending_.empty()) return;
   events::Event e;
-  if (decodeLine(pending_, e)) {
+  if (decodeJsonlLine(pending_, names_, e)) {
     // Complete object, just missing its newline: accept it.
     ++stats_.lines;
     ++stats_.events;
@@ -222,6 +267,16 @@ void JsonlDecoder::flush(const Emit& emit) {
 // Chrome trace_event
 
 namespace {
+
+std::uint64_t asU64(const obs::JsonValue* v) {
+  return v != nullptr && v->isNumber() ? static_cast<std::uint64_t>(v->number)
+                                       : 0;
+}
+
+const std::string* asString(const obs::JsonValue* v) {
+  return v != nullptr && v->kind == obs::JsonValue::Kind::String ? &v->string
+                                                                 : nullptr;
+}
 
 struct Rebuilt {
   std::uint64_t ts;

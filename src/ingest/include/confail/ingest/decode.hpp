@@ -18,22 +18,40 @@
 //     someone only kept in Chrome form; the differential guarantees apply
 //     to JSONL.
 //
+// JSONL lines decode in one of two ways, chosen per line from its bytes
+// alone.  The fast path is the single-pass scanner of line_scan.hpp: it
+// claims every flat v2 line obs::toJsonl writes (unsigned integers of up to
+// 15 digits, strings without escapes, true/false, ' ' as the only
+// whitespace, no repeated key) and fills a LineFields record of views and
+// integers without allocating.  Every other line — escapes, floats,
+// negative or huge numbers, repeated keys, nested values, tabs or '\r',
+// empty objects, garbage — is parsed by the obs::parseJson DOM, which
+// fills the same record: the first of repeated keys wins, and a number
+// outside [0, 2^64) counts as not a number.  One assemble step then turns
+// either record into the Event, registers the names it carries and holds
+// the v1 fallback (interning names that come without ids), so both paths
+// decode a line identically; the DOM is the reference the differential
+// tests hold the scanner to.
+//
 // The JSONL decoder is incremental and hardened for tailing a file that a
-// writer is still appending to: bytes are buffered until a newline lands,
-// so truncated final lines and interleaved partial writes never produce a
-// phantom event — an unterminated tail stays pending (flush() decides
-// whether it parses) and a malformed complete line is counted and skipped
-// rather than aborting the stream.
+// writer is still appending to.  Complete lines are decoded in place from
+// the chunk; only a tail the chunk cuts mid-line is copied and held until
+// its newline lands, so truncated final lines and interleaved partial
+// writes never produce a phantom event — an unterminated tail stays pending
+// (flush() decides whether it parses) and a malformed complete line is
+// counted and skipped rather than aborting the stream.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "confail/detect/finding.hpp"
 #include "confail/events/event.hpp"
+#include "confail/support/id_table.hpp"
 
 namespace confail::ingest {
 
@@ -43,60 +61,84 @@ namespace confail::ingest {
 /// byte-identical to the offline path.
 class NameTable final : public detect::NameSource {
  public:
-  void thread(events::ThreadId id, const std::string& name) {
-    store(threads_, id, name);
+  /// Name `id` unless it already has a name; the text is copied only then.
+  void thread(events::ThreadId id, std::string_view name) {
+    threads_.store(id, name);
   }
-  void monitor(events::MonitorId id, const std::string& name) {
-    store(monitors_, id, name);
+  void monitor(events::MonitorId id, std::string_view name) {
+    monitors_.store(id, name);
   }
-  void var(events::VarId id, const std::string& name) {
-    store(vars_, id, name);
-  }
-  void method(events::MethodId id, const std::string& name) {
-    store(methods_, id, name);
+  void var(events::VarId id, std::string_view name) { vars_.store(id, name); }
+  void method(events::MethodId id, std::string_view name) {
+    methods_.store(id, name);
   }
 
-  /// Id registered under `name`, interning a fresh dense id when unseen
-  /// (the v1-JSONL / Chrome fallback where only names are on the wire).
-  events::ThreadId internThread(const std::string& name) {
-    return intern(threads_, name);
+  /// Lowest id registered under `name`, interning a fresh dense id when
+  /// unseen (the v1-JSONL / Chrome fallback where only names are on the
+  /// wire).
+  events::ThreadId internThread(std::string_view name) {
+    return threads_.intern(name);
   }
-  events::MonitorId internMonitor(const std::string& name) {
-    return intern(monitors_, name);
+  events::MonitorId internMonitor(std::string_view name) {
+    return monitors_.intern(name);
   }
-  events::VarId internVar(const std::string& name) {
-    return intern(vars_, name);
-  }
-  events::MethodId internMethod(const std::string& name) {
-    return intern(methods_, name);
+  events::VarId internVar(std::string_view name) { return vars_.intern(name); }
+  events::MethodId internMethod(std::string_view name) {
+    return methods_.intern(name);
   }
 
   std::string threadName(events::ThreadId id) const override {
-    return lookup(threads_, id, "thread-");
+    return threads_.lookup(id, "thread-");
   }
   std::string monitorName(events::MonitorId id) const override {
-    return lookup(monitors_, id, "monitor-");
+    return monitors_.lookup(id, "monitor-");
   }
   std::string varName(events::VarId id) const override {
-    return lookup(vars_, id, "var-");
+    return vars_.lookup(id, "var-");
   }
   std::string methodName(events::MethodId id) const override {
-    return lookup(methods_, id, "method-");
+    return methods_.lookup(id, "method-");
   }
 
  private:
-  static void store(std::vector<std::string>& table, std::uint32_t id,
-                    const std::string& name);
-  static std::uint32_t intern(std::vector<std::string>& table,
-                              const std::string& name);
-  static std::string lookup(const std::vector<std::string>& table,
-                            std::uint32_t id, const char* prefix);
+  /// One kind's id -> name table (empty = unnamed), with a hashed
+  /// name -> lowest id index that store() and intern() keep in step.
+  class Table {
+   public:
+    void store(std::uint32_t id, std::string_view name);
+    std::uint32_t intern(std::string_view name);
+    std::string lookup(std::uint32_t id, const char* prefix) const;
 
-  std::vector<std::string> threads_;
-  std::vector<std::string> monitors_;
-  std::vector<std::string> vars_;
-  std::vector<std::string> methods_;
+   private:
+    struct Hash {
+      using is_transparent = void;
+      std::size_t operator()(std::string_view s) const {
+        return std::hash<std::string_view>{}(s);
+      }
+    };
+
+    IdTable<std::string> names_;
+    std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>>
+        index_;
+  };
+
+  Table threads_;
+  Table monitors_;
+  Table vars_;
+  Table methods_;
 };
+
+/// Decode one JSONL line (no newline): the scanner when it claims the line,
+/// else the DOM.  Registers the line's names in `names`; false when the
+/// line is malformed (not an object, no string "kind" naming an event kind,
+/// no numeric "seq").
+bool decodeJsonlLine(std::string_view line, NameTable& names,
+                     events::Event& out);
+
+/// The same decode through the obs::parseJson DOM alone: the reference
+/// decodeJsonlLine is tested against.
+bool decodeJsonlLineDom(std::string_view line, NameTable& names,
+                        events::Event& out);
 
 /// Incremental JSONL reader.
 class JsonlDecoder {
@@ -112,8 +154,9 @@ class JsonlDecoder {
   using Emit = std::function<void(const events::Event&)>;
 
   /// Consume a chunk (any framing: whole file, pipe read, single byte).
-  /// Every newline-terminated line is decoded and emitted; a trailing
-  /// fragment is buffered for the next chunk.
+  /// Every newline-terminated line is decoded and emitted, in place when
+  /// the chunk holds all of it; a trailing fragment is copied and buffered
+  /// for the next chunk.
   void feed(std::string_view chunk, const Emit& emit);
 
   /// End of stream: decide the fate of an unterminated tail.  A tail that
@@ -129,7 +172,8 @@ class JsonlDecoder {
   const Stats& stats() const { return stats_; }
 
  private:
-  bool decodeLine(const std::string& line, events::Event& out);
+  /// Decode one complete, non-empty line and emit or count it.
+  void decodeLine(std::string_view line, const Emit& emit);
 
   std::string pending_;
   NameTable names_;
