@@ -2,10 +2,14 @@
 // text helpers, assertion macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "confail/support/assert.hpp"
+#include "confail/support/id_table.hpp"
 #include "confail/support/rng.hpp"
 #include "confail/support/text.hpp"
 
@@ -112,4 +116,25 @@ TEST(Assert, CheckThrowsTypedException) {
   EXPECT_THROW(CONFAIL_CHECK(false, confail::UsageError, "bad"),
                confail::UsageError);
   EXPECT_NO_THROW(CONFAIL_CHECK(true, confail::UsageError, "ok"));
+}
+
+TEST(IdTable, FarIdsStaySparseAndMoveInWhenTheDenseEndReachesThem) {
+  confail::IdTable<int> t;
+  t[5000] = 7;          // far past the empty dense end: one sparse node
+  t[0xffffffffu] = 9;   // a sentinel id is never dense
+  EXPECT_EQ(t.size(), 0x100000000ull);
+  EXPECT_EQ(t.find(4999), nullptr);
+  for (std::uint32_t id = 0; id < 6000; ++id) {
+    if (id != 5000) t[id] = static_cast<int>(id);
+  }
+  ASSERT_NE(t.find(5000), nullptr);
+  EXPECT_EQ(*t.find(5000), 7);  // kept when the dense part grew over it
+  EXPECT_EQ(t[5000], 7);
+  EXPECT_EQ(*t.find(0xffffffffu), 9);
+
+  std::vector<std::uint32_t> ids;
+  t.forEach([&ids](std::uint32_t id, int) { ids.push_back(id); });
+  ASSERT_EQ(ids.size(), 6001u);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_EQ(ids.back(), 0xffffffffu);
 }
