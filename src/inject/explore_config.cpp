@@ -116,6 +116,7 @@ obs::ExploreSummary ExploreConfig::Outcome::summary() const {
   s.exceptions = stats.exceptions;
   s.dedupedStates = stats.dedupedStates;
   s.prunedBranches = stats.prunedBranches;
+  s.sleepBlockedRuns = stats.sleepBlockedRuns;
   s.distinctDeadlockStates = distinctDeadlockStates;
   s.exhausted = stats.exhausted;
   s.stoppedByCallback = stats.stoppedByCallback;

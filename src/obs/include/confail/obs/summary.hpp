@@ -27,6 +27,7 @@ struct ExploreSummary {
   std::uint64_t exceptions = 0;
   std::uint64_t dedupedStates = 0;
   std::uint64_t prunedBranches = 0;
+  std::uint64_t sleepBlockedRuns = 0;
   std::uint64_t distinctDeadlockStates = 0;
   bool exhausted = false;
   bool stoppedByCallback = false;
@@ -35,6 +36,8 @@ struct ExploreSummary {
   bool reductionsEnabled = false;
   std::vector<std::uint32_t> firstFailure;
   std::string firstFailureOutcome;
+  /// Wall time and throughput; 0 means not measured, and both renderings
+  /// then leave them out (they vary from run to run).
   double elapsedMs = 0.0;
   double runsPerSec = 0.0;
   /// Percentile digests of the run's latency/size histograms, one

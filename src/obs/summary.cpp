@@ -80,10 +80,13 @@ void ExploreSummary::writeJson(JsonWriter& w) const {
   w.field("exceptions", exceptions);
   w.field("deduped_states", dedupedStates);
   w.field("pruned_branches", prunedBranches);
+  w.field("sleep_blocked_runs", sleepBlockedRuns);
   w.field("exhausted", exhausted);
   w.field("stopped_by_callback", stoppedByCallback);
-  w.field("elapsed_ms", elapsedMs);
-  w.field("runs_per_sec", runsPerSec);
+  if (elapsedMs > 0.0) {
+    w.field("elapsed_ms", elapsedMs);
+    w.field("runs_per_sec", runsPerSec);
+  }
   if (!firstFailureOutcome.empty()) {
     w.field("first_failure_outcome", firstFailureOutcome);
   }

@@ -47,6 +47,7 @@ struct LocalStats {
   std::uint64_t prunedBranches = 0;
   std::uint64_t dedupedStates = 0;
   std::uint64_t dporBacktracks = 0;
+  std::uint64_t sleepBlockedRuns = 0;
   std::uint64_t fpLookups = 0;  ///< visited-set probes (dedup-rate denominator)
   std::uint64_t busyNs = 0;     ///< time spent executing runs (metrics only)
   std::uint64_t incrementalFallbacks = 0;  ///< runs bounced back to replay
@@ -247,6 +248,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
       if (claimed >= opts_.maxRuns) {
         budgetExhausted.store(true, std::memory_order_relaxed);
         queue.stop();
+        if (incrementalMode) item->node->release();
         queue.done();
         continue;
       }
@@ -336,6 +338,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         // consumed a run-budget slot and its executed steps still get race
         // analysis below, but it reports no outcome and sees no callback.
         ++local.prunedBranches;
+        ++local.sleepBlockedRuns;
       } else {
         switch (result.outcome) {
           case Outcome::Completed: ++local.completed; break;
@@ -569,8 +572,16 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             }
           }
         }
+        if (incrementalMode) {
+          // Checkpoint lifetime (PrefixNode::live): children become live
+          // before anyone can see them, and this run's node is released
+          // only after they are queued, so no node on a queued item's path
+          // is ever momentarily dead.
+          for (const WorkItem& child : childBuf) child.node->retain();
+        }
         queue.pushAll(self, childBuf);
       }
+      if (incrementalMode) item->node->release();
 
       queue.done();
     }
@@ -594,6 +605,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     stats.prunedBranches += local.prunedBranches;
     stats.dedupedStates += local.dedupedStates;
     stats.dporBacktracks += local.dporBacktracks;
+    stats.sleepBlockedRuns += local.sleepBlockedRuns;
     fpLookupsTotal += local.fpLookups;
     incrementalFallbacksTotal += local.incrementalFallbacks;
     if (incRunner != nullptr) {
@@ -616,6 +628,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
 
   WorkItem root;
   root.node = arena.root();
+  if (incrementalMode) root.node->retain();
   queue.push(0, std::move(root));  // the root: the empty prefix
 
   std::vector<std::thread> extra;
@@ -639,6 +652,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     metrics->counter("explorer.pruned_branches").add(stats.prunedBranches);
     metrics->counter("explorer.deduped_states").add(stats.dedupedStates);
     metrics->counter("explorer.dpor_backtracks").add(stats.dporBacktracks);
+    metrics->counter("explorer.sleep_blocked_runs")
+        .add(stats.sleepBlockedRuns);
     metrics->counter("explorer.steals").add(queue.steals());
     metrics->counter("explorer.steal_batch").add(queue.stealBatches());
     metrics->gauge("explorer.workers").set(static_cast<double>(workers));

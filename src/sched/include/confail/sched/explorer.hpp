@@ -114,16 +114,20 @@ class ExhaustiveExplorer {
     /// siblings share unmodified stacks and payloads) and starts each child
     /// run by restoring its parent's checkpoint instead of replaying the
     /// O(depth) prefix.  Produces the exact same runs, failure sets,
-    /// canonical witnesses and Stats counters as replay; silently falls
-    /// back to replay when fibers are unsupported (sanitized builds,
-    /// non-x86-64/aarch64) or the program is not snapshot-safe (see
-    /// VirtualScheduler::declareSnapshotSafe).  See docs/exploration.md.
+    /// canonical witnesses and Stats counters as replay.  A checkpoint is
+    /// dropped once no work item is queued or running in its prefix-tree
+    /// subtree, so retained memory follows the live DFS frontier.  Silently
+    /// falls back to replay when fibers are unsupported (sanitized builds,
+    /// every target but x86-64 Linux, aarch64 included) or the program is
+    /// not snapshot-safe (see VirtualScheduler::declareSnapshotSafe).  See
+    /// docs/exploration.md.
     bool incremental = true;
 
     /// Per-worker cap on retained checkpoint memory (estimated fresh bytes
-    /// plus path data).  Over the cap, checkpoints are dropped oldest-first
-    /// and affected children replay the gap from the nearest retained
-    /// ancestor — graceful degradation, never failure.
+    /// plus path data).  A backstop: checkpoint lifetime already bounds
+    /// retention by the live frontier.  Over the cap, live checkpoints are
+    /// dropped oldest-first and affected children replay the gap from the
+    /// nearest retained ancestor — graceful degradation, never failure.
     std::size_t snapshotBudgetBytes = 256ull * 1024 * 1024;
 
     /// Optional metrics sink.  When set, explore() publishes throughput
@@ -177,6 +181,12 @@ class ExhaustiveExplorer {
     /// analysis (the entire frontier past the root run, since DPOR queues
     /// work exclusively through backtracking).
     std::uint64_t dporBacktracks = 0;
+    /// Reduction::Dpor only: runs cut short at a decision point where every
+    /// runnable thread was asleep (RunResult::sleepPruned).  Each is a
+    /// redundant prefix, not a leaf: it used a run-budget slot, reported no
+    /// outcome, and is also counted in prunedBranches.  These are the runs
+    /// an optimal DPOR would not execute at all.
+    std::uint64_t sleepBlockedRuns = 0;
     /// Incremental exploration only (all zero under replay).  These count
     /// mechanism, not tree shape, so unlike the counters above they may
     /// legitimately vary across worker counts and traversal orders.

@@ -3,13 +3,15 @@
 // The stateless explorer pays O(depth) re-execution for every run: a child
 // branch replays its whole prefix before taking its one new step.  An
 // *incremental session* kills that cost by keeping ONE long-lived scheduler
-// per worker whose logical threads are ucontext fibers (copyable stacks),
-// checkpointing the complete execution state at branch points, and starting
-// each child run by *restoring* its deepest checkpointed ancestor rather
-// than replaying from the root.
+// per worker whose logical threads are fibers (copyable stacks, switched by
+// a register-only stack switch on x86-64), checkpointing the complete
+// execution state at branch points, and starting each child run by
+// *restoring* its deepest checkpointed ancestor rather than replaying from
+// the root.
 //
 // A checkpoint is a VirtualScheduler::Snapshot — every fiber's frozen stack
-// and register file plus every registered SnapshotSource's payload — glued
+// (its saved registers are the stack's lowest bytes) plus every registered
+// SnapshotSource's payload — glued
 // to the path data (schedule / choice sets / fingerprints / footprints) of
 // the prefix it stands for, so a restored run's RunResult is
 // indistinguishable from a from-scratch execution of the same schedule.
@@ -24,13 +26,19 @@
 // choice sets, fingerprints, footprints and outcomes are bit-identical to
 // the replay path.  If anything breaks the session's assumptions — the
 // program is not declared snapshot-safe, a restore detects mid-run
-// (un)registration, the platform has no fibers — the runner reports
-// unusable/null and the explorer falls back to plain replay.
+// (un)registration, the platform has no fibers (only x86-64 has a switch;
+// aarch64 and sanitized builds replay) — the runner reports unusable/null
+// and the explorer falls back to plain replay.
 //
-// Memory is bounded by Config::budgetBytes: checkpoints are dropped
-// oldest-first (the root checkpoint is pinned) and a child whose immediate
-// ancestor was evicted transparently restores a shallower ancestor and
-// replays the gap — the self-healing fallback re-stores what it re-reaches.
+// Lifetime: a checkpoint lives as long as its prefix-tree node has work
+// queued or running at or below it (PrefixNode::live).  Before each restore
+// lookup the runner drops the checkpoints of dead nodes: no later run's
+// prefix passes through them.  Retained memory therefore follows the live
+// DFS frontier, not the number of runs so far.  Config::budgetBytes stays
+// as a backstop: over it, checkpoints are dropped oldest-first (the root
+// checkpoint is pinned) and a child whose immediate ancestor was evicted
+// transparently restores a shallower ancestor and replays the gap — the
+// self-healing fallback re-stores what it re-reaches.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +91,8 @@ class IncrementalRunner {
     std::uint64_t maxSteps = 200000;
     bool captureState = false;
     /// Retained-checkpoint memory cap (fresh bytes + path data, estimated).
-    /// Over the cap, checkpoints are evicted oldest-first; the pinned root
+    /// A backstop: dead nodes' checkpoints are dropped regardless.  Over
+    /// the cap, live checkpoints are evicted oldest-first; the pinned root
     /// checkpoint never goes, so every run can at worst full-replay.
     std::size_t budgetBytes = 256ull * 1024 * 1024;
     obs::Registry* metrics = nullptr;  ///< per-run sched.* counters sink
@@ -152,6 +161,9 @@ class IncrementalRunner {
   /// Admit `ck` under the budget (evicting oldest-first); false = skipped.
   bool admit(Checkpoint& ck, bool pinned);
   void insert(const PrefixNode* key, Checkpoint ck);
+  /// Drop the checkpoints of dead nodes (PrefixNode::dead): no later run's
+  /// prefix passes through them, so they can never be restored again.
+  void dropDead();
   void dropPending();
 
   Config cfg_;
@@ -163,10 +175,10 @@ class IncrementalRunner {
 
   /// Checkpoints keyed by the prefix-tree node whose path they froze.
   /// Nodes are arena-allocated for the whole exploration, so raw pointers
-  /// are stable keys; entries for nodes the explorer never revisits are
-  /// reclaimed by budget eviction.
+  /// are stable keys; entries for dead nodes are reclaimed by dropDead().
   std::unordered_map<const PrefixNode*, Checkpoint> cache_;
-  std::deque<const PrefixNode*> evictOrder_;  ///< FIFO, root excluded
+  /// Every key but the root's, oldest first (the eviction order).
+  std::deque<const PrefixNode*> evictOrder_;
   const PrefixNode* rootKey_ = nullptr;       ///< pinned (never evicted)
 
   /// Checkpoints taken during the current run at depths past the replayed

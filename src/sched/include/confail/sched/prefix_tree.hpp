@@ -21,11 +21,20 @@
 // `explorer.prefix_arena_bytes` gauge (chunk granularity; DPOR sleep-set
 // heap storage is tiny and uncounted).
 //
-// The one mutable field is `expanded`, the DPOR bookkeeping mask: bit t
-// set means a run that picks thread t at this node's decision point has
-// already been enqueued (or is the node's own spine).  Source-set
-// backtracking (see explorer.cpp) uses fetch_or on it so that concurrent
-// workers discovering the same race enqueue the reversal exactly once.
+// Two fields stay mutable after publication, both atomic:
+//   * `expanded`, the DPOR bookkeeping mask: bit t set means a run that
+//     picks thread t at this node's decision point has already been
+//     enqueued (or is the node's own spine).  Source-set backtracking (see
+//     explorer.cpp) uses fetch_or on it so that concurrent workers
+//     discovering the same race enqueue the reversal exactly once.
+//   * `live`, the subtree's liveness: nonzero exactly while a work item is
+//     queued or running at this node or below it.  The explorer retains a
+//     child item's node before publishing it and releases a run's own node
+//     after publishing the run's children.  Only a run inside a subtree can
+//     add work to it, so a count that has dropped to zero never rises
+//     again: the node is dead, and no later run's prefix passes through
+//     it.  The incremental runner drops dead nodes' checkpoints, which ties
+//     retained snapshot memory to the live DFS frontier.
 #pragma once
 
 #include <atomic>
@@ -55,6 +64,13 @@ struct PrefixNode {
   /// const pointers (the path is immutable; this mask is bookkeeping).
   mutable std::atomic<std::uint64_t> expanded{0};
 
+  /// Work items queued or running at this node, plus children whose own
+  /// count is nonzero: zero exactly when no item is queued or running at
+  /// or below this node.  Counting live children instead of every item in
+  /// the subtree lets retain/release stop at the first ancestor whose
+  /// liveness does not change, instead of touching the root every time.
+  mutable std::atomic<std::uint32_t> live{0};
+
   /// Atomically claim thread `t` at this decision point.  True exactly once
   /// per (node, t) — the caller that wins owns enqueueing that branch.
   /// Ids beyond the 64-bit mask always claim (duplicated work, never lost
@@ -64,6 +80,28 @@ struct PrefixNode {
     const std::uint64_t bit = 1ull << t;
     return (expanded.fetch_or(bit, std::memory_order_acq_rel) & bit) == 0;
   }
+
+  /// A work item at this node is about to be published: make the node and
+  /// every ancestor that was not yet live, live.  Called by the run that
+  /// creates the item, which is itself live at or above an ancestor of it.
+  void retain() const {
+    for (const PrefixNode* p = this; p != nullptr; p = p->parent) {
+      if (p->live.fetch_add(1, std::memory_order_relaxed) != 0) break;
+    }
+  }
+
+  /// The work item at this node has run and published its children: drop
+  /// it, and the node from its parent's count if the subtree became empty.
+  void release() const {
+    for (const PrefixNode* p = this; p != nullptr; p = p->parent) {
+      if (p->live.fetch_sub(1, std::memory_order_acq_rel) != 1) break;
+    }
+  }
+
+  /// True once no work item can ever be queued or run at or below this
+  /// node again.  Exact for any node whose retain() the caller has seen
+  /// (a published item's ancestors, or nodes the caller created).
+  bool dead() const { return live.load(std::memory_order_acquire) == 0; }
 
   /// Reduction::Dpor only: the sleep set valid at the state reached by
   /// prefix[0 .. depth-1), i.e. just *before* this node's last step

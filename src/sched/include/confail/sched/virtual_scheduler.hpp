@@ -42,14 +42,17 @@ namespace confail::sched {
 class IncrementalRunner;
 
 namespace detail {
-struct Fiber;    // ucontext fiber backing a logical thread (defined in .cpp)
-struct FiberRt;  // per-scheduler controller context (defined in .cpp)
-struct StackImage;  // frozen fiber stack + register file (defined in .cpp)
+struct Fiber;    // stack-switched fiber backing a logical thread (.cpp)
+struct FiberRt;  // per-scheduler controller stack pointer (.cpp)
+struct StackImage;  // frozen fiber stack, saved registers included (.cpp)
 }  // namespace detail
 
 /// True when this build can back logical threads with snapshot-capable
-/// ucontext fibers: Linux on x86-64 or aarch64, sanitizers off.  When
-/// false, incremental exploration silently degrades to prefix replay.
+/// fibers: Linux on x86-64, sanitizers off.  A fiber switch pushes the
+/// callee-saved registers and FP control words onto the outgoing stack and
+/// pops the incoming one's (fiber_switch_x86_64.S); other targets, aarch64
+/// included, have no switch yet.  When false, incremental exploration
+/// silently degrades to prefix replay.
 bool fibersSupported() noexcept;
 
 /// Why a logical thread is not runnable.
@@ -157,7 +160,7 @@ class VirtualScheduler {
     std::size_t sleepFilterFrom = 0;
     std::size_t sleepFilterTo = static_cast<std::size_t>(-1);
 
-    /// Back logical threads with ucontext fibers instead of real
+    /// Back logical threads with stack-switched fibers instead of real
     /// std::threads.  Fibers run on the controller's own thread under the
     /// same strict alternation, but their stacks can be copied in and out,
     /// which is what makes checkpoint/restore of mid-run threads possible.
@@ -339,7 +342,8 @@ class VirtualScheduler {
   void fiberMain(ThreadRecord& rec);
   void finishSelf(ThreadRecord& rec);
   /// Hand the CPU to `rec` until it yields/blocks/finishes (semaphore
-  /// hand-off for thread-backed records, swapcontext for fibers).
+  /// hand-off for thread-backed records, a register-only stack switch for
+  /// fibers).
   void resumeThread(ThreadRecord& rec);
   void switchToController(ThreadRecord& rec);
   void checkAbort() const;

@@ -42,6 +42,7 @@ std::optional<RunResult> IncrementalRunner::run(
   // Checkpoints from the previous run that the explorer never bound to a
   // spine node have no restorable key: refund them.
   dropPending();
+  dropDead();
 
   const std::size_t prefixLen = prefix.size();
   CONFAIL_ASSERT(node != nullptr && node->depth == prefixLen,
@@ -235,6 +236,21 @@ void IncrementalRunner::insert(const PrefixNode* key, Checkpoint ck) {
   }
   if (key != rootKey_) evictOrder_.push_back(key);
   cache_.emplace(key, std::move(ck));
+}
+
+void IncrementalRunner::dropDead() {
+  auto kept = evictOrder_.begin();
+  for (const PrefixNode* key : evictOrder_) {
+    if (!key->dead()) {
+      *kept++ = key;
+      continue;
+    }
+    auto it = cache_.find(key);
+    tally_.retainedBytes -= std::min(tally_.retainedBytes,
+                                     it->second.costBytes);
+    cache_.erase(it);
+  }
+  evictOrder_.erase(kept, evictOrder_.end());
 }
 
 void IncrementalRunner::dropPending() {

@@ -7,9 +7,10 @@
 
 #include "confail/obs/metrics.hpp"
 
-// Fiber support: ucontext stack switching with raw stack-image copies is
-// only implemented where it is known sound — Linux on x86-64 / aarch64 —
-// and is incompatible with TSan/ASan shadow-stack bookkeeping.
+// Fiber support: a register-only stack switch (fiber_switch_x86_64.S) with
+// raw stack-image copies.  Only x86-64 System V has a switch; other targets
+// (aarch64 included) take the documented replay path.  Stack switching is
+// also incompatible with TSan/ASan shadow-stack bookkeeping.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define CONFAIL_SANITIZED 1
 #elif defined(__has_feature)
@@ -18,10 +19,14 @@
 #endif
 #endif
 
-#if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__)) && \
-    !defined(CONFAIL_SANITIZED)
+#if defined(__linux__) && defined(__x86_64__) && !defined(CONFAIL_SANITIZED)
 #define CONFAIL_FIBERS 1
-#include <ucontext.h>
+#include <cxxabi.h>
+// fiber_switch_x86_64.S: push the callee-saved registers and FP control
+// words, store the stack pointer through saveSp, load loadSp, pop, return.
+extern "C" void confail_fiber_switch(void** saveSp, void* loadSp);
+// The caller's MXCSR (low 32 bits) and x87 control word (bits 32-47).
+extern "C" std::uint64_t confail_fiber_fp_control();
 #endif
 
 namespace confail::sched {
@@ -36,39 +41,64 @@ thread_local TlsBinding tlsBinding;
 
 #ifdef CONFAIL_FIBERS
 // Stacks only need to hold the scenario bodies plus exception unwinding;
-// the *captured* portion per snapshot is just [SP - red zone, top).
+// the *captured* portion per snapshot is just [saved SP, top): a suspended
+// fiber's last frame is the switch's own register save area, and nothing
+// live lies below it (the call into the switch clobbered the red zone).
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
-constexpr std::size_t kRedZoneBytes = 128;
 
-std::uintptr_t contextSp(const ucontext_t& ctx) {
-#if defined(__x86_64__)
-  return static_cast<std::uintptr_t>(ctx.uc_mcontext.gregs[REG_RSP]);
-#else  // __aarch64__
-  return static_cast<std::uintptr_t>(ctx.uc_mcontext.sp);
-#endif
+/// Build the frame a fresh fiber is first switched into: the switch pops
+/// the FP control slot and six zeroed callee-saved registers, then returns
+/// into `entry` with the stack aligned as at any function entry.  The zero
+/// above it is `entry`'s return address, which ends unwinder walks; `entry`
+/// never returns.
+void* initialFrame(char* stack, std::size_t size, void (*entry)()) {
+  auto top = reinterpret_cast<std::uintptr_t>(stack + size) &
+             ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 9;
+  frame[0] = confail_fiber_fp_control();
+  for (int i = 1; i <= 6; ++i) frame[i] = 0;  // r15 r14 r13 r12 rbx rbp
+  frame[7] = reinterpret_cast<std::uintptr_t>(entry);
+  frame[8] = 0;
+  return frame;
 }
 #endif  // CONFAIL_FIBERS
 }  // namespace
 
 namespace detail {
 
-/// One logical thread's frozen execution: the used top of its stack plus
-/// the register file at the suspend point.  Immutable; shared by every
-/// snapshot taken while the fiber stayed suspended (version match).
+/// The C++ runtime's per-thread exception state (__cxa_eh_globals, same
+/// layout in libstdc++ and libc++abi): the stack of exceptions being
+/// handled and the count of those still propagating.  Fibers share one OS
+/// thread, so the controller swaps a fiber's own copy in around each
+/// switch; otherwise a handler suspended at a schedule point would end
+/// another fiber's exception.
+struct EhState {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+
+#ifdef CONFAIL_FIBERS
+  /// The calling OS thread's live state.
+  static EhState& current() {
+    return *reinterpret_cast<EhState*>(abi::__cxa_get_globals());
+  }
+#endif
+};
+
+/// One logical thread's frozen execution: the used top of its stack, whose
+/// lowest bytes are the switch's saved registers.  Immutable; shared by
+/// every snapshot taken while the fiber stayed suspended (version match).
 struct StackImage {
   std::uint64_t version = 0;
   std::size_t used = 0;            ///< bytes saved at the top of the stack
   std::unique_ptr<char[]> bytes;   ///< copy of [stackTop - used, stackTop)
-#ifdef CONFAIL_FIBERS
-  ucontext_t ctx{};
-#endif
+  void* sp = nullptr;              ///< the fiber's saved stack pointer
+  EhState eh;                      ///< its exception state (Fiber::eh)
 };
 
-/// The ucontext fiber backing a logical thread in snapshot mode.  The
-/// object (and therefore `ctx`) is heap-pinned for the scheduler's whole
-/// life: glibc's x86-64 ucontext_t holds a pointer into itself
-/// (uc_mcontext.fpregs -> __fpregs_mem), so a context must always be
-/// restored into the same ucontext_t it was captured from.
+/// The fiber backing a logical thread in snapshot mode: its own stack and,
+/// while suspended, the stack pointer the switch saved.  Every register it
+/// needs to resume sits on the stack itself, so a stack image plus `sp`
+/// restores it.
 struct Fiber {
   std::unique_ptr<char[]> stack;
   std::size_t stackSize = 0;
@@ -77,16 +107,13 @@ struct Fiber {
   /// byte-identical to the live stack, so save and restore can skip it.
   std::uint64_t version = 0;
   std::shared_ptr<const StackImage> lastImage;
-#ifdef CONFAIL_FIBERS
-  ucontext_t ctx{};
-#endif
+  void* sp = nullptr;
+  EhState eh;  ///< this fiber's exception state while it is suspended
 };
 
-/// Controller-side context the running fiber swaps back into.
+/// Controller-side stack pointer the running fiber switches back to.
 struct FiberRt {
-#ifdef CONFAIL_FIBERS
-  ucontext_t controllerCtx{};
-#endif
+  void* controllerSp = nullptr;
 };
 
 }  // namespace detail
@@ -166,11 +193,8 @@ ThreadId VirtualScheduler::spawn(std::string name, std::function<void()> fn) {
     f->stackSize = kFiberStackBytes;
     f->stack = std::make_unique<char[]>(f->stackSize);
     f->version = nextSnapshotVersion();
-    CONFAIL_ASSERT(getcontext(&f->ctx) == 0, "getcontext failed");
-    f->ctx.uc_stack.ss_sp = f->stack.get();
-    f->ctx.uc_stack.ss_size = f->stackSize;
-    f->ctx.uc_link = nullptr;
-    makecontext(&f->ctx, &VirtualScheduler::fiberTrampoline, 0);
+    f->sp = initialFrame(f->stack.get(), f->stackSize,
+                         &VirtualScheduler::fiberTrampoline);
     r.fiber = std::move(f);
 #endif
   } else {
@@ -220,7 +244,7 @@ void VirtualScheduler::fiberMain(ThreadRecord& rec) {
     }
   }
   finishSelf(rec);
-  swapcontext(&rec.fiber->ctx, &fiberRt_->controllerCtx);
+  confail_fiber_switch(&rec.fiber->sp, fiberRt_->controllerSp);
 #else
   (void)rec;
 #endif
@@ -457,7 +481,12 @@ void VirtualScheduler::resumeThread(ThreadRecord& rec) {
     // from here on.
     rec.fiber->version = nextSnapshotVersion();
     tlsBinding = TlsBinding{this, &rec};
-    swapcontext(&fiberRt_->controllerCtx, &rec.fiber->ctx);
+    detail::EhState& eh = detail::EhState::current();
+    const detail::EhState controllerEh = eh;
+    eh = rec.fiber->eh;
+    confail_fiber_switch(&fiberRt_->controllerSp, rec.fiber->sp);
+    rec.fiber->eh = eh;
+    eh = controllerEh;
     tlsBinding = TlsBinding{};
 #endif
   } else {
@@ -510,7 +539,7 @@ void VirtualScheduler::block(BlockKind kind, std::uint64_t resource) {
 void VirtualScheduler::switchToController(ThreadRecord& rec) {
   if (rec.fiber) {
 #ifdef CONFAIL_FIBERS
-    swapcontext(&rec.fiber->ctx, &fiberRt_->controllerCtx);
+    confail_fiber_switch(&rec.fiber->sp, fiberRt_->controllerSp);
 #endif
   } else {
     controllerSem_.release();
@@ -629,10 +658,10 @@ VirtualScheduler::saveSnapshot() {
     if (!f.lastImage || f.lastImage->version != f.version) {
       auto img = std::make_shared<detail::StackImage>();
       img->version = f.version;
-      img->ctx = f.ctx;
+      img->sp = f.sp;
+      img->eh = f.eh;
       char* const top = f.stack.get() + f.stackSize;
-      const char* from =
-          reinterpret_cast<const char*>(contextSp(f.ctx)) - kRedZoneBytes;
+      const char* from = static_cast<const char*>(f.sp);
       CONFAIL_ASSERT(from >= f.stack.get() && from < top,
                      "fiber stack pointer out of range");
       img->used = static_cast<std::size_t>(top - from);
@@ -678,10 +707,8 @@ bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
     detail::Fiber& f = *rec.fiber;
     const detail::StackImage& img = *ts.stack;
     if (f.version != img.version) {
-      // Restore into the fiber's OWN ucontext object: the register file
-      // was captured from it, and on x86-64 glibc it contains a pointer to
-      // its own __fpregs_mem — valid only at this address.
-      f.ctx = img.ctx;
+      f.sp = img.sp;
+      f.eh = img.eh;
       char* const top = f.stack.get() + f.stackSize;
       std::memcpy(top - img.used, img.bytes.get(), img.used);
       f.version = img.version;

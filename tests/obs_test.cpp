@@ -10,6 +10,7 @@
 #include "confail/events/trace.hpp"
 #include "confail/obs/json.hpp"
 #include "confail/obs/metrics.hpp"
+#include "confail/obs/summary.hpp"
 #include "confail/obs/trace_export.hpp"
 #include "confail/support/assert.hpp"
 
@@ -158,6 +159,31 @@ TEST(Snapshot, JsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(steps->get("sum")->number, 110.0);
   ASSERT_TRUE(steps->get("buckets")->isArray());
   EXPECT_EQ(steps->get("buckets")->array.size(), 2u);
+}
+
+// ---- ExploreSummary --------------------------------------------------------
+
+// Wall time varies from run to run: an unmeasured summary leaves it out of
+// the JSON, as the text rendering does, instead of printing zeros.
+TEST(ExploreSummary, JsonOmitsUnmeasuredTimingAndCarriesSleepBlockedRuns) {
+  obs::ExploreSummary s;
+  s.scenario = "ff_t5";
+  s.runs = 10;
+  s.sleepBlockedRuns = 3;
+  obs::JsonValue doc = obs::parseJson(s.toJson());
+  ASSERT_NE(doc.get("sleep_blocked_runs"), nullptr);
+  EXPECT_DOUBLE_EQ(doc.get("sleep_blocked_runs")->number, 3.0);
+  EXPECT_EQ(doc.get("elapsed_ms"), nullptr);
+  EXPECT_EQ(doc.get("runs_per_sec"), nullptr);
+  EXPECT_EQ(s.human().find("elapsed"), std::string::npos);
+
+  s.elapsedMs = 20.0;
+  s.runsPerSec = 500.0;
+  doc = obs::parseJson(s.toJson());
+  ASSERT_NE(doc.get("elapsed_ms"), nullptr);
+  EXPECT_DOUBLE_EQ(doc.get("elapsed_ms")->number, 20.0);
+  ASSERT_NE(doc.get("runs_per_sec"), nullptr);
+  EXPECT_DOUBLE_EQ(doc.get("runs_per_sec")->number, 500.0);
 }
 
 // ---- JSON writer/parser pair ----------------------------------------------

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "confail/components/scenario_registry.hpp"
+#include "confail/obs/metrics.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/fingerprint.hpp"
 
@@ -197,6 +198,7 @@ TEST(SchedDporTest, StatsDeterministicAcrossWorkerCounts) {
     EXPECT_EQ(again.stats.deadlocks, base.stats.deadlocks);
     EXPECT_EQ(again.stats.dporBacktracks, base.stats.dporBacktracks);
     EXPECT_EQ(again.stats.prunedBranches, base.stats.prunedBranches);
+    EXPECT_EQ(again.stats.sleepBlockedRuns, base.stats.sleepBlockedRuns);
     EXPECT_EQ(again.stats.firstFailure, base.stats.firstFailure);
     EXPECT_EQ(again.deadlockSigs, base.deadlockSigs);
   }
@@ -243,4 +245,35 @@ TEST(SchedDporTest, UnboundedEquivalenceOnTractableScenarios) {
     EXPECT_EQ(dpor.stats.firstFailure, none.minCanonicalFailure);
     EXPECT_LT(dpor.stats.runs, none.stats.runs);
   }
+}
+
+// A sleep-blocked run ends at an all-asleep decision point with no outcome:
+// it is exactly a run that is neither completed, deadlocked, step-limited
+// nor exceptional, and the explorer reports how many there were.
+TEST(SchedDporTest, SleepBlockedRunsAreTheRunsWithoutAnOutcome) {
+  const scenarios::NamedScenario* sc = scenarios::find("ff_t5_small");
+  ASSERT_NE(sc, nullptr);
+  sched::ExhaustiveExplorer::Options eo;
+  eo.maxRuns = 200000;
+  eo.maxSteps = 20000;
+  eo.maxBranchDepth = 10;  // shallower bounds block no run here
+  eo.reduction = Reduction::Dpor;
+  confail::obs::Registry metrics;
+  eo.metrics = &metrics;
+  const sched::ExhaustiveExplorer::Stats st =
+      sched::ExhaustiveExplorer(eo).explore(sc->fn);
+  ASSERT_TRUE(st.exhausted);
+  EXPECT_GT(st.sleepBlockedRuns, 0u);
+  EXPECT_EQ(st.sleepBlockedRuns, st.runs - st.completed - st.deadlocks -
+                                     st.stepLimited - st.exceptions);
+  EXPECT_LE(st.sleepBlockedRuns, st.prunedBranches);
+  EXPECT_EQ(metrics.counter("explorer.sleep_blocked_runs").value(),
+            st.sleepBlockedRuns);
+
+  // Without sleep sets no run is ever blocked.
+  eo.reduction = Reduction::None;
+  eo.maxBranchDepth = 6;
+  eo.metrics = nullptr;
+  EXPECT_EQ(sched::ExhaustiveExplorer(eo).explore(sc->fn).sleepBlockedRuns,
+            0u);
 }

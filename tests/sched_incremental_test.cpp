@@ -18,15 +18,18 @@
 // (the pinned root at worst) and all observables stay identical.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "confail/components/scenario_registry.hpp"
 #include "confail/inject/campaign.hpp"
 #include "confail/inject/explore_config.hpp"
+#include "confail/obs/metrics.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/fingerprint.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
@@ -228,5 +231,95 @@ TEST(SchedIncrementalTest, InjectorStateAndTraceSurviveRestore) {
   for (std::size_t workers : kWorkerCounts) {
     SCOPED_TRACE(workers);
     EXPECT_EQ(signatures(/*incremental=*/true, workers), replay);
+  }
+}
+
+namespace {
+// Tells the compiler that `p`'s bytes may be read and written here, so it
+// cannot fold the read-back check below away.
+void escape(void* p) { asm volatile("" : : "r"(p) : "memory"); }
+}  // namespace
+
+// A snapshot captures the whole used stack, not just the frames near the
+// stack pointer: a 64 KiB buffer written before a schedule point reads back
+// intact in every branch restored past it, although the run that took the
+// checkpoint scribbled over it before the restore.
+TEST(SchedIncrementalTest, LargeStackBufferSurvivesRestore) {
+  if (!sched::fibersSupported()) {
+    GTEST_SKIP() << "no fiber support: nothing is restored";
+  }
+  constexpr std::size_t kBytes = 64 * 1024;
+  auto program = [](sched::VirtualScheduler& s) {
+    s.declareSnapshotSafe();
+    for (unsigned seed : {7u, 11u}) {
+      s.spawn("t" + std::to_string(seed), [&s, seed] {
+        std::array<unsigned char, kBytes> buf;
+        for (std::size_t i = 0; i < kBytes; ++i) {
+          buf[i] = static_cast<unsigned char>(i * seed + seed);
+        }
+        escape(buf.data());
+        s.yield();
+        s.yield();
+        escape(buf.data());
+        for (std::size_t i = 0; i < kBytes; ++i) {
+          if (buf[i] != static_cast<unsigned char>(i * seed + seed)) {
+            throw std::runtime_error("stack byte " + std::to_string(i) +
+                                     " lost across a restore");
+          }
+        }
+        buf.fill(0xEE);
+        escape(buf.data());
+      });
+    }
+  };
+  auto run = [&](bool incremental) {
+    sched::ExhaustiveExplorer::Options eo;
+    eo.incremental = incremental;
+    return sched::ExhaustiveExplorer(eo).explore(program);
+  };
+  const sched::ExhaustiveExplorer::Stats inc = run(true);
+  const sched::ExhaustiveExplorer::Stats rep = run(false);
+  ASSERT_TRUE(inc.exhausted);
+  EXPECT_GT(inc.snapshotRestores, 0u);
+  EXPECT_EQ(inc.exceptions, 0u);
+  EXPECT_EQ(inc.runs, rep.runs);
+  EXPECT_EQ(inc.completed, rep.completed);
+}
+
+// Checkpoint lifetime: a checkpoint dies with the last work item queued or
+// running in its prefix-tree subtree, so retained snapshot memory follows
+// the live DFS frontier instead of growing until the byte budget evicts.
+// On ff_t5 at branch depth 14 that frontier needs a fraction of one MiB,
+// while keeping every checkpoint until eviction retains tens of MB.
+TEST(SchedIncrementalTest, CheckpointsDieWithTheirSubtree) {
+  if (!sched::fibersSupported()) {
+    GTEST_SKIP() << "no fiber support: nothing is retained";
+  }
+  const scenarios::NamedScenario* sc = scenarios::find("ff_t5");
+  ASSERT_NE(sc, nullptr);
+  // The replay path is worker-count-deterministic (sched_dpor_test), so
+  // its reference runs on 4 workers to keep its thread churn short.
+  const Exploration rep = explore(*sc, Reduction::Dpor, 14, 4,
+                                  /*incremental=*/false);
+  ASSERT_TRUE(rep.stats.exhausted);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    sched::ExhaustiveExplorer::Options eo;
+    eo.maxRuns = 200000;
+    eo.maxSteps = 20000;
+    eo.maxBranchDepth = 14;
+    eo.reduction = Reduction::Dpor;
+    eo.workers = workers;
+    confail::obs::Registry metrics;
+    eo.metrics = &metrics;
+    const sched::ExhaustiveExplorer::Stats inc =
+        sched::ExhaustiveExplorer(eo).explore(sc->fn);
+    EXPECT_TRUE(inc.exhausted);
+    EXPECT_EQ(inc.runs, rep.stats.runs);
+    EXPECT_EQ(inc.completed, rep.stats.completed);
+    EXPECT_EQ(inc.deadlocks, rep.stats.deadlocks);
+    EXPECT_GT(inc.snapshotRestores, 0u);
+    EXPECT_LE(inc.snapshotPeakBytes, std::size_t{4} * 1024 * 1024);
+    EXPECT_EQ(metrics.counter("explorer.snapshot_evictions").value(), 0u);
   }
 }

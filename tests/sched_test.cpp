@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <exception>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "confail/sched/explorer.hpp"
@@ -388,4 +392,95 @@ TEST(Explorer, BranchDepthBoundLimitsTree) {
   });
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.runs, 3u);
+}
+
+// ---- the fiber switch (Options::fibers) -----------------------------------
+
+namespace {
+
+VirtualScheduler::Options fiberOptions() {
+  VirtualScheduler::Options o;
+  o.fibers = true;
+  return o;
+}
+
+/// 1/3 in the current rounding mode; volatile operands keep the division
+/// at run time.
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+}  // namespace
+
+// The switch saves MXCSR and the x87 control word with the registers: a
+// rounding mode belongs to the logical thread that set it.
+TEST(FiberSwitch, RoundingModeStaysWithItsLogicalThread) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << "no fiber support";
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  RoundRobinStrategy strat;
+  VirtualScheduler s(strat, fiberOptions());
+  int upwardChecks = 0;
+  int nearestChecks = 0;
+  s.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 4; ++i) {
+      s.yield();
+      if (std::fegetround() == FE_UPWARD && third() > nearest) ++upwardChecks;
+    }
+  });
+  s.spawn("default", [&] {
+    for (int i = 0; i < 4; ++i) {
+      if (std::fegetround() == FE_TONEAREST && third() == nearest) {
+        ++nearestChecks;
+      }
+      s.yield();
+    }
+  });
+  const auto r = s.run();
+  EXPECT_EQ(r.outcome, Outcome::Completed);
+  EXPECT_EQ(upwardChecks, 4);
+  EXPECT_EQ(nearestChecks, 4);
+  // The controller got its own mode back at every switch, the last too.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(third(), nearest);
+  std::fesetround(FE_TONEAREST);
+}
+
+// An exception thrown after a schedule point unwinds the fiber's frames to
+// its handler, and a handler that itself passes a schedule point keeps its
+// own exception while another fiber throws and catches in between: each
+// fiber has its own caught-exception stack, as a real thread does.
+TEST(FiberSwitch, ExceptionsCaughtAcrossSchedulePoints) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << "no fiber support";
+  RoundRobinStrategy strat;
+  VirtualScheduler s(strat, fiberOptions());
+  std::vector<std::string> seen(2);
+  for (int id = 0; id < 2; ++id) {
+    s.spawn("t" + std::to_string(id), [&s, &seen, id] {
+      const std::string mine = "thrown by t" + std::to_string(id);
+      auto deep = [&] {
+        s.yield();
+        throw std::runtime_error(mine);
+      };
+      try {
+        deep();
+      } catch (const std::runtime_error& e) {
+        s.yield();  // the other thread throws and catches meanwhile
+        try {
+          std::rethrow_exception(std::current_exception());
+        } catch (const std::runtime_error& again) {
+          seen[id] = std::string(e.what()) + "|" + again.what();
+        }
+      }
+      s.yield();
+      if (std::uncaught_exceptions() != 0) seen[id] += "|uncaught";
+    });
+  }
+  const auto r = s.run();
+  EXPECT_EQ(r.outcome, Outcome::Completed) << r.errorMessage;
+  EXPECT_EQ(seen[0], "thrown by t0|thrown by t0");
+  EXPECT_EQ(seen[1], "thrown by t1|thrown by t1");
 }
