@@ -1,6 +1,6 @@
 #include "confail/detect/hb_detector.hpp"
 
-#include <map>
+#include <algorithm>
 
 namespace confail::detect {
 
@@ -15,23 +15,48 @@ VectorClock& HbCore::clockOf(ThreadId t) {
   return vc;
 }
 
-HbCore::VarHistory& HbCore::varOf(VarId v) {
-  auto it = vars_.find(v);
-  if (it == vars_.end()) {
-    if (opts_.maxVarHistory != 0 && vars_.size() >= opts_.maxVarHistory) {
-      // Evict the least-recently-touched variable to stay bounded.
-      auto oldest = touchOrder_.begin();
-      vars_.erase(oldest->second);
-      touchOrder_.erase(oldest);
-      ++evictions_;
-    }
-    it = vars_.emplace(v, VarHistory{}).first;
+// Neighbours are looked up with find(), which never grows the table, so
+// `h` stays valid throughout.
+void HbCore::unlink(VarId v, const VarHistory& h) {
+  if (v == oldest_) {
+    oldest_ = h.newer;
   } else {
-    touchOrder_.erase(it->second.lastTouch);
+    vars_.find(h.older)->newer = h.newer;
   }
-  it->second.lastTouch = ++touchCounter_;
-  touchOrder_.emplace(it->second.lastTouch, v);
-  return it->second;
+  if (v == newest_) {
+    newest_ = h.older;
+  } else {
+    vars_.find(h.newer)->older = h.older;
+  }
+  --live_;
+}
+
+void HbCore::append(VarId v, VarHistory& h) {
+  if (live_ == 0) {
+    oldest_ = v;
+  } else {
+    vars_.find(newest_)->newer = v;
+    h.older = newest_;
+  }
+  newest_ = v;
+  h.live = true;
+  ++live_;
+}
+
+HbCore::VarHistory& HbCore::varOf(VarId v) {
+  VarHistory& h = vars_[v];
+  if (opts_.maxVarHistory == 0) return h;
+  if (h.live) {
+    unlink(v, h);
+  } else if (live_ >= opts_.maxVarHistory) {
+    // Evict the least-recently-touched variable to stay bounded.
+    const VarId victim = oldest_;
+    unlink(victim, *vars_.find(victim));
+    vars_.erase(victim);
+    ++evictions_;
+  }
+  append(v, h);
+  return h;
 }
 
 void HbCore::feed(const Event& e, std::vector<Finding>& out) {
@@ -50,12 +75,14 @@ void HbCore::feed(const Event& e, std::vector<Finding>& out) {
 
   switch (e.kind) {
     case EventKind::ThreadSpawn: {
-      // Child inherits the parent's history.
-      VectorClock& parent = clockOf(e.thread);
-      ThreadId child = static_cast<ThreadId>(e.aux);
-      threadClock_[child].join(parent);
-      threadClock_[child].bump(child);
-      parent.bump(e.thread);
+      // Child inherits the parent's history.  The parent's clock is copied
+      // out first: creating the child's slot may move the parent's.
+      spawnScratch_ = clockOf(e.thread);
+      const ThreadId child = static_cast<ThreadId>(e.aux);
+      VectorClock& vc = threadClock_[child];
+      vc.join(spawnScratch_);
+      vc.bump(child);
+      threadClock_[e.thread].bump(e.thread);
       break;
     }
     case EventKind::LockAcquire:
@@ -70,25 +97,33 @@ void HbCore::feed(const Event& e, std::vector<Finding>& out) {
       break;
     }
     case EventKind::Read: {
-      VectorClock& vc = clockOf(e.thread);
+      const VectorClock& vc = clockOf(e.thread);
       VarHistory& h = varOf(static_cast<VarId>(e.aux));
       if (h.lastWriter != events::kNoThread && h.lastWriter != e.thread &&
           h.lastWriteClock > vc.of(h.lastWriter)) {
         report(h, h.lastWriter, "write-read pair");
       }
-      h.reads[e.thread] = vc.of(e.thread);
+      const std::uint64_t now = vc.of(e.thread);
+      auto it = std::lower_bound(
+          h.reads.begin(), h.reads.end(), e.thread,
+          [](const ReadEpoch& r, ThreadId t) { return r.reader < t; });
+      if (it != h.reads.end() && it->reader == e.thread) {
+        it->clock = now;
+      } else {
+        h.reads.insert(it, ReadEpoch{e.thread, now});
+      }
       break;
     }
     case EventKind::Write: {
-      VectorClock& vc = clockOf(e.thread);
+      const VectorClock& vc = clockOf(e.thread);
       VarHistory& h = varOf(static_cast<VarId>(e.aux));
       if (h.lastWriter != events::kNoThread && h.lastWriter != e.thread &&
           h.lastWriteClock > vc.of(h.lastWriter)) {
         report(h, h.lastWriter, "write-write pair");
       }
-      for (const auto& [reader, clk] : h.reads) {
-        if (reader != e.thread && clk > vc.of(reader)) {
-          report(h, reader, "read-write pair");
+      for (const ReadEpoch& r : h.reads) {
+        if (r.reader != e.thread && r.clock > vc.of(r.reader)) {
+          report(h, r.reader, "read-write pair");
         }
       }
       h.lastWriter = e.thread;

@@ -16,13 +16,19 @@
 // the per-variable state machine, fed one event at a time.  Every finding's
 // evidence is complete at the triggering access, so nothing waits for
 // finish() and the core runs unchanged over an unbounded event stream.
+//
+// State is flat: held locks and candidate sets are small vectors sorted
+// by monitor id (sets: a reentrant acquire adds nothing, a release drops
+// the monitor), per-thread and per-variable state live in IdTables, and
+// the refinement C(v) := C(v) ∩ held(t) is a merge in place.  After
+// warm-up on a set of ids, feed() does not allocate.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "confail/detect/finding.hpp"
+#include "confail/support/id_table.hpp"
 
 namespace confail::detect {
 
@@ -33,7 +39,7 @@ class LocksetCore final : public StreamCore {
   void finish(const NameSource& names, std::vector<Finding>& out) override;
 
  private:
-  using LockSet = std::set<events::MonitorId>;
+  using LockSet = std::vector<events::MonitorId>;  // sorted, no repeats
 
   enum class VarState : std::uint8_t {
     Virgin,
@@ -51,8 +57,8 @@ class LocksetCore final : public StreamCore {
     events::ThreadId firstThread = events::kNoThread;
   };
 
-  std::map<events::ThreadId, LockSet> held_;
-  std::map<events::VarId, VarInfo> vars_;
+  IdTable<LockSet> held_;
+  IdTable<VarInfo> vars_;
 };
 
 }  // namespace confail::detect

@@ -7,18 +7,46 @@ namespace confail::detect {
 
 using events::Event;
 using events::EventKind;
-using events::ThreadId;
+using events::MonitorId;
 using events::VarId;
+
+namespace {
+
+/// a := a ∩ b, both sorted without repeats.
+void intersectInPlace(std::vector<MonitorId>& a,
+                      const std::vector<MonitorId>& b) {
+  auto out = a.begin();
+  auto j = b.begin();
+  for (auto i = a.begin(); i != a.end() && j != b.end();) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      *out++ = *i++;
+      ++j;
+    }
+  }
+  a.erase(out, a.end());
+}
+
+}  // namespace
 
 void LocksetCore::feed(const Event& e, std::vector<Finding>& out) {
   switch (e.kind) {
-    case EventKind::LockAcquire:
-      held_[e.thread].insert(e.monitor);
+    case EventKind::LockAcquire: {
+      LockSet& held = held_[e.thread];
+      const auto it = std::lower_bound(held.begin(), held.end(), e.monitor);
+      if (it == held.end() || *it != e.monitor) held.insert(it, e.monitor);
       break;
+    }
     case EventKind::LockRelease:
-    case EventKind::WaitBegin:  // wait releases the object lock
-      held_[e.thread].erase(e.monitor);
+    case EventKind::WaitBegin: {  // wait releases the object lock
+      LockSet& held = held_[e.thread];
+      const auto it = std::lower_bound(held.begin(), held.end(), e.monitor);
+      if (it != held.end() && *it == e.monitor) held.erase(it);
       break;
+    }
     case EventKind::Read:
     case EventKind::Write: {
       const bool isWrite = e.kind == EventKind::Write;
@@ -38,23 +66,13 @@ void LocksetCore::feed(const Event& e, std::vector<Finding>& out) {
           info.candidates = locks;
           info.candidatesInitialized = true;
           break;
-        case VarState::Shared: {
-          LockSet refined;
-          std::set_intersection(info.candidates.begin(), info.candidates.end(),
-                                locks.begin(), locks.end(),
-                                std::inserter(refined, refined.begin()));
-          info.candidates = std::move(refined);
+        case VarState::Shared:
+          intersectInPlace(info.candidates, locks);
           if (isWrite) info.state = VarState::SharedModified;
           break;
-        }
-        case VarState::SharedModified: {
-          LockSet refined;
-          std::set_intersection(info.candidates.begin(), info.candidates.end(),
-                                locks.begin(), locks.end(),
-                                std::inserter(refined, refined.begin()));
-          info.candidates = std::move(refined);
+        case VarState::SharedModified:
+          intersectInPlace(info.candidates, locks);
           break;
-        }
       }
 
       if (info.state == VarState::SharedModified &&

@@ -16,9 +16,9 @@ namespace confail::detect {
 
 namespace {
 /// feed() times one event in this many per core (event 0 included), so an
-/// attached registry costs two clock reads per core every 64 events, not
+/// attached registry costs two clock reads per core every 256 events, not
 /// every event.  Finding counts stay exact.
-constexpr std::uint64_t kFeedSampleEvery = 64;
+constexpr std::uint64_t kFeedSampleEvery = 256;
 }  // namespace
 
 StreamingSuite::StreamingSuite(Options opts) {

@@ -89,8 +89,10 @@ bool domFields(const obs::JsonValue& v, LineFields& out) {
 }
 
 /// Build the Event a line's fields describe, registering the names it
-/// carries.  False when the fields are not an event.
-bool assemble(const LineFields& f, NameTable& names, Event& out) {
+/// carries in `names` (a NameTable or a BlockNames).  False when the
+/// fields are not an event.
+template <typename Names>
+bool assemble(const LineFields& f, Names& names, Event& out) {
   using K = LineKey;
   const TextView* kindName = f.string(K::Kind);
   const std::uint64_t* seq = f.number(K::Seq);
@@ -190,7 +192,108 @@ bool assemble(const LineFields& f, NameTable& names, Event& out) {
   return true;
 }
 
+/// assemble()'s names for decodeBlock: records each registration as an
+/// op and notes a request to intern, which defers the line to commit.
+class BlockNames {
+ public:
+  explicit BlockNames(DecodedBlock& block) : block_(block) {}
+
+  void thread(std::uint32_t id, std::string_view n) { add(kThread, id, n); }
+  void monitor(std::uint32_t id, std::string_view n) { add(kMonitor, id, n); }
+  void var(std::uint32_t id, std::string_view n) { add(kVar, id, n); }
+  void method(std::uint32_t id, std::string_view n) { add(kMethod, id, n); }
+  std::uint32_t internThread(std::string_view) { return defer(); }
+  std::uint32_t internMonitor(std::string_view) { return defer(); }
+  std::uint32_t internVar(std::string_view) { return defer(); }
+  std::uint32_t internMethod(std::string_view) { return defer(); }
+
+  /// Start a line whose first event would land at `at`.
+  void beginLine(std::uint32_t at) {
+    at_ = at;
+    lineOps_ = block_.ops.size();
+    deferred_ = false;
+  }
+
+  /// End the current line: keep its ops (true), or replace them by one
+  /// deferred op for the whole line when it asked to intern or `defer`.
+  bool endLine(std::string_view line, bool defer) {
+    if (defer || deferred_) {
+      block_.ops.resize(lineOps_);
+      block_.ops.push_back(
+          DecodedBlock::Op{DecodedBlock::Op::Kind::Deferred, 0, at_, line});
+      return false;
+    }
+    for (std::size_t i = lineOps_; i < block_.ops.size(); ++i) {
+      const DecodedBlock::Op& op = block_.ops[i];
+      seen_[static_cast<std::size_t>(op.kind)][op.id % kSeenSlots] = op.id + 1;
+    }
+    return true;
+  }
+
+ private:
+  static constexpr auto kThread = DecodedBlock::Op::Kind::Thread;
+  static constexpr auto kMonitor = DecodedBlock::Op::Kind::Monitor;
+  static constexpr auto kVar = DecodedBlock::Op::Kind::Var;
+  static constexpr auto kMethod = DecodedBlock::Op::Kind::Method;
+  static constexpr std::size_t kSeenSlots = 64;
+
+  // A name for a sentinel id, an empty name, or a name for an id an
+  // earlier line of the block already named is a no-op at commit
+  // (NameTable keeps the first name), so it is not recorded.
+  void add(DecodedBlock::Op::Kind kind, std::uint32_t id,
+           std::string_view name) {
+    if (id == 0xffffffffu || name.empty()) return;
+    if (seen_[static_cast<std::size_t>(kind)][id % kSeenSlots] == id + 1) {
+      return;
+    }
+    block_.ops.push_back(DecodedBlock::Op{kind, id, at_, name});
+  }
+
+  std::uint32_t defer() {
+    deferred_ = true;
+    return 0;
+  }
+
+  DecodedBlock& block_;
+  std::uint32_t at_ = 0;
+  std::size_t lineOps_ = 0;
+  bool deferred_ = false;
+  // Per table, a direct-mapped set of id + 1 named by kept lines.
+  std::uint32_t seen_[4][kSeenSlots] = {};
+};
+
 }  // namespace
+
+void decodeBlock(std::string_view text, DecodedBlock& out) {
+  out.events.clear();
+  out.ops.clear();
+  out.bytes = text.size();
+  out.lines = 0;
+  out.malformed = 0;
+  BlockNames names(out);
+  LineFields f;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t nl = text.find('\n', start);
+    if (nl == std::string_view::npos) nl = text.size();
+    const std::string_view line = text.substr(start, nl - start);
+    start = nl + 1;
+    if (line.empty()) continue;
+    ++out.lines;
+    names.beginLine(static_cast<std::uint32_t>(out.events.size()));
+    // Only the scanner's views point into `text`; a line it does not claim
+    // goes to the DOM at commit.
+    const bool scanned = scanLine(line, f);
+    Event e;
+    const bool ok = scanned && assemble(f, names, e);
+    if (!names.endLine(line, !scanned)) continue;
+    if (ok) {
+      out.events.push_back(e);
+    } else {
+      ++out.malformed;
+    }
+  }
+}
 
 bool decodeJsonlLine(std::string_view line, NameTable& names,
                      events::Event& out) {
@@ -211,20 +314,49 @@ bool decodeJsonlLineDom(std::string_view line, NameTable& names,
   return domFields(v, f) && assemble(f, names, out);
 }
 
-void JsonlDecoder::decodeLine(std::string_view line, const Emit& emit) {
-  ++stats_.lines;
-  events::Event e;
-  if (decodeJsonlLine(line, names_, e)) {
-    ++stats_.events;
-    emit(e);
-  } else {
-    ++stats_.malformed;
+void JsonlDecoder::replay(const DecodedBlock& block, const Emit& emit) {
+  using Kind = DecodedBlock::Op::Kind;
+  stats_.lines += block.lines;
+  stats_.events += block.events.size();
+  stats_.malformed += block.malformed;
+  std::size_t next = 0;
+  for (const DecodedBlock::Op& op : block.ops) {
+    for (; next < op.at; ++next) emit(block.events[next]);
+    switch (op.kind) {
+      case Kind::Thread:
+        names_.thread(op.id, op.text);
+        break;
+      case Kind::Monitor:
+        names_.monitor(op.id, op.text);
+        break;
+      case Kind::Var:
+        names_.var(op.id, op.text);
+        break;
+      case Kind::Method:
+        names_.method(op.id, op.text);
+        break;
+      case Kind::Deferred: {
+        events::Event e;
+        if (decodeJsonlLine(op.text, names_, e)) {
+          ++stats_.events;
+          emit(e);
+        } else {
+          ++stats_.malformed;
+        }
+        break;
+      }
+    }
   }
+  for (; next < block.events.size(); ++next) emit(block.events[next]);
+}
+
+void JsonlDecoder::commit(const DecodedBlock& block, const Emit& emit) {
+  stats_.bytes += block.bytes;
+  replay(block, emit);
 }
 
 void JsonlDecoder::feed(std::string_view chunk, const Emit& emit) {
   stats_.bytes += chunk.size();
-  std::size_t start = 0;
   if (!pending_.empty()) {
     // Complete the line the previous chunk cut.
     const std::size_t nl = chunk.find('\n');
@@ -232,20 +364,37 @@ void JsonlDecoder::feed(std::string_view chunk, const Emit& emit) {
       pending_.append(chunk);
       return;
     }
-    pending_.append(chunk.substr(0, nl));
-    decodeLine(pending_, emit);
+    pending_.append(chunk.substr(0, nl + 1));
+    decodeBlock(pending_, block_);
+    replay(block_, emit);
     pending_.clear();
-    start = nl + 1;
+    chunk.remove_prefix(nl + 1);
   }
-  while (start < chunk.size()) {
-    const std::size_t nl = chunk.find('\n', start);
-    if (nl == std::string_view::npos) {
-      pending_.assign(chunk.substr(start));
-      return;
-    }
-    if (nl != start) decodeLine(chunk.substr(start, nl - start), emit);
-    start = nl + 1;
+  const std::size_t end = chunk.rfind('\n');
+  if (end == std::string_view::npos) {
+    pending_.assign(chunk);
+    return;
   }
+  // Whole lines, a block at a time so the decoded events stay in cache.
+  std::string_view lines = chunk.substr(0, end + 1);
+  while (!lines.empty()) {
+    const std::size_t n = wholeLinesPrefix(lines, kDecodeBlockBytes);
+    decodeBlock(lines.substr(0, n), block_);
+    replay(block_, emit);
+    lines.remove_prefix(n);
+  }
+  pending_.assign(chunk.substr(end + 1));
+}
+
+std::size_t wholeLinesPrefix(std::string_view text, std::size_t maxBytes) {
+  if (text.size() <= maxBytes) {
+    const std::size_t nl = text.rfind('\n');
+    return nl == std::string_view::npos ? 0 : nl + 1;
+  }
+  std::size_t nl = maxBytes == 0 ? std::string_view::npos
+                                 : text.rfind('\n', maxBytes - 1);
+  if (nl == std::string_view::npos) nl = text.find('\n');  // one long line
+  return nl == std::string_view::npos ? 0 : nl + 1;
 }
 
 void JsonlDecoder::flush(const Emit& emit) {

@@ -33,6 +33,18 @@
 // decode a line identically; the DOM is the reference the differential
 // tests hold the scanner to.
 //
+// Decoding a run of whole lines is split in two so it can run off the
+// thread that owns the NameTable.  decodeBlock() decodes the lines into
+// events without touching any NameTable: it records each name a line
+// registers (table, id, view) in line order, and a line that must intern
+// a name (v1 lines, whose names come without ids) or that only the DOM
+// can parse becomes a deferred op at its position.  JsonlDecoder::commit()
+// then replays the ops against the table — decoding deferred lines there —
+// and emits the events in stream order, so first-seen ids are the ones
+// the serial decoder assigns.  JsonlDecoder::feed is decodeBlock + commit
+// on the calling thread; IngestPipeline runs decodeBlock on helper threads
+// and commits in order.
+//
 // The JSONL decoder is incremental and hardened for tailing a file that a
 // writer is still appending to.  Complete lines are decoded in place from
 // the chunk; only a tail the chunk cuts mid-line is copied and held until
@@ -140,6 +152,38 @@ bool decodeJsonlLine(std::string_view line, NameTable& names,
 bool decodeJsonlLineDom(std::string_view line, NameTable& names,
                         events::Event& out);
 
+/// A run of whole JSONL lines decoded without a NameTable (see above).
+/// Views point into the decoded text, which must outlive the commit.
+struct DecodedBlock {
+  struct Op {
+    /// Name `id` in one of the four tables, or decode `text` as a line.
+    enum class Kind : std::uint8_t { Thread, Monitor, Var, Method, Deferred };
+    Kind kind = Kind::Deferred;
+    std::uint32_t id = 0;
+    std::uint32_t at = 0;  ///< events decoded before it in the block
+    std::string_view text;
+  };
+
+  std::vector<events::Event> events;  ///< decoded lines, in order
+  std::vector<Op> ops;                ///< in line order
+  std::uint64_t bytes = 0;            ///< text size
+  std::uint64_t lines = 0;            ///< non-empty lines
+  std::uint64_t malformed = 0;        ///< lines that failed to decode
+};
+
+/// Decode `text`, a run of newline-terminated lines, into `out` (cleared
+/// first; its buffers are reused).  Touches no NameTable.
+void decodeBlock(std::string_view text, DecodedBlock& out);
+
+/// The size of the text decodeBlock() takes at a time: small enough that a
+/// block's text and events stay in cache.
+inline constexpr std::size_t kDecodeBlockBytes = 32 * 1024;
+
+/// Length of the longest prefix of `text` made of whole lines and at most
+/// `maxBytes` long; when the first line alone is longer, that line.  0
+/// when `text` holds no newline.
+std::size_t wholeLinesPrefix(std::string_view text, std::size_t maxBytes);
+
 /// Incremental JSONL reader.
 class JsonlDecoder {
  public:
@@ -164,6 +208,12 @@ class JsonlDecoder {
   /// final newline); anything else counts as truncated and is dropped.
   void flush(const Emit& emit);
 
+  /// Apply a block decodeBlock() produced: register its names, decode its
+  /// deferred lines and emit its events, in stream order.  Blocks must be
+  /// committed in stream order, between whole-line boundaries of feed()
+  /// (when no partial line is buffered).
+  void commit(const DecodedBlock& block, const Emit& emit);
+
   /// True when a partial line is buffered (the stream ended mid-write).
   bool hasPartialLine() const { return !pending_.empty(); }
 
@@ -172,10 +222,11 @@ class JsonlDecoder {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Decode one complete, non-empty line and emit or count it.
-  void decodeLine(std::string_view line, const Emit& emit);
+  /// commit() without counting the block's bytes.
+  void replay(const DecodedBlock& block, const Emit& emit);
 
   std::string pending_;
+  DecodedBlock block_;  // feed()'s scratch
   NameTable names_;
   Stats stats_;
 };

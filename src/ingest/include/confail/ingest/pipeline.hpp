@@ -1,17 +1,34 @@
 // IngestPipeline: the online trace-analysis path.
 //
-//   reader thread                            caller thread
-//   ─────────────                            ─────────────
-//   read(chunk) ─ decode ─ push ─▶ SpscRing ─▶ pop ─ StreamingSuite::feed
-//                                                      │
-//                                            finish ─▶ ReportSink
+//   reader thread                                     caller thread
+//   ─────────────                                     ─────────────
+//   read ─▶ block slots (8 × 32 KB of whole lines)
+//             │        ▲
+//             ▼        │ decodeBlock
+//           helper threads (and the reader)
+//             │
+//   commit in order ─ push ─▶ SpscRing ─▶ pop ─ StreamingSuite::feed
+//   (names, deferred lines)                          │
+//                                          finish ─▶ ReportSink
 //
 // The producer side reads the stream (file, pipe, or a file still being
-// appended to when `follow` is set), decodes it into events::Event records
-// and pushes them through a fixed-capacity lock-free ring; the consumer —
-// the thread that called run() — pops events and drives the incremental
-// detector battery.  Memory is bounded by the ring plus detector state;
-// the stream itself is never buffered.
+// appended to when `follow` is set) straight into a fixed ring of 8 block
+// slots, each holding up to kDecodeBlockBytes of whole lines.  Helper
+// threads decode published blocks with decodeBlock(), which touches no
+// name table; the reader decodes blocks itself whenever it would otherwise
+// wait, and commits decoded blocks strictly in stream order through
+// JsonlDecoder::commit(), which registers names and emits events exactly
+// as the serial decoder would.  Committed events go through a
+// fixed-capacity lock-free ring to the consumer — the thread that called
+// run() — which drives the incremental detector battery.
+//
+// A pipeline runs at most min(4, hardware_concurrency) threads: the
+// consumer, the reader and up to two helpers.  Helpers start only once a
+// second block exists, so a stream of at most one block starts none, and
+// idle helpers (a quiet `follow` stream) sleep on a condition variable.
+// A line longer than a block and the unterminated tail at the end go
+// through JsonlDecoder::feed/flush on the reader.  Memory is bounded by
+// the event ring, the 8 block slots and detector state.
 //
 // Overflow policy: by default a full ring applies backpressure (the
 // producer yields until the consumer catches up — no events lost, so the
@@ -19,9 +36,10 @@
 // set, overflow drops the event and counts it in ringDrops — bounded cost
 // for live monitoring where falling behind must not stall the writer.
 //
-// Name tables are owned by the producer-side decoder and only read after
-// the producer joins (StreamingSuite::finish and report rendering), so no
-// synchronization is needed on them.
+// Name tables are owned by the producer-side decoder, written only by the
+// reader's commits and read after the producer joins
+// (StreamingSuite::finish and report rendering), so no synchronization is
+// needed on them.
 #pragma once
 
 #include <atomic>
@@ -57,8 +75,8 @@ struct IngestOptions {
   std::uint32_t followIdleStopMs = 1000;
   /// Detector battery configuration (thresholds, barging, HB bound).
   detect::StreamingSuite::Options suite;
-  /// Optional metrics registry (events/sec, ring occupancy, drops,
-  /// per-core feed latency).  Adds per-event instrumentation cost.
+  /// Optional metrics registry (events/sec, ring occupancy, drops, decode
+  /// blocks and threads, per-core feed latency; see docs/observability.md).
   obs::Registry* metrics = nullptr;
 };
 
@@ -98,6 +116,9 @@ class IngestPipeline {
   const detect::StreamingSuite& suite() const { return suite_; }
 
  private:
+  /// The JSONL producer: read, decode in blocks, commit, push via `emit`.
+  void readJsonl(std::istream& in, const JsonlDecoder::Emit& emit);
+
   IngestOptions opts_;
   JsonlDecoder decoder_;
   detect::StreamingSuite suite_;

@@ -29,7 +29,9 @@ class IdTable {
   /// The most slots one access may add to the dense vector.
   static constexpr std::size_t kDenseSlack = 1024;
 
-  /// The slot for `id`, value-initialised on first access.
+  /// The slot for `id`, value-initialised on first access.  Any call with
+  /// an id at or past the dense end may grow the dense vector and so
+  /// invalidate references to dense slots taken before it.
   T& operator[](std::uint32_t id) {
     if (id < dense_.size()) return dense_[id];
     if (id < kDenseLimit && id - dense_.size() < kDenseSlack) {
@@ -45,6 +47,20 @@ class IdTable {
     if (id < dense_.size()) return &dense_[id];
     const auto it = sparse_.find(id);
     return it == sparse_.end() ? nullptr : &it->second;
+  }
+  /// As above, for writing; never grows the table.
+  T* find(std::uint32_t id) {
+    return const_cast<T*>(static_cast<const IdTable&>(*this).find(id));
+  }
+
+  /// Forget `id`: a dense slot is reset to a value-initialised T, a sparse
+  /// one is removed, so a bounded working set of far ids stays bounded.
+  void erase(std::uint32_t id) {
+    if (id < dense_.size()) {
+      dense_[id] = T{};
+    } else {
+      sparse_.erase(id);
+    }
   }
 
   /// One past the highest id that has a slot.

@@ -169,10 +169,12 @@ TEST(HappensBefore, MonitorOrderingSuppressesFalsePositives) {
 
 TEST(HappensBefore, SpawnEdgeOrdersParentAndChild) {
   Harness h;
-  auto x = std::make_shared<SharedVar<int>>(h.rt, "x", 0);
-  h.rt.spawn("parent", [&h, x] {
-    x->set(1);  // before spawning the child: ordered by the spawn edge
-    h.rt.spawn("child", [x] { x->set(2); });
+  // Captured by reference, not shared: the scheduler keeps the thread
+  // bodies past the Runtime, and a SharedVar must not outlive its Runtime.
+  SharedVar<int> x(h.rt, "x", 0);
+  h.rt.spawn("parent", [&h, &x] {
+    x.set(1);  // before spawning the child: ordered by the spawn edge
+    h.rt.spawn("child", [&x] { x.set(2); });
   });
   ASSERT_TRUE(h.run().ok());
   detect::HbCore d;

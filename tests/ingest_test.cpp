@@ -491,6 +491,239 @@ TEST(LineScanner, DeclinesWhatOnlyTheDomMayDecide) {
 }
 
 // ---------------------------------------------------------------------------
+// Block decode ≡ serial decode
+// ---------------------------------------------------------------------------
+
+/// Everything a decode of a stream produces.
+struct Decoded {
+  std::vector<Event> events;
+  ingest::JsonlDecoder::Stats stats;
+  ingest::NameTable names;
+};
+
+/// The reference: every line through decodeJsonlLine, one at a time and
+/// in order, the unterminated tail as flush() treats it.
+Decoded serialReference(std::string_view text) {
+  Decoded d;
+  d.stats.bytes = text.size();
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t nl = text.find('\n', start);
+    const bool tail = nl == std::string_view::npos;
+    const std::string_view line =
+        text.substr(start, tail ? std::string_view::npos : nl - start);
+    start = tail ? text.size() : nl + 1;
+    if (line.empty()) continue;
+    Event e;
+    const bool ok = ingest::decodeJsonlLine(line, d.names, e);
+    if (tail && !ok) {
+      ++d.stats.truncated;
+      continue;
+    }
+    ++d.stats.lines;
+    if (ok) {
+      ++d.stats.events;
+      d.events.push_back(e);
+    } else {
+      ++d.stats.malformed;
+    }
+  }
+  return d;
+}
+
+/// JsonlDecoder::feed in `chunk`-byte pieces, then flush.
+Decoded feedInChunks(std::string_view text, std::size_t chunk) {
+  Decoded d;
+  ingest::JsonlDecoder dec;
+  const auto emit = [&d](const Event& e) { d.events.push_back(e); };
+  for (std::size_t i = 0; i < text.size(); i += chunk) {
+    dec.feed(text.substr(i, chunk), emit);
+  }
+  dec.flush(emit);
+  d.stats = dec.stats();
+  d.names = dec.names();
+  return d;
+}
+
+/// The pipeline's schedule by hand: cut whole-line blocks of at most
+/// `blockBytes`, decode them all last-first (as helpers finishing out of
+/// order might), commit them in order, then the tail through feed/flush.
+Decoded blocksOutOfOrder(std::string_view text, std::size_t blockBytes) {
+  std::vector<std::string_view> cuts;
+  std::string_view rest = text;
+  for (std::size_t n; (n = ingest::wholeLinesPrefix(rest, blockBytes)) > 0;) {
+    cuts.push_back(rest.substr(0, n));
+    rest.remove_prefix(n);
+  }
+  std::vector<ingest::DecodedBlock> blocks(cuts.size());
+  for (std::size_t i = cuts.size(); i-- > 0;) {
+    ingest::decodeBlock(cuts[i], blocks[i]);
+  }
+  Decoded d;
+  ingest::JsonlDecoder dec;
+  const auto emit = [&d](const Event& e) { d.events.push_back(e); };
+  for (const ingest::DecodedBlock& b : blocks) dec.commit(b, emit);
+  dec.feed(rest, emit);
+  dec.flush(emit);
+  d.stats = dec.stats();
+  d.names = dec.names();
+  return d;
+}
+
+/// Same events, every Stats field, and the same name tables: the same
+/// name for every id the stream mentions, and the same id when the same
+/// names are interned afterwards.
+void expectSameDecode(const Decoded& got, const Decoded& want) {
+  EXPECT_EQ(got.stats.bytes, want.stats.bytes);
+  EXPECT_EQ(got.stats.lines, want.stats.lines);
+  EXPECT_EQ(got.stats.events, want.stats.events);
+  EXPECT_EQ(got.stats.malformed, want.stats.malformed);
+  EXPECT_EQ(got.stats.truncated, want.stats.truncated);
+  ASSERT_EQ(got.events, want.events);
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 0; id < 64; ++id) ids.push_back(id);
+  for (const Event& e : want.events) {
+    ids.insert(ids.end(), {e.thread, e.monitor, e.method,
+                           static_cast<std::uint32_t>(e.aux)});
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  ingest::NameTable a = got.names;
+  ingest::NameTable b = want.names;
+  for (const std::uint32_t id : ids) {
+    ASSERT_EQ(a.threadName(id), b.threadName(id)) << id;
+    ASSERT_EQ(a.monitorName(id), b.monitorName(id)) << id;
+    ASSERT_EQ(a.varName(id), b.varName(id)) << id;
+    ASSERT_EQ(a.methodName(id), b.methodName(id)) << id;
+  }
+  for (const std::uint32_t id : ids) {
+    const std::string n = b.varName(id);
+    ASSERT_EQ(a.internThread(n), b.internThread(n)) << n;
+    ASSERT_EQ(a.internMonitor(n), b.internMonitor(n)) << n;
+    ASSERT_EQ(a.internVar(n), b.internVar(n)) << n;
+    ASSERT_EQ(a.internMethod(n), b.internMethod(n)) << n;
+  }
+}
+
+/// Every decode schedule against the serial reference.
+void expectEveryScheduleDecodesAlike(const std::string& text) {
+  const Decoded want = serialReference(text);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{333}, std::size_t{4096},
+        ingest::kDecodeBlockBytes, ingest::kDecodeBlockBytes + 1,
+        std::size_t{1} << 20}) {
+    if (chunk < 64 && text.size() > (1u << 20)) continue;  // too slow
+    SCOPED_TRACE("feed chunk " + std::to_string(chunk));
+    expectSameDecode(feedInChunks(text, chunk), want);
+  }
+  for (const std::size_t block :
+       {std::size_t{1}, std::size_t{200}, std::size_t{4096},
+        ingest::kDecodeBlockBytes}) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    expectSameDecode(blocksOutOfOrder(text, block), want);
+  }
+}
+
+std::string joinLines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& l : lines) text += l + '\n';
+  return text;
+}
+
+/// A v2 line as a v1 writer would have put it: names without their ids.
+std::string toV1(const std::string& line) {
+  std::string out = line;
+  for (const char* key : {"method_ctx", "var_id", "child_id",
+                          "guard_method_id", "method_id"}) {
+    const std::string k = std::string(", \"") + key + "\": ";
+    const std::size_t at = out.find(k);
+    if (at == std::string::npos) continue;
+    std::size_t end = at + k.size();
+    while (end < out.size() && out[end] >= '0' && out[end] <= '9') ++end;
+    out.erase(at, end - at);
+  }
+  return out;
+}
+
+TEST(BlockDecode, ExportsDecodeLikeTheSerialReference) {
+  std::string all;
+  for (const std::vector<std::string>& lines : exportedStreams()) {
+    const std::string text = joinLines(lines);
+    SCOPED_TRACE(lines.front());
+    expectEveryScheduleDecodesAlike(text);
+    all += text;
+  }
+  // One long stream too: many blocks, and names first seen deep into it.
+  expectEveryScheduleDecodesAlike(all);
+}
+
+TEST(BlockDecode, V1AndV2LinesNamingTheSameStringsInEitherOrder) {
+  std::size_t streams = 0;
+  std::size_t withIds = 0;  // streams whose v1 form differs
+  for (const std::vector<std::string>& lines : exportedStreams()) {
+    if (++streams > 12) break;
+    std::vector<std::string> v1;
+    for (const std::string& l : lines) v1.push_back(toV1(l));
+    if (v1 != lines) ++withIds;
+    std::vector<std::string> interleaved;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      interleaved.push_back(i % 2 == 0 ? v1[i] : lines[i]);
+      interleaved.push_back(i % 2 == 0 ? lines[i] : v1[i]);
+    }
+    std::vector<std::string> v1First = v1;
+    v1First.insert(v1First.end(), lines.begin(), lines.end());
+    std::vector<std::string> v2First = lines;
+    v2First.insert(v2First.end(), v1.begin(), v1.end());
+    for (const auto* mix : {&v1First, &v2First, &interleaved}) {
+      expectEveryScheduleDecodesAlike(joinLines(*mix));
+    }
+  }
+  EXPECT_GT(withIds, 6u);
+}
+
+TEST(BlockDecode, SeededMutationCorpusDecodesLikeTheSerialReference) {
+  confail::SplitMix64 rng(2003);
+  std::size_t streams = 0;
+  for (const std::vector<std::string>& lines : exportedStreams()) {
+    if (++streams > 20) break;
+    std::vector<std::string> mutated;
+    for (const std::string& line : lines) {
+      mutated.push_back(line);
+      mutated.push_back(mutate(line, rng));
+      mutated.push_back(toV1(mutate(line, rng)));
+    }
+    expectEveryScheduleDecodesAlike(joinLines(mutated));
+  }
+}
+
+TEST(BlockDecode, EmptyLinesLongLinesAndAnUnterminatedTail) {
+  const std::vector<std::string> lines = exportedStreams().front();
+  // A valid line longer than any block (an ignored key with a long
+  // string), and garbage longer than a block.
+  std::string longValid = lines[1];
+  longValid.insert(longValid.find('"'),
+                   "\"pad\": \"" +
+                       std::string(ingest::kDecodeBlockBytes * 2 + 5, 'p') +
+                       "\", ");
+  const std::string longGarbage(ingest::kDecodeBlockBytes + 17, 'g');
+  std::string text = "\n\n" + lines[0] + "\n\n\n" + longValid + '\n';
+  for (std::size_t i = 2; i < lines.size(); ++i) {
+    text += lines[i] + (i % 5 == 0 ? "\n\n" : "\n");
+    if (i == lines.size() / 2) text += longGarbage + '\n' + longValid + '\n';
+  }
+  const Decoded whole = serialReference(text);
+  EXPECT_EQ(whole.stats.malformed, 1u);
+  expectEveryScheduleDecodesAlike(text);
+  // Unterminated tails: one that parses, one torn mid-object, one longer
+  // than a block.
+  expectEveryScheduleDecodesAlike(text + lines.back());
+  expectEveryScheduleDecodesAlike(text + lines.back().substr(0, 20));
+  expectEveryScheduleDecodesAlike(text + longValid);
+  EXPECT_EQ(serialReference(text + lines.back().substr(0, 20)).stats.truncated,
+            1u);
+}
+
+// ---------------------------------------------------------------------------
 // StreamingSuite differential
 // ---------------------------------------------------------------------------
 
@@ -568,11 +801,9 @@ TEST(IngestPipeline, DifferentialOnFuzzerPrograms) {
   }
 }
 
-TEST(IngestPipeline, MultiMegabyteStreamThroughTinyRing) {
-  // A synthetic multi-MB JSONL stream (far larger than the ring) must
-  // stream loss-free through a deliberately tiny ring: backpressure, not
-  // drops, and the differential still holds at scale.
-  const int iters = kSanitized ? 2000 : 40000;
+/// A synthetic stream of `iters` five-event rounds by three workers over
+/// two monitors and two variables.
+Trace syntheticTrace(int iters) {
   Trace trace;
   trace.nameMonitor(0, "shared");
   trace.nameMonitor(1, "other");
@@ -604,6 +835,14 @@ TEST(IngestPipeline, MultiMegabyteStreamThroughTinyRing) {
     e.aux = 0;
     trace.record(e);
   }
+  return trace;
+}
+
+TEST(IngestPipeline, MultiMegabyteStreamThroughTinyRing) {
+  // A synthetic multi-MB JSONL stream (far larger than the ring) must
+  // stream loss-free through a deliberately tiny ring: backpressure, not
+  // drops, and the differential still holds at scale.
+  const Trace trace = syntheticTrace(kSanitized ? 2000 : 40000);
   const std::string jsonl = obs::toJsonl(trace);
   if (!kSanitized) {
     EXPECT_GT(jsonl.size(), 4u * 1024 * 1024) << "stream should be multi-MB";
@@ -611,6 +850,41 @@ TEST(IngestPipeline, MultiMegabyteStreamThroughTinyRing) {
   ingest::IngestOptions opts;
   opts.ringCapacity = 256;
   expectStreamingMatchesOffline(trace, opts);
+}
+
+/// Helper decode threads a pipeline on this host starts for a long stream.
+unsigned expectedHelpers() {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::min(4u, hw) > 2 ? std::min(4u, hw) - 2 : 0;
+}
+
+TEST(IngestPipeline, StreamShorterThanABlockStartsNoHelper) {
+  const Trace trace = captureScenario(*scenarios::find("fig2"));
+  const std::string jsonl = obs::toJsonl(trace);
+  ASSERT_LT(jsonl.size(), ingest::kDecodeBlockBytes);
+  obs::Registry metrics;
+  ingest::IngestOptions opts;
+  opts.metrics = &metrics;
+  expectStreamingMatchesOffline(trace, opts);
+  EXPECT_EQ(metrics.counter("ingest.blocks").value(), 1u);
+  EXPECT_EQ(metrics.gauge("ingest.decode_threads").value(), 1.0);
+  EXPECT_EQ(metrics.counter("ingest.events").value(), trace.size());
+}
+
+TEST(IngestPipeline, LongStreamDecodesOnHelpersAndCountsExactly) {
+  const Trace trace = syntheticTrace(kSanitized ? 2000 : 10000);
+  const std::string jsonl = obs::toJsonl(trace);
+  ASSERT_GT(jsonl.size(), 4 * ingest::kDecodeBlockBytes);
+  obs::Registry metrics;
+  ingest::IngestOptions opts;
+  opts.metrics = &metrics;
+  expectStreamingMatchesOffline(trace, opts);
+  EXPECT_GE(metrics.counter("ingest.blocks").value(),
+            jsonl.size() / ingest::kDecodeBlockBytes);
+  EXPECT_EQ(metrics.gauge("ingest.decode_threads").value(),
+            1.0 + expectedHelpers());
+  // Counted locally, published in batches: still exact at the end.
+  EXPECT_EQ(metrics.counter("ingest.events").value(), trace.size());
 }
 
 TEST(IngestPipeline, FollowModeTailsARacingWriter) {
@@ -656,6 +930,96 @@ TEST(IngestPipeline, FollowModeTailsARacingWriter) {
   const detect::ReportSink offline = offlineSink(trace);
   EXPECT_EQ(offline.toJson(detect::TraceNames(trace)),
             online.toJson(pipe.names()));
+  std::remove(path.c_str());
+}
+
+TEST(IngestPipeline, FollowModeTailsAWriterAcrossBlockBoundaries) {
+  // A stream several blocks long, appended in uneven writes that tear
+  // lines and straddle block boundaries while helpers decode.
+  const Trace trace = syntheticTrace(kSanitized ? 1000 : 4000);
+  const std::string jsonl = obs::toJsonl(trace);
+  ASSERT_GT(jsonl.size(), 3 * ingest::kDecodeBlockBytes);
+  const std::string path =
+      ::testing::TempDir() + "/confail_ingest_follow_blocks.jsonl";
+  {
+    std::ofstream create(path, std::ios::trunc);
+    ASSERT_TRUE(create.good());
+  }
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::app);
+    confail::SplitMix64 rng(7);
+    for (std::size_t i = 0; i < jsonl.size();) {
+      const std::size_t n = std::min<std::size_t>(
+          1 + rng.next() % (ingest::kDecodeBlockBytes / 2), jsonl.size() - i);
+      out.write(jsonl.data() + i, static_cast<std::streamsize>(n));
+      out.flush();
+      i += n;
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+
+  ingest::IngestOptions opts;
+  opts.follow = true;
+  opts.followIdleStopMs = 500;
+  ingest::IngestPipeline pipe(opts);
+  detect::ReportSink online;
+  online.setSource("differential");
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  const ingest::IngestStats st = pipe.run(in, online);
+  writer.join();
+
+  EXPECT_EQ(st.truncated, 0u);
+  EXPECT_EQ(st.malformed, 0u);
+  EXPECT_EQ(st.bytes, jsonl.size());
+  ASSERT_EQ(st.eventsAnalyzed, trace.size());
+  const detect::ReportSink offline = offlineSink(trace);
+  EXPECT_EQ(offline.toJson(detect::TraceNames(trace)),
+            online.toJson(pipe.names()));
+  std::remove(path.c_str());
+}
+
+TEST(IngestPipeline, RequestStopMidStreamEndsTheRun) {
+  // Follow with no idle stop: only requestStop() ends the run.  The first
+  // part of the stream is written and consumed, the run is stopped while
+  // idle, and the rest is written after the stop and never read.
+  const Trace trace = syntheticTrace(kSanitized ? 1000 : 4000);
+  const std::string jsonl = obs::toJsonl(trace);
+  const std::size_t half =
+      ingest::wholeLinesPrefix(jsonl, jsonl.size() / 2);
+  const auto firstEvents = static_cast<std::uint64_t>(
+      std::count(jsonl.begin(), jsonl.begin() + static_cast<long>(half),
+                 '\n'));
+  const std::string path =
+      ::testing::TempDir() + "/confail_ingest_follow_stop.jsonl";
+  {
+    std::ofstream create(path, std::ios::trunc);
+    create << jsonl.substr(0, half);
+    ASSERT_TRUE(create.good());
+  }
+
+  ingest::IngestOptions opts;
+  opts.follow = true;
+  opts.followIdleStopMs = 0;
+  ingest::IngestPipeline pipe(opts);
+  detect::ReportSink online;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  ingest::IngestStats st;
+  std::thread runner([&] { st = pipe.run(in, online); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  pipe.requestStop();
+  runner.join();
+  {
+    std::ofstream out(path, std::ios::app);
+    out << jsonl.substr(half);
+  }
+
+  EXPECT_EQ(st.bytes, half);
+  EXPECT_EQ(st.truncated, 0u);
+  EXPECT_EQ(st.malformed, 0u);
+  EXPECT_EQ(st.eventsDecoded, firstEvents);
+  EXPECT_EQ(st.eventsAnalyzed + st.ringDrops, firstEvents);
   std::remove(path.c_str());
 }
 
