@@ -11,6 +11,7 @@
 // parser: no \uXXXX escapes, numbers are doubles.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -22,18 +23,39 @@
 
 namespace confail::obs {
 
+namespace detail {
+/// The letter after the backslash for each byte a JSON string escapes
+/// ('"' -> '"', '\n' -> 'n', ...); 0 for bytes copied as they are.
+inline constexpr std::array<char, 256> kJsonEscapes = [] {
+  std::array<char, 256> t{};
+  t['"'] = '"';
+  t['\\'] = '\\';
+  t['\n'] = 'n';
+  t['\t'] = 't';
+  t['\r'] = 'r';
+  return t;
+}();
+}  // namespace detail
+
 /// Append `s` to `out` escaped as the body of a JSON string (no quotes):
 /// JsonWriter's escaping, for writers that emit a long string value in
-/// pieces.
+/// pieces.  `out` grows once, by the escaped size counted up front; event
+/// lines escape a quote every few bytes, too often for run copies to pay.
 inline void appendJsonEscaped(std::string& out, std::string_view s) {
+  std::size_t escapes = 0;
   for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c; break;
+    escapes += detail::kJsonEscapes[static_cast<unsigned char>(c)] != 0;
+  }
+  const std::size_t at = out.size();
+  out.resize(at + s.size() + escapes);
+  char* p = out.data() + at;
+  for (char c : s) {
+    const char e = detail::kJsonEscapes[static_cast<unsigned char>(c)];
+    if (e == 0) {
+      *p++ = c;
+    } else {
+      *p++ = '\\';
+      *p++ = e;
     }
   }
 }

@@ -130,26 +130,26 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote or escape in one append.
+      std::size_t end = pos_;
+      while (end < s_.size() && s_[end] != '"' && s_[end] != '\\') ++end;
+      out.append(s_, pos_, end - pos_);
+      pos_ = end;
       CONFAIL_CHECK(pos_ < s_.size(), UsageError,
                     "json: unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        CONFAIL_CHECK(pos_ < s_.size(), UsageError,
-                      "json: dangling escape at end of input");
-        char esc = s_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default:
-            throw UsageError(std::string("json: unsupported escape \\") + esc);
-        }
-      } else {
-        out += c;
+      if (s_[pos_++] == '"') break;
+      CONFAIL_CHECK(pos_ < s_.size(), UsageError,
+                    "json: dangling escape at end of input");
+      const char esc = s_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        default:
+          throw UsageError(std::string("json: unsupported escape \\") + esc);
       }
     }
     return out;

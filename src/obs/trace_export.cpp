@@ -1,5 +1,6 @@
 #include "confail/obs/trace_export.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -255,71 +256,124 @@ std::string toChromeTrace(const events::Trace& trace) {
   return w.str();
 }
 
+namespace {
+
+/// Names of one table, each looked up in the trace (a copy under its
+/// mutex) and escaped once per id.  Runtime ids are small and dense; an id
+/// past kDenseIds (possible in an ingested trace) is resolved on every use
+/// instead of growing the table to its size.
+class EscapedNames {
+ public:
+  using Lookup = std::string (events::Trace::*)(std::uint32_t) const;
+
+  EscapedNames(const events::Trace& trace, Lookup lookup)
+      : trace_(trace), lookup_(lookup) {}
+
+  const std::string& operator[](std::uint32_t id) {
+    if (id >= kDenseIds) return resolve(id, spill_);
+    if (id >= escaped_.size()) escaped_.resize(id + 1);
+    // Never empty once resolved: the trace names an unnamed id "<kind>-<id>".
+    if (escaped_[id].empty()) resolve(id, escaped_[id]);
+    return escaped_[id];
+  }
+
+ private:
+  static constexpr std::uint32_t kDenseIds = 4096;
+
+  const std::string& resolve(std::uint32_t id, std::string& into) const {
+    into.clear();
+    appendJsonEscaped(into, (trace_.*lookup_)(id));
+    return into;
+  }
+
+  const events::Trace& trace_;
+  Lookup lookup_;
+  std::vector<std::string> escaped_;
+  std::string spill_;
+};
+
+void appendUint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
 void forEachJsonlLine(const events::Trace& trace,
                       const std::function<void(const std::string&)>& emit) {
+  EscapedNames threads(trace, &events::Trace::threadName);
+  EscapedNames monitors(trace, &events::Trace::monitorName);
+  EscapedNames vars(trace, &events::Trace::varName);
+  EscapedNames methods(trace, &events::Trace::methodName);
   std::string line;
+  // One flat object per line: `{ "k": v, "k": v }`.
+  auto key = [&line](const char* k) {
+    line += ", \"";
+    line += k;
+    line += "\": ";
+  };
+  auto number = [&](const char* k, std::uint64_t v) {
+    key(k);
+    appendUint(line, v);
+  };
+  auto name = [&](const char* k, const std::string& escaped) {
+    key(k);
+    line += '"';
+    line += escaped;
+    line += '"';
+  };
   for (const Event& e : trace.events()) {
-    JsonWriter w;
-    w.beginObject();
-    w.field("seq", e.seq);
-    w.field("kind", events::kindName(e.kind));
+    line.assign("{ \"seq\": ");
+    appendUint(line, e.seq);
+    line += ", \"kind\": \"";
+    line += events::kindName(e.kind);
+    line += '"';
     if (e.thread != events::kNoThread) {
-      w.field("thread", static_cast<std::uint64_t>(e.thread));
-      w.field("thread_name", trace.threadName(e.thread));
+      number("thread", e.thread);
+      name("thread_name", threads[e.thread]);
     }
     if (e.monitor != events::kNoMonitor) {
-      w.field("monitor", static_cast<std::uint64_t>(e.monitor));
-      w.field("monitor_name", trace.monitorName(e.monitor));
+      number("monitor", e.monitor);
+      name("monitor_name", monitors[e.monitor]);
     }
     if (e.method != events::kNoMethod) {
-      w.field("method_ctx", static_cast<std::uint64_t>(e.method));
-      w.field("method", trace.methodName(e.method));
+      number("method_ctx", e.method);
+      name("method", methods[e.method]);
     }
     switch (e.kind) {
       case EventKind::Read:
       case EventKind::Write:
-        w.field("var_id", e.aux);
-        w.field("var", trace.varName(static_cast<events::VarId>(e.aux)));
+        number("var_id", e.aux);
+        name("var", vars[static_cast<events::VarId>(e.aux)]);
         break;
       case EventKind::NotifyCall:
       case EventKind::NotifyAllCall:
-        w.field("waiters", e.aux);
+        number("waiters", e.aux);
         break;
       case EventKind::ThreadSpawn:
-        w.field("child_id", e.aux);
-        w.field("child", trace.threadName(static_cast<ThreadId>(e.aux)));
+        number("child_id", e.aux);
+        name("child", threads[static_cast<ThreadId>(e.aux)]);
         break;
       case EventKind::GuardEval:
-        w.field("guard_method_id", e.aux);
-        w.field("guard_method",
-                trace.methodName(static_cast<events::MethodId>(e.aux)));
-        w.field("value", e.flag);
+        number("guard_method_id", e.aux);
+        name("guard_method", methods[static_cast<events::MethodId>(e.aux)]);
+        key("value");
+        line += e.flag ? "true" : "false";
         break;
       case EventKind::MethodEnter:
       case EventKind::MethodExit:
-        w.field("method_id", e.aux);
+        number("method_id", e.aux);
         break;
       case EventKind::ClockAwait:
       case EventKind::ClockTick:
-        w.field("t", e.aux);
+        number("t", e.aux);
         break;
       default:
-        if (e.aux != 0) w.field("aux", e.aux);
+        if (e.aux != 0) number("aux", e.aux);
         break;
     }
-    w.endObject();
-    // The writer pretty-prints with newlines; flatten to one line per event.
-    line.clear();
-    bool lastWasSpace = false;
-    for (char c : w.str()) {
-      if (c == '\n') {
-        c = ' ';
-      }
-      const bool isSpace = c == ' ';
-      if (isSpace && lastWasSpace) continue;
-      lastWasSpace = isSpace;
-      line += c;
-    }
+    line += " }";
     emit(line);
   }
 }

@@ -163,8 +163,10 @@ class VirtualScheduler {
     /// Back logical threads with stack-switched fibers instead of real
     /// std::threads.  Fibers run on the controller's own thread under the
     /// same strict alternation, but their stacks can be copied in and out,
-    /// which is what makes checkpoint/restore of mid-run threads possible.
-    /// Set only by the incremental explorer; requires fibersSupported().
+    /// which is what makes checkpoint/restore of mid-run threads possible,
+    /// and a switch costs a few registers instead of two semaphore
+    /// hand-offs.  Set by the incremental explorer and by single captured
+    /// runs (inject::ExploreConfig::capture); requires fibersSupported().
     bool fibers = false;
   };
 

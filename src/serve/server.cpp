@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -67,6 +68,8 @@ struct Server::Impl {
     shardsCompleted = &reg->counter("serve.shards_completed");
     shardsFailed = &reg->counter("serve.shards_failed");
     heartbeats = &reg->counter("serve.heartbeats");
+    eventsBytes = &reg->counter("serve.events_bytes");
+    landMs = &reg->histogram("serve.land_ms");
     jobsActive = &reg->gauge("serve.jobs_active");
     workersBusy = &reg->gauge("serve.workers_busy");
   }
@@ -110,6 +113,8 @@ struct Server::Impl {
   obs::Counter* shardsCompleted = nullptr;
   obs::Counter* shardsFailed = nullptr;
   obs::Counter* heartbeats = nullptr;
+  obs::Counter* eventsBytes = nullptr;
+  obs::Histogram* landMs = nullptr;
   obs::Gauge* jobsActive = nullptr;
   obs::Gauge* workersBusy = nullptr;
 
@@ -177,7 +182,9 @@ struct Server::Impl {
   void recordLanding(const std::string& id, std::size_t index,
                      const ShardResult& r) const {
     (void)store.journalShard(id, index);
-    (void)store.appendEvents(id, r.eventsJsonl);
+    if (store.appendEvents(id, r.eventsJsonl)) {
+      eventsBytes->add(r.eventsJsonl.size());
+    }
   }
 
   /// Keep a landed shard's result for the merge, which never reads events.
@@ -325,9 +332,14 @@ struct Server::Impl {
   void onShardDone(const std::string& id, JobRun& jr, std::size_t index,
                    bool workerOk) {
     --jr.inFlight;
+    const auto t0 = std::chrono::steady_clock::now();
     ShardResult r;
     if (workerOk && store.readShard(id, index, r)) {
       recordLanding(id, index, r);
+      landMs->observe(static_cast<std::uint64_t>(std::llround(
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - t0)
+              .count())));
       keep(jr, index, std::move(r));
       shardsCompleted->inc();
       publishState(id, jr, "running");

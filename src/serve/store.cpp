@@ -78,7 +78,9 @@ std::vector<std::string> sortedEntries(const fs::path& dir, bool dirsOnly,
 
 std::uint64_t countOf(const obs::JsonValue& doc, const std::string& key) {
   const obs::JsonValue* v = doc.get(key);
-  return (v != nullptr && v->isNumber() && v->number >= 0)
+  // 2^64 and up (and NaN) have no uint64 value: converting them is UB.
+  return (v != nullptr && v->isNumber() && v->number >= 0 &&
+          v->number < 18446744073709551616.0)
              ? static_cast<std::uint64_t>(v->number)
              : 0;
 }
@@ -97,8 +99,8 @@ bool boolOf(const obs::JsonValue& doc, const std::string& key) {
 using Emit = std::function<void(std::string_view)>;
 
 /// The one confail.shard.v1 serializer.  JsonWriter renders every field up
-/// to the events_jsonl key; that string value is escaped piece by piece,
-/// from `run` a line at a time when given, else from r.eventsJsonl.
+/// to the events_jsonl key; that string value is escaped from `run` a line
+/// at a time when given, else from r.eventsJsonl.
 void renderShard(const ShardResult& r, const events::Trace* run,
                  const Emit& out) {
   obs::JsonWriter w;
@@ -167,19 +169,21 @@ void renderShard(const ShardResult& r, const events::Trace* run,
   out(w.str());
   out("\"");
   std::string escaped;
-  auto events = [&](std::string_view raw) {
-    escaped.clear();
-    obs::appendJsonEscaped(escaped, raw);
-    out(escaped);
-  };
   if (run == nullptr) {
-    events(r.eventsJsonl);
+    obs::appendJsonEscaped(escaped, r.eventsJsonl);
   } else {
-    obs::forEachJsonlLine(*run, [&events](const std::string& line) {
-      events(line);
-      events("\n");
+    // Lines are escaped into one buffer that is handed on in ~64 KB pieces.
+    constexpr std::size_t kPieceBytes = 64 * 1024;
+    obs::forEachJsonlLine(*run, [&](const std::string& line) {
+      obs::appendJsonEscaped(escaped, line);
+      escaped += "\\n";
+      if (escaped.size() >= kPieceBytes) {
+        out(escaped);
+        escaped.clear();
+      }
     });
   }
+  out(escaped);
   // What JsonWriter::endObject would close the document with.
   out("\"\n}");
 }

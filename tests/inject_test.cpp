@@ -4,7 +4,9 @@
 // injection under the parallel explorer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,9 +18,13 @@
 #include "confail/inject/injector.hpp"
 #include "confail/inject/plan.hpp"
 #include "confail/monitor/runtime.hpp"
+#include "confail/obs/metrics.hpp"
+#include "confail/obs/trace_export.hpp"
+#include "confail/sched/strategy.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 #include "confail/support/assert.hpp"
 #include "confail/taxonomy/taxonomy.hpp"
+#include "registry_captures.hpp"
 
 namespace ev = confail::events;
 namespace detect = confail::detect;
@@ -264,4 +270,59 @@ TEST(Campaign, FullMatrixIsOk) {
             std::string::npos);
   EXPECT_NE(json.find("\"ok\": true"), std::string::npos);
   EXPECT_NE(result.human().find("INJECTION MATRIX OK"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Captured runs: fibers replace OS threads without changing the run
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint64_t kCaptureSteps = 20000;  // ExploreConfig's default
+
+/// ExploreConfig::capture's run of `c`, on a thread-backed scheduler.
+ev::Trace captureOnThreads(const confail::testing::CaptureCase& c) {
+  ev::Trace trace;
+  confail::obs::Registry reg;
+  sched::RoundRobinStrategy strategy;
+  sched::VirtualScheduler::Options so;
+  so.maxSteps = kCaptureSteps;
+  sched::VirtualScheduler s(strategy, so);
+  scenarios::Instruments ins;
+  ins.trace = &trace;
+  ins.metrics = &reg;
+  if (c.plan) {
+    const inject::InjectionPlan plan = *c.plan;
+    ins.decorate =
+        [plan](confail::monitor::Runtime& rt) -> std::shared_ptr<void> {
+      return std::make_shared<inject::Injector>(rt, plan);
+    };
+  }
+  c.scenario->ifn(s, ins);
+  (void)s.run();
+  return trace;
+}
+
+}  // namespace
+
+TEST(Capture, FiberBackedRunExportsLikeTheThreadBackedRun) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << "no fibers in this build";
+  std::size_t longest = 0;
+  for (const confail::testing::CaptureCase& c :
+       confail::testing::registryCaptureCases()) {
+    SCOPED_TRACE(c.label);
+    ev::Trace fibers;
+    confail::obs::Registry reg;
+    inject::ExploreConfig cfg;
+    sched::ExhaustiveExplorer::Options eo;
+    eo.maxSteps = kCaptureSteps;
+    cfg.scenario(*c.scenario).explorer(eo);
+    if (c.plan) cfg.plan(*c.plan);
+    cfg.capture(fibers, reg);
+    EXPECT_EQ(confail::obs::toJsonl(fibers),
+              confail::obs::toJsonl(captureOnThreads(c)));
+    longest = std::max(longest, fibers.size());
+  }
+  // FF-T3's suppressed wait spins to the step limit: the longest capture.
+  EXPECT_GE(longest, 20000u);
 }

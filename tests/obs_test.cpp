@@ -3,16 +3,21 @@
 // writer/parser pair, and the structured trace exporters.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "confail/events/trace.hpp"
+#include "confail/inject/explore_config.hpp"
 #include "confail/obs/json.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/obs/summary.hpp"
 #include "confail/obs/trace_export.hpp"
 #include "confail/support/assert.hpp"
+#include "confail/support/rng.hpp"
+#include "reference_jsonl.hpp"
+#include "registry_captures.hpp"
 
 namespace ev = confail::events;
 namespace obs = confail::obs;
@@ -299,4 +304,124 @@ TEST(TraceExport, JsonlOneParseableObjectPerEvent) {
     pos = nl + 1;
   }
   EXPECT_EQ(lines, t.size());
+}
+
+// ---- JSONL renderer vs the JsonWriter reference; escaping round trips ----
+
+namespace {
+
+/// A seeded name over bytes JSON must escape, plain ASCII and UTF-8, with
+/// no two adjacent spaces (the reference renderer merges those).
+std::string seededName(confail::Xoshiro256& rng) {
+  static const char* const kPieces[] = {"a", "Z", "7", " ", "\"", "\\", "\t",
+                                        "\n", "\r", "/", "\x01", "\xc3\xa9",
+                                        "_", "-", "{", "}", ":", ","};
+  std::string s;
+  const std::size_t len = rng.below(12);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::string piece = kPieces[rng.below(std::size(kPieces))];
+    if (piece == " " && !s.empty() && s.back() == ' ') continue;
+    s += piece;
+  }
+  return s;
+}
+
+/// Ids from the dense range, past the renderer's name cache, and unnamed.
+std::uint32_t seededId(confail::Xoshiro256& rng) {
+  static const std::uint32_t kFar[] = {4095, 4096, 5000, 70000, 0xfffffffeu};
+  return rng.chance(0.8) ? static_cast<std::uint32_t>(rng.below(12))
+                         : kFar[rng.below(std::size(kFar))];
+}
+
+ev::Trace seededTrace(std::uint64_t seed) {
+  confail::Xoshiro256 rng(seed);
+  ev::Trace t;
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    if (rng.chance(0.8)) t.nameThread(id, seededName(rng));
+    if (rng.chance(0.8)) t.nameMonitor(id, seededName(rng));
+    if (rng.chance(0.8)) t.nameVar(id, seededName(rng));
+    if (rng.chance(0.8)) t.nameMethod(id, seededName(rng));
+  }
+  t.nameThread(5000, seededName(rng));
+  t.nameVar(70000, seededName(rng));
+  constexpr auto kKinds =
+      static_cast<std::uint64_t>(ev::EventKind::ClockTick) + 1;
+  for (int i = 0; i < 400; ++i) {
+    ev::Event e;
+    e.kind = static_cast<ev::EventKind>(rng.below(kKinds));
+    e.thread = rng.chance(0.9) ? seededId(rng) : ev::kNoThread;
+    e.monitor = rng.chance(0.5) ? seededId(rng) : ev::kNoMonitor;
+    e.method = rng.chance(0.5) ? seededId(rng) : ev::kNoMethod;
+    e.aux = rng.chance(0.9) ? seededId(rng) : rng.next();
+    e.flag = rng.chance(0.5);
+    t.record(e);
+  }
+  return t;
+}
+
+/// JsonWriter's escaping before it copied runs in bulk: one char at a time.
+std::string escapeByChar(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: out += c; break;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(TraceExport, JsonlMatchesReferenceOnRegistryCaptures) {
+  std::size_t captures = 0;
+  for (const confail::testing::CaptureCase& c :
+       confail::testing::registryCaptureCases()) {
+    SCOPED_TRACE(c.label);
+    ev::Trace t;
+    obs::Registry reg;
+    confail::inject::ExploreConfig cfg;
+    cfg.scenario(*c.scenario);
+    if (c.plan) cfg.plan(*c.plan);
+    cfg.capture(t, reg);
+    ASSERT_GT(t.size(), 0u);
+    EXPECT_EQ(obs::toJsonl(t), obs::reference::toJsonl(t));
+    ++captures;
+  }
+  EXPECT_GT(captures, confail::components::scenarios::registry().size());
+}
+
+TEST(TraceExport, JsonlMatchesReferenceOnSeededTraces) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ev::Trace t = seededTrace(seed);
+    EXPECT_EQ(obs::toJsonl(t), obs::reference::toJsonl(t));
+  }
+}
+
+TEST(Json, EscapedSeededStringsRoundTripThroughTheParser) {
+  static const char kEscapable[] = {'"', '\\', '\n', '\t', '\r'};
+  confail::Xoshiro256 rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s = seededName(rng);
+    // Escapable bytes first, last and side by side in a share of strings.
+    if (rng.chance(0.3)) s.insert(s.begin(), kEscapable[rng.below(5)]);
+    if (rng.chance(0.3)) s.push_back(kEscapable[rng.below(5)]);
+    if (rng.chance(0.3)) {
+      const std::size_t at = rng.below(s.size() + 1);
+      s.insert(at, {kEscapable[rng.below(5)], kEscapable[rng.below(5)]});
+    }
+    SCOPED_TRACE(s);
+    std::string escaped = "prefix";
+    obs::appendJsonEscaped(escaped, s);
+    EXPECT_EQ(escaped, "prefix" + escapeByChar(s));
+    const obs::JsonValue v =
+        obs::parseJson("\"" + escaped.substr(6) + "\"");
+    ASSERT_EQ(v.kind, obs::JsonValue::Kind::String);
+    EXPECT_EQ(v.string, s);
+  }
 }

@@ -4,6 +4,7 @@
 // merged reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <unistd.h>
 
 #include "confail/events/trace.hpp"
+#include "confail/ingest/decode.hpp"
 #include "confail/inject/job_spec.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/obs/trace_export.hpp"
@@ -26,6 +28,7 @@
 #include "confail/serve/merge.hpp"
 #include "confail/serve/server.hpp"
 #include "confail/serve/store.hpp"
+#include "confail/support/rng.hpp"
 
 namespace fs = std::filesystem;
 namespace inject = confail::inject;
@@ -262,6 +265,114 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   for (std::size_t i = 1; i < done.size(); ++i) EXPECT_FALSE(done[i]);
 }
 
+TEST(CampaignStore, NamesSurviveJsonlAndShardRoundTrips) {
+  // Two spaces, a quote, a backslash, a tab and a newline: each must come
+  // back byte for byte (an earlier line flattener merged runs of spaces).
+  const std::vector<std::string> names = {"a  b", "say \"hi\"", "c:\\tmp",
+                                          "col\tumn", "two\nlines",
+                                          "  edges  "};
+  namespace ev = confail::events;
+  ev::Trace run;
+  for (std::uint32_t id = 0; id < names.size(); ++id) {
+    run.nameThread(id, names[id]);
+    run.nameMonitor(id, names[id]);
+    run.nameVar(id, names[id]);
+    run.nameMethod(id, names[id]);
+    ev::Event e;
+    e.thread = id;
+    e.kind = ev::EventKind::GuardEval;
+    e.monitor = id;
+    e.method = id;
+    e.aux = id;
+    run.record(e);
+    e.kind = ev::EventKind::Write;
+    run.record(e);
+  }
+  auto expectNames = [&names](const std::string& jsonl) {
+    confail::ingest::JsonlDecoder dec;
+    std::size_t events = 0;
+    const auto count = [&events](const ev::Event&) { ++events; };
+    dec.feed(jsonl, count);
+    dec.flush(count);
+    EXPECT_EQ(events, 2 * names.size());
+    EXPECT_EQ(dec.stats().malformed, 0u);
+    for (std::uint32_t id = 0; id < names.size(); ++id) {
+      EXPECT_EQ(dec.names().threadName(id), names[id]);
+      EXPECT_EQ(dec.names().monitorName(id), names[id]);
+      EXPECT_EQ(dec.names().varName(id), names[id]);
+      EXPECT_EQ(dec.names().methodName(id), names[id]);
+    }
+  };
+  const std::string jsonl = confail::obs::toJsonl(run);
+  expectNames(jsonl);
+
+  TempRoot root;
+  serve::CampaignStore store(root.str());
+  fs::create_directories(fs::path(store.shardPath("names", 0)).parent_path());
+  inject::ShardResult r;
+  r.spec.control = true;
+  r.spec.scenario = "fig2";
+  ASSERT_TRUE(store.writeShard("names", r, &run));
+  inject::ShardResult back;
+  ASSERT_TRUE(store.readShard("names", 0, back));
+  EXPECT_EQ(back.eventsJsonl, jsonl);
+  expectNames(back.eventsJsonl);
+}
+
+TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
+  // An FF-T3 shard: its captured run spins to the step limit, so the file
+  // is megabytes of escaped events behind a small header.
+  inject::JobSpec spec;
+  spec.classes = {taxonomy::FailureClass::FF_T3};
+  spec.maxRuns = 20;
+  spec.negativeControls = false;
+  const std::vector<inject::ShardSpec> shards = inject::expandShards(spec);
+  ASSERT_FALSE(shards.empty());
+  confail::events::Trace run;
+  const inject::ShardResult r = inject::runShard(spec, shards[0], {}, run);
+  TempRoot root;
+  const std::string path = (root.path / "shard.json").string();
+  ASSERT_TRUE(serve::CampaignStore::writeShardFile(path, r, &run));
+  const std::string text = slurp(path);
+  const std::size_t close = text.rfind('}');
+  const std::size_t header = text.find("\"events_jsonl\"");
+  ASSERT_NE(close, std::string::npos);
+  ASSERT_NE(header, std::string::npos);
+  ASSERT_GT(text.size(), 1000000u);
+
+  inject::ShardResult out;
+  std::string error;
+  ASSERT_TRUE(serve::CampaignStore::shardFromJson(text, out, error)) << error;
+
+  confail::Xoshiro256 rng(2024);
+  // Half the offsets fall in the header, half anywhere before the end.
+  auto offset = [&](std::size_t end) {
+    return static_cast<std::size_t>(
+        rng.chance(0.5) ? rng.below(header + 32) : rng.below(end));
+  };
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t cut = offset(close + 1);
+    SCOPED_TRACE("truncated at " + std::to_string(cut));
+    EXPECT_FALSE(
+        serve::CampaignStore::shardFromJson(text.substr(0, cut), out, error));
+  }
+  static const char kBytes[] = {'"', '\\', '{', '}', '[', ']', ',', ':',
+                                '0', 'e', '-', ' ', '\0', '\xff', 'n'};
+  for (int i = 0; i < 80; ++i) {
+    std::string m = text;
+    const std::size_t at = offset(m.size());
+    if (i % 2 == 0) {
+      m[at] = static_cast<char>(m[at] ^ (1u << rng.below(8)));
+    } else {
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
+               kBytes[rng.below(sizeof kBytes)]);
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i) + " at " + std::to_string(at));
+    // Rejected or decoded; either way without a crash or a sanitizer report.
+    (void)serve::CampaignStore::shardFromJson(m, out, error);
+  }
+}
+
 // ---- daemon ----------------------------------------------------------------
 
 TEST(Server, RunsSubmittedJobToCompletion) {
@@ -270,11 +381,13 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   const std::string id = serve::submitJob(root.str(), spec);
   ASSERT_FALSE(id.empty());
 
+  confail::obs::Registry reg;
   serve::ServerOptions opts;
   opts.root = root.str();
   opts.poolSize = 2;
   opts.subprocess = false;  // in-process pool: sanitizer-safe
   opts.exitWhenIdle = true;
+  opts.metrics = &reg;
   serve::Server server(std::move(opts));
   EXPECT_EQ(server.run(), 0);
 
@@ -298,6 +411,16 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   const serve::CampaignStore& store = server.store();
   EXPECT_GT(fs::file_size(store.eventsPath(id)), 0u);
   EXPECT_EQ(journalLines(store.journalPath(id)), st.shardsTotal);
+
+  // Every landing is timed, and every byte it appended is counted.
+  const confail::obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("serve.events_bytes"),
+            fs::file_size(store.eventsPath(id)));
+  const auto land = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const auto& h) { return h.name == "serve.land_ms"; });
+  ASSERT_NE(land, snap.histograms.end());
+  EXPECT_EQ(land->count, st.shardsTotal);
 }
 
 TEST(Server, WakesOnShardCompletionNotOnPollTimeout) {
