@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -124,7 +125,7 @@ std::vector<ThreadId> canonicalTraceWitness(const RunResult& result) {
     // predecessor's own enabledness edge.
     for (std::size_t j = i; j-- > 0;) {
       if (s[j] == s[i]) break;
-      const std::vector<ThreadId>& cs = result.choiceSets[j];
+      const std::span<const ThreadId> cs = result.choiceSets[j];
       if (std::find(cs.begin(), cs.end(), s[i]) == cs.end()) {
         succ[j].push_back(static_cast<std::uint32_t>(i));
         ++indeg[i];
@@ -164,6 +165,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   // depends on the races along the path that reached it).
   const bool fpPruning = opts_.fingerprintPruning && !dporMode;
   const bool captureState = fpPruning || opts_.reduction != Reduction::None;
+  // Per-step state hashing is paid only by its one reader, the dedup table.
+  const bool captureFingerprints = fpPruning;
   // Incremental exploration needs copyable fiber stacks; without them every
   // worker silently uses plain prefix replay.
   const bool incrementalMode = opts_.incremental && fibersSupported();
@@ -240,6 +243,9 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     // the current run, re-evolved from the work item's node so backtrack
     // candidates can be tested against the state they would branch in.
     std::vector<std::vector<SleepEntry>> sleepAt;
+    // The current run's result, reused so an incremental run's path data
+    // keeps its capacity from run to run.
+    RunResult result;
     const Clock::time_point workerStart = Clock::now();
     while (std::optional<WorkItem> item = queue.next(self)) {
       // Claim a slot in the run budget before executing.  fetch_add makes
@@ -276,7 +282,6 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           sleepMode ? item->sleepThread : events::kNoThread;
       Clock::time_point runStart;
       if (metrics != nullptr) runStart = Clock::now();
-      RunResult result;
       bool ranIncremental = false;
       if (incrementalMode &&
           !snapshotUnsafe.load(std::memory_order_relaxed)) {
@@ -284,15 +289,14 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           IncrementalRunner::Config rcfg;
           rcfg.maxSteps = opts_.maxSteps;
           rcfg.captureState = captureState;
+          rcfg.captureFingerprints = captureFingerprints;
           rcfg.budgetBytes = opts_.snapshotBudgetBytes;
           rcfg.metrics = metrics;
           incRunner = std::make_unique<IncrementalRunner>(program, rcfg);
         }
         if (incRunner->usable()) {
-          std::optional<RunResult> r = incRunner->run(
-              item->node, prefixBuf, avoid, opts_.maxBranchDepth, dporMode);
-          if (r.has_value()) {
-            result = std::move(*r);
+          if (incRunner->run(result, item->node, prefixBuf, avoid,
+                             opts_.maxBranchDepth, dporMode)) {
             ranIncremental = true;
           } else {
             ++local.incrementalFallbacks;
@@ -309,6 +313,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         VirtualScheduler::Options schedOpts;
         schedOpts.maxSteps = opts_.maxSteps;
         schedOpts.captureState = captureState;
+        schedOpts.captureFingerprints = captureFingerprints;
         schedOpts.metrics = metrics;
         if (dporMode) {
           // The node's stored sleep set is valid just before its last
@@ -378,10 +383,11 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
 
         // (DPOR) Re-evolve the sleep set across the executed steps so that
         // sleepSetAt(j) — the set valid just before step j — is available
-        // for every decision point a backtrack could land on.  For points
-        // inside the replayed prefix the ancestor nodes carry their stored
-        // sets; past the prefix the wake rule is replayed step by step
-        // (exactly what the scheduler just did while filtering picks).
+        // for every decision point a backtrack could land on, which is
+        // only ever below the branch bound.  For points inside the
+        // replayed prefix the ancestor nodes carry their stored sets; past
+        // the prefix the wake rule is replayed step by step (exactly what
+        // the scheduler just did while filtering picks).
         std::size_t analysisLen = 0;
         if (dporMode) {
           if (result.schedule.size() > prefixLen) {
@@ -391,9 +397,9 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           analysisLen =
               std::min({result.schedule.size(), result.stepFootprints.size(),
                         result.choiceSets.size(), kDporAnalysisWindow});
-          sleepAt.resize(analysisLen > prefixLen ? analysisLen - prefixLen
-                                                 : 0);
-          for (std::size_t j = prefixLen; j < analysisLen; ++j) {
+          const std::size_t sleepLen = std::min(analysisLen, branchLimit);
+          sleepAt.resize(sleepLen > prefixLen ? sleepLen - prefixLen : 0);
+          for (std::size_t j = prefixLen; j < sleepLen; ++j) {
             std::vector<SleepEntry>& dst = sleepAt[j - prefixLen];
             dst.clear();
             if (j == 0) continue;  // the root's sleep set is empty
@@ -461,6 +467,13 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           // than kDporAnalysisWindow (runaway step-limit runs) only get
           // their head analyzed — bounded exploration keeps real runs far
           // below the window.
+          //
+          // The backward scan starts below the branch bound: a race with a
+          // step at j >= branchLimit cannot be reversed (the bound forbids
+          // branching at j), and it must not shadow an earlier dependent
+          // step of the same thread below the bound either — with j cut
+          // off, the transitive path through reversing j is gone and the
+          // earlier race must be reversed directly.
           ThreadId maxTid = 0;
           for (std::size_t i = 0; i < analysisLen; ++i) {
             maxTid = std::max(maxTid, result.schedule[i]);
@@ -472,25 +485,17 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             seenTid.assign(static_cast<std::size_t>(maxTid) + 1, 0);
             seenTid[p] = 1;  // own thread: program order, not a race
             std::size_t threadsSeen = 1;
-            for (std::size_t j = i; j-- > 0 && threadsSeen <= maxTid;) {
+            for (std::size_t j = std::min(i, branchLimit);
+                 j-- > 0 && threadsSeen <= maxTid;) {
               const ThreadId t = result.schedule[j];
               if (seenTid[t]) continue;
               if (!result.stepFootprints[j].dependentWith(
                       result.stepFootprints[i])) {
                 continue;
               }
-              if (j >= branchLimit) {
-                // The race exists but the depth bound forbids branching at
-                // j.  Keep scanning: an earlier dependent step of t below
-                // the bound would normally be shadowed by this one (its
-                // reversal is reached transitively through reversing j
-                // first), but with j cut off that path is gone and the
-                // earlier race must be reversed directly.
-                continue;
-              }
               seenTid[t] = 1;
               ++threadsSeen;
-              const std::vector<ThreadId>& enabled = result.choiceSets[j];
+              const std::span<const ThreadId> enabled = result.choiceSets[j];
               if (enabled.size() <= 1) continue;
               const PrefixNode* at = j < prefixLen ? chainBuf[j] : spineAt(j);
               const std::vector<SleepEntry>& asleep = sleepSetAt(j);
@@ -531,7 +536,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           // Descending outer order + LIFO own-pop keeps the serial (workers
           // == 1) traversal bit-identical to the legacy recursive DFS.
           for (std::size_t i = branchLimit; i-- > prefixLen;) {
-            const std::vector<ThreadId>& choices = result.choiceSets[i];
+            const std::span<const ThreadId> choices = result.choiceSets[i];
             if (choices.size() <= 1) continue;
 
             if (fpPruning) {

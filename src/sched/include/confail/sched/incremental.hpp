@@ -15,8 +15,8 @@
 // to the path data (schedule / choice sets / fingerprints / footprints) of
 // the prefix it stands for, so a restored run's RunResult is
 // indistinguishable from a from-scratch execution of the same schedule.
-// Snapshots are copy-on-write: stacks and payloads carry version stamps
-// from one global clock (snapshot.hpp), so sibling checkpoints share every
+// Snapshots are copy-on-write: stacks and payloads carry process-wide
+// unique version stamps (snapshot.hpp), so sibling checkpoints share every
 // piece that did not change between them and the budget only pays for
 // fresh bytes.
 //
@@ -45,7 +45,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -90,6 +89,7 @@ class IncrementalRunner {
   struct Config {
     std::uint64_t maxSteps = 200000;
     bool captureState = false;
+    bool captureFingerprints = false;  ///< see VirtualScheduler::Options
     /// Retained-checkpoint memory cap (fresh bytes + path data, estimated).
     /// A backstop: dead nodes' checkpoints are dropped regardless.  Over
     /// the cap, live checkpoints are evicted oldest-first; the pinned root
@@ -126,15 +126,16 @@ class IncrementalRunner {
   /// Execute the run for the work item at `node` (whose materialized
   /// prefix the caller lends, exactly as it would to PrefixReplayStrategy).
   /// Restores the deepest cached ancestor checkpoint, replays the gap, and
-  /// runs free — returning a RunResult identical to the replay path's.
+  /// runs free — filling `result` identically to the replay path's
+  /// RunResult.  `result` is cleared first but keeps its capacity, so a
+  /// caller that reuses one result across runs stops allocating path data.
   /// For Reduction::Dpor runs, `dporMode` wires the node's sleep set into
   /// the scheduler with `branchDepthLimit` as the filter bound.
-  /// Returns nullopt (and flips usable() off) if the session discovered it
+  /// Returns false (and flips usable() off) if the session discovered it
   /// cannot continue incrementally; the caller falls back to replay.
-  std::optional<RunResult> run(const PrefixNode* node,
-                               const std::vector<ThreadId>& prefix,
-                               ThreadId avoidAtFirstFree,
-                               std::size_t branchDepthLimit, bool dporMode);
+  bool run(RunResult& result, const PrefixNode* node,
+           const std::vector<ThreadId>& prefix, ThreadId avoidAtFirstFree,
+           std::size_t branchDepthLimit, bool dporMode);
 
   /// Attach the pending checkpoint taken at `spineNode->depth` during the
   /// most recent run() to the now-materialized spine node, making it
@@ -150,7 +151,7 @@ class IncrementalRunner {
   struct Checkpoint {
     std::shared_ptr<const VirtualScheduler::Snapshot> snap;
     std::vector<ThreadId> schedule;
-    std::vector<std::vector<ThreadId>> choiceSets;
+    ChoiceSets choiceSets;
     std::vector<std::uint64_t> fingerprints;
     std::vector<Footprint> stepFootprints;
     std::size_t costBytes = 0;  ///< budget charge (fresh + path estimate)
@@ -186,8 +187,6 @@ class IncrementalRunner {
   std::unordered_map<std::size_t, Checkpoint> pending_;
 
   // Per-run state consumed by the checkpoint hook.
-  std::optional<PrefixReplayStrategy> replay_;
-  const std::vector<const PrefixNode*>* chainPtr_ = nullptr;
   RunResult* resultPtr_ = nullptr;
   std::size_t curPrefixLen_ = 0;
   std::size_t curBranchLimit_ = 0;

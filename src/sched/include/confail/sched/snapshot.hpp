@@ -10,7 +10,7 @@
 // checkpoint/restore round trip: monitors, shared variables, the Runtime
 // (policy RNG, id counters, method stacks, trace length) and the fault
 // Injector all implement it.  The protocol is copy-on-write via *version
-// stamps* drawn from one global monotone clock:
+// stamps* that are unique across the whole process:
 //
 //   * every mutation calls snapshotBump(), which assigns the object a
 //     fresh, globally unique stamp;
@@ -21,10 +21,17 @@
 //     carries the payload's stamp: stamps are never reused, so an equal
 //     stamp proves the bytes are already identical.
 //
-// The stamp must come from a single global clock, not a per-object
-// counter: with per-object counters, save at version v, mutate, restore
-// to v, mutate again would re-reach "v+1" with *different* contents and a
-// later restore-to-v+1 would incorrectly skip the copy.
+// Stamps must be unique process-wide, not per object: with per-object
+// counters, save at version v, mutate, restore to v, mutate again would
+// re-reach "v+1" with *different* contents and a later restore-to-v+1
+// would incorrectly skip the copy.  They need not be ordered, because
+// every use is an equality test.  So each OS thread takes a block of
+// kSnapshotStampBlock stamps from one global clock with a single
+// fetch_add and hands them out from a thread_local cursor: blocks are
+// disjoint, so stamps never repeat, and explorer workers stop contending
+// on one cache line for every resume and mutation.  An object is only
+// ever stamped by the thread running its session (fibers never migrate
+// between OS threads), but uniqueness does not rely on that.
 #pragma once
 
 #include <atomic>
@@ -34,12 +41,21 @@
 
 namespace confail::sched {
 
-/// Next stamp from the global snapshot-version clock.  Stamps are unique
-/// across all objects and all time; equal stamps therefore prove equal
+/// Stamps an OS thread reserves from the global clock at a time.
+inline constexpr std::uint64_t kSnapshotStampBlock = std::uint64_t{1} << 16;
+
+/// Next snapshot-version stamp.  Stamps are unique across all objects,
+/// threads and time, and never 0; equal stamps therefore prove equal
 /// state.
 inline std::uint64_t nextSnapshotVersion() noexcept {
   static std::atomic<std::uint64_t> clock{1};
-  return clock.fetch_add(1, std::memory_order_relaxed);
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = clock.fetch_add(kSnapshotStampBlock, std::memory_order_relaxed);
+    end = next + kSnapshotStampBlock;
+  }
+  return next++;
 }
 
 /// An object participating in checkpoint/restore.  Implementations provide

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <semaphore>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,6 +86,45 @@ struct BlockedThreadInfo {
   std::uint64_t resource = 0;  ///< monitor id / clock time / joined thread
 };
 
+/// The runnable set at each decision point of a run, stored flat: every
+/// set's ids back to back in one vector and each set's end offset in
+/// another, so recording a step appends to two vectors instead of
+/// allocating one per step, and a reused instance stops allocating once
+/// its capacity covers the longest run.
+class ChoiceSets {
+ public:
+  std::size_t size() const { return ends_.size(); }
+
+  /// The runnable set at decision point `i` (ascending thread ids).
+  std::span<const ThreadId> operator[](std::size_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {ids_.data() + begin, ends_[i] - begin};
+  }
+
+  void push_back(std::span<const ThreadId> set) {
+    ids_.insert(ids_.end(), set.begin(), set.end());
+    ends_.push_back(static_cast<std::uint32_t>(ids_.size()));
+  }
+
+  void reserve(std::size_t sets) { ends_.reserve(sets); }
+
+  /// Drop every set, keeping the capacity.
+  void clear() {
+    ids_.clear();
+    ends_.clear();
+  }
+
+  /// Approximate heap bytes held, for the snapshot-memory budget.
+  std::size_t bytes() const {
+    return ids_.size() * sizeof(ThreadId) +
+           ends_.size() * sizeof(std::uint32_t);
+  }
+
+ private:
+  std::vector<ThreadId> ids_;
+  std::vector<std::uint32_t> ends_;  ///< ids_ end offset of each set
+};
+
 /// Result of VirtualScheduler::run().
 struct RunResult {
   Outcome outcome = Outcome::Completed;
@@ -94,15 +134,15 @@ struct RunResult {
   std::vector<ThreadId> schedule;
   /// The runnable set at each decision point (the explorer branches on
   /// the points where this has more than one element).
-  std::vector<std::vector<ThreadId>> choiceSets;
+  ChoiceSets choiceSets;
   /// Populated when outcome == Deadlock.
   std::vector<BlockedThreadInfo> blocked;
   /// Populated when outcome == Exception.
   std::string errorMessage;
-  /// With Options::captureState: the state fingerprint at each decision
-  /// point, aligned with `schedule` (fingerprints[i] hashes the state in
-  /// which schedule[i] was chosen).  The explorer's dedup table keys on
-  /// (depth, fingerprint) pairs from here.
+  /// With Options::captureFingerprints: the state fingerprint at each
+  /// decision point, aligned with `schedule` (fingerprints[i] hashes the
+  /// state in which schedule[i] was chosen).  The explorer's dedup table
+  /// keys on (depth, fingerprint) pairs from here.
   std::vector<std::uint64_t> fingerprints;
   /// With Options::captureState: what each step touched (the segment from
   /// decision point i to i+1, executed by schedule[i]).  Consumed by the
@@ -115,6 +155,20 @@ struct RunResult {
   bool sleepPruned = false;
 
   bool ok() const { return outcome == Outcome::Completed; }
+
+  /// Back to a default-constructed result, keeping every buffer's
+  /// capacity (the incremental runner reuses one result per worker).
+  void clear() {
+    outcome = Outcome::Completed;
+    steps = 0;
+    schedule.clear();
+    choiceSets.clear();
+    blocked.clear();
+    errorMessage.clear();
+    fingerprints.clear();
+    stepFootprints.clear();
+    sleepPruned = false;
+  }
 };
 
 /// Consulted by the controller when no thread is runnable, before declaring
@@ -132,10 +186,14 @@ class VirtualScheduler {
   struct Options {
     /// Abort the run after this many decision points (livelock guard).
     std::uint64_t maxSteps = 200000;
-    /// Record per-decision-point state fingerprints and per-step footprints
-    /// into the RunResult (see RunResult::fingerprints).  Off by default:
-    /// only the pruning explorer pays for state hashing.
+    /// Record per-step footprints into the RunResult (see
+    /// RunResult::stepFootprints).  Off by default: only the reducing
+    /// explorer and witness canonicalization read them.
     bool captureState = false;
+    /// Internal to the explorer: also hash the state at every decision
+    /// point into RunResult::fingerprints.  Set only under fingerprint
+    /// pruning, the one reader of those hashes.
+    bool captureFingerprints = false;
     /// Optional metrics sink: run() adds its step count, context-switch
     /// count (decision points where the pick changed threads) and run tally
     /// to sched.* counters when it returns.  Published once per run, not
@@ -350,14 +408,16 @@ class VirtualScheduler {
   void switchToController(ThreadRecord& rec);
   void checkAbort() const;
   void abortRun();
-  std::vector<ThreadId> runnableSet() const;
+  /// Fill `out` with the runnable thread ids, ascending.
+  void runnableSet(std::vector<ThreadId>& out) const;
   ThreadRecord& recordOf(ThreadId t);
   const ThreadRecord& recordOf(ThreadId t) const;
 
   /// The decision loop shared verbatim by run() and the incremental
   /// runner.  Appends to `result` (which the runner pre-seeds with the
   /// restored prefix) until the run ends; `contextSwitches` counts pick
-  /// changes across the executed portion.
+  /// changes across the executed portion.  Allocation-free per step once
+  /// `result` and the scheduler's scratch buffers have grown.
   void runLoop(RunResult& result, std::uint64_t& contextSwitches);
 
   /// Freeze the complete session state (controller only, all fibers
@@ -379,6 +439,10 @@ class VirtualScheduler {
   std::vector<SnapshotSource*> snapshotSources_;
   std::uint64_t snapshotSourceGen_ = 0;  // bumped on (un)registration
   Footprint stepFootprint_;
+  // runLoop scratch, kept across runs so a session does not reallocate.
+  std::vector<ThreadId> runnable_;
+  std::vector<ThreadId> awake_;
+  std::vector<SleepEntry> sleep_;
   std::vector<std::unique_ptr<ThreadRecord>> threads_;
   std::vector<IdleHandler*> idleHandlers_;
   std::binary_semaphore controllerSem_{0};

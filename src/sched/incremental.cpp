@@ -13,6 +13,7 @@ VirtualScheduler::Options sessionOptions(const IncrementalRunner::Config& cfg) {
   VirtualScheduler::Options o;
   o.maxSteps = cfg.maxSteps;
   o.captureState = cfg.captureState;
+  o.captureFingerprints = cfg.captureFingerprints;
   // sched.* counters are published by the runner per run (the scheduler
   // itself only publishes from run(), which a session never calls).
   o.metrics = nullptr;
@@ -35,10 +36,11 @@ IncrementalRunner::IncrementalRunner(
 
 IncrementalRunner::~IncrementalRunner() = default;
 
-std::optional<RunResult> IncrementalRunner::run(
-    const PrefixNode* node, const std::vector<ThreadId>& prefix,
-    ThreadId avoidAtFirstFree, std::size_t branchDepthLimit, bool dporMode) {
-  if (!usable_) return std::nullopt;
+bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
+                            const std::vector<ThreadId>& prefix,
+                            ThreadId avoidAtFirstFree,
+                            std::size_t branchDepthLimit, bool dporMode) {
+  if (!usable_) return false;
   // Checkpoints from the previous run that the explorer never bound to a
   // spine node have no restorable key: refund them.
   dropPending();
@@ -67,7 +69,7 @@ std::optional<RunResult> IncrementalRunner::run(
     }
   }
 
-  RunResult result;
+  result.clear();
   if (from != nullptr) {
     if (!sched_.restoreSnapshot(*from->snap)) {
       // The program mutated its object graph mid-run (spawned a thread or
@@ -75,14 +77,15 @@ std::optional<RunResult> IncrementalRunner::run(
       // mutation can describe this session any more.  Poison the session;
       // the explorer falls back to plain replay.
       usable_ = false;
-      return std::nullopt;
+      return false;
     }
     ++tally_.restores;
     tally_.replayStepsAvoided += fromDepth;
     // Seed the result with the restored prefix's path data so the finished
     // RunResult — and everything the explorer derives from it (branches,
     // DPOR race scans, canonical witnesses) — is indistinguishable from a
-    // from-scratch execution of the same schedule.
+    // from-scratch execution of the same schedule.  Copy-assignment keeps
+    // the reused result's capacity.
     result.schedule = from->schedule;
     result.choiceSets = from->choiceSets;
     result.fingerprints = from->fingerprints;
@@ -93,7 +96,7 @@ std::optional<RunResult> IncrementalRunner::run(
     // checkpoint makes this unreachable in practice; bail out rather than
     // run from a corrupt state.
     usable_ = false;
-    return std::nullopt;
+    return false;
   }
   firstRun_ = false;
 
@@ -115,8 +118,8 @@ std::optional<RunResult> IncrementalRunner::run(
   // GLOBAL step, so a run seeded at depth d simply never consults entries
   // below d — and any gap [d, prefixLen) left by an evicted checkpoint is
   // replayed through the very same strategy (self-healing fallback).
-  replay_.emplace(prefix.data(), prefixLen, avoidAtFirstFree);
-  swap_.reset(&*replay_);
+  PrefixReplayStrategy replay(prefix.data(), prefixLen, avoidAtFirstFree);
+  swap_.reset(&replay);
   curPrefixLen_ = prefixLen;
   curBranchLimit_ = branchDepthLimit;
   resultPtr_ = &result;
@@ -135,7 +138,6 @@ std::optional<RunResult> IncrementalRunner::run(
 
   resultPtr_ = nullptr;
   swap_.reset(nullptr);
-  replay_.reset();
 
   if (cfg_.metrics != nullptr) {
     cfg_.metrics->counter("sched.runs").inc();
@@ -143,7 +145,7 @@ std::optional<RunResult> IncrementalRunner::run(
     cfg_.metrics->counter("sched.steps").add(result.steps - fromDepth);
     cfg_.metrics->counter("sched.context_switches").add(contextSwitches);
   }
-  return result;
+  return true;
 }
 
 void IncrementalRunner::bind(const PrefixNode* spineNode) {
@@ -193,12 +195,10 @@ IncrementalRunner::Checkpoint IncrementalRunner::makeCheckpoint(
   ck.choiceSets = r.choiceSets;
   ck.fingerprints = r.fingerprints;
   ck.stepFootprints = r.stepFootprints;
-  std::size_t path = ck.schedule.size() * sizeof(ThreadId) +
-                     ck.fingerprints.size() * sizeof(std::uint64_t) +
-                     ck.stepFootprints.size() * sizeof(Footprint);
-  for (const std::vector<ThreadId>& cs : ck.choiceSets) {
-    path += sizeof(std::vector<ThreadId>) + cs.size() * sizeof(ThreadId);
-  }
+  const std::size_t path = ck.schedule.size() * sizeof(ThreadId) +
+                           ck.choiceSets.bytes() +
+                           ck.fingerprints.size() * sizeof(std::uint64_t) +
+                           ck.stepFootprints.size() * sizeof(Footprint);
   // freshBytes undercounts shared pieces on purpose: COW means a sibling
   // checkpoint only pays for what changed since the last save.
   ck.costBytes = ck.snap->freshBytes + path;

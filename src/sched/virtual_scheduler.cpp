@@ -273,12 +273,11 @@ void VirtualScheduler::finishSelf(ThreadRecord& rec) {
   }
 }
 
-std::vector<ThreadId> VirtualScheduler::runnableSet() const {
-  std::vector<ThreadId> out;
+void VirtualScheduler::runnableSet(std::vector<ThreadId>& out) const {
+  out.clear();
   for (const auto& rec : threads_) {
     if (rec->state == ThreadState::Runnable) out.push_back(rec->id);
   }
-  return out;
 }
 
 VirtualScheduler::ThreadRecord& VirtualScheduler::recordOf(ThreadId t) {
@@ -313,16 +312,18 @@ RunResult VirtualScheduler::run() {
 
 void VirtualScheduler::runLoop(RunResult& result,
                                std::uint64_t& contextSwitches) {
-  // Pre-size the per-step traces so the hot replay loop never reallocates;
-  // cap the hint so a generous step budget (the 200k default) does not
-  // preallocate megabytes for runs that finish in dozens of steps.
+  // Pre-size the per-step traces for a typical run (dozens of steps), so
+  // short runs never reallocate and long ones grow geometrically.  A
+  // reused result (the incremental runner's) already has the capacity and
+  // reserves nothing; the hint stays small because such a result holds
+  // its buffers for the whole exploration, on every worker.
   const std::size_t reserveSteps =
-      static_cast<std::size_t>(std::min<std::uint64_t>(opts_.maxSteps, 4096));
-  result.schedule.reserve(reserveSteps);
-  result.choiceSets.reserve(reserveSteps);
-  if (opts_.captureState) {
-    result.fingerprints.reserve(reserveSteps);
-    result.stepFootprints.reserve(reserveSteps);
+      static_cast<std::size_t>(std::min<std::uint64_t>(opts_.maxSteps, 256));
+  if (result.schedule.capacity() < reserveSteps) {
+    result.schedule.reserve(reserveSteps);
+    result.choiceSets.reserve(reserveSteps);
+    if (opts_.captureFingerprints) result.fingerprints.reserve(reserveSteps);
+    if (opts_.captureState) result.stepFootprints.reserve(reserveSteps);
   }
   // The incremental runner pre-seeds `result` with a restored prefix; a
   // fresh run() starts empty.  Context switches are counted across the
@@ -332,11 +333,13 @@ void VirtualScheduler::runLoop(RunResult& result,
   // Live DPOR sleep set (see Options::sleepSet); entries are erased as
   // executed steps wake them.  Empty for every caller but the DPOR
   // explorer, in which case all the sleep branches below are dead.
-  std::vector<SleepEntry> sleep = opts_.sleepSet;
-  std::vector<ThreadId> awake;  // reused filtered-runnable scratch
+  std::vector<SleepEntry>& sleep = sleep_;
+  sleep = opts_.sleepSet;
+  std::vector<ThreadId>& runnable = runnable_;
+  std::vector<ThreadId>& awake = awake_;  // filtered-runnable scratch
 
   for (;;) {
-    std::vector<ThreadId> runnable = runnableSet();
+    runnableSet(runnable);
     if (runnable.empty()) {
       if (liveCount_ == 0) {
         result.outcome = Outcome::Completed;
@@ -418,14 +421,12 @@ void VirtualScheduler::runLoop(RunResult& result,
         "strategy picked a non-runnable thread");
 
     result.schedule.push_back(pick);
-    result.choiceSets.push_back(std::move(runnable));
+    result.choiceSets.push_back(runnable);
     ++result.steps;
     if (lastPick != events::kNoThread && pick != lastPick) ++contextSwitches;
     lastPick = pick;
-    if (opts_.captureState) {
-      result.fingerprints.push_back(fingerprint());
-      stepFootprint_.clear();
-    }
+    if (opts_.captureFingerprints) result.fingerprints.push_back(fingerprint());
+    if (opts_.captureState) stepFootprint_.clear();
 
     ThreadRecord& rec = recordOf(pick);
     rec.state = ThreadState::Running;

@@ -70,13 +70,14 @@ struct Exploration {
 
 Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
                     std::size_t maxDepth, std::size_t workers,
-                    bool canonicalizeFailures) {
+                    bool canonicalizeFailures, bool incremental = true) {
   sched::ExhaustiveExplorer::Options eo;
   eo.maxRuns = 200000;
   eo.maxSteps = 20000;
   eo.maxBranchDepth = maxDepth;
   eo.reduction = reduction;
   eo.workers = workers;
+  eo.incremental = incremental;
   sched::ExhaustiveExplorer explorer(eo);
   Exploration out;
   out.stats = explorer.explore(
@@ -129,6 +130,66 @@ bool expectStrictReduction(const std::string& name) {
 }
 
 constexpr std::size_t kWorkerCounts[] = {1, 2, 8};
+
+/// A recorded ff_t5 DPOR exploration: the tree shape the explorer must
+/// reproduce exactly, at every worker count and on both execution paths.
+struct PinnedDpor {
+  std::size_t depth = 0;
+  std::uint64_t runs = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t deadlocks = 0;
+  std::uint64_t sleepBlockedRuns = 0;
+  std::uint64_t dporBacktracks = 0;
+  std::uint64_t prunedBranches = 0;
+  std::set<std::uint64_t> deadlockSigs;
+};
+
+/// Canonical witness of both pinned trees: the deadlock is already in the
+/// depth-14 tree, and no deeper tree has a smaller linearization.
+const std::vector<sched::ThreadId> kFfT5FirstFailure = {
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 3, 3, 2, 3, 3, 3,
+    2, 2, 0, 0, 0, 0, 0, 1, 1, 3, 3, 3, 3, 3, 2, 2, 3};
+
+const PinnedDpor kFfT5Depth14 = {
+    14, 12292, 11861, 331, 100, 12291, 275272,
+    {4436257981431912352ull, 16445529656523161392ull,
+     16540830283880582476ull}};
+
+/// The benchmark tree: the smallest bound with all 7 deadlock states.
+const PinnedDpor kFfT5Depth18 = {
+    18, 103107, 98408, 4100, 599, 103106, 2982518,
+    {4436257981431912352ull, 6831674387274168894ull,
+     14279418628927945502ull, 16440432144528572912ull,
+     16445529656523161392ull, 16540830283880582476ull,
+     16544572089443554636ull}};
+
+/// The pinned trees take seconds with fibers.  Sanitized builds have none
+/// and replay every run on OS threads, which would take hours.
+constexpr const char* kNoFibers = "no fibers: the pinned trees would replay";
+
+void expectPinned(const PinnedDpor& pin, std::size_t workers,
+                  bool incremental) {
+  SCOPED_TRACE("ff_t5 depth=" + std::to_string(pin.depth) + " workers=" +
+               std::to_string(workers) +
+               (incremental ? " incremental" : " replay"));
+  const scenarios::NamedScenario* sc = scenarios::find("ff_t5");
+  ASSERT_NE(sc, nullptr);
+  const Exploration e = explore(*sc, Reduction::Dpor, pin.depth, workers,
+                                /*canonicalizeFailures=*/false, incremental);
+  const sched::ExhaustiveExplorer::Stats& st = e.stats;
+  EXPECT_TRUE(st.exhausted);
+  EXPECT_EQ(st.runs, pin.runs);
+  EXPECT_EQ(st.completed, pin.completed);
+  EXPECT_EQ(st.deadlocks, pin.deadlocks);
+  EXPECT_EQ(st.stepLimited, 0u);
+  EXPECT_EQ(st.exceptions, 0u);
+  EXPECT_EQ(st.sleepBlockedRuns, pin.sleepBlockedRuns);
+  EXPECT_EQ(st.dporBacktracks, pin.dporBacktracks);
+  EXPECT_EQ(st.prunedBranches, pin.prunedBranches);
+  EXPECT_EQ(e.deadlockSigs, pin.deadlockSigs);
+  EXPECT_EQ(st.firstFailure, kFfT5FirstFailure);
+  EXPECT_EQ(st.firstFailureOutcome, sched::Outcome::Deadlock);
+}
 
 }  // namespace
 
@@ -276,4 +337,34 @@ TEST(SchedDporTest, SleepBlockedRunsAreTheRunsWithoutAnOutcome) {
   eo.metrics = nullptr;
   EXPECT_EQ(sched::ExhaustiveExplorer(eo).explore(sc->fn).sleepBlockedRuns,
             0u);
+}
+
+// The ff_t5 trees are pinned to the answers recorded before the explorer's
+// per-run costs were cut: any change to the scheduler, the race analysis or
+// the checkpointing that alters a single counter fails here.  Replay (the
+// differential oracle) must agree with the incremental path; it runs on 4
+// workers to keep its OS-thread churn short (about 4 s instead of 12 s).
+TEST(SchedDporTest, PinnedFfT5Depth14ReplayAndIncremental) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << kNoFibers;
+  expectPinned(kFfT5Depth14, 4, /*incremental=*/false);
+  expectPinned(kFfT5Depth14, 1, /*incremental=*/true);
+}
+
+// Worker determinism under repetition: 4-worker incremental explorations
+// race their claims differently every time, and must still agree on every
+// counter, every time.
+TEST(SchedDporTest, PinnedFfT5Depth14RepeatedAtFourWorkers) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << kNoFibers;
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE("repetition " + std::to_string(rep));
+    expectPinned(kFfT5Depth14, 4, /*incremental=*/true);
+    if (HasFailure()) break;
+  }
+}
+
+// The benchmark's tree, with all 7 deadlock states, at 1 and 4 workers.
+TEST(SchedDporTest, PinnedFfT5Depth18AtOneAndFourWorkers) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << kNoFibers;
+  expectPinned(kFfT5Depth18, 1, /*incremental=*/true);
+  expectPinned(kFfT5Depth18, 4, /*incremental=*/true);
 }

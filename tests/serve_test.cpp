@@ -471,24 +471,40 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
 
   const serve::CampaignStore store(root.str());
 
-  // First daemon: forked child, serial in-process pool (SIGKILL takes all
-  // its work down with it — no orphan workers racing the restarted daemon).
+  // The first daemon's worker: the first shard it is handed lands through
+  // the real worker CLI, and every later one blocks until the kill below.
+  // The daemon is therefore always mid-job, with exactly one shard landed,
+  // when it dies, however fast shards run.
+  TempRoot scripts;
+  const std::string wrapper = (scripts.path / "worker.sh").string();
+  {
+    std::ofstream out(wrapper);
+    out << "#!/bin/sh\n"
+        << "if mkdir '" << (scripts.path / "first").string()
+        << "' 2>/dev/null; then exec '" << CONFAIL_CLI << "' \"$@\"; fi\n"
+        << "exec sleep 600\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all);
+
+  // First daemon: forked child, serial subprocess pool, in a process group
+  // of its own so that one SIGKILL takes the daemon and its blocked worker
+  // down together — no orphan worker racing the restarted daemon.
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
+    ::setpgid(0, 0);
     serve::ServerOptions opts;
     opts.root = root.str();
     opts.poolSize = 1;
-    opts.subprocess = false;
+    opts.subprocess = true;
+    opts.workerBinary = wrapper;
     opts.exitWhenIdle = true;
     serve::Server server(std::move(opts));
     ::_exit(server.run());
   }
+  ::setpgid(child, child);  // also here: no race with the child's own call
 
-  // Kill the daemon once it has landed some but not all shards.  If it
-  // finishes first the kill degrades to reaping a finished child and the
-  // "resume" below trivially re-runs nothing — still a valid pass, but the
-  // budgets are sized so that never happens in practice.
+  // Kill the daemon once its first shard has landed.
   std::size_t landed = 0;
   for (int spin = 0; spin < 20000; ++spin) {
     const std::vector<bool> done = store.completedShards(id, total);
@@ -497,7 +513,7 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
     if (landed >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ::kill(child, SIGKILL);
+  ::kill(-child, SIGKILL);
   int wstatus = 0;
   ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
   ASSERT_GE(landed, 1u);
@@ -506,6 +522,7 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   std::size_t landedAtKill = 0;
   for (const bool d : doneBeforeResume) landedAtKill += d ? 1 : 0;
   ASSERT_LT(landedAtKill, total) << "daemon finished before the kill";
+  EXPECT_EQ(landedAtKill, 1u) << "a blocked worker landed its shard";
   struct Landed {
     std::size_t index;
     ino_t inode;
