@@ -36,7 +36,7 @@ bool runOnce(sched::Strategy& strategy) {
   sched::VirtualScheduler::Options so;
   so.maxSteps = 20000;
   sched::VirtualScheduler s(strategy, so);
-  scenarios::ffT5Notify(s);
+  scenarios::ffT5Notify(s, {});
   return s.run().outcome == sched::Outcome::Deadlock;
 }
 
@@ -64,10 +64,8 @@ Row exploreRow(const char* name, std::uint64_t budget, bool prune,
   eo.fingerprintPruning = prune;
   sched::ExhaustiveExplorer explorer(eo);
   std::uint64_t runs = 0, first = 0;
-  // Cast picks the uninstrumented overload; std::function's templated
-  // constructor cannot resolve the overload set on its own.
   auto stats = explorer.explore(
-      static_cast<void (*)(sched::VirtualScheduler&)>(scenarios::ffT5Notify),
+      [](sched::VirtualScheduler& s) { scenarios::ffT5Notify(s, {}); },
       [&runs, &first](const std::vector<ev::ThreadId>&,
                       const sched::RunResult& r) {
         ++runs;

@@ -55,7 +55,8 @@ namespace scenarios = confail::components::scenarios;
 
 namespace {
 
-using Scenario = void (*)(sched::VirtualScheduler&);
+using Scenario = void (*)(sched::VirtualScheduler&,
+                          const scenarios::Instruments&);
 
 std::uint64_t deadlockSignature(const sched::RunResult& r) {
   std::uint64_t h = sched::kFpSeed;
@@ -90,8 +91,8 @@ Measured run(Scenario scenario, std::size_t workers, std::size_t branchDepth,
   Measured m;
   const auto t0 = std::chrono::steady_clock::now();
   m.stats = explorer.explore(
-      scenario, [&m](const std::vector<sched::ThreadId>&,
-                     const sched::RunResult& r) {
+      [scenario](sched::VirtualScheduler& s) { scenario(s, {}); },
+      [&m](const std::vector<sched::ThreadId>&, const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
           m.deadlockSigs.insert(deadlockSignature(r));
         }
@@ -128,8 +129,7 @@ int main(int argc, char** argv) {
   // Smoke: the tiny lock-order tree.  Full: the single-item FF-T5 tree,
   // branch-bounded to depth 8 (~26k runs serial).
   const Scenario scaleScenario =
-      smoke ? static_cast<Scenario>(scenarios::lockOrder)
-            : static_cast<Scenario>(scenarios::ffT5Small);
+      smoke ? scenarios::lockOrder : scenarios::ffT5Small;
   const std::size_t scaleDepth =
       smoke ? static_cast<std::size_t>(-1) : 8;
   const char* scaleName = smoke ? "lock_order" : "ff_t5_small";
@@ -210,8 +210,7 @@ int main(int argc, char** argv) {
       100.0 - pct(fig2Pruned.stats.runs, fig2Plain.stats.runs);
 
   const Scenario dlScenario =
-      smoke ? static_cast<Scenario>(scenarios::lockOrder)
-            : static_cast<Scenario>(scenarios::ffT5Small);
+      smoke ? scenarios::lockOrder : scenarios::ffT5Small;
   const std::size_t dlDepth = smoke ? static_cast<std::size_t>(-1) : 8;
   const char* dlName = smoke ? "lock_order" : "ff_t5_small";
   Measured dlPlain = run(dlScenario, 1, dlDepth, false);
@@ -320,8 +319,7 @@ int main(int argc, char** argv) {
   // bounded POR genuinely diverges at tighter bounds); smoke uses the
   // unbounded lock-order tree, where no bound caveat applies at all.
   const Scenario redDlScenario =
-      smoke ? static_cast<Scenario>(scenarios::lockOrder)
-            : static_cast<Scenario>(scenarios::ffT5Small);
+      smoke ? scenarios::lockOrder : scenarios::ffT5Small;
   const std::size_t redDlDepth = smoke ? static_cast<std::size_t>(-1) : 7;
   const char* redDlName = smoke ? "lock_order" : "ff_t5_small";
   Measured redDlFull =

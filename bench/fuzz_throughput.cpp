@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.seedsRun),
               static_cast<unsigned long long>(report.programsGenerated),
               static_cast<unsigned long long>(report.oracleChecks),
-              static_cast<unsigned long long>(report.oracleSkips),
+              static_cast<unsigned long long>(report.oracleSkipTotal()),
               static_cast<unsigned long long>(report.exploreRuns),
               report.elapsedSec);
   std::printf("         %.1f programs/sec, %.0f oracle runs/sec\n",
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   json.field("seeds", report.seedsRun);
   json.field("programs", report.programsGenerated);
   json.field("oracle_checks", report.oracleChecks);
-  json.field("oracle_skips", report.oracleSkips);
+  json.field("oracle_skips", report.oracleSkipTotal());
   json.field("explorer_runs", report.exploreRuns);
   json.field("seconds", report.elapsedSec);
   json.field("programs_per_sec", report.programsPerSec());

@@ -1,8 +1,7 @@
 // Scenario registry: the canonical named-scenario table, shared by the
 // unified `confail` CLI (explore/inject/fuzz verbs), the injection campaign
 // driver and the tests, so every consumer sees the same scenarios with the
-// same names, order and capability flags.  Formerly a private table inside
-// confail_explore.
+// same names, order and capability flags.
 //
 // NamedScenario is a *value* type over std::function, so scenarios do not
 // have to be free functions compiled into this table: confail::gen builds
@@ -27,8 +26,10 @@ using InstrumentedScenarioFn =
 /// injection drivers need to decide what applies to it.
 struct NamedScenario {
   std::string name;
+  /// A plain run of `ifn`, filled by bindPlainFn().  Kept only for the
+  /// benchmark harness, which calls it; everything else calls `ifn`.
   ScenarioFn fn;
-  InstrumentedScenarioFn ifn;
+  InstrumentedScenarioFn ifn;  ///< the scenario; empty Instruments = plain
   bool hasBuffer = false;      ///< registers buf.put/buf.take (CoFG coverage)
   bool faultSeeded = false;    ///< carries a seeded failure even uninjected
   bool usesMonitor = false;    ///< lock deviations (FF-T1/T2/T4, EF-T2/T4)
@@ -36,6 +37,9 @@ struct NamedScenario {
   std::string starveVictim;    ///< thread name the FF-T2 starve plan targets
   std::string blurb;
 };
+
+/// Set `sc.fn` to run `sc.ifn` with empty Instruments.
+void bindPlainFn(NamedScenario& sc);
 
 /// All scenarios, in the stable order the CLI lists them.
 const std::vector<NamedScenario>& registry();

@@ -1,16 +1,29 @@
-// Canonical exploration scenarios, shared by the parallel-explorer tests,
-// the benches (ablation_schedulers, explorer_scaling) and the
-// confail_explore tool so they all measure exactly the same trees.
+// Canonical exploration scenarios: small Java-style monitor programs with
+// known Table 1 behaviour.  Every verb that explores, injects into or
+// captures a scenario reaches them through the registry
+// (scenario_registry.hpp), which names each one; the parallel-explorer
+// tests and the benches call them directly, so everything measures exactly
+// the same trees.
 //
-//   * figure2      — the paper's Figure-2 producer/consumer shape with a
-//                    correct notifyAll buffer: capacity 1, 2 producers x 2
-//                    items, 2 consumers x 2 items.  Deadlock-free.
-//   * ffT5Notify   — the same shape with notify() instead of notifyAll()
-//                    (FF-T5, "a notify is called rather than a notifyAll"):
-//                    many schedules wake a same-side waiter and deadlock.
-//   * disjointCounters — two threads incrementing two unrelated shared
-//                    variables; every interleaving commutes, the showcase
-//                    for the explorer's sleep-set reduction.
+//   * figure2           — the paper's Figure-2 producer/consumer shape with
+//                         a correct notifyAll buffer: capacity 1, 2
+//                         producers x 2 items, 2 consumers x 2 items.
+//                         Deadlock-free.
+//   * ffT5Notify        — the same shape with notify() instead of
+//                         notifyAll() (FF-T5): many schedules wake a
+//                         same-side waiter and deadlock.
+//   * ffT5Small         — ffT5Notify with 1 item per thread: the same
+//                         deadlock in a tree small enough to exhaust.
+//   * lockOrder         — two monitors taken in opposite orders (FF-T2).
+//   * disjointCounters  — two threads on unrelated shared variables; every
+//                         interleaving commutes (the sleep-set showcase).
+//   * genSelfWait, genLostSignal, genUnguardedWrite
+//                       — reproducers the fuzzer shrank out of failing
+//                         seeds (see the block comment above them).
+//
+// Every scenario has the one signature
+// `void(sched::VirtualScheduler&, const Instruments&)`; pass `{}` for a
+// plain run.
 #pragma once
 
 #include <functional>
@@ -27,11 +40,12 @@
 
 namespace confail::components::scenarios {
 
-/// Optional observation hooks for a scenario run.  `trace`, when set, is
-/// cleared and then receives the run's events (instead of a scenario-private
-/// trace that dies with the run) — feed it to the exporters or the offline
-/// detectors afterwards.  `metrics`, when set, is attached to the scenario's
-/// Runtime before any monitor is built, so per-monitor counters register.
+/// Optional observation hooks for a scenario run; an empty Instruments is a
+/// plain run.  `trace`, when set, is cleared and then receives the run's
+/// events (instead of a scenario-private trace that dies with the run) —
+/// feed it to the exporters or the offline detectors afterwards.
+/// `metrics`, when set, is attached to the scenario's Runtime before any
+/// monitor is built, so per-monitor counters register.
 /// Exploration note: a shared external trace serializes appends from
 /// parallel workers and interleaves their runs — pass a trace only to a
 /// single capture run; `metrics` alone is safe under parallel exploration.
@@ -42,41 +56,60 @@ namespace confail::components::scenarios {
 /// components, before the Runtime).  This is how confail::inject attaches a
 /// per-run Injector without the components layer depending on it.
 ///
-/// DEPRECATED as a hand-wired bundle: prefer building runs through
-/// inject::ExploreConfig, which owns this plumbing (trace capture, metrics
-/// registry, decoration) behind one builder — see docs/injection.md
-/// (Migration).  The struct itself stays as the low-level carrier.
+/// inject::ExploreConfig fills this in for explorations and captures; build
+/// one by hand only to run a scenario on a scheduler of your own.
 struct Instruments {
   events::Trace* trace = nullptr;
   obs::Registry* metrics = nullptr;
   std::function<std::shared_ptr<void>(monitor::Runtime&)> decorate;
 };
 
+/// The part of a scenario's state every scenario shares.  A scenario
+/// derives its State from this, adds its components as members, and keeps
+/// the State alive through shared_ptr captures in the spawned closures,
+/// which the scheduler owns until it is destroyed.  Members die in reverse
+/// order: the derived components first, then `decoration`, then `rt`.
+///
+/// Constructing it declares the scheduler snapshot-safe, so the explorer
+/// may checkpoint and restore instead of replaying prefixes.  A derived
+/// State must therefore keep all its mutable state in snapshot sources
+/// (Monitor, SharedVar, a SnapshotCell) or in the spawned closures' own
+/// stack frames; a SharedVar over a non-copyable type vetoes the
+/// declaration by itself.
+struct ScenarioState {
+  events::Trace ownTrace;
+  monitor::Runtime rt;
+  std::shared_ptr<void> decoration;  ///< outlives components, not rt
+
+  ScenarioState(sched::VirtualScheduler& s, const Instruments& i)
+      : rt(prepare(s, i, ownTrace), s, 1, i.metrics),
+        decoration(i.decorate ? i.decorate(rt) : nullptr) {}
+
+ private:
+  /// Runs before the Runtime exists: clears the caller's trace (or picks
+  /// the private one) and declares snapshot safety.
+  static events::Trace& prepare(sched::VirtualScheduler& s,
+                                const Instruments& i, events::Trace& own) {
+    s.declareSnapshotSafe();
+    if (i.trace == nullptr) return own;
+    i.trace->clear();
+    return *i.trace;
+  }
+};
+
 namespace detail {
 
-inline void boundedBufferScenario(confail::sched::VirtualScheduler& s,
+inline void boundedBufferScenario(sched::VirtualScheduler& s,
+                                  const Instruments& ins,
                                   const BoundedBuffer<int>::Faults& faults,
-                                  int itemsPerThread = 2,
-                                  const Instruments& ins = {}) {
-  // The State (and its trace) is kept alive by the spawned closures, which
-  // the scheduler owns until the run finishes.
-  struct State {
-    events::Trace ownTrace;
-    monitor::Runtime rt;
-    std::shared_ptr<void> decoration;  ///< outlives components, not rt
+                                  int itemsPerThread) {
+  struct State : ScenarioState {
     BoundedBuffer<int> buf;
-    State(confail::sched::VirtualScheduler& sc,
-          const BoundedBuffer<int>::Faults& f, const Instruments& i)
-        : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-          decoration(i.decorate ? i.decorate(rt) : nullptr),
-          buf(rt, "buf", 1, f) {}
+    State(sched::VirtualScheduler& sc, const Instruments& i,
+          const BoundedBuffer<int>::Faults& f)
+        : ScenarioState(sc, i), buf(rt, "buf", 1, f) {}
   };
-  if (ins.trace != nullptr) ins.trace->clear();
-  // Every piece of mutable state in this scenario implements the snapshot
-  // protocol (Runtime, Monitor, SharedVar, the buffer's SnapshotCell), so
-  // the explorer may use checkpoint/restore instead of prefix replay.
-  s.declareSnapshotSafe();
-  auto st = std::make_shared<State>(s, faults, ins);
+  auto st = std::make_shared<State>(s, ins, faults);
   for (int p = 0; p < 2; ++p) {
     st->rt.spawn("p" + std::to_string(p), [st, itemsPerThread] {
       for (int i = 0; i < itemsPerThread; ++i) st->buf.put(i);
@@ -92,61 +125,33 @@ inline void boundedBufferScenario(confail::sched::VirtualScheduler& s,
 }  // namespace detail
 
 /// Figure-2 producer/consumer with a correct (notifyAll) buffer.
-inline void figure2(confail::sched::VirtualScheduler& s) {
-  detail::boundedBufferScenario(s, BoundedBuffer<int>::Faults{});
-}
-inline void figure2(confail::sched::VirtualScheduler& s,
-                    const Instruments& ins) {
-  detail::boundedBufferScenario(s, BoundedBuffer<int>::Faults{}, 2, ins);
+inline void figure2(sched::VirtualScheduler& s, const Instruments& ins) {
+  detail::boundedBufferScenario(s, ins, {}, 2);
 }
 
 /// FF-T5 mutant: notify() where notifyAll() is required.
-inline void ffT5Notify(confail::sched::VirtualScheduler& s) {
-  BoundedBuffer<int>::Faults f;
-  f.notifyOneOnly = true;
-  detail::boundedBufferScenario(s, f);
-}
-inline void ffT5Notify(confail::sched::VirtualScheduler& s,
-                       const Instruments& ins) {
-  BoundedBuffer<int>::Faults f;
-  f.notifyOneOnly = true;
-  detail::boundedBufferScenario(s, f, 2, ins);
+inline void ffT5Notify(sched::VirtualScheduler& s, const Instruments& ins) {
+  detail::boundedBufferScenario(s, ins, {.notifyOneOnly = true}, 2);
 }
 
 /// Single-item FF-T5 mutant: 2 producers x 1 item, 2 consumers x 1 item,
 /// capacity 1, notify().  The same missed-notification deadlock as
 /// ffT5Notify, but its schedule tree is small enough to exhaust unbounded —
 /// the workhorse of the parallel-determinism tests.
-inline void ffT5Small(confail::sched::VirtualScheduler& s) {
-  BoundedBuffer<int>::Faults f;
-  f.notifyOneOnly = true;
-  detail::boundedBufferScenario(s, f, /*itemsPerThread=*/1);
-}
-inline void ffT5Small(confail::sched::VirtualScheduler& s,
-                      const Instruments& ins) {
-  BoundedBuffer<int>::Faults f;
-  f.notifyOneOnly = true;
-  detail::boundedBufferScenario(s, f, /*itemsPerThread=*/1, ins);
+inline void ffT5Small(sched::VirtualScheduler& s, const Instruments& ins) {
+  detail::boundedBufferScenario(s, ins, {.notifyOneOnly = true},
+                                /*itemsPerThread=*/1);
 }
 
 /// Classic lock-order deadlock (the paper's FF-T2 "locks held by several
 /// threads in a circular chain"): t0 takes A then B, t1 takes B then A.
-inline void lockOrder(confail::sched::VirtualScheduler& s,
-                      const Instruments& ins) {
-  struct State {
-    events::Trace ownTrace;
-    monitor::Runtime rt;
-    std::shared_ptr<void> decoration;
+inline void lockOrder(sched::VirtualScheduler& s, const Instruments& ins) {
+  struct State : ScenarioState {
     monitor::Monitor a;
     monitor::Monitor b;
-    State(confail::sched::VirtualScheduler& sc, const Instruments& i)
-        : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-          decoration(i.decorate ? i.decorate(rt) : nullptr),
-          a(rt, "A"),
-          b(rt, "B") {}
+    State(sched::VirtualScheduler& sc, const Instruments& i)
+        : ScenarioState(sc, i), a(rt, "A"), b(rt, "B") {}
   };
-  if (ins.trace != nullptr) ins.trace->clear();
-  s.declareSnapshotSafe();  // Runtime + two Monitors: all snapshot sources
   auto st = std::make_shared<State>(s, ins);
   st->rt.spawn("t0", [st] {
     monitor::Synchronized ga(st->a);
@@ -157,28 +162,17 @@ inline void lockOrder(confail::sched::VirtualScheduler& s,
     monitor::Synchronized ga(st->a);
   });
 }
-inline void lockOrder(confail::sched::VirtualScheduler& s) {
-  lockOrder(s, Instruments{});
-}
 
 /// Two threads on fully disjoint state: adjacent steps of different
 /// threads always commute.
-inline void disjointCounters(confail::sched::VirtualScheduler& s,
+inline void disjointCounters(sched::VirtualScheduler& s,
                              const Instruments& ins) {
-  struct State {
-    events::Trace ownTrace;
-    monitor::Runtime rt;
-    std::shared_ptr<void> decoration;
+  struct State : ScenarioState {
     monitor::SharedVar<int> a;
     monitor::SharedVar<int> b;
-    State(confail::sched::VirtualScheduler& sc, const Instruments& i)
-        : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-          decoration(i.decorate ? i.decorate(rt) : nullptr),
-          a(rt, "a", 0),
-          b(rt, "b", 0) {}
+    State(sched::VirtualScheduler& sc, const Instruments& i)
+        : ScenarioState(sc, i), a(rt, "a", 0), b(rt, "b", 0) {}
   };
-  if (ins.trace != nullptr) ins.trace->clear();
-  s.declareSnapshotSafe();  // Runtime + two SharedVar<int>: all sources
   auto st = std::make_shared<State>(s, ins);
   st->rt.spawn("ta", [st] {
     for (int i = 0; i < 2; ++i) st->a.set(st->a.get() + 1);
@@ -186,9 +180,6 @@ inline void disjointCounters(confail::sched::VirtualScheduler& s,
   st->rt.spawn("tb", [st] {
     for (int i = 0; i < 2; ++i) st->b.set(st->b.get() + 1);
   });
-}
-inline void disjointCounters(confail::sched::VirtualScheduler& s) {
-  disjointCounters(s, Instruments{});
 }
 
 // ---------------------------------------------------------------------------
@@ -206,28 +197,17 @@ inline void disjointCounters(confail::sched::VirtualScheduler& s) {
 /// under the drop-deadlocks sabotage oracle (first tripping seed 0 of
 /// `confail fuzz --seeds 0..40 --sabotage drop-deadlocks`), and doubles as
 /// the known-minimal fixture of the shrinker unit tests.
-inline void genSelfWait(confail::sched::VirtualScheduler& s,
-                        const Instruments& ins) {
-  struct State {
-    events::Trace ownTrace;
-    monitor::Runtime rt;
-    std::shared_ptr<void> decoration;
+inline void genSelfWait(sched::VirtualScheduler& s, const Instruments& ins) {
+  struct State : ScenarioState {
     monitor::Monitor m0;
-    State(confail::sched::VirtualScheduler& sc, const Instruments& i)
-        : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-          decoration(i.decorate ? i.decorate(rt) : nullptr),
-          m0(rt, "m0") {}
+    State(sched::VirtualScheduler& sc, const Instruments& i)
+        : ScenarioState(sc, i), m0(rt, "m0") {}
   };
-  if (ins.trace != nullptr) ins.trace->clear();
-  s.declareSnapshotSafe();
   auto st = std::make_shared<State>(s, ins);
   st->rt.spawn("t0", [st] {
     monitor::Synchronized g(st->m0);
     st->m0.wait();
   });
-}
-inline void genSelfWait(confail::sched::VirtualScheduler& s) {
-  genSelfWait(s, Instruments{});
 }
 
 /// gen IR:  t0: lock m0; wait m0; unlock m0
@@ -238,20 +218,12 @@ inline void genSelfWait(confail::sched::VirtualScheduler& s) {
 /// 2-thread/21-op program over one monitor whose bounded tree completes on
 /// exactly 1 of its 16 schedules — the one where the waiter reaches its
 /// wait before the lone notifyAll fires — and deadlocks on the other 15.
-inline void genLostSignal(confail::sched::VirtualScheduler& s,
-                          const Instruments& ins) {
-  struct State {
-    events::Trace ownTrace;
-    monitor::Runtime rt;
-    std::shared_ptr<void> decoration;
+inline void genLostSignal(sched::VirtualScheduler& s, const Instruments& ins) {
+  struct State : ScenarioState {
     monitor::Monitor m0;
-    State(confail::sched::VirtualScheduler& sc, const Instruments& i)
-        : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-          decoration(i.decorate ? i.decorate(rt) : nullptr),
-          m0(rt, "m0") {}
+    State(sched::VirtualScheduler& sc, const Instruments& i)
+        : ScenarioState(sc, i), m0(rt, "m0") {}
   };
-  if (ins.trace != nullptr) ins.trace->clear();
-  s.declareSnapshotSafe();
   auto st = std::make_shared<State>(s, ins);
   st->rt.spawn("t0", [st] {
     monitor::Synchronized g(st->m0);
@@ -261,9 +233,6 @@ inline void genLostSignal(confail::sched::VirtualScheduler& s,
     monitor::Synchronized g(st->m0);
     st->m0.notifyOne();
   });
-}
-inline void genLostSignal(confail::sched::VirtualScheduler& s) {
-  genLostSignal(s, Instruments{});
 }
 
 /// gen IR:  t0: lock m0; write v0; unlock m0
@@ -275,31 +244,20 @@ inline void genLostSignal(confail::sched::VirtualScheduler& s) {
 /// fuzz tier (2 threads, 18 ops: t1 writes v0 with an empty lock stack
 /// while t0 accesses it under m0); the clean-tier fuzz oracle proves
 /// generated *guarded* programs never trip these detectors.
-inline void genUnguardedWrite(confail::sched::VirtualScheduler& s,
+inline void genUnguardedWrite(sched::VirtualScheduler& s,
                               const Instruments& ins) {
-  struct State {
-    events::Trace ownTrace;
-    monitor::Runtime rt;
-    std::shared_ptr<void> decoration;
+  struct State : ScenarioState {
     monitor::Monitor m0;
     monitor::SharedVar<int> v0;
-    State(confail::sched::VirtualScheduler& sc, const Instruments& i)
-        : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-          decoration(i.decorate ? i.decorate(rt) : nullptr),
-          m0(rt, "m0"),
-          v0(rt, "v0", 0) {}
+    State(sched::VirtualScheduler& sc, const Instruments& i)
+        : ScenarioState(sc, i), m0(rt, "m0"), v0(rt, "v0", 0) {}
   };
-  if (ins.trace != nullptr) ins.trace->clear();
-  s.declareSnapshotSafe();
   auto st = std::make_shared<State>(s, ins);
   st->rt.spawn("t0", [st] {
     monitor::Synchronized g(st->m0);
     st->v0.set(st->v0.peek() + 1);
   });
   st->rt.spawn("t1", [st] { st->v0.set(st->v0.peek() + 1); });
-}
-inline void genUnguardedWrite(confail::sched::VirtualScheduler& s) {
-  genUnguardedWrite(s, Instruments{});
 }
 
 }  // namespace confail::components::scenarios

@@ -99,8 +99,9 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
       const OracleReport r = runOracles(tier.program, *tier.oracle);
       report.exploreRuns += r.exploreRuns;
       for (const OracleOutcome& o : r.outcomes) {
+        std::uint64_t& skips = report.oracleSkips[o.oracle];
         if (o.skipped) {
-          ++report.oracleSkips;
+          ++skips;
         } else {
           ++report.oracleChecks;
         }
@@ -152,7 +153,11 @@ std::string FuzzReport::toJson() const {
   w.field("sabotage", sabotageName(sabotage));
   w.field("programs_generated", programsGenerated);
   w.field("oracle_checks", oracleChecks);
-  w.field("oracle_skips", oracleSkips);
+  w.field("oracle_skips", oracleSkipTotal());
+  w.key("oracle_skips_by_oracle");
+  w.beginObject();
+  for (const auto& [oracle, skips] : oracleSkips) w.field(oracle, skips);
+  w.endObject();
   w.field("explore_runs", exploreRuns);
   w.field("elapsed_ms", elapsedSec * 1000.0);
   w.field("programs_per_sec", programsPerSec());
@@ -188,7 +193,7 @@ std::string FuzzReport::human() const {
   out += "  seeds run          " + std::to_string(seedsRun) + "\n";
   out += "  programs generated " + std::to_string(programsGenerated) + "\n";
   out += "  oracle checks      " + std::to_string(oracleChecks) +
-         " (skipped " + std::to_string(oracleSkips) + ")\n";
+         " (skipped " + std::to_string(oracleSkipTotal()) + ")\n";
   out += "  explorer runs      " + std::to_string(exploreRuns) + "\n";
   char buf[128];
   std::snprintf(buf, sizeof buf,

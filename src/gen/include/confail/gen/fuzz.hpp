@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -53,13 +54,20 @@ struct FuzzReport {
   std::uint64_t seedsRun = 0;
   std::uint64_t programsGenerated = 0;
   std::uint64_t oracleChecks = 0;  ///< oracle outcomes evaluated (not skipped)
-  std::uint64_t oracleSkips = 0;
+  /// Skipped oracle outcomes by oracle name; every oracle that ran has an
+  /// entry, zero when it was never skipped.
+  std::map<std::string, std::uint64_t> oracleSkips;
   std::uint64_t exploreRuns = 0;   ///< explorer runs spent (oracles + shrink)
   double elapsedSec = 0.0;
   Sabotage sabotage = Sabotage::None;
   std::vector<FuzzFailure> failures;
 
   bool ok() const { return failures.empty(); }
+  std::uint64_t oracleSkipTotal() const {
+    std::uint64_t n = 0;
+    for (const auto& [oracle, skips] : oracleSkips) n += skips;
+    return n;
+  }
   double programsPerSec() const {
     return elapsedSec > 0.0
                ? static_cast<double>(programsGenerated) / elapsedSec

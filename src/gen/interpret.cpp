@@ -3,9 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "confail/events/trace.hpp"
 #include "confail/monitor/monitor.hpp"
-#include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
 
 namespace confail::gen {
@@ -14,18 +12,13 @@ namespace {
 
 using components::scenarios::Instruments;
 
-struct State {
-  events::Trace ownTrace;
-  monitor::Runtime rt;
-  std::shared_ptr<void> decoration;  ///< outlives components, not rt
-  Program prog;                      ///< owned copy; closures index into it
+struct State : components::scenarios::ScenarioState {
+  Program prog;  ///< owned copy; closures index into it
   std::vector<std::unique_ptr<monitor::Monitor>> mons;
   std::vector<std::unique_ptr<monitor::SharedVar<int>>> vars;
 
   State(sched::VirtualScheduler& sc, const Program& p, const Instruments& i)
-      : rt(i.trace != nullptr ? *i.trace : ownTrace, sc, 1, i.metrics),
-        decoration(i.decorate ? i.decorate(rt) : nullptr),
-        prog(p) {
+      : ScenarioState(sc, i), prog(p) {
     for (std::uint8_t m = 0; m < prog.monitors; ++m) {
       mons.push_back(std::make_unique<monitor::Monitor>(
           rt, "m" + std::to_string(m)));
@@ -97,19 +90,13 @@ void runThread(State& st, std::size_t ti) {
 
 void interpret(const Program& p, sched::VirtualScheduler& s,
                const Instruments& ins) {
-  if (ins.trace != nullptr) ins.trace->clear();
   // Runtime, Monitor and SharedVar all implement the snapshot protocol and
   // the interpreter keeps no heap-owning locals across schedule points, so
-  // incremental (checkpoint/restore) exploration applies.
-  s.declareSnapshotSafe();
+  // the snapshot-safety declaration ScenarioState makes holds.
   auto st = std::make_shared<State>(s, p, ins);
   for (std::size_t ti = 0; ti < st->prog.threads.size(); ++ti) {
     st->rt.spawn("t" + std::to_string(ti), [st, ti] { runThread(*st, ti); });
   }
-}
-
-void interpret(const Program& p, sched::VirtualScheduler& s) {
-  interpret(p, s, Instruments{});
 }
 
 components::scenarios::NamedScenario asScenario(const Program& p,
@@ -117,10 +104,10 @@ components::scenarios::NamedScenario asScenario(const Program& p,
   components::scenarios::NamedScenario sc;
   auto prog = std::make_shared<Program>(p);
   sc.name = std::move(name);
-  sc.fn = [prog](sched::VirtualScheduler& s) { interpret(*prog, s); };
   sc.ifn = [prog](sched::VirtualScheduler& s, const Instruments& ins) {
     interpret(*prog, s, ins);
   };
+  components::scenarios::bindPlainFn(sc);
   sc.hasBuffer = false;
   // Generated programs are arbitrary: assume nothing about cleanliness.
   sc.faultSeeded = true;

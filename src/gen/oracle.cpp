@@ -128,7 +128,7 @@ ExploreOut explorePr(const Program& p, Reduction red, std::size_t depth,
   sched::ExhaustiveExplorer ex(eo);
   ExploreOut out;
   const auto stats = ex.explore(
-      [&p](sched::VirtualScheduler& s) { interpret(p, s); },
+      [&p](sched::VirtualScheduler& s) { interpret(p, s, {}); },
       [&](const std::vector<sched::ThreadId>& schedule,
           const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
@@ -164,7 +164,7 @@ std::vector<sched::ThreadId> canonicalFailure(
   so.maxSteps = maxSteps;
   so.captureState = true;
   sched::VirtualScheduler s(strategy, so);
-  interpret(p, s);
+  interpret(p, s, {});
   return sched::canonicalTraceWitness(s.run());
 }
 

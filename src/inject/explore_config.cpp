@@ -49,7 +49,7 @@ struct Decoration {
 }  // namespace
 
 ExploreConfig::ExploreConfig() {
-  // The legacy confail_explore defaults (its Options tightened maxSteps).
+  // The `confail explore` defaults: a tighter step limit than the explorer's.
   eo_.maxRuns = 10000;
   eo_.maxSteps = 20000;
 }
@@ -159,12 +159,12 @@ ExploreConfig::Outcome ExploreConfig::explore(const RunObserver& onRun) const {
 
   const bool capsules = hasPlan_ || captureRuns_;
 
-  // The program.  Three shapes, from cheapest to fullest:
-  //   plain            — the raw scenario function (the legacy default);
-  //   instrumented     — shared metrics registry only (atomic counters are
-  //                      safe under parallel workers, a shared trace is not);
+  // The program.  Two shapes:
   //   capsule          — a per-run private trace (and Injector, when a plan
-  //                      is set), bridged to the run callback via TLS.
+  //                      is set), bridged to the run callback via TLS;
+  //   shared registry  — only the metrics registry, possibly null (atomic
+  //                      counters are safe under parallel workers, a shared
+  //                      trace is not).
   sched::ExhaustiveExplorer::Program program;
   if (capsules) {
     const InjectionPlan* planPtr = hasPlan_ ? &plan_ : nullptr;
@@ -187,12 +187,10 @@ ExploreConfig::Outcome ExploreConfig::explore(const RunObserver& onRun) const {
       tlsCapsule = capsule;
       sc.ifn(s, ins);
     };
-  } else if (metrics_ != nullptr) {
+  } else {
     scenarios::Instruments ins;
     ins.metrics = metrics_;
     program = [&sc, ins](sched::VirtualScheduler& s) { sc.ifn(s, ins); };
-  } else {
-    program = sc.fn;
   }
 
   std::set<std::uint64_t> deadlockSigs;

@@ -1,22 +1,19 @@
 // ExploreConfig: one builder that owns the wiring of an exploration run —
 // scenario selection, explorer options, metrics registry, stderr progress
 // heartbeat, optional deviation injection, per-run trace capture, and the
-// summary/coverage assembly that used to be hand-rolled inside
-// confail_explore.
+// summary/coverage assembly.
 //
 // This is the front door for everything that explores a scenario: the
 // `confail explore` and `confail inject` CLI verbs, the injection campaign
 // driver and the tests all build on it, so the wiring exists exactly once.
-// The previously public plumbing it replaces — wiring a Runtime's metrics
-// registry and coverage gauges by hand, or hand-assembling
-// scenarios::Instruments — still works but is deprecated; see
-// docs/injection.md ("Migration").
+// It fills in scenarios::Instruments for every run it builds; see
+// docs/injection.md ("Migration") for the hand-wired plumbing it replaced.
 //
 // Determinism contract: with no metrics, no progress and no observer, an
-// exploration through ExploreConfig is byte-identical to the legacy
-// confail_explore pipeline (same program construction, same stats, same
-// summary rendering), including the workers-1-vs-N identical-stats
-// guarantee the explorer provides.
+// exploration through ExploreConfig is a plain run of the scenario on the
+// explorer (empty Instruments, default summary rendering), so its output
+// is byte-identical at any worker count whenever the explorer's own
+// workers-1-vs-N identical-stats guarantee applies.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +89,7 @@ class ExploreConfig {
     bool instrumented = false;
     bool reductionsEnabled = false;
 
-    /// The standard report (confail_explore's output body).  Wall-clock
+    /// The standard report (`confail explore`'s output body).  Wall-clock
     /// fields are filled only when instrumented, preserving the
     /// byte-identical default-output contract.
     obs::ExploreSummary summary() const;

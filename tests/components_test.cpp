@@ -12,8 +12,11 @@
 #include "confail/components/latch.hpp"
 #include "confail/components/producer_consumer.hpp"
 #include "confail/components/readers_writers.hpp"
+#include "confail/components/scenario_registry.hpp"
 #include "confail/components/semaphore.hpp"
 #include "confail/events/trace.hpp"
+#include "confail/gen/generator.hpp"
+#include "confail/gen/interpret.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/explorer.hpp"
@@ -26,6 +29,11 @@ using confail::monitor::Runtime;
 using sched::Outcome;
 
 namespace {
+// The harnesses' scheduler outlives their Runtime, and the scheduler owns
+// the spawned closures until it dies.  So a component the closures use is
+// owned by the test body (declared after the harness, captured by
+// reference), never by a closure: its destructor must still find the
+// Runtime alive.
 struct Harness {
   explicit Harness(std::uint64_t seed = 1)
       : strategy(seed), sched(strategy), rt(trace, sched, seed) {}
@@ -456,32 +464,32 @@ TEST(LatchTest, SkipNotifyMutantHangsAwaiter) {
 
 TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
   RRHarness h;
-  auto pool = std::make_shared<comps::ThreadPool>(h.rt, "pool", 3, 4);
+  comps::ThreadPool pool(h.rt, "pool", 3, 4);
   int sum = 0;
-  h.rt.spawn("client", [&, pool] {
+  h.rt.spawn("client", [&] {
     for (int i = 1; i <= 10; ++i) {
-      pool->submit([&sum, i] { sum += i; });
+      pool.submit([&sum, i] { sum += i; });
     }
-    pool->shutdown();
+    pool.shutdown();
   });
   ASSERT_EQ(h.sched.run().outcome, Outcome::Completed);
   EXPECT_EQ(sum, 55);
-  EXPECT_EQ(pool->completedTasks(), 10);
-  EXPECT_EQ(pool->failedTasks(), 0);
+  EXPECT_EQ(pool.completedTasks(), 10);
+  EXPECT_EQ(pool.failedTasks(), 0);
 }
 
 TEST(ThreadPoolTest, SubmitBlocksWhenQueueFull) {
   RRHarness h;
-  auto pool = std::make_shared<comps::ThreadPool>(h.rt, "pool", 1, 2);
+  comps::ThreadPool pool(h.rt, "pool", 1, 2);
   int done = 0;
-  h.rt.spawn("client", [&, pool] {
+  h.rt.spawn("client", [&] {
     for (int i = 0; i < 8; ++i) {
-      pool->submit([&done, &h] {
+      pool.submit([&done, &h] {
         h.rt.schedulePoint();
         ++done;
       });
     }
-    pool->shutdown();
+    pool.shutdown();
   });
   ASSERT_EQ(h.sched.run().outcome, Outcome::Completed);
   EXPECT_EQ(done, 8);
@@ -489,24 +497,24 @@ TEST(ThreadPoolTest, SubmitBlocksWhenQueueFull) {
 
 TEST(ThreadPoolTest, ThrowingTasksAreCountedNotFatal) {
   RRHarness h;
-  auto pool = std::make_shared<comps::ThreadPool>(h.rt, "pool", 2, 3);
-  h.rt.spawn("client", [&, pool] {
-    pool->submit([] { throw std::runtime_error("bad task"); });
-    pool->submit([] {});
-    pool->submit([] { throw std::runtime_error("worse task"); });
-    pool->shutdown();
+  comps::ThreadPool pool(h.rt, "pool", 2, 3);
+  h.rt.spawn("client", [&] {
+    pool.submit([] { throw std::runtime_error("bad task"); });
+    pool.submit([] {});
+    pool.submit([] { throw std::runtime_error("worse task"); });
+    pool.shutdown();
   });
   ASSERT_EQ(h.sched.run().outcome, Outcome::Completed);
-  EXPECT_EQ(pool->completedTasks(), 1);
-  EXPECT_EQ(pool->failedTasks(), 2);
+  EXPECT_EQ(pool.completedTasks(), 1);
+  EXPECT_EQ(pool.failedTasks(), 2);
 }
 
 TEST(ThreadPoolTest, EmptyTaskRejected) {
   RRHarness h;
-  auto pool = std::make_shared<comps::ThreadPool>(h.rt, "pool", 1, 2);
-  h.rt.spawn("client", [&, pool] {
-    EXPECT_THROW(pool->submit(comps::ThreadPool::Task{}), confail::UsageError);
-    pool->shutdown();
+  comps::ThreadPool pool(h.rt, "pool", 1, 2);
+  h.rt.spawn("client", [&] {
+    EXPECT_THROW(pool.submit(comps::ThreadPool::Task{}), confail::UsageError);
+    pool.shutdown();
   });
   ASSERT_EQ(h.sched.run().outcome, Outcome::Completed);
 }
@@ -514,32 +522,32 @@ TEST(ThreadPoolTest, EmptyTaskRejected) {
 TEST(ThreadPoolTest, RandomSchedulesConserveTasks) {
   for (std::uint64_t seed : {61ull, 62ull, 63ull}) {
     Harness h(seed);
-    auto pool = std::make_shared<comps::ThreadPool>(h.rt, "pool", 2, 2);
+    comps::ThreadPool pool(h.rt, "pool", 2, 2);
     int executed = 0;
-    h.rt.spawn("clientA", [&, pool] {
-      for (int i = 0; i < 6; ++i) pool->submit([&executed] { ++executed; });
+    h.rt.spawn("clientA", [&] {
+      for (int i = 0; i < 6; ++i) pool.submit([&executed] { ++executed; });
     });
-    h.rt.spawn("clientB", [&, pool] {
-      for (int i = 0; i < 6; ++i) pool->submit([&executed] { ++executed; });
+    h.rt.spawn("clientB", [&] {
+      for (int i = 0; i < 6; ++i) pool.submit([&executed] { ++executed; });
     });
-    h.rt.spawn("closer", [&, pool] {
+    h.rt.spawn("closer", [&] {
       // Let both clients finish submitting first (join, then shut down).
       h.rt.join(h.sched.threadCount() >= 2 ? 2 : 0);
       h.rt.join(3);
-      pool->shutdown();
+      pool.shutdown();
     });
     ASSERT_EQ(h.sched.run().outcome, Outcome::Completed) << "seed " << seed;
     EXPECT_EQ(executed, 12) << "seed " << seed;
-    EXPECT_EQ(pool->completedTasks(), 12);
+    EXPECT_EQ(pool.completedTasks(), 12);
   }
 }
 
 TEST(ThreadPoolTest, NoDetectorFindingsOnCleanRun) {
   RRHarness h;
-  auto pool = std::make_shared<comps::ThreadPool>(h.rt, "pool", 2, 2);
-  h.rt.spawn("client", [&, pool] {
-    for (int i = 0; i < 5; ++i) pool->submit([] {});
-    pool->shutdown();
+  comps::ThreadPool pool(h.rt, "pool", 2, 2);
+  h.rt.spawn("client", [&] {
+    for (int i = 0; i < 5; ++i) pool.submit([] {});
+    pool.shutdown();
   });
   ASSERT_EQ(h.sched.run().outcome, Outcome::Completed);
   confail::detect::LocksetCore lockset;
@@ -547,4 +555,75 @@ TEST(ThreadPoolTest, NoDetectorFindingsOnCleanRun) {
   EXPECT_TRUE(findings.empty());
   auto v = confail::petri::validateTraceAgainstModel(h.trace, 0);
   EXPECT_TRUE(v.ok) << v.message;
+}
+
+// ---------------------------------------------------------------------------
+// The Instruments contract, over every registry scenario and one generated
+// program, each run once through ifn: decorate runs once per instantiation
+// before the first spawn, the object it returns dies while the Runtime it
+// was handed is still alive, and a caller's trace is cleared before the
+// run's first event.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace scenarios = comps::scenarios;
+
+struct DecorationProbe {
+  DecorationProbe(Runtime& r, int& d) : rt(r), destroyed(d) {}
+  DecorationProbe(const DecorationProbe&) = delete;
+  Runtime& rt;
+  int& destroyed;
+  ~DecorationProbe() {
+    // Reads the Runtime: had it died first, this is the use-after-free the
+    // asan-ubsan preset reports.
+    EXPECT_TRUE(rt.isVirtual());
+    EXPECT_GT(rt.trace().size(), 0u);
+    ++destroyed;
+  }
+};
+
+}  // namespace
+
+TEST(InstrumentsContract, HoldsForEveryRegistryScenarioAndAGeneratedOne) {
+  std::vector<scenarios::NamedScenario> all = scenarios::registry();
+  all.push_back(confail::gen::asScenario(
+      confail::gen::generate(54, confail::gen::GenConfig{}), "gen_54"));
+  ev::Event stale;
+  stale.kind = ev::EventKind::Write;
+  stale.aux = 0xdead;
+  for (const scenarios::NamedScenario& sc : all) {
+    SCOPED_TRACE(sc.name);
+    ev::Trace trace;
+    trace.record(stale);
+    trace.record(stale);
+    int decorated = 0;
+    int destroyed = 0;
+    std::size_t threadsAtDecorate = 99;
+    std::size_t eventsAtDecorate = 99;
+    {
+      sched::RoundRobinStrategy strategy;
+      sched::VirtualScheduler s(strategy);
+      scenarios::Instruments ins;
+      ins.trace = &trace;
+      ins.decorate = [&](Runtime& rt) -> std::shared_ptr<void> {
+        ++decorated;
+        threadsAtDecorate = rt.scheduler().threadCount();
+        eventsAtDecorate = rt.trace().size();
+        return std::make_shared<DecorationProbe>(rt, destroyed);
+      };
+      sc.ifn(s, ins);
+      EXPECT_EQ(decorated, 1);
+      EXPECT_EQ(threadsAtDecorate, 0u);
+      EXPECT_EQ(eventsAtDecorate, 0u);
+      (void)s.run();
+      EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(decorated, 1);
+    EXPECT_EQ(destroyed, 1);
+    const std::vector<ev::Event> events = trace.events();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().seq, 0u);
+    for (const ev::Event& e : events) EXPECT_NE(e.aux, stale.aux);
+  }
 }

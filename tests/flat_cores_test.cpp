@@ -7,11 +7,14 @@
 // HbCore, identical eviction counts under every history cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "confail/detect/hb_detector.hpp"
 #include "confail/detect/lockset.hpp"
+#include "confail/detect/vector_clock.hpp"
 #include "confail/support/rng.hpp"
 #include "reference_cores.hpp"
 
@@ -148,6 +151,38 @@ TEST(FlatCores, LocksetMatchesMapOracle) {
     }
     expectSameFindings(got, want);
     EXPECT_FALSE(got.empty());
+  }
+}
+
+// VectorClock against a map: dense ids, ids past the growth slack (kept in
+// the side table until a join grows the vector over them), ids past the
+// dense limit and the kNoThread sentinel.
+TEST(FlatCores, VectorClockMatchesMapOracle) {
+  Xoshiro256 rng(7);
+  const std::vector<std::uint32_t> ids = {
+      0, 1, 2, 5, 900, 1500, 2400, 3000, 9000, (1u << 20) + 5,
+      0xfffffffeu, confail::events::kNoThread};
+  constexpr std::size_t kClocks = 4;
+  std::vector<confail::detect::VectorClock> clocks(kClocks);
+  std::vector<std::map<std::uint32_t, std::uint64_t>> oracle(kClocks);
+  for (int step = 0; step < 20'000; ++step) {
+    const std::size_t a = rng.below(kClocks);
+    if (rng.chance(0.5)) {
+      const std::uint32_t id = ids[rng.pickIndex(ids)];
+      clocks[a].bump(id);
+      ++oracle[a][id];
+    } else {
+      const std::size_t b = rng.below(kClocks);
+      clocks[a].join(clocks[b]);
+      for (const auto& [id, time] : oracle[b]) {
+        oracle[a][id] = std::max(oracle[a][id], time);
+      }
+    }
+    for (const std::uint32_t id : ids) {
+      const auto it = oracle[a].find(id);
+      ASSERT_EQ(clocks[a].of(id), it == oracle[a].end() ? 0 : it->second)
+          << "step " << step << " id " << id;
+    }
   }
 }
 

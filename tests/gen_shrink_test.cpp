@@ -25,7 +25,7 @@ sched::ExhaustiveExplorer::Stats explore(const gen::Program& p) {
   eo.maxSteps = 2000;
   eo.maxBranchDepth = 6;
   sched::ExhaustiveExplorer ex(eo);
-  return ex.explore([&p](sched::VirtualScheduler& s) { gen::interpret(p, s); },
+  return ex.explore([&p](sched::VirtualScheduler& s) { gen::interpret(p, s, {}); },
                     [](const std::vector<sched::ThreadId>&,
                        const sched::RunResult&) { return true; });
 }

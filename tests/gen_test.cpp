@@ -4,20 +4,29 @@
 // programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "confail/gen/fuzz.hpp"
 #include "confail/gen/generator.hpp"
 #include "confail/gen/interpret.hpp"
 #include "confail/gen/ir.hpp"
 #include "confail/gen/oracle.hpp"
+#include "confail/obs/json.hpp"
 #include "confail/sched/explorer.hpp"
 
 namespace gen = confail::gen;
 namespace sched = confail::sched;
 
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 using gen::Op;
 using gen::OpKind;
@@ -40,7 +49,7 @@ sched::ExhaustiveExplorer::Stats explore(const gen::Program& p,
   eo.maxBranchDepth = depth;
   eo.workers = workers;
   sched::ExhaustiveExplorer ex(eo);
-  return ex.explore([&p](sched::VirtualScheduler& s) { gen::interpret(p, s); },
+  return ex.explore([&p](sched::VirtualScheduler& s) { gen::interpret(p, s, {}); },
                     [](const std::vector<sched::ThreadId>&,
                        const sched::RunResult&) { return true; });
 }
@@ -341,4 +350,33 @@ TEST(GenOracle, PassesOnAKnownGoodSeedAndSabotageTrips) {
   const auto tripped = gen::runOracles(p, bad);
   ASSERT_FALSE(tripped.ok());
   EXPECT_EQ(tripped.firstFailure()->oracle, "incremental-vs-replay");
+}
+
+// confail.fuzz.v1 reports skips per oracle next to the total, over the
+// same campaign as `confail fuzz --seeds 0..40` (both tiers).  Sanitized
+// builds run 40-300x slower, so there it takes seeds 0..2 (4 skips over
+// three oracles natively) to stay well inside the test timeout.
+TEST(GenFuzz, PerOracleSkipsSumToTheTotal) {
+  gen::FuzzOptions opts;
+  opts.seedBegin = 0;
+  opts.seedEnd = kSanitized ? 2 : 40;
+  opts.oracle.checkClean = true;
+  const gen::FuzzReport report = gen::runFuzz(opts);
+  const confail::obs::JsonValue doc = confail::obs::parseJson(report.toJson());
+  const confail::obs::JsonValue* total = doc.get("oracle_skips");
+  const confail::obs::JsonValue* byOracle = doc.get("oracle_skips_by_oracle");
+  ASSERT_NE(total, nullptr);
+  ASSERT_NE(byOracle, nullptr);
+  ASSERT_TRUE(byOracle->isObject());
+  double sum = 0.0;
+  for (const auto& [oracle, skips] : byOracle->object) {
+    EXPECT_NE(std::find(gen::oracleNames().begin(), gen::oracleNames().end(),
+                        oracle),
+              gen::oracleNames().end())
+        << oracle;
+    sum += skips.number;
+  }
+  EXPECT_GT(total->number, 0.0);
+  EXPECT_EQ(sum, total->number);
+  EXPECT_EQ(byOracle->object.size(), gen::oracleNames().size());
 }

@@ -887,6 +887,43 @@ TEST(IngestPipeline, LongStreamDecodesOnHelpersAndCountsExactly) {
   EXPECT_EQ(metrics.counter("ingest.events").value(), trace.size());
 }
 
+// Thread ids off the wire can be anything: a line without "thread" decodes
+// to kNoThread (0xffffffff) and a spawn may name any child id.  Such ids
+// cost the happens-before clocks a side-table entry, not a clock sized to
+// the id, and the findings still match the offline battery's.
+TEST(IngestPipeline, HostileThreadIdsKeepClocksSmall) {
+  Trace trace;
+  trace.nameMonitor(0, "m");
+  trace.nameVar(0, "v");
+  const std::uint32_t farChild = 0xfffffffeu;
+  const std::uint32_t farWriter = 4'000'000'000u;
+  auto add = [&trace](EventKind k, std::uint32_t thread, std::uint32_t mon,
+                      std::uint64_t aux) {
+    Event e;
+    e.kind = k;
+    e.thread = thread;
+    e.monitor = mon;
+    e.aux = aux;
+    trace.record(e);
+  };
+  const std::uint32_t noMon = confail::events::kNoMonitor;
+  const std::uint32_t noThread = confail::events::kNoThread;
+  add(EventKind::LockAcquire, noThread, 0, 0);
+  add(EventKind::Write, noThread, noMon, 0);
+  add(EventKind::LockRelease, noThread, 0, 0);
+  add(EventKind::ThreadSpawn, 0, noMon, farChild);
+  add(EventKind::LockAcquire, farChild, 0, 0);
+  add(EventKind::Read, farChild, noMon, 0);
+  add(EventKind::LockRelease, farChild, 0, 0);
+  add(EventKind::Write, farWriter, noMon, 0);
+  add(EventKind::Read, 0, noMon, 0);
+  add(EventKind::Write, 5000, noMon, 0);
+  add(EventKind::Read, noThread, noMon, 0);
+  const std::string jsonl = obs::toJsonl(trace);
+  ASSERT_EQ(jsonl.find("\"thread\": 4294967295"), std::string::npos);
+  expectStreamingMatchesOffline(trace);
+}
+
 TEST(IngestPipeline, FollowModeTailsARacingWriter) {
   // Regression for tailing a file under active append: the writer emits
   // the stream in small chunks that tear lines mid-object, racing the

@@ -41,6 +41,11 @@ using tax::FailureClass;
 
 namespace {
 
+// The scheduler outlives the Runtime here, and it owns the spawned closures
+// until it dies.  So closures borrow components and never own one: a
+// component owned by a closure would be destroyed after the Runtime it
+// still refers to.  (Script actions may own theirs; the driver holding
+// them dies before the Runtime.)
 struct Pipeline {
   ev::Trace trace;
   sched::RoundRobinStrategy strategy;
@@ -121,11 +126,11 @@ std::vector<MutantCase> mutantCatalog() {
       "pc_skipSync_FFT1", FailureClass::FF_T1, [](Pipeline& p) {
         comps::ProducerConsumer::Faults f;
         f.skipSync = true;
-        auto pc = std::make_shared<comps::ProducerConsumer>(p.rt, f);
-        p.rt.spawn("producer", [pc] { pc->send("ab"); });
+        comps::ProducerConsumer pc(p.rt, f);
+        p.rt.spawn("producer", [&pc] { pc.send("ab"); });
         for (int c = 0; c < 2; ++c) {
           p.rt.spawn("consumer" + std::to_string(c),
-                     [pc] { (void)pc->receive(); });
+                     [&pc] { (void)pc.receive(); });
         }
         confail::conan::Results results;
         results.run = p.sched.run();

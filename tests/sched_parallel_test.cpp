@@ -23,7 +23,8 @@ namespace scenarios = confail::components::scenarios;
 
 namespace {
 
-using Scenario = void (*)(sched::VirtualScheduler&);
+using Scenario = void (*)(sched::VirtualScheduler&,
+                          const scenarios::Instruments&);
 
 /// Hash of the blocked set of a deadlocked run: which threads are stuck,
 /// why, and on what.  Two runs deadlocking in the same state (possibly via
@@ -48,8 +49,8 @@ Exploration explore(Scenario scenario, sched::ExhaustiveExplorer::Options eo) {
   sched::ExhaustiveExplorer explorer(eo);
   Exploration out;
   out.stats = explorer.explore(
-      scenario, [&out](const std::vector<sched::ThreadId>&,
-                       const sched::RunResult& r) {
+      [scenario](sched::VirtualScheduler& s) { scenario(s, {}); },
+      [&out](const std::vector<sched::ThreadId>&, const sched::RunResult& r) {
         if (r.outcome == sched::Outcome::Deadlock) {
           out.deadlockSigs.insert(deadlockSignature(r));
         }
@@ -238,7 +239,7 @@ TEST(ParallelExplorer, FirstFailureReplaysToDeadlock) {
 
   sched::PrefixReplayStrategy replay(e.stats.firstFailure);
   sched::VirtualScheduler s(replay);
-  scenarios::lockOrder(s);
+  scenarios::lockOrder(s, {});
   sched::RunResult r = s.run();
   EXPECT_EQ(r.outcome, sched::Outcome::Deadlock);
 }
@@ -275,10 +276,8 @@ TEST(ParallelExplorer, CallbackStopTerminatesParallelExploration) {
   eo.workers = 4;
   sched::ExhaustiveExplorer explorer(eo);
   std::uint64_t seen = 0;
-  // The Scenario cast picks the uninstrumented overload; std::function's
-  // templated constructor cannot resolve the overload set on its own.
   auto stats = explorer.explore(
-      static_cast<Scenario>(scenarios::lockOrder),
+      [](sched::VirtualScheduler& s) { scenarios::lockOrder(s, {}); },
       [&seen](const std::vector<sched::ThreadId>&, const sched::RunResult&) {
         // Serialized by the explorer; plain mutation is safe here.
         return ++seen < 5;
