@@ -1,10 +1,8 @@
 #include "confail/events/event.hpp"
 
 #include <array>
-#include <sstream>
 
 #include "confail/support/assert.hpp"
-#include "confail/support/text.hpp"
 
 namespace confail::events {
 
@@ -35,12 +33,6 @@ bool tryKindFromName(std::string_view name, EventKind& out) {
   return false;
 }
 
-EventKind kindFromName(const std::string& name) {
-  EventKind k = EventKind::ThreadStart;
-  if (tryKindFromName(name, k)) return k;
-  throw UsageError("unknown event kind name: " + name);
-}
-
 bool isModelTransition(EventKind k) {
   switch (k) {
     case EventKind::LockRequest:
@@ -52,33 +44,6 @@ bool isModelTransition(EventKind k) {
     default:
       return false;
   }
-}
-
-std::string Event::toString() const {
-  std::ostringstream os;
-  os << seq << ' ' << thread << ' ' << kindName(kind) << ' '
-     << static_cast<std::int64_t>(monitor == kNoMonitor ? -1 : static_cast<std::int64_t>(monitor))
-     << ' ' << aux << ' '
-     << static_cast<std::int64_t>(method == kNoMethod ? -1 : static_cast<std::int64_t>(method))
-     << ' ' << (flag ? 1 : 0);
-  return os.str();
-}
-
-Event Event::parse(const std::string& line) {
-  std::istringstream is(line);
-  Event e;
-  std::string kind;
-  std::int64_t mon = -1;
-  std::int64_t method = -1;
-  int flag = 0;
-  if (!(is >> e.seq >> e.thread >> kind >> mon >> e.aux >> method >> flag)) {
-    throw UsageError("malformed event line: " + line);
-  }
-  e.kind = kindFromName(kind);
-  e.monitor = mon < 0 ? kNoMonitor : static_cast<MonitorId>(mon);
-  e.method = method < 0 ? kNoMethod : static_cast<MethodId>(method);
-  e.flag = flag != 0;
-  return e;
 }
 
 }  // namespace confail::events

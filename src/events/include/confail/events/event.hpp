@@ -61,13 +61,10 @@ enum class EventKind : std::uint8_t {
   ClockTick,     ///< clock advanced to logical time aux.
 };
 
-/// Human-readable name of an event kind (stable; used in serialization).
+/// Human-readable name of an event kind (stable; the JSONL "kind" value).
 const char* kindName(EventKind k);
 
-/// Parse a kind name produced by kindName().  Throws UsageError on unknown.
-EventKind kindFromName(const std::string& name);
-
-/// kindFromName without the throw: false when `name` names no kind.
+/// The kind kindName() spells `name`: false when `name` names no kind.
 bool tryKindFromName(std::string_view name, EventKind& out);
 
 /// True if this kind corresponds to a Figure-1 Petri-net transition.
@@ -82,12 +79,6 @@ struct Event {
   std::uint64_t aux = 0;              ///< kind-specific payload (see EventKind).
   MethodId method = kNoMethod;        ///< innermost component method, if any.
   bool flag = false;                  ///< kind-specific boolean (GuardEval value).
-
-  /// Compact single-line rendering, parseable by Event::parse.
-  std::string toString() const;
-
-  /// Parse a line produced by toString().  Throws UsageError on bad input.
-  static Event parse(const std::string& line);
 
   bool operator==(const Event&) const = default;
 };

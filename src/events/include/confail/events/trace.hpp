@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "confail/events/event.hpp"
+#include "confail/support/id_table.hpp"
 
 namespace confail::events {
 
@@ -32,8 +33,8 @@ class Trace {
   Trace() = default;
 
   // Not copyable (sinks hold references).  Movable so factory functions
-  // like deserialize() can return by value; must not be moved while other
-  // threads are recording.
+  // can return by value; must not be moved while other threads are
+  // recording.
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
   Trace(Trace&& other) noexcept;
@@ -47,7 +48,9 @@ class Trace {
   /// register sinks before starting threads.
   void addSink(EventSink* sink);
 
-  /// Name registration.  Ids are expected to be small and dense.
+  /// Name registration; a later name for the same id replaces the earlier
+  /// one.  Runtime ids are small and dense, but a trace loaded from a file
+  /// may name any id: a far one costs one table node (see IdTable).
   void nameThread(ThreadId id, std::string name);
   void nameMonitor(MonitorId id, std::string name);
   void nameVar(VarId id, std::string name);
@@ -88,13 +91,6 @@ class Trace {
   /// real-mode facility; virtual-mode analyses read the finished trace).
   void restore(const std::vector<Event>& events);
 
-  /// Serialize to the line format of Event::toString, one event per line,
-  /// preceded by name-table lines.  Round-trips through deserialize().
-  std::string serialize() const;
-
-  /// Parse the output of serialize() into a fresh trace.
-  static Trace deserialize(const std::string& text);
-
   /// Events of a single thread, in order.
   std::vector<Event> threadProjection(ThreadId id) const;
 
@@ -105,19 +101,21 @@ class Trace {
   void render(const std::function<void(const std::string&)>& emit) const;
 
  private:
-  static std::string lookup(const std::vector<std::string>& table,
-                            std::uint32_t id, const char* prefix);
-  static void store(std::vector<std::string>& table, std::uint32_t id,
-                    std::string name);
+  using NameTable = IdTable<std::string>;  // empty = unnamed
+
+  static std::string lookup(const NameTable& table, std::uint32_t id,
+                            const char* prefix);
+  static std::uint32_t find(const NameTable& table, const std::string& name,
+                            std::uint32_t none);
 
   mutable std::mutex mu_;
   std::uint64_t nextSeq_ = 0;
   std::vector<Event> events_;
   std::vector<EventSink*> sinks_;
-  std::vector<std::string> threadNames_;
-  std::vector<std::string> monitorNames_;
-  std::vector<std::string> varNames_;
-  std::vector<std::string> methodNames_;
+  NameTable threadNames_;
+  NameTable monitorNames_;
+  NameTable varNames_;
+  NameTable methodNames_;
 };
 
 }  // namespace confail::events

@@ -31,33 +31,37 @@ void Trace::addSink(EventSink* sink) {
   sinks_.push_back(sink);
 }
 
-void Trace::store(std::vector<std::string>& table, std::uint32_t id,
-                  std::string name) {
-  if (table.size() <= id) table.resize(id + 1);
-  table[id] = std::move(name);
+std::string Trace::lookup(const NameTable& table, std::uint32_t id,
+                          const char* prefix) {
+  const std::string* name = table.find(id);
+  if (name != nullptr && !name->empty()) return *name;
+  return std::string(prefix) + std::to_string(id);
 }
 
-std::string Trace::lookup(const std::vector<std::string>& table,
-                          std::uint32_t id, const char* prefix) {
-  if (id < table.size() && !table[id].empty()) return table[id];
-  return std::string(prefix) + std::to_string(id);
+std::uint32_t Trace::find(const NameTable& table, const std::string& name,
+                          std::uint32_t none) {
+  std::uint32_t found = none;
+  table.forEach([&](std::uint32_t id, const std::string& slot) {
+    if (found == none && slot == name) found = id;
+  });
+  return found;
 }
 
 void Trace::nameThread(ThreadId id, std::string name) {
   std::lock_guard<std::mutex> g(mu_);
-  store(threadNames_, id, std::move(name));
+  threadNames_[id] = std::move(name);
 }
 void Trace::nameMonitor(MonitorId id, std::string name) {
   std::lock_guard<std::mutex> g(mu_);
-  store(monitorNames_, id, std::move(name));
+  monitorNames_[id] = std::move(name);
 }
 void Trace::nameVar(VarId id, std::string name) {
   std::lock_guard<std::mutex> g(mu_);
-  store(varNames_, id, std::move(name));
+  varNames_[id] = std::move(name);
 }
 void Trace::nameMethod(MethodId id, std::string name) {
   std::lock_guard<std::mutex> g(mu_);
-  store(methodNames_, id, std::move(name));
+  methodNames_[id] = std::move(name);
 }
 
 std::string Trace::threadName(ThreadId id) const {
@@ -79,18 +83,12 @@ std::string Trace::methodName(MethodId id) const {
 
 MethodId Trace::findMethod(const std::string& name) const {
   std::lock_guard<std::mutex> g(mu_);
-  for (std::size_t i = 0; i < methodNames_.size(); ++i) {
-    if (methodNames_[i] == name) return static_cast<MethodId>(i);
-  }
-  return kNoMethod;
+  return find(methodNames_, name, kNoMethod);
 }
 
 MonitorId Trace::findMonitor(const std::string& name) const {
   std::lock_guard<std::mutex> g(mu_);
-  for (std::size_t i = 0; i < monitorNames_.size(); ++i) {
-    if (monitorNames_[i] == name) return static_cast<MonitorId>(i);
-  }
-  return kNoMonitor;
+  return find(monitorNames_, name, kNoMonitor);
 }
 
 std::vector<Event> Trace::events() const {
@@ -119,51 +117,6 @@ void Trace::restore(const std::vector<Event>& events) {
   std::lock_guard<std::mutex> g(mu_);
   events_ = events;
   nextSeq_ = events_.size();
-}
-
-std::string Trace::serialize() const {
-  std::lock_guard<std::mutex> g(mu_);
-  std::ostringstream os;
-  auto dumpTable = [&os](const char* tag, const std::vector<std::string>& t) {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (!t[i].empty()) os << '#' << tag << ' ' << i << ' ' << t[i] << '\n';
-    }
-  };
-  dumpTable("thread", threadNames_);
-  dumpTable("monitor", monitorNames_);
-  dumpTable("var", varNames_);
-  dumpTable("method", methodNames_);
-  for (const Event& e : events_) {
-    os << e.toString() << '\n';
-  }
-  return os.str();
-}
-
-Trace Trace::deserialize(const std::string& text) {
-  Trace t;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream ls(line.substr(1));
-      std::string tag, name;
-      std::uint32_t id = 0;
-      ls >> tag >> id;
-      std::getline(ls, name);
-      if (!name.empty() && name[0] == ' ') name.erase(0, 1);
-      if (tag == "thread") t.nameThread(id, name);
-      else if (tag == "monitor") t.nameMonitor(id, name);
-      else if (tag == "var") t.nameVar(id, name);
-      else if (tag == "method") t.nameMethod(id, name);
-      else throw UsageError("unknown trace table tag: " + tag);
-      continue;
-    }
-    Event e = Event::parse(line);
-    t.events_.push_back(e);
-    t.nextSeq_ = e.seq + 1;
-  }
-  return t;
 }
 
 std::vector<Event> Trace::threadProjection(ThreadId id) const {

@@ -11,6 +11,7 @@
 #include "confail/ingest/pipeline.hpp"
 #include "confail/inject/campaign.hpp"
 #include "confail/inject/explore_config.hpp"
+#include "confail/inject/job_spec.hpp"
 #include "confail/obs/trace_export.hpp"
 #include "confail/petri/cross_check.hpp"
 #include "confail/sched/explorer.hpp"
@@ -21,18 +22,6 @@ namespace confail::gen {
 namespace {
 
 using Reduction = sched::ExhaustiveExplorer::Reduction;
-
-const char* reductionName(Reduction r) {
-  switch (r) {
-    case Reduction::None:
-      return "none";
-    case Reduction::Sleep:
-      return "sleep";
-    case Reduction::Dpor:
-      return "dpor";
-  }
-  return "?";
-}
 
 /// Everything two equivalent explorations must agree on.  The snapshot_*
 /// stats are deliberately absent: they count mechanism (checkpoint reuse),
@@ -196,7 +185,8 @@ OracleOutcome incrementalVsReplay(const Program& p, const OracleConfig& oc,
     if (oc.sabotage == Sabotage::DropDeadlocks) applySabotage(rep.obs);
     if (!(inc.obs == rep.obs)) {
       out.ok = false;
-      out.detail = std::string("reduction=") + reductionName(red) + ": " +
+      out.detail = std::string("reduction=") +
+                   inject::reductionName(red) + ": " +
                    diffObs("incremental", inc.obs, "replay", rep.obs);
       return out;
     }
@@ -230,7 +220,7 @@ OracleOutcome reductionEquivalence(const Program& p, const OracleConfig& oc,
   for (Reduction red : {Reduction::Sleep, Reduction::Dpor}) {
     auto r = explorePr(p, red, unbounded, 1, true, oc.fullMaxRuns, oc.maxSteps,
                        false, tally);
-    const std::string label = reductionName(red);
+    const std::string label = inject::reductionName(red);
     if (!r.obs.exhausted) {
       out.ok = false;
       out.detail = label + " did not exhaust a tree full enumeration did";
@@ -292,7 +282,7 @@ OracleOutcome workerDeterminism(const Program& p, const OracleConfig& oc,
                              true, oc.maxRuns, oc.maxSteps, false, tally);
       if (!(base.obs == other.obs)) {
         out.ok = false;
-        out.detail = std::string("reduction=") + reductionName(red) +
+        out.detail = std::string("reduction=") + inject::reductionName(red) +
                      " workers=" + std::to_string(oc.workerCounts[i]) + ": " +
                      diffObs("w" + std::to_string(oc.workerCounts[0]),
                              base.obs,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <istream>
 
 #include "confail/ingest/line_scan.hpp"
 #include "confail/obs/json.hpp"
@@ -48,6 +49,21 @@ std::string NameTable::Table::lookup(std::uint32_t id,
   const std::string* slot = names_.find(id);
   if (slot != nullptr && !slot->empty()) return *slot;
   return std::string(prefix) + std::to_string(id);
+}
+
+void NameTable::Table::copyTo(
+    events::Trace& trace,
+    void (events::Trace::*name)(std::uint32_t, std::string)) const {
+  names_.forEach([&](std::uint32_t id, const std::string& slot) {
+    if (!slot.empty()) (trace.*name)(id, slot);
+  });
+}
+
+void NameTable::copyTo(events::Trace& trace) const {
+  threads_.copyTo(trace, &events::Trace::nameThread);
+  monitors_.copyTo(trace, &events::Trace::nameMonitor);
+  vars_.copyTo(trace, &events::Trace::nameVar);
+  methods_.copyTo(trace, &events::Trace::nameMethod);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,14 +428,36 @@ void JsonlDecoder::flush(const Emit& emit) {
   pending_.clear();
 }
 
+JsonlDecoder::Stats loadJsonlTrace(std::istream& in, events::Trace& out) {
+  JsonlDecoder dec;
+  std::vector<Event> events;
+  const auto emit = [&events](const Event& e) { events.push_back(e); };
+  std::string chunk(1 << 16, '\0');
+  while (in.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
+         in.gcount() > 0) {
+    dec.feed(std::string_view(chunk.data(),
+                              static_cast<std::size_t>(in.gcount())),
+             emit);
+  }
+  dec.flush(emit);
+  out.restore(events);
+  dec.names().copyTo(out);
+  return dec.stats();
+}
+
 // ---------------------------------------------------------------------------
 // Chrome trace_event
 
 namespace {
 
+/// A JSON number as an event field: outside [0, 2^64) it is no number, 0.
+std::uint64_t toU64(double n) {
+  return n >= 0.0 && n < 18446744073709551616.0 ? static_cast<std::uint64_t>(n)
+                                                : 0;
+}
+
 std::uint64_t asU64(const obs::JsonValue* v) {
-  return v != nullptr && v->isNumber() ? static_cast<std::uint64_t>(v->number)
-                                       : 0;
+  return v != nullptr && v->isNumber() ? toU64(v->number) : 0;
 }
 
 const std::string* asString(const obs::JsonValue* v) {
@@ -438,7 +476,7 @@ std::uint64_t argU64(const obs::JsonValue& entry, const char* key) {
   if (args == nullptr) return 0;
   const obs::JsonValue* v = args->get(key);
   if (v == nullptr) return 0;
-  if (v->isNumber()) return static_cast<std::uint64_t>(v->number);
+  if (v->isNumber()) return toU64(v->number);
   if (v->kind == obs::JsonValue::Kind::String) {
     return static_cast<std::uint64_t>(
         std::strtoull(v->string.c_str(), nullptr, 10));

@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -63,6 +64,7 @@
 
 #include "confail/detect/finding.hpp"
 #include "confail/events/event.hpp"
+#include "confail/events/trace.hpp"
 #include "confail/support/id_table.hpp"
 
 namespace confail::ingest {
@@ -112,6 +114,9 @@ class NameTable final : public detect::NameSource {
     return methods_.lookup(id, "method-");
   }
 
+  /// Name every named id of the four tables in `trace`.
+  void copyTo(events::Trace& trace) const;
+
  private:
   /// One kind's id -> name table (empty = unnamed), with a hashed
   /// name -> lowest id index that store() and intern() keep in step.
@@ -120,6 +125,8 @@ class NameTable final : public detect::NameSource {
     void store(std::uint32_t id, std::string_view name);
     std::uint32_t intern(std::string_view name);
     std::string lookup(std::uint32_t id, const char* prefix) const;
+    void copyTo(events::Trace& trace,
+                void (events::Trace::*name)(std::uint32_t, std::string)) const;
 
    private:
     struct Hash {
@@ -230,6 +237,12 @@ class JsonlDecoder {
   NameTable names_;
   Stats stats_;
 };
+
+/// Read a whole JSONL stream into `out`, a fresh trace: the events keep
+/// their decoded seq and the decoder's names become the trace's names.
+/// Malformed and truncated lines are skipped and counted in the returned
+/// stats, as IngestPipeline does.
+JsonlDecoder::Stats loadJsonlTrace(std::istream& in, events::Trace& out);
 
 /// Decode a complete Chrome trace_event document (the {"traceEvents": [...]}
 /// form emitted by obs::toChromeTrace) into seq-ordered events.  Returns

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +31,8 @@
 #include "confail/obs/json.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/obs/trace_export.hpp"
+#include "confail/petri/trace_validator.hpp"
+#include "confail/support/assert.hpp"
 #include "confail/support/rng.hpp"
 
 namespace {
@@ -374,12 +377,14 @@ std::string mutate(const std::string& line, confail::SplitMix64& rng) {
       break;
     case 2: {  // duplicate a key: first with another value, or a copy last
       const std::size_t open = m.find('"');
+      if (open == std::string::npos) break;
       const std::string member = m.substr(open, m.find(", \"") - open);
       const std::string key = member.substr(0, member.find(": "));
       if (rng.next() % 2 == 0) {
         m.insert(open, key + ": " + std::to_string(pick(9)) + ", ");
-      } else {
-        m.insert(m.rfind(" }"), ", " + member);
+      } else if (const std::size_t close = m.rfind(" }");
+                 close != std::string::npos) {
+        m.insert(close, ", " + member);
       }
       break;
     }
@@ -406,7 +411,9 @@ std::string mutate(const std::string& line, confail::SplitMix64& rng) {
     default: {  // an unknown key with a nested value
       const char* nested = rng.next() % 2 == 0 ? "{ \"a\": [1, 2] }"
                                                 : "[ { \"b\": true }, 3 ]";
-      m.insert(m.find('"'), std::string("\"extra\": ") + nested + ", ");
+      const std::size_t open = m.find('"');
+      if (open == std::string::npos) break;
+      m.insert(open, std::string("\"extra\": ") + nested + ", ");
       break;
     }
   }
@@ -681,18 +688,55 @@ TEST(BlockDecode, V1AndV2LinesNamingTheSameStringsInEitherOrder) {
   EXPECT_GT(withIds, 6u);
 }
 
-TEST(BlockDecode, SeededMutationCorpusDecodesLikeTheSerialReference) {
+/// The first 20 exported streams, each line followed by a mutant of it
+/// and the v1 form of another, as one text per stream.
+std::vector<std::string> seededMutationCorpus() {
   confail::SplitMix64 rng(2003);
-  std::size_t streams = 0;
+  std::vector<std::string> corpus;
   for (const std::vector<std::string>& lines : exportedStreams()) {
-    if (++streams > 20) break;
+    if (corpus.size() == 20) break;
     std::vector<std::string> mutated;
     for (const std::string& line : lines) {
       mutated.push_back(line);
       mutated.push_back(mutate(line, rng));
       mutated.push_back(toV1(mutate(line, rng)));
     }
-    expectEveryScheduleDecodesAlike(joinLines(mutated));
+    corpus.push_back(joinLines(mutated));
+  }
+  return corpus;
+}
+
+TEST(BlockDecode, SeededMutationCorpusDecodesLikeTheSerialReference) {
+  for (const std::string& text : seededMutationCorpus()) {
+    expectEveryScheduleDecodesAlike(text);
+  }
+}
+
+TEST(BlockDecode, SeededMutationCorpusSurvivesTheTraceVerbs) {
+  // What `confail trace` does with a file: load it, then render, export,
+  // run the detector battery and replay every monitor on the model.
+  for (const std::string& text : seededMutationCorpus()) {
+    std::istringstream in(text);
+    Trace trace;
+    const ingest::JsonlDecoder::Stats st = ingest::loadJsonlTrace(in, trace);
+    const Decoded want = feedInChunks(text, ingest::kDecodeBlockBytes);
+    EXPECT_EQ(st.events, want.stats.events);
+    EXPECT_EQ(st.malformed, want.stats.malformed);
+    EXPECT_EQ(st.truncated, want.stats.truncated);
+    ASSERT_EQ(trace.events(), want.events);
+
+    std::size_t lines = 0;
+    trace.render([&lines](const std::string&) { ++lines; });
+    EXPECT_EQ(lines, trace.size());
+    EXPECT_FALSE(obs::toChromeTrace(trace).empty());
+    (void)detect::DetectorSuite().analyzeEach(trace);
+    std::set<confail::events::MonitorId> monitors;
+    for (const Event& e : trace.events()) {
+      if (e.monitor != confail::events::kNoMonitor) monitors.insert(e.monitor);
+    }
+    for (const confail::events::MonitorId m : monitors) {
+      (void)confail::petri::validateTraceAgainstModel(trace, m);
+    }
   }
 }
 
@@ -778,14 +822,17 @@ TEST(IngestPipeline, DifferentialOnWorkerRecordedRuns) {
     std::vector<std::string> recorded;  // observer is serialized
     (void)cfg.explore([&](const confail::inject::RunView& v) {
       if (v.trace != nullptr && recorded.size() < 4) {
-        recorded.push_back(v.trace->serialize());
+        recorded.push_back(obs::toJsonl(*v.trace));
       }
       return recorded.size() < 4;
     });
     ASSERT_FALSE(recorded.empty());
     for (const std::string& s : recorded) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      expectStreamingMatchesOffline(Trace::deserialize(s));
+      std::istringstream in(s);
+      Trace trace;
+      (void)ingest::loadJsonlTrace(in, trace);
+      expectStreamingMatchesOffline(trace);
     }
   }
 }
@@ -1074,6 +1121,48 @@ TEST(IngestPipeline, ChromeTraceDecodesToAnalyzableEvents) {
   EXPECT_EQ(st.ringDrops, 0u);
   // Thread names survive via the metadata records.
   EXPECT_EQ(pipe.names().threadName(0), trace.threadName(0));
+}
+
+TEST(ChromeDecode, SeededMutationsDecodeOrAreRejected) {
+  // The JSONL mutation operators, each applied to one line of a Chrome
+  // document: every mutant decodes or is rejected without crashing, and
+  // every document the DOM rejects is rejected whole.
+  confail::SplitMix64 rng(2003);
+  std::size_t rejected = 0;
+  std::size_t decoded = 0;
+  for (const scenarios::NamedScenario& sc : scenarios::registry()) {
+    const std::string doc = obs::toChromeTrace(captureScenario(sc));
+    std::vector<std::string> lines;
+    std::istringstream split(doc);
+    for (std::string l; std::getline(split, l);) lines.push_back(l);
+    for (int k = 0; k < (kSanitized ? 10 : 40); ++k) {
+      std::vector<std::string> mutated = lines;
+      std::string& line = mutated[rng.next() % mutated.size()];
+      line = mutate(line, rng);
+      const std::string text = joinLines(mutated);
+      SCOPED_TRACE(sc.name + ": " + line);
+      bool domAccepts = true;
+      try {
+        (void)obs::parseJson(text);
+      } catch (const confail::UsageError&) {
+        domAccepts = false;
+      }
+      ingest::NameTable names;
+      std::vector<Event> out;
+      const std::uint64_t unmapped =
+          ingest::decodeChromeTrace(text, names, out);
+      if (!domAccepts) {
+        EXPECT_EQ(unmapped, 1u);
+        EXPECT_TRUE(out.empty());
+        ++rejected;
+      } else {
+        ++decoded;
+      }
+    }
+  }
+  // Both outcomes must have been exercised.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 // ---------------------------------------------------------------------------

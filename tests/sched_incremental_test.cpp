@@ -204,7 +204,10 @@ TEST(SchedIncrementalTest, InjectorStateAndTraceSurviveRestore) {
   const inject::InjectionPlan plan = inject::defaultPlanFor(
       confail::taxonomy::FailureClass::EF_T4, *fig2);
 
-  using RunSig = std::map<std::vector<sched::ThreadId>, std::string>;
+  // Per schedule: deviations applied and the recorded events.
+  using Events = std::vector<confail::events::Event>;
+  using RunSig = std::map<std::vector<sched::ThreadId>,
+                          std::pair<std::uint64_t, Events>>;
   auto signatures = [&](bool incremental, std::size_t workers) {
     sched::ExhaustiveExplorer::Options eo;
     eo.maxRuns = 500;
@@ -216,11 +219,9 @@ TEST(SchedIncrementalTest, InjectorStateAndTraceSurviveRestore) {
     cfg.scenario(*fig2).plan(plan).explorer(eo);
     RunSig sigs;
     (void)cfg.explore([&](const inject::RunView& view) {
-      std::string s = "dev=" + std::to_string(view.deviationsApplied);
-      if (view.trace != nullptr) {
-        for (const auto& e : view.trace->events()) s += "\n" + e.toString();
-      }
-      sigs[view.schedule] = s;
+      sigs[view.schedule] = {
+          view.deviationsApplied,
+          view.trace != nullptr ? view.trace->events() : Events{}};
       return true;
     });
     return sigs;

@@ -35,7 +35,7 @@ namespace confail::cli {
 /// confail explore — parallel schedule exploration of a registry scenario.
 int cmdExplore(const char* prog, int argc, char** argv);
 
-/// confail trace — offline analysis of serialized traces.
+/// confail trace — offline analysis of recorded JSONL traces.
 int cmdTrace(const char* prog, int argc, char** argv);
 
 /// confail ingest — online analysis of live event streams.

@@ -42,8 +42,8 @@ int usage(const char* prog) {
                "(same detectors,\nsame finding order as `%s trace detect` "
                "on the recorded trace).\n\n"
                "  --from jsonl     one JSON object per line, as written by "
-               "`trace jsonl`\n"
-               "                   or `explore --jsonl-out` (default; "
+               "`explore --jsonl-out`\n"
+               "                   or a serve job's events.jsonl (default; "
                "lossless)\n"
                "  --from chrome    a Chrome trace_event document "
                "(best-effort decode)\n"

@@ -1,16 +1,17 @@
-// `confail trace`: offline analysis of serialized execution traces.
+// `confail trace`: offline analysis of recorded JSONL traces.
 //
-//   trace render   <trace-file>          pretty-print the events
-//   trace stats    <trace-file>          event/thread/monitor counts
-//   trace validate <trace-file> [mon]    replay against the Figure 1 net
-//   trace detect   <trace-file> [--metrics-out <file>]
+//   trace render   <file>                pretty-print the events
+//   trace stats    <file>                event/thread/monitor counts
+//   trace validate <file> [mon]          replay against the Figure 1 net
+//   trace detect   <file> [--metrics-out <file>]
 //                                        detector battery + Table 1 classes
-//   trace chrome   <trace-file> <out>    export as Chrome trace_event JSON
-//   trace jsonl    <trace-file> <out>    export as JSONL for jq pipelines
+//   trace chrome   <file> <out>          export as Chrome trace_event JSON
 //   trace selftest                       generate, round-trip, run all modes
 //
-// Trace files are produced by events::Trace::serialize(); any component run
-// can be captured, shipped, and analyzed offline with this verb.
+// A trace file is the JSONL every recording verb writes (obs::toJsonl:
+// `explore --jsonl-out`, a shard's events, the serve daemon's
+// events.jsonl), loaded whole through ingest::loadJsonlTrace.  Malformed
+// and truncated lines are skipped and counted on stderr.
 //
 // Exit status follows cli.hpp: `detect` and `validate` return 1 when they
 // have findings/violations, 0 when clean; `selftest` returns 0 when the
@@ -27,6 +28,7 @@
 #include "confail/detect/report_sink.hpp"
 #include "confail/detect/suite.hpp"
 #include "confail/events/trace.hpp"
+#include "confail/ingest/decode.hpp"
 #include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
 #include "confail/monitor/shared_var.hpp"
@@ -47,28 +49,34 @@ int usage(const char* prog) {
                "usage: %s render|stats|validate <file>\n"
                "       %s detect <file> [--metrics-out <file>] "
                "[--sarif-out <file>] [--json-out <file>]\n"
-               "       %s chrome|jsonl <file> <out-file>\n"
+               "       %s chrome <file> <out-file>\n"
                "       %s selftest\n\n"
-               "<file> may be '-' to read the serialized trace from stdin, "
-               "so traces pipe\nstraight from capture to analysis.  For "
-               "*live* JSONL event streams use\n`confail ingest` instead "
-               "(same detector battery, incremental).\n",
+               "<file> is a JSONL trace (`explore --jsonl-out`, a serve "
+               "job's events.jsonl),\nor '-' to read it from stdin, so "
+               "traces pipe straight from capture to\nanalysis.  For *live* "
+               "streams use `confail ingest` instead (same detector\n"
+               "battery, incremental).\n",
                prog, prog, prog, prog);
   return 2;
 }
 
-ev::Trace load(const std::string& path) {
-  std::ostringstream buf;
-  if (path == "-") {
-    buf << std::cin.rdbuf();
-  } else {
-    std::ifstream in(path);
-    if (!in) {
+ev::Trace load(const char* prog, const std::string& path) {
+  std::ifstream file;
+  if (path != "-") {
+    file.open(path, std::ios::binary);
+    if (!file) {
       throw confail::UsageError("cannot open trace file: " + path);
     }
-    buf << in.rdbuf();
   }
-  return ev::Trace::deserialize(buf.str());
+  ev::Trace trace;
+  const auto st =
+      confail::ingest::loadJsonlTrace(path == "-" ? std::cin : file, trace);
+  if (st.malformed > 0 || st.truncated > 0) {
+    std::fprintf(stderr, "%s: skipped %llu malformed, %llu truncated lines\n",
+                 prog, static_cast<unsigned long long>(st.malformed),
+                 static_cast<unsigned long long>(st.truncated));
+  }
+  return trace;
 }
 
 int doRender(const ev::Trace& trace) {
@@ -121,7 +129,7 @@ int doValidate(const ev::Trace& trace, const char* monitorArg) {
 }
 
 int doDetect(const char* prog, const ev::Trace& trace,
-             const std::string& metricsOut = "",
+             const std::string& source, const std::string& metricsOut = "",
              const std::string& sarifOut = "",
              const std::string& jsonOut = "") {
   confail::obs::Registry metrics;
@@ -130,7 +138,7 @@ int doDetect(const char* prog, const ev::Trace& trace,
   // Route through the same ReportSink the streaming pipeline uses, so the
   // offline and online documents are byte-comparable for the same events.
   confail::detect::ReportSink sink;
-  sink.setSource("trace");
+  sink.setSource(source);
   std::vector<confail::detect::Finding> findings;
   for (auto& report : suite.analyzeEach(trace)) {
     sink.addAll(report.detector, report.findings);
@@ -162,12 +170,9 @@ int doDetect(const char* prog, const ev::Trace& trace,
   return 1;
 }
 
-int doExport(const char* prog, const ev::Trace& trace, const std::string& kind,
+int doChrome(const char* prog, const ev::Trace& trace,
              const std::string& outPath) {
-  const bool ok = kind == "chrome"
-                      ? confail::obs::writeChromeTraceFile(trace, outPath)
-                      : confail::obs::writeJsonlFile(trace, outPath);
-  if (!ok) {
+  if (!confail::obs::writeChromeTraceFile(trace, outPath)) {
     std::fprintf(stderr, "%s: cannot write %s\n", prog, outPath.c_str());
     return 1;
   }
@@ -176,8 +181,8 @@ int doExport(const char* prog, const ev::Trace& trace, const std::string& kind,
 }
 
 int doSelftest(const char* prog) {
-  // Build a demo trace with a seeded fault, round-trip it through the
-  // serialized form, and run every command over the copy.
+  // Build a demo trace with a seeded fault, round-trip it through JSONL
+  // and the loader, and run every command over the copy.
   ev::Trace trace;
   confail::sched::RoundRobinStrategy strategy;
   confail::sched::VirtualScheduler s(strategy);
@@ -193,9 +198,12 @@ int doSelftest(const char* prog) {
   std::printf("demo run: %s, %zu events\n",
               confail::sched::outcomeName(run.outcome), trace.size());
 
-  ev::Trace copy = ev::Trace::deserialize(trace.serialize());
-  if (copy.events() != trace.events()) {
-    std::printf("serialization round-trip FAILED\n");
+  const std::string jsonl = confail::obs::toJsonl(trace);
+  std::istringstream in(jsonl);
+  ev::Trace copy;
+  const auto st = confail::ingest::loadJsonlTrace(in, copy);
+  if (copy.events() != trace.events() || st.malformed + st.truncated > 0) {
+    std::printf("JSONL round-trip FAILED\n");
     return 1;
   }
   std::printf("-- stats --\n");
@@ -203,10 +211,9 @@ int doSelftest(const char* prog) {
   std::printf("-- validate --\n");
   doValidate(copy, nullptr);
   std::printf("-- detect --\n");
-  doDetect(prog, copy);
+  doDetect(prog, copy, "selftest");
   std::printf("-- export --\n");
   const std::string chrome = confail::obs::toChromeTrace(copy);
-  const std::string jsonl = confail::obs::toJsonl(copy);
   if (chrome.find("\"traceEvents\"") == std::string::npos ||
       jsonl.find("\"kind\"") == std::string::npos) {
     std::printf("exporters FAILED\n");
@@ -225,8 +232,11 @@ int cmdTrace(const char* prog, int argc, char** argv) {
   const std::string cmd = argv[0];
   try {
     if (cmd == "selftest") return doSelftest(prog);
-    if (argc < 2) return usage(prog);
-    ev::Trace trace = load(argv[1]);
+    const bool known = cmd == "render" || cmd == "stats" ||
+                       cmd == "validate" || cmd == "detect" || cmd == "chrome";
+    if (!known || argc < 2) return usage(prog);
+    const std::string path = argv[1];
+    ev::Trace trace = load(prog, path);
     if (cmd == "render") return doRender(trace);
     if (cmd == "stats") return doStats(trace);
     if (cmd == "validate") {
@@ -250,13 +260,11 @@ int cmdTrace(const char* prog, int argc, char** argv) {
           return usage(prog);
         }
       }
-      return doDetect(prog, trace, metricsOut, sarifOut, jsonOut);
+      return doDetect(prog, trace, path == "-" ? "stdin" : path, metricsOut,
+                      sarifOut, jsonOut);
     }
-    if (cmd == "chrome" || cmd == "jsonl") {
-      if (argc < 3) return usage(prog);
-      return doExport(prog, trace, cmd, argv[2]);
-    }
-    return usage(prog);
+    if (argc < 3) return usage(prog);
+    return doChrome(prog, trace, argv[2]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", prog, e.what());
     return 3;
