@@ -23,7 +23,7 @@
 //
 // Every scenario has the one signature
 // `void(sched::VirtualScheduler&, const Instruments&)`; pass `{}` for a
-// plain run.
+// plain run, which records no events (see Instruments).
 #pragma once
 
 #include <functional>
@@ -40,10 +40,12 @@
 
 namespace confail::components::scenarios {
 
-/// Optional observation hooks for a scenario run; an empty Instruments is a
-/// plain run.  `trace`, when set, is cleared and then receives the run's
-/// events (instead of a scenario-private trace that dies with the run) —
-/// feed it to the exporters or the offline detectors afterwards.
+/// Optional observation hooks for a scenario run; Instruments with neither
+/// a `trace` nor a `decorate` make a plain run, which records no events
+/// (nothing could read them) but still registers every name in a
+/// scenario-private trace that dies with the run.  `trace`, when set, is
+/// cleared and then receives the run's events — feed it to the exporters
+/// or the offline detectors afterwards.
 /// `metrics`, when set, is attached to the scenario's Runtime before any
 /// monitor is built, so per-monitor counters register.
 /// Exploration note: a shared external trace serializes appends from
@@ -54,7 +56,9 @@ namespace confail::components::scenarios {
 /// freshly built Runtime, before any threads are spawned; whatever it
 /// returns is owned by the scenario state and destroyed with it (after the
 /// components, before the Runtime).  This is how confail::inject attaches a
-/// per-run Injector without the components layer depending on it.
+/// per-run Injector without the components layer depending on it.  A
+/// decorated run records its events (in the private trace when no `trace`
+/// is given), since the decoration may read them through the Runtime.
 ///
 /// inject::ExploreConfig fills this in for explorations and captures; build
 /// one by hand only to run a scenario on a scheduler of your own.
@@ -82,7 +86,9 @@ struct ScenarioState {
   std::shared_ptr<void> decoration;  ///< outlives components, not rt
 
   ScenarioState(sched::VirtualScheduler& s, const Instruments& i)
-      : rt(prepare(s, i, ownTrace), s, 1, i.metrics),
+      : rt(prepare(s, i, ownTrace), s, 1, i.metrics,
+           i.trace != nullptr || i.decorate ? monitor::Runtime::Events::Record
+                                            : monitor::Runtime::Events::Discard),
         decoration(i.decorate ? i.decorate(rt) : nullptr) {}
 
  private:

@@ -42,12 +42,20 @@ class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
  public:
   enum class Mode { Real, Virtual };
 
+  /// What a virtual-mode runtime puts in its trace.  Names are registered
+  /// either way; `Discard` drops every event (emit still feeds the step
+  /// footprints).  A plain explored run has no reader for its events, and
+  /// recording them, then copying them into every checkpoint, would be a
+  /// large share of its cost (see scenarios::ScenarioState).
+  enum class Events { Record, Discard };
+
   /// Virtual-mode runtime: logical threads run under `sched`.  When
   /// `metrics` is non-null, monitors constructed on this runtime register
   /// per-monitor contention / wait / notify counters on it (the registry
   /// must outlive the monitors; not owned).
   Runtime(events::Trace& trace, sched::VirtualScheduler& sched,
-          std::uint64_t seed, obs::Registry* metrics = nullptr);
+          std::uint64_t seed, obs::Registry* metrics = nullptr,
+          Events events = Events::Record);
 
   /// Real-mode runtime: threads are plain std::threads.
   Runtime(events::Trace& trace, std::uint64_t seed,
@@ -120,7 +128,8 @@ class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
 
   // ---- event emission --------------------------------------------------------
   /// Record an event on behalf of the calling thread.  The innermost
-  /// component method of that thread is attached automatically.
+  /// component method of that thread is attached automatically.  Returns
+  /// the event's sequence number (0 when the runtime discards events).
   std::uint64_t emit(EventKind kind, MonitorId monitor, std::uint64_t aux,
                      bool flag = false);
 
@@ -140,9 +149,9 @@ class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
 
  private:
   // Snapshot protocol (virtual mode): policy-RNG stream, id counters, the
-  // per-thread method stacks, and the trace length (restore truncates the
-  // trace back to the checkpointed prefix).  Saves run on the controller
-  // thread with every logical thread suspended, so no locking is needed.
+  // per-thread method stacks, and the recorded events (restore puts the
+  // checkpointed events back).  Saves run on the controller thread with
+  // every logical thread suspended, so no locking is needed.
   std::shared_ptr<const void> saveState() const override;
   void restoreState(const std::shared_ptr<const void>& payload) override;
 
@@ -154,6 +163,7 @@ class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
   events::Trace& trace_;
   sched::VirtualScheduler* sched_ = nullptr;  // virtual mode only
   obs::Registry* metrics_ = nullptr;          // optional, not owned
+  bool recordEvents_ = true;                  // false: Events::Discard
   InjectionHooks* injection_ = nullptr;       // optional, not owned
 
   std::mutex mu_;  // guards everything below in real mode

@@ -29,9 +29,9 @@ struct RuntimeSnap {
 }  // namespace
 
 Runtime::Runtime(events::Trace& trace, sched::VirtualScheduler& sched,
-                 std::uint64_t seed, obs::Registry* metrics)
+                 std::uint64_t seed, obs::Registry* metrics, Events events)
     : mode_(Mode::Virtual), trace_(trace), sched_(&sched), metrics_(metrics),
-      rng_(seed) {
+      recordEvents_(events == Events::Record), rng_(seed) {
   sched_->addFingerprintSource(this);
   sched_->addSnapshotSource(this);
 }
@@ -51,7 +51,8 @@ Runtime::~Runtime() {
 std::shared_ptr<const void> Runtime::saveState() const {
   return std::make_shared<RuntimeSnap>(RuntimeSnap{
       rng_, nextMonitorId_, nextVarId_, nextMethodId_, nextThreadId_,
-      methodStacks_, trace_.events()});
+      methodStacks_,
+      recordEvents_ ? trace_.events() : std::vector<events::Event>{}});
 }
 
 void Runtime::restoreState(const std::shared_ptr<const void>& payload) {
@@ -62,7 +63,7 @@ void Runtime::restoreState(const std::shared_ptr<const void>& payload) {
   nextMethodId_ = snap.nextMethodId;
   nextThreadId_ = snap.nextThreadId;
   methodStacks_ = snap.methodStacks;
-  trace_.restore(snap.traceImage);
+  if (recordEvents_) trace_.restore(snap.traceImage);
 }
 
 std::size_t Runtime::snapshotBytes() const {
@@ -251,6 +252,7 @@ std::uint64_t Runtime::emitFor(ThreadId thread, EventKind kind,
                                bool flag) {
   if (mode_ == Mode::Virtual) {
     noteFootprint(kind, monitorId, aux);
+    if (!recordEvents_) return 0;
     snapshotBump();  // the trace content is snapshotted state
   }
   events::Event e;

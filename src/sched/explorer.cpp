@@ -15,6 +15,7 @@
 #include "confail/sched/fingerprint.hpp"
 #include "confail/sched/incremental.hpp"
 #include "confail/sched/prefix_tree.hpp"
+#include "confail/sched/race_index.hpp"
 #include "confail/sched/work_queue.hpp"
 
 namespace confail::sched {
@@ -64,6 +65,11 @@ constexpr std::size_t kCanonMaxLen = 4096;
 /// Longest schedule head the DPOR race analysis scans (quadratic worst
 /// case; bounded exploration keeps real runs far below this).
 constexpr std::size_t kDporAnalysisWindow = 4096;
+
+/// One run in this many has its DPOR race analysis timed into the
+/// `explorer.race_analysis_ns` histogram (when metrics are attached), so
+/// that a traced exploration pays two clock reads per 64 runs, not per run.
+constexpr std::uint64_t kRaceAnalysisSampleEvery = 64;
 
 }  // namespace
 
@@ -203,6 +209,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   obs::Histogram* const runsPerWorkerH =
       metrics != nullptr ? &metrics->histogram("explorer.runs_per_worker")
                          : nullptr;
+  obs::Histogram* const raceAnalysisH =
+      metrics != nullptr && dporMode
+          ? &metrics->histogram("explorer.race_analysis_ns")
+          : nullptr;
   obs::Histogram* const utilizationH =
       metrics != nullptr
           ? &metrics->histogram("explorer.worker_utilization_pct")
@@ -226,18 +236,18 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     std::vector<ThreadId> prefixBuf;
     std::vector<const PrefixNode*> spineBuf;
     std::vector<const PrefixNode*> chainBuf;
-    std::vector<char> seenTid;
+    // (DPOR) The run's last-access index, the races it returns for one
+    // step, and the per-run request masks (see the analysis below).
+    LastAccessIndex raceIndex;
+    std::vector<Race> races;
+    std::vector<std::uint64_t> resolvedAt;
+    std::vector<std::uint64_t> asleepAt;
     // Children branched by the current run, published to the queue in one
-    // batch only after the whole branch analysis has finished.  This is
-    // load-bearing for DPOR counter determinism, not just a lock-traffic
-    // optimization: a child made visible mid-analysis can be stolen, run
-    // (instantly, under incremental exploration) and analyzed while its
-    // parent's analysis is still claiming branches — and whichever side
-    // wins a shared tryClaim installs ITS sleep set on the new node,
-    // making prune counts depend on thread timing.  Deferring publication
-    // guarantees every claim an analysis makes settles before any child of
-    // that analysis can contend for it, which restores the ordering the
-    // serial explorer gets for free.
+    // batch only after the whole branch analysis has finished: one lock
+    // round trip per run, and every claim an analysis makes settles before
+    // any child of that analysis can contend for it, as in the serial
+    // explorer.  (DPOR determinism does not rest on this: a node's sleep
+    // set is the same whichever run claims it — see the analysis below.)
     std::vector<WorkItem> childBuf;
     // (DPOR) sleepAt[j - prefixLen] is the sleep set at decision point j of
     // the current run, re-evolved from the work item's node so backtrack
@@ -319,7 +329,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           // The node's stored sleep set is valid just before its last
           // replayed step; the scheduler replays the wake rule from there
           // and keeps sleeping threads out of every free pick.
-          schedOpts.sleepSet = item->node->sleep;
+          schedOpts.sleepSet.assign(item->node->sleep.begin(),
+                                    item->node->sleep.end());
           schedOpts.sleepProcessFrom = prefixLen > 0 ? prefixLen - 1 : 0;
           schedOpts.sleepFilterFrom = prefixLen;
           schedOpts.sleepFilterTo = opts_.maxBranchDepth;
@@ -392,6 +403,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         if (dporMode) {
           if (result.schedule.size() > prefixLen) {
             item->node->tryClaim(result.schedule[prefixLen]);
+            item->node->spine = result.schedule[prefixLen];
           }
           materializeChain(item->node, chainBuf);
           analysisLen =
@@ -403,9 +415,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             std::vector<SleepEntry>& dst = sleepAt[j - prefixLen];
             dst.clear();
             if (j == 0) continue;  // the root's sleep set is empty
-            const std::vector<SleepEntry>& prev =
+            const std::span<const SleepEntry> prev =
                 j == prefixLen ? item->node->sleep
-                               : sleepAt[j - prefixLen - 1];
+                               : std::span<const SleepEntry>(
+                                     sleepAt[j - prefixLen - 1]);
             const Footprint& fp = result.stepFootprints[j - 1];
             const ThreadId ran = result.schedule[j - 1];
             for (const SleepEntry& e : prev) {
@@ -413,10 +426,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             }
           }
         }
-        auto sleepSetAt =
-            [&](std::size_t j) -> const std::vector<SleepEntry>& {
+        auto sleepSetAt = [&](std::size_t j) -> std::span<const SleepEntry> {
           return j < prefixLen ? chainBuf[j + 1]->sleep
-                               : sleepAt[j - prefixLen];
+                               : std::span<const SleepEntry>(
+                                     sleepAt[j - prefixLen]);
         };
 
         // Nodes of this run's executed spine, built lazily from the work
@@ -433,9 +446,10 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             PrefixNode* n =
                 arena.child(self, spineBuf.back(), result.schedule[at]);
             if (dporMode) {
-              n->sleep = sleepSetAt(at);
+              n->sleep = arena.sleepSet(self, sleepSetAt(at));
               if (at + 1 < result.schedule.size()) {
                 n->tryClaim(result.schedule[at + 1]);
+                n->spine = result.schedule[at + 1];
               }
             }
             // A checkpoint taken at this depth during the run was parked by
@@ -468,67 +482,143 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
           // their head analyzed — bounded exploration keeps real runs far
           // below the window.
           //
-          // The backward scan starts below the branch bound: a race with a
-          // step at j >= branchLimit cannot be reversed (the bound forbids
+          // The lookup sees only steps below the branch bound: a race with
+          // a step at j >= branchLimit cannot be reversed (the bound forbids
           // branching at j), and it must not shadow an earlier dependent
           // step of the same thread below the bound either — with j cut
           // off, the transitive path through reversing j is gone and the
-          // earlier race must be reversed directly.
+          // earlier race must be reversed directly.  So the last-access
+          // index (race_index.hpp) holds exactly the steps below
+          // min(i, branchLimit), indexed once as that window grows.
+          Clock::time_point analysisStart;
+          const bool timeAnalysis =
+              raceAnalysisH != nullptr &&
+              claimed % kRaceAnalysisSampleEvery == 0;
+          if (timeAnalysis) analysisStart = Clock::now();
           ThreadId maxTid = 0;
           for (std::size_t i = 0; i < analysisLen; ++i) {
             maxTid = std::max(maxTid, result.schedule[i]);
           }
-          const std::size_t first = prefixLen > 0 ? prefixLen - 1 : 0;
-          for (std::size_t i = std::max<std::size_t>(first, 1); i < analysisLen;
-               ++i) {
-            const ThreadId p = result.schedule[i];
-            seenTid.assign(static_cast<std::size_t>(maxTid) + 1, 0);
-            seenTid[p] = 1;  // own thread: program order, not a race
-            std::size_t threadsSeen = 1;
-            for (std::size_t j = std::min(i, branchLimit);
-                 j-- > 0 && threadsSeen <= maxTid;) {
-              const ThreadId t = result.schedule[j];
-              if (seenTid[t]) continue;
-              if (!result.stepFootprints[j].dependentWith(
-                      result.stepFootprints[i])) {
-                continue;
-              }
-              seenTid[t] = 1;
-              ++threadsSeen;
-              const std::span<const ThreadId> enabled = result.choiceSets[j];
-              if (enabled.size() <= 1) continue;
-              const PrefixNode* at = j < prefixLen ? chainBuf[j] : spineAt(j);
-              const std::vector<SleepEntry>& asleep = sleepSetAt(j);
-              auto backtrack = [&](ThreadId q) {
-                if (q == result.schedule[j]) return;
-                for (const SleepEntry& e : asleep) {
-                  if (e.tid == q) {
-                    // q's step here is covered by the sibling that put it
-                    // to sleep — reversing this race is redundant.
-                    ++local.prunedBranches;
-                    return;
-                  }
-                }
-                if (!at->tryClaim(q)) return;
-                PrefixNode* ch = arena.child(self, at, q);
-                // FG sleep inheritance: the branch that ran first at this
-                // decision point goes to sleep in every later sibling (its
-                // reordering with q is covered by its own subtree).
-                ch->sleep = asleep;
-                ch->sleep.push_back(
-                    SleepEntry{result.schedule[j], result.stepFootprints[j]});
-                WorkItem child;
-                child.node = ch;
-                childBuf.push_back(std::move(child));
-                ++local.dporBacktracks;
-              };
-              if (std::find(enabled.begin(), enabled.end(), p) !=
-                  enabled.end()) {
-                backtrack(p);
-              } else {
-                for (ThreadId q : enabled) backtrack(q);
+          raceIndex.reset(static_cast<std::size_t>(maxTid) + 1);
+          // Bit q of resolvedAt[j]: this run already resolved the request
+          // to branch thread q at decision point j; bit q of asleepAt[j]:
+          // it was resolved by j's sleep set.  Races found from later steps
+          // keep asking for the same branches; each is tested against the
+          // sleep set and the shared claim mask once per run.
+          const std::size_t window = std::min(analysisLen, branchLimit);
+          resolvedAt.assign(window, 0);
+          asleepAt.assign(window, 0);
+          auto backtrack = [&](std::size_t j, ThreadId q,
+                               const Footprint& ranFp) {
+            if (q == result.schedule[j]) return;
+            const std::uint64_t bit = q < 64 ? 1ull << q : 0;
+            if ((resolvedAt[j] & bit) != 0) {
+              // A repeat: count it as the first resolution did.
+              if ((asleepAt[j] & bit) != 0) ++local.prunedBranches;
+              return;
+            }
+            resolvedAt[j] |= bit;
+            const std::span<const SleepEntry> asleep = sleepSetAt(j);
+            for (const SleepEntry& e : asleep) {
+              if (e.tid == q) {
+                // q's step here is covered by the sibling that put it to
+                // sleep — reversing this race is redundant.
+                asleepAt[j] |= bit;
+                ++local.prunedBranches;
+                return;
               }
             }
+            const PrefixNode* at = j < prefixLen ? chainBuf[j] : spineAt(j);
+            if (!at->tryClaim(q)) return;
+            PrefixNode* ch = arena.child(self, at, q);
+            // FG sleep inheritance: the branch that ran first at this
+            // decision point (the node's spine) goes to sleep in every
+            // later sibling — its reordering with q is covered by its own
+            // subtree.  A run below another sibling already carries the
+            // spine's entry in its sleep set at j (its sibling got it at
+            // creation), and must not add its own step: the new node's
+            // sleep set would then depend on which run claimed it first,
+            // and with several workers so would the whole tree below it.
+            const SleepEntry spineEntry{result.schedule[j], ranFp};
+            ch->sleep = arena.sleepSet(
+                self, asleep,
+                result.schedule[j] == at->spine ? &spineEntry : nullptr);
+            WorkItem child;
+            child.node = ch;
+            childBuf.push_back(std::move(child));
+            ++local.dporBacktracks;
+          };
+          const std::size_t first = prefixLen > 0 ? prefixLen - 1 : 0;
+          std::size_t indexed = 0;
+          for (std::size_t i = std::max<std::size_t>(first, 1); i < analysisLen;
+               ++i) {
+            for (const std::size_t upTo = std::min(i, branchLimit);
+                 indexed < upTo; ++indexed) {
+              raceIndex.add(indexed, result.schedule[indexed],
+                            result.stepFootprints[indexed]);
+            }
+            const ThreadId p = result.schedule[i];
+            races.clear();
+            raceIndex.races(p, result.stepFootprints[i], races);
+            for (const Race& race : races) {
+              const std::size_t j = race.step;
+              const std::span<const ThreadId> enabled = result.choiceSets[j];
+              if (enabled.size() <= 1) continue;
+              // Build the spine down to j even when every request below is
+              // a repeat, so the spine nodes (and the checkpoints bound to
+              // them) are those of a full analysis.
+              if (j >= prefixLen) (void)spineAt(j);
+              const Footprint& ranFp = result.stepFootprints[j];
+              if (std::find(enabled.begin(), enabled.end(), p) !=
+                  enabled.end()) {
+                backtrack(j, p, ranFp);
+              } else {
+                for (ThreadId q : enabled) backtrack(j, q, ranFp);
+              }
+            }
+          }
+          // A run cut short — by an exception, or by the step limit —
+          // stops every other runnable thread, so the cut is dependent with
+          // each of their pending steps.  Those steps never ran and have no
+          // footprint the lookup could meet: a thread that only a cut run
+          // would have reached next is never reversed, and faults that
+          // need it to move first are missed.  So reverse the cut against
+          // each runnable thread at the latest decision point below the
+          // bound where it was runnable and another thread ran.  When the
+          // bound leaves no such point after the thread's own last step,
+          // that moves an earlier step of it forward instead; the run that
+          // follows is cut again and moves it further, until its pending
+          // step runs below the bound.  The cut step goes to sleep in the
+          // new branch with a global footprint: the step that reverses it
+          // is dependent with it by definition, and must wake it.
+          const std::size_t runLen = result.schedule.size();
+          if (!result.sleepPruned &&
+              (result.outcome == Outcome::Exception ||
+               result.outcome == Outcome::StepLimit) &&
+              runLen > first && result.choiceSets.size() == runLen) {
+            const std::size_t last = runLen - 1;
+            Footprint cutFp;
+            cutFp.global = true;
+            for (ThreadId q : result.choiceSets[last]) {
+              if (q == result.schedule[last]) continue;
+              for (std::size_t j = window; j-- > 0;) {
+                if (result.schedule[j] == q) continue;
+                const std::span<const ThreadId> enabled = result.choiceSets[j];
+                if (std::find(enabled.begin(), enabled.end(), q) ==
+                    enabled.end()) {
+                  continue;
+                }
+                if (j >= prefixLen) (void)spineAt(j);
+                backtrack(j, q, j == last ? cutFp : result.stepFootprints[j]);
+                break;
+              }
+            }
+          }
+          if (timeAnalysis) {
+            raceAnalysisH->observe(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now() - analysisStart)
+                    .count()));
           }
         } else {
           // Branch: for every decision point past the replayed prefix where

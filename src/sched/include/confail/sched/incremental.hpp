@@ -53,6 +53,7 @@
 #include "confail/sched/virtual_scheduler.hpp"
 
 namespace confail::obs {
+class Counter;
 class Registry;
 }
 
@@ -170,6 +171,11 @@ class IncrementalRunner {
   Config cfg_;
   SwapStrategy swap_;
   VirtualScheduler sched_;
+  /// The sched.* counters, resolved once (null without metrics): a
+  /// by-name lookup takes the registry lock, on every worker's every run.
+  obs::Counter* runsCounter_ = nullptr;
+  obs::Counter* stepsCounter_ = nullptr;
+  obs::Counter* switchesCounter_ = nullptr;
   bool usable_ = false;
   bool firstRun_ = true;
   Tally tally_;

@@ -18,8 +18,10 @@
 // once when explore() returns.  Nodes are never freed individually — a
 // parent must outlive every descendant, and at well under 100 bytes/node a
 // multi-million-run exploration costs tens of MB, reported through the
-// `explorer.prefix_arena_bytes` gauge (chunk granularity; DPOR sleep-set
-// heap storage is tiny and uncounted).
+// `explorer.prefix_arena_bytes` gauge (chunk granularity).  DPOR sleep sets
+// live in the same lanes, in chunks of entries: most nodes carry one, and
+// a heap vector per node (an allocation, its header and its slack) cost
+// more than the entries themselves.
 //
 // Two fields stay mutable after publication, both atomic:
 //   * `expanded`, the DPOR bookkeeping mask: bit t set means a run that
@@ -37,9 +39,11 @@
 //     retained snapshot memory to the live DFS frontier.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "confail/events/event.hpp"
@@ -70,6 +74,11 @@ struct PrefixNode {
   /// the subtree lets retain/release stop at the first ancestor whose
   /// liveness does not change, instead of touching the root every time.
   mutable std::atomic<std::uint32_t> live{0};
+
+  /// Reduction::Dpor only: the thread the node's first run took at its
+  /// decision point (its spine), set by that run before it publishes any
+  /// child, so every run below the node reads it.  kNoThread until then.
+  mutable ThreadId spine = events::kNoThread;
 
   /// Atomically claim thread `t` at this decision point.  True exactly once
   /// per (node, t) — the caller that wins owns enqueueing that branch.
@@ -107,9 +116,12 @@ struct PrefixNode {
   /// prefix[0 .. depth-1), i.e. just *before* this node's last step
   /// executes (the creating run knows that state; it cannot know the last
   /// step's own footprint, so the scheduler replays the wake rule from
-  /// step depth-1 on).  A path property, hence identical no matter which
-  /// run creates the node; written once by the creator before publication.
-  std::vector<SleepEntry> sleep;
+  /// step depth-1 on).  Written once by the creator before publication.
+  /// It is the parent's own sleep set plus, for a branch off the parent's
+  /// spine, the spine's entry — a path property, hence identical no matter
+  /// which run creates the node (see the DPOR analysis in explorer.cpp).
+  /// Stored in the arena (PrefixArena::sleepSet).
+  std::span<const SleepEntry> sleep;
 };
 
 /// Bump allocator for PrefixNodes, one lane per worker so allocation is
@@ -147,19 +159,47 @@ class PrefixArena {
     return n;
   }
 
-  /// Bytes of node storage allocated so far (chunk granularity).
+  /// Store `entries`, followed by `extra` when given, in `worker`'s lane:
+  /// the sleep set of a node that worker creates.  Same lifetime and
+  /// threading rules as child().
+  std::span<const SleepEntry> sleepSet(std::size_t worker,
+                                       std::span<const SleepEntry> entries,
+                                       const SleepEntry* extra = nullptr) {
+    const std::size_t n = entries.size() + (extra != nullptr ? 1 : 0);
+    if (n == 0) return {};
+    Lane& lane = lanes_[worker];
+    if (lane.sleepUsed + n > lane.sleepCap) {
+      lane.sleepCap = std::max(n, kChunkEntries);
+      lane.sleepChunks.push_back(std::make_unique<SleepEntry[]>(lane.sleepCap));
+      lane.sleepUsed = 0;
+      bytes_.fetch_add(lane.sleepCap * sizeof(SleepEntry),
+                       std::memory_order_relaxed);
+    }
+    SleepEntry* out = lane.sleepChunks.back().get() + lane.sleepUsed;
+    std::copy(entries.begin(), entries.end(), out);
+    if (extra != nullptr) out[entries.size()] = *extra;
+    lane.sleepUsed += n;
+    return {out, n};
+  }
+
+  /// Bytes of node and sleep-set storage allocated so far (chunk
+  /// granularity).
   std::uint64_t bytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
 
  private:
   static constexpr std::size_t kChunkNodes = 1024;
+  static constexpr std::size_t kChunkEntries = 2048;
   struct Chunk {
     PrefixNode nodes[kChunkNodes];
   };
   struct Lane {
     std::vector<std::unique_ptr<Chunk>> chunks;
     std::size_t used = kChunkNodes;  ///< forces a chunk on first child()
+    std::vector<std::unique_ptr<SleepEntry[]>> sleepChunks;
+    std::size_t sleepUsed = 0;
+    std::size_t sleepCap = 0;  ///< entries in sleepChunks.back()
   };
 
   PrefixNode root_;

@@ -309,6 +309,11 @@ class VirtualScheduler {
   /// Unregister a snapshot source (called from its destructor).
   void removeSnapshotSource(SnapshotSource* s);
 
+  /// The registered snapshot sources, in registration order.
+  std::span<SnapshotSource* const> snapshotSources() const {
+    return snapshotSources_;
+  }
+
   /// Declare that the program under test keeps ALL of its mutable state
   /// either in registered SnapshotSources or in plain stack locals of its
   /// logical threads (no heap-owning locals crossing schedule points, no

@@ -27,6 +27,11 @@ IncrementalRunner::IncrementalRunner(
     : cfg_(cfg), sched_(swap_, sessionOptions(cfg)) {
   CONFAIL_CHECK(fibersSupported(), UsageError,
                 "incremental exploration requires fiber support");
+  if (cfg_.metrics != nullptr) {
+    runsCounter_ = &cfg_.metrics->counter("sched.runs");
+    stepsCounter_ = &cfg_.metrics->counter("sched.steps");
+    switchesCounter_ = &cfg_.metrics->counter("sched.context_switches");
+  }
   program(sched_);
   usable_ = sched_.snapshotSafe();
   sched_.checkpointHook_ = [this](std::uint64_t step, std::size_t runnable) {
@@ -103,7 +108,7 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
   // Per-run scheduler options: runLoop copies opts_.sleepSet at entry, so
   // mutating them between runs is safe.
   if (dporMode) {
-    sched_.opts_.sleepSet = node->sleep;
+    sched_.opts_.sleepSet.assign(node->sleep.begin(), node->sleep.end());
     sched_.opts_.sleepProcessFrom = prefixLen > 0 ? prefixLen - 1 : 0;
     sched_.opts_.sleepFilterFrom = prefixLen;
     sched_.opts_.sleepFilterTo = branchDepthLimit;
@@ -139,11 +144,11 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
   resultPtr_ = nullptr;
   swap_.reset(nullptr);
 
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("sched.runs").inc();
+  if (runsCounter_ != nullptr) {
+    runsCounter_->inc();
     // Only the executed portion: restored steps cost no execution.
-    cfg_.metrics->counter("sched.steps").add(result.steps - fromDepth);
-    cfg_.metrics->counter("sched.context_switches").add(contextSwitches);
+    stepsCounter_->add(result.steps - fromDepth);
+    switchesCounter_->add(contextSwitches);
   }
   return true;
 }

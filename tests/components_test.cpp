@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "confail/components/barrier.hpp"
 #include "confail/components/bounded_buffer.hpp"
@@ -18,6 +20,7 @@
 #include "confail/gen/generator.hpp"
 #include "confail/gen/interpret.hpp"
 #include "confail/monitor/runtime.hpp"
+#include "confail/obs/metrics.hpp"
 #include "confail/petri/trace_validator.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
@@ -562,7 +565,8 @@ TEST(ThreadPoolTest, NoDetectorFindingsOnCleanRun) {
 // program, each run once through ifn: decorate runs once per instantiation
 // before the first spawn, the object it returns dies while the Runtime it
 // was handed is still alive, and a caller's trace is cleared before the
-// run's first event.
+// run's first event.  A plain run (no trace, no decoration) records no
+// events but registers every name; a run with either records every event.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -585,10 +589,113 @@ struct DecorationProbe {
 
 }  // namespace
 
-TEST(InstrumentsContract, HoldsForEveryRegistryScenarioAndAGeneratedOne) {
+namespace {
+
+/// The Runtime a scenario registered on `s`.
+Runtime& runtimeOf(const sched::VirtualScheduler& s) {
+  for (sched::SnapshotSource* src : s.snapshotSources()) {
+    if (auto* rt = dynamic_cast<Runtime*>(src)) return *rt;
+  }
+  throw std::logic_error("no Runtime registered on the scheduler");
+}
+
+/// Every name of the first ids of each table, as the trace renders them.
+std::vector<std::string> namesOf(const ev::Trace& t) {
+  std::vector<std::string> names;
+  for (std::uint32_t id = 0; id < 32; ++id) {
+    names.push_back(t.threadName(id));
+    names.push_back(t.monitorName(id));
+    names.push_back(t.varName(id));
+    names.push_back(t.methodName(id));
+  }
+  return names;
+}
+
+/// Run `sc` once under round robin with `ins` and hand `check` the
+/// scenario's Runtime while the scenario state is still alive.
+template <typename Check>
+void runOnce(const scenarios::NamedScenario& sc,
+             const scenarios::Instruments& ins, Check check) {
+  sched::RoundRobinStrategy strategy;
+  sched::VirtualScheduler s(strategy);
+  sc.ifn(s, ins);
+  (void)s.run();
+  check(runtimeOf(s));
+}
+
+std::vector<scenarios::NamedScenario> registryAndAGeneratedOne() {
   std::vector<scenarios::NamedScenario> all = scenarios::registry();
   all.push_back(confail::gen::asScenario(
       confail::gen::generate(54, confail::gen::GenConfig{}), "gen_54"));
+  return all;
+}
+
+}  // namespace
+
+TEST(InstrumentsContract, PlainRunsRecordNoEventsButEveryName) {
+  for (const scenarios::NamedScenario& sc : registryAndAGeneratedOne()) {
+    SCOPED_TRACE(sc.name);
+    ev::Trace traced;
+    scenarios::Instruments withTrace;
+    withTrace.trace = &traced;
+    runOnce(sc, withTrace, [](Runtime&) {});
+    ASSERT_FALSE(traced.events().empty());
+
+    // Plain, and metrics alone (still plain): no events, the same names.
+    confail::obs::Registry reg;
+    scenarios::Instruments metricsOnly;
+    metricsOnly.metrics = &reg;
+    for (const scenarios::Instruments& plain :
+         {scenarios::Instruments{}, metricsOnly}) {
+      runOnce(sc, plain, [&](Runtime& rt) {
+        EXPECT_NE(&rt.trace(), &traced);
+        EXPECT_EQ(rt.trace().size(), 0u);
+        EXPECT_EQ(namesOf(rt.trace()), namesOf(traced));
+      });
+    }
+
+    // A decoration alone: its private trace records every event.
+    scenarios::Instruments decorated;
+    decorated.decorate = [](Runtime&) -> std::shared_ptr<void> {
+      return nullptr;
+    };
+    runOnce(sc, decorated, [&](Runtime& rt) {
+      EXPECT_EQ(rt.trace().events(), traced.events());
+      EXPECT_EQ(namesOf(rt.trace()), namesOf(traced));
+    });
+  }
+}
+
+// Plain runs keep no events in their checkpoints either: incremental
+// exploration, which restores them, still agrees with prefix replay.
+TEST(InstrumentsContract, PlainIncrementalExplorationMatchesReplay) {
+  for (const scenarios::NamedScenario& sc : registryAndAGeneratedOne()) {
+    SCOPED_TRACE(sc.name);
+    auto exploreOnce = [&sc](bool incremental) {
+      sched::ExhaustiveExplorer::Options eo;
+      eo.maxRuns = 20000;
+      eo.maxBranchDepth = 6;
+      eo.reduction = sched::ExhaustiveExplorer::Reduction::Dpor;
+      eo.workers = 1;
+      eo.incremental = incremental;
+      std::vector<std::vector<sched::ThreadId>> schedules;
+      const sched::ExhaustiveExplorer::Stats st =
+          sched::ExhaustiveExplorer(eo).explore(
+              sc.fn, [&schedules](const std::vector<sched::ThreadId>& s,
+                                  const sched::RunResult&) {
+                schedules.push_back(s);
+                return true;
+              });
+      return std::make_tuple(st.runs, st.completed, st.deadlocks,
+                             st.dporBacktracks, st.prunedBranches,
+                             st.firstFailure, schedules);
+    };
+    EXPECT_EQ(exploreOnce(true), exploreOnce(false));
+  }
+}
+
+TEST(InstrumentsContract, HoldsForEveryRegistryScenarioAndAGeneratedOne) {
+  const std::vector<scenarios::NamedScenario> all = registryAndAGeneratedOne();
   ev::Event stale;
   stale.kind = ev::EventKind::Write;
   stale.aux = 0xdead;

@@ -5,7 +5,9 @@
 //     threads the number of distinct executions equals the number of
 //     distinct interleavings (multinomial), and the explorer enumerates
 //     exactly that many;
-//   * strategies always pick from the runnable set.
+//   * strategies always pick from the runnable set;
+//   * DPOR's last-access race lookup finds exactly the races the backward
+//     scan it replaced finds, in the same order.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +17,7 @@
 #include <algorithm>
 
 #include "confail/sched/explorer.hpp"
+#include "confail/sched/race_index.hpp"
 #include "confail/support/rng.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 
@@ -227,3 +230,106 @@ std::string contractSeedName(const testing::TestParamInfo<std::uint64_t>& info) 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyContractSweep,
                          testing::Values(1ull, 2ull, 3ull, 4ull),
                          contractSeedName);
+
+// ---------------------------------------------------------------------------
+// DPOR race lookup: the last-access index against a backward scan
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A race of step `at`: (the racing step, its thread).
+struct FoundRace {
+  std::size_t at;
+  sched::Race race;
+  bool operator==(const FoundRace&) const = default;
+};
+
+/// The reference: for each step i >= from, walk back from the bound
+/// min(i, bound) and report each other thread's latest step dependent with
+/// step i, in the order the walk meets them.
+std::vector<FoundRace> scanRaces(const std::vector<ThreadId>& s,
+                                 const std::vector<sched::Footprint>& fp,
+                                 std::size_t from, std::size_t bound) {
+  std::vector<FoundRace> out;
+  for (std::size_t i = from; i < s.size(); ++i) {
+    std::set<ThreadId> seen{s[i]};
+    for (std::size_t j = std::min(i, bound); j-- > 0;) {
+      if (seen.count(s[j]) != 0 || !fp[j].dependentWith(fp[i])) continue;
+      seen.insert(s[j]);
+      out.push_back({i, sched::Race{static_cast<std::uint32_t>(j), s[j]}});
+    }
+  }
+  return out;
+}
+
+/// The same races through LastAccessIndex, driven the way the explorer
+/// drives it: steps below min(i, bound) are indexed as i grows.
+std::vector<FoundRace> indexRaces(const std::vector<ThreadId>& s,
+                                  const std::vector<sched::Footprint>& fp,
+                                  std::size_t from, std::size_t bound) {
+  ThreadId maxTid = 0;
+  for (ThreadId t : s) maxTid = std::max(maxTid, t);
+  sched::LastAccessIndex index;
+  index.reset(static_cast<std::size_t>(maxTid) + 1);
+  std::vector<FoundRace> out;
+  std::vector<sched::Race> races;
+  std::size_t indexed = 0;
+  for (std::size_t i = from; i < s.size(); ++i) {
+    for (; indexed < std::min(i, bound); ++indexed) {
+      index.add(indexed, s[indexed], fp[indexed]);
+    }
+    races.clear();
+    index.races(s[i], fp[i], races);
+    for (const sched::Race& r : races) out.push_back({i, r});
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(LastAccessIndexProperty, FindsTheRacesOfTheBackwardScanInOrder) {
+  confail::Xoshiro256 rng(0x5eed2310);
+  std::size_t racesChecked = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // A handful of threads, with ids past the 64-bit masks in some trials.
+    std::vector<ThreadId> ids;
+    const std::size_t threads = 1 + rng.below(5);
+    const ThreadId base = trial % 4 == 0 ? 60 + rng.below(80) : 0;
+    for (std::size_t t = 0; t < threads; ++t) {
+      ids.push_back(base + static_cast<ThreadId>(rng.below(8)));
+    }
+    // Footprints over few bits, so that dependence is common, or over all
+    // 64, so that it is rare; some steps are global, some touch nothing.
+    const std::uint64_t bits = rng.chance(0.5) ? 0xffull : ~0ull;
+    const std::size_t len = rng.below(48);
+    std::vector<ThreadId> s;
+    std::vector<sched::Footprint> fp;
+    for (std::size_t i = 0; i < len; ++i) {
+      s.push_back(ids[rng.pickIndex(ids)]);
+      sched::Footprint f;
+      if (rng.chance(0.05)) {
+        f.global = true;
+      } else if (!rng.chance(0.1)) {
+        for (int k = 0; k < 2; ++k) {
+          f.read |= (1ull << rng.below(64)) & bits;
+          if (rng.chance(0.5)) f.write |= (1ull << rng.below(64)) & bits;
+        }
+      }
+      fp.push_back(f);
+    }
+    // Bounds below, at and above the run length.
+    for (const std::size_t bound :
+         {static_cast<std::size_t>(rng.below(len + 1)), len, len + 7}) {
+      // Every prefix start the explorer can analyze from.
+      for (std::size_t first = 0; first <= len; ++first) {
+        const std::size_t from = std::max<std::size_t>(first, 1);
+        const std::vector<FoundRace> want = scanRaces(s, fp, from, bound);
+        ASSERT_EQ(indexRaces(s, fp, from, bound), want)
+            << "bound " << bound << " from " << from;
+        racesChecked += want.size();
+      }
+    }
+  }
+  EXPECT_GT(racesChecked, 10000u);  // the inputs do race
+}

@@ -20,11 +20,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "confail/components/scenario_registry.hpp"
+#include "confail/components/scenarios.hpp"
+#include "confail/monitor/shared_var.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/fingerprint.hpp"
@@ -367,4 +371,75 @@ TEST(SchedDporTest, PinnedFfT5Depth18AtOneAndFourWorkers) {
   if (!sched::fibersSupported()) GTEST_SKIP() << kNoFibers;
   expectPinned(kFfT5Depth18, 1, /*incremental=*/true);
   expectPinned(kFfT5Depth18, 4, /*incremental=*/true);
+}
+
+namespace {
+
+/// Two threads on one variable: t0 checks it, t1 sets it.  With `spin`,
+/// t0 waits for the write in a loop that the step limit cuts short when t1
+/// never runs; without, t0 throws when it reads the variable unset.
+void checkBeforeSet(sched::VirtualScheduler& s, bool spin) {
+  struct State : scenarios::ScenarioState {
+    confail::monitor::SharedVar<int> v;
+    explicit State(sched::VirtualScheduler& sc)
+        : ScenarioState(sc, {}), v(rt, "v", 0) {}
+  };
+  auto st = std::make_shared<State>(s);
+  st->rt.spawn("t0", [st, spin] {
+    if (spin) {
+      while (st->v.get() == 0) {
+      }
+    } else if (st->v.get() == 0) {
+      throw std::runtime_error("v read before it was set");
+    }
+  });
+  st->rt.spawn("t1", [st] { st->v.set(1); });
+}
+
+/// The outcomes one exploration of `program` reaches.
+std::set<sched::Outcome> outcomesOf(const sched::ExhaustiveExplorer::Program&
+                                        program,
+                                    Reduction reduction, std::size_t workers) {
+  sched::ExhaustiveExplorer::Options eo;
+  eo.maxRuns = 10000;
+  eo.maxSteps = 200;
+  eo.maxBranchDepth = 8;
+  eo.reduction = reduction;
+  eo.workers = workers;
+  std::set<sched::Outcome> seen;
+  const sched::ExhaustiveExplorer::Stats st =
+      sched::ExhaustiveExplorer(eo).explore(
+          program, [&seen](const std::vector<sched::ThreadId>&,
+                           const sched::RunResult& r) {
+            seen.insert(r.outcome);
+            return true;
+          });
+  EXPECT_TRUE(st.exhausted);
+  return seen;
+}
+
+}  // namespace
+
+// A run cut short by an exception or by the step limit never executes the
+// pending steps of the other runnable threads, so no footprint of theirs
+// can race with anything.  DPOR must still reverse the cut against them:
+// here the first run lets t0 fail alone, and only putting t1 first
+// reaches the completed outcome that full enumeration finds.
+TEST(SchedDporTest, ReversesRunsCutShortAgainstRunnableThreads) {
+  for (const bool spin : {false, true}) {
+    SCOPED_TRACE(spin ? "step limit" : "exception");
+    const auto program = [spin](sched::VirtualScheduler& s) {
+      checkBeforeSet(s, spin);
+    };
+    const std::set<sched::Outcome> none =
+        outcomesOf(program, Reduction::None, 1);
+    ASSERT_EQ(none, (std::set<sched::Outcome>{
+                        sched::Outcome::Completed,
+                        spin ? sched::Outcome::StepLimit
+                             : sched::Outcome::Exception}));
+    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(workers);
+      EXPECT_EQ(outcomesOf(program, Reduction::Dpor, workers), none);
+    }
+  }
 }
