@@ -114,8 +114,10 @@ bool readCount(const obs::JsonValue& doc, const std::string& key,
                std::uint64_t& out, std::string& error) {
   const obs::JsonValue* v = doc.get(key);
   if (v == nullptr) return true;
-  if (!v->isNumber() || v->number < 0) {
-    error = key + " must be a non-negative number";
+  // 2^64 and up have no uint64 value: converting them is UB.
+  if (!v->isNumber() || v->number < 0 ||
+      v->number >= 18446744073709551616.0) {
+    error = key + " must be a non-negative number below 2^64";
     return false;
   }
   out = static_cast<std::uint64_t>(v->number);

@@ -2,15 +2,20 @@
 //
 // One instance owns a CampaignStore root and runs jobs to completion:
 //
-//   scan queue/ -> adopt job -> reap finished workers -> journal + state
-//     -> merge jobs whose shards all landed -> dispatch to freed workers
+//   reap finished workers -> land their shards -> dispatch to freed workers
+//     -> merge jobs whose shards all landed -> on the poll clock: scan
+//     queue/ and the drain marker, rewrite state.json, snapshot metrics
 //     -> wait for a worker to finish (at most pollMs) -> repeat
 //
 // The loop is event-driven: it blocks in poll(2) on one pidfd per worker
 // subprocess and on an eventfd the in-process workers signal, so a
 // finished shard's slot is refilled at once.  The pollMs timeout is only
 // how often an otherwise idle daemon rescans queue/ and the drain marker
-// (a worker without a pidfd is also reaped on that timed wake).
+// (a worker without a pidfd is also reaped on that timed wake).  The same
+// pollMs is the daemon's bookkeeping clock: while jobs run, the queue/ and
+// drain scans, the state.json rewrites of jobs that landed shards, and the
+// metricsOut snapshot happen at most once per pollMs.  Adopting, completing
+// or failing a job, and failing a shard, write state.json at once.
 //
 // Shards run in worker subprocesses by default (`<self> worker --job ...
 // --shard N --out ...`), so a shard that crashes or is killed takes down
@@ -19,20 +24,25 @@
 // in-process pool (threads calling inject::runShard directly) backs tests
 // and sanitizer builds where fork+exec is unavailable or unsafe.
 //
-// Resume is structural, not transactional: a shard is complete iff its
-// result file exists and parses (the store writes it atomically), so a
-// daemon restarted over an existing root — including after SIGKILL —
-// re-expands each unfinished job and dispatches only the missing shards.
-// Completed shard files are never rewritten, and each is journaled exactly
-// once.  The daemon keeps every landed shard's result (minus its events)
-// in memory and merges from there, never re-reading the spool.
+// Resume is structural, not transactional: a shard is complete iff it has
+// landed (its header parses and its events sidecar has the size the header
+// names; see store.hpp), so a daemon restarted over an existing root —
+// including after SIGKILL — re-expands each unfinished job and dispatches
+// only the missing shards.  Landed shard files are never rewritten, and
+// each is journaled exactly once.  Landing a shard reads only its small
+// header: the daemon keeps the parsed result (which has no events) in
+// memory and merges from there, never re-reading the spool, and appends
+// the sidecar to the job's events.jsonl feed through a fixed 64 KB buffer
+// without parsing it.
 //
 // Observability: progress counters live in an obs::Registry
 // (serve.jobs_adopted, serve.shards_completed, serve.shards_failed,
-// serve.heartbeats = waits that timed out with nothing to reap, gauges
-// serve.jobs_active / serve.workers_busy).  They are snapshot to
-// `metricsOut` at most once per pollMs and at exit, and each completed
-// shard's captured run is appended to the job's events.jsonl feed.
+// serve.heartbeats = waits that timed out with nothing to reap,
+// serve.events_bytes = bytes appended to the feeds, gauges
+// serve.jobs_active / serve.workers_busy, histograms serve.land_us = µs to
+// land one shard and serve.refill_us = µs from a wake that reaped workers
+// to the end of its dispatch).  They are snapshot to `metricsOut` at most
+// once per pollMs and at exit.
 #pragma once
 
 #include <cstdint>

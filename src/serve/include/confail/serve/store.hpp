@@ -9,25 +9,33 @@
 //     jobs/<job-id>/
 //       job.json                 the adopted canonical spec
 //       state.json               confail.jobstate.v1 progress summary
-//       shards/shard-NNNN.json   one confail.shard.v1 result per done shard
+//       shards/shard-NNNN.events.jsonl
+//                                a done shard's captured run, raw JSONL
+//                                (obs::toJsonl bytes, no JSON escaping)
+//       shards/shard-NNNN.json   its confail.shard.v2 header: the result
+//                                without events, plus `events_bytes`, the
+//                                sidecar's size
 //       journal.jsonl            append-only completion log, exactly one
 //                                line per landed shard across crashes: the
 //                                daemon journals a shard when it reaps it,
 //                                and at adoption journals any landed shard
 //                                the log lacks (a daemon killed between the
-//                                file landing and the journal line)
-//       events.jsonl             heartbeat feed: each shard's captured run
-//                                as obs::toJsonl lines (`confail ingest`
-//                                consumes this directly)
+//                                header landing and the journal line)
+//       events.jsonl             heartbeat feed: every landed shard's
+//                                sidecar appended verbatim (`confail
+//                                ingest` consumes this directly)
 //       findings.json            merged confail.findings.v1 (on completion)
 //       findings.sarif           merged SARIF 2.1.0
 //       matrix.json              merged confail.injection.v1 matrix
 //
 // Every file the store writes lands via write-to-temp + rename in the same
 // directory, so readers (including a daemon resuming after SIGKILL) only
-// ever see absent or complete documents — a half-written shard is
-// impossible, which is what makes "shard file exists and parses" the
-// resume criterion.
+// ever see absent or complete documents.  A shard writer removes any old
+// header, lands the sidecar, then the header: the header is the commit
+// point.  A shard is *landed* iff its header parses as confail.shard.v2
+// and its sidecar's size equals the header's `events_bytes`; anything else
+// (a v1 document, a sidecar without a header, a header whose sidecar is
+// missing, short or long) is not landed, and the shard runs again.
 //
 // Job ids are content-derived (`<name>-<hash of the canonical spec JSON>`),
 // so re-submitting the same spec is idempotent: same id, same queue file,
@@ -108,6 +116,8 @@ class CampaignStore {
 
   std::string jobDir(const std::string& id) const;
   std::string shardPath(const std::string& id, std::size_t index) const;
+  /// Shard `index`'s events sidecar: sidecarPathFor(shardPath(id, index)).
+  std::string shardEventsPath(const std::string& id, std::size_t index) const;
   std::string statePath(const std::string& id) const;
   std::string journalPath(const std::string& id) const;
   std::string eventsPath(const std::string& id) const;
@@ -117,19 +127,28 @@ class CampaignStore {
 
   // -- shard persistence ---------------------------------------------------
 
-  /// Serialize / parse one shard result (schema confail.shard.v1).  The
-  /// injection plan is not on the wire: parse reconstructs it with
+  /// The events sidecar of the shard header at `headerPath`: the path with
+  /// a trailing ".json" replaced by ".events.jsonl" (appended otherwise).
+  static std::string sidecarPathFor(const std::string& headerPath);
+
+  /// Serialize one shard header (schema confail.shard.v2): every field of
+  /// the result but its events, and events_bytes = r.eventsJsonl.size().
+  /// The injection plan is not on the wire: parsing reconstructs it with
   /// defaultPlanFor, which is deterministic in (class, scenario).
   static std::string shardToJson(const inject::ShardResult& r);
+  /// Parse a shard header.  out.eventsJsonl stays empty; `eventsBytes`
+  /// receives the sidecar size the header commits to.
   static bool shardFromJson(const std::string& json, inject::ShardResult& out,
-                            std::string& error);
+                            std::uint64_t& eventsBytes, std::string& error);
 
-  /// Atomically write one shard result to `path`.  Given `run` (the shard's
-  /// captured run, from the runShard overload that takes a trace), the
-  /// events_jsonl value is streamed into the file one event line at a time
-  /// instead of taken from r.eventsJsonl, so the payload is never held as
-  /// one string.  Either way the bytes are shardToJson + "\n" of the result
-  /// whose eventsJsonl is obs::toJsonl(*run).
+  /// Write one shard as a sidecar + header pair, header at `path`: remove
+  /// the old header, land the events sidecar (sidecarPathFor(path)), then
+  /// the header.  Given `run` (the shard's captured run, from the runShard
+  /// overload that takes a trace), the sidecar is streamed from it one
+  /// event line at a time, so the payload is never held as one string;
+  /// otherwise it is r.eventsJsonl.  Either way the sidecar holds
+  /// obs::toJsonl(*run) and the header is shardToJson of the result whose
+  /// eventsJsonl that is, plus "\n".
   static bool writeShardFile(const std::string& path,
                              const inject::ShardResult& r,
                              const events::Trace* run = nullptr);
@@ -138,11 +157,17 @@ class CampaignStore {
   bool writeShard(const std::string& id, const inject::ShardResult& r,
                   const events::Trace* run = nullptr) const;
 
-  /// True (and parses into `out`) when shard `index` completed earlier.
+  /// True when shard `index` has landed: fills `out` from its header alone
+  /// (no events) and `eventsBytes` with its sidecar's size.
+  bool readShardHeader(const std::string& id, std::size_t index,
+                       inject::ShardResult& out,
+                       std::uint64_t& eventsBytes) const;
+
+  /// readShardHeader that also loads the sidecar into out.eventsJsonl.
   bool readShard(const std::string& id, std::size_t index,
                  inject::ShardResult& out) const;
 
-  /// completed[i] == true iff shard i's file exists and parses.
+  /// completed[i] == true iff shard i has landed.
   std::vector<bool> completedShards(const std::string& id,
                                     std::size_t count) const;
 
@@ -158,8 +183,14 @@ class CampaignStore {
   std::vector<bool> journaledShards(const std::string& id,
                                     std::size_t count) const;
 
-  /// Append a shard's captured JSONL events to the job's heartbeat feed.
-  bool appendEvents(const std::string& id, const std::string& jsonl) const;
+  /// Append the first `eventsBytes` bytes of shard `index`'s sidecar to
+  /// the job's heartbeat feed through one fixed 64 KB buffer (no parse, no
+  /// string), ending them with a newline if they lack one.  `appended`
+  /// receives the bytes written to the feed.  False when the sidecar is
+  /// shorter than `eventsBytes` or on I/O failure.
+  bool appendShardEvents(const std::string& id, std::size_t index,
+                         std::uint64_t eventsBytes,
+                         std::uint64_t& appended) const;
 
   // -- primitives ----------------------------------------------------------
 

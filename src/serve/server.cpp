@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -69,7 +68,8 @@ struct Server::Impl {
     shardsFailed = &reg->counter("serve.shards_failed");
     heartbeats = &reg->counter("serve.heartbeats");
     eventsBytes = &reg->counter("serve.events_bytes");
-    landMs = &reg->histogram("serve.land_ms");
+    landUs = &reg->histogram("serve.land_us");
+    refillUs = &reg->histogram("serve.refill_us");
     jobsActive = &reg->gauge("serve.jobs_active");
     workersBusy = &reg->gauge("serve.workers_busy");
   }
@@ -92,6 +92,9 @@ struct Server::Impl {
     std::deque<std::size_t> pending;
     std::size_t inFlight = 0;
     std::uint64_t failed = 0;
+    /// Shards landed since state.json was last written: it is rewritten
+    /// on the poll clock, not once per landing.
+    bool stateDirty = false;
   };
 
   struct Worker {
@@ -114,7 +117,8 @@ struct Server::Impl {
   obs::Counter* shardsFailed = nullptr;
   obs::Counter* heartbeats = nullptr;
   obs::Counter* eventsBytes = nullptr;
-  obs::Histogram* landMs = nullptr;
+  obs::Histogram* landUs = nullptr;
+  obs::Histogram* refillUs = nullptr;
   obs::Gauge* jobsActive = nullptr;
   obs::Gauge* workersBusy = nullptr;
 
@@ -126,8 +130,12 @@ struct Server::Impl {
   std::vector<Worker> workers;
   std::uint64_t mergedJobs = 0;
   bool anyFailed = false;
-  std::chrono::steady_clock::time_point lastSnapshot;
-  bool snapshotWritten = false;
+  /// The poll clock: queue/ and drain scans, dirty state.json rewrites and
+  /// metricsOut snapshots run at most once per pollMs.
+  std::chrono::steady_clock::time_point lastTick;
+  bool ticked = false;
+  /// When the last poll(2) returned: a wake's refill is timed from here.
+  std::chrono::steady_clock::time_point wokeAt;
 
   // -- job lifecycle -------------------------------------------------------
 
@@ -158,18 +166,20 @@ struct Server::Impl {
     jr.done.assign(n, false);
     jr.results.resize(n);
     jr.attempts.assign(n, 0);
-    // Resume criterion: a shard whose result file exists and parses was
-    // completed by an earlier daemon run and is never re-executed.  One
-    // killed between a shard landing and journaling it left the journal
-    // short: record such a landing now, so each shard is journaled once.
+    // Resume criterion: a shard that landed (its header parses and its
+    // sidecar has the size the header names) was completed by an earlier
+    // daemon run and is never re-executed.  One killed between a shard
+    // landing and journaling it left the journal short: record such a
+    // landing now, so each shard is journaled once.
     const std::vector<bool> journaled = store.journaledShards(id, n);
     for (std::size_t i = 0; i < n; ++i) {
       ShardResult r;
-      if (!store.readShard(id, i, r)) {
+      std::uint64_t bytes = 0;
+      if (!store.readShardHeader(id, i, r, bytes)) {
         jr.pending.push_back(i);
         continue;
       }
-      if (!journaled[i]) recordLanding(id, i, r);
+      if (!journaled[i]) recordLanding(id, i, bytes);
       keep(jr, i, std::move(r));
     }
     publishState(id, jr, "running");
@@ -177,19 +187,18 @@ struct Server::Impl {
     jobs.emplace(id, std::move(jr));
   }
 
-  /// Journal a landed shard and feed its events to the job's heartbeat
+  /// Journal a landed shard and append its sidecar to the job's heartbeat
   /// feed (journal first: a journaled shard is never recorded again).
   void recordLanding(const std::string& id, std::size_t index,
-                     const ShardResult& r) const {
+                     std::uint64_t sidecarBytes) const {
     (void)store.journalShard(id, index);
-    if (store.appendEvents(id, r.eventsJsonl)) {
-      eventsBytes->add(r.eventsJsonl.size());
-    }
+    std::uint64_t appended = 0;
+    (void)store.appendShardEvents(id, index, sidecarBytes, appended);
+    eventsBytes->add(appended);
   }
 
-  /// Keep a landed shard's result for the merge, which never reads events.
+  /// Keep a landed shard's header for the merge, which never reads events.
   static void keep(JobRun& jr, std::size_t index, ShardResult r) {
-    std::string().swap(r.eventsJsonl);  // release the buffer, not just clear
     jr.done[index] = true;
     jr.results[index] = std::move(r);
   }
@@ -334,15 +343,13 @@ struct Server::Impl {
     --jr.inFlight;
     const auto t0 = std::chrono::steady_clock::now();
     ShardResult r;
-    if (workerOk && store.readShard(id, index, r)) {
-      recordLanding(id, index, r);
-      landMs->observe(static_cast<std::uint64_t>(std::llround(
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count())));
+    std::uint64_t bytes = 0;
+    if (workerOk && store.readShardHeader(id, index, r, bytes)) {
+      recordLanding(id, index, bytes);
       keep(jr, index, std::move(r));
+      landUs->observe(microsSince(t0));
       shardsCompleted->inc();
-      publishState(id, jr, "running");
+      jr.stateDirty = true;
       return;
     }
     if (jr.attempts[index] < kMaxAttempts) {
@@ -354,7 +361,10 @@ struct Server::Impl {
     publishState(id, jr, "running");
   }
 
-  void reap() {
+  /// Land (or re-queue) every finished worker's shard; returns how many
+  /// workers finished.
+  std::size_t reap() {
+    std::size_t reaped = 0;
     for (std::size_t i = 0; i < workers.size();) {
       const int result = pollWorker(workers[i]);
       if (result < 0) {
@@ -365,11 +375,13 @@ struct Server::Impl {
       workers.erase(workers.begin() +
                     static_cast<std::ptrdiff_t>(i));
       closeFd(w.pidfd);
+      ++reaped;
       auto it = jobs.find(w.jobId);
       if (it != jobs.end()) {
         onShardDone(w.jobId, it->second, w.shardIndex, result == 0);
       }
     }
+    return reaped;
   }
 
   /// Block until a worker finishes or `pollMs` passes.  Returns false when
@@ -384,6 +396,7 @@ struct Server::Impl {
     const int timeoutMs =
         static_cast<int>(std::min<std::uint64_t>(opts.pollMs, INT_MAX));
     const int ready = ::poll(fds.data(), fds.size(), timeoutMs);
+    wokeAt = std::chrono::steady_clock::now();
     if (ready > 0 && wakeFd >= 0 && (fds.front().revents & POLLIN) != 0) {
       std::uint64_t count = 0;  // reset the eventfd; reap() finds who woke
       [[maybe_unused]] const ssize_t n = ::read(wakeFd, &count, sizeof count);
@@ -423,21 +436,40 @@ struct Server::Impl {
     }
   }
 
-  // -- metrics -------------------------------------------------------------
+  // -- poll clock ----------------------------------------------------------
 
-  /// Refresh the gauges; write the metricsOut snapshot when `force`d or
-  /// when pollMs has passed since the last one.
-  void publishMetrics(bool force) {
+  static std::uint64_t microsSince(std::chrono::steady_clock::time_point t0) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+
+  /// True at most once per pollMs (and on the first call).
+  bool tickDue() {
+    const auto now = std::chrono::steady_clock::now();
+    if (ticked && now - lastTick < std::chrono::milliseconds(opts.pollMs)) {
+      return false;
+    }
+    lastTick = now;
+    ticked = true;
+    return true;
+  }
+
+  /// Rewrite state.json of every job that landed shards since its last.
+  void flushStates() {
+    for (auto& [id, jr] : jobs) {
+      if (!jr.stateDirty) continue;
+      publishState(id, jr, "running");
+      jr.stateDirty = false;
+    }
+  }
+
+  /// Refresh the gauges and write the metricsOut snapshot.
+  void publishMetrics() {
     jobsActive->set(static_cast<double>(jobs.size()));
     workersBusy->set(static_cast<double>(workers.size()));
     if (opts.metricsOut.empty()) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (!force && snapshotWritten &&
-        now - lastSnapshot < std::chrono::milliseconds(opts.pollMs)) {
-      return;
-    }
-    lastSnapshot = now;
-    snapshotWritten = true;
     (void)CampaignStore::writeFileAtomic(opts.metricsOut,
                                          reg->snapshot().toJson() + "\n");
   }
@@ -447,13 +479,21 @@ struct Server::Impl {
     resumeAdopted();
     bool draining = false;
     for (;;) {
-      if (!draining) adoptQueued();
-      if (store.drainRequested()) draining = true;
-      // Reap before dispatching, so a freed slot refills in this iteration.
-      reap();
+      // Land what finished and refill the freed slots first; the rest of
+      // the bookkeeping waits for the poll clock.  A worker is reaped only
+      // after a wait, so wokeAt is set.
+      if (reap() > 0) {
+        dispatch();
+        refillUs->observe(microsSince(wokeAt));
+      }
       mergeFinished();
-      dispatch();
-      publishMetrics(false);
+      if (tickDue()) {
+        if (!draining) adoptQueued();
+        if (store.drainRequested()) draining = true;
+        flushStates();
+        publishMetrics();
+      }
+      dispatch();  // newly adopted jobs
       if (opts.maxJobs != 0 && mergedJobs >= opts.maxJobs && jobs.empty()) {
         break;
       }
@@ -466,7 +506,7 @@ struct Server::Impl {
     // A drain marker is a one-shot request: consume it so the next daemon
     // started on this root serves normally instead of exiting immediately.
     if (draining) store.clearDrain();
-    publishMetrics(true);
+    publishMetrics();
     return anyFailed ? 1 : 0;
   }
 };

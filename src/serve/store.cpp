@@ -1,8 +1,12 @@
 #include "confail/serve/store.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -95,17 +99,12 @@ bool boolOf(const obs::JsonValue& doc, const std::string& key) {
   return v != nullptr && v->boolean;
 }
 
-/// Receives a document in pieces.
-using Emit = std::function<void(std::string_view)>;
-
-/// The one confail.shard.v1 serializer.  JsonWriter renders every field up
-/// to the events_jsonl key; that string value is escaped from `run` a line
-/// at a time when given, else from r.eventsJsonl.
-void renderShard(const ShardResult& r, const events::Trace* run,
-                 const Emit& out) {
+/// The one confail.shard.v2 serializer: a shard header whose events sidecar
+/// holds `eventsBytes` bytes.
+std::string renderHeader(const ShardResult& r, std::uint64_t eventsBytes) {
   obs::JsonWriter w;
   w.beginObject();
-  w.field("schema", "confail.shard.v1");
+  w.field("schema", "confail.shard.v2");
   w.field("index", static_cast<std::uint64_t>(r.spec.index));
   w.field("control", r.spec.control);
   w.field("scenario", r.spec.scenario);
@@ -165,27 +164,9 @@ void renderShard(const ShardResult& r, const events::Trace* run,
     w.endObject();
   }
   w.endArray();
-  w.key("events_jsonl");
-  out(w.str());
-  out("\"");
-  std::string escaped;
-  if (run == nullptr) {
-    obs::appendJsonEscaped(escaped, r.eventsJsonl);
-  } else {
-    // Lines are escaped into one buffer that is handed on in ~64 KB pieces.
-    constexpr std::size_t kPieceBytes = 64 * 1024;
-    obs::forEachJsonlLine(*run, [&](const std::string& line) {
-      obs::appendJsonEscaped(escaped, line);
-      escaped += "\\n";
-      if (escaped.size() >= kPieceBytes) {
-        out(escaped);
-        escaped.clear();
-      }
-    });
-  }
-  out(escaped);
-  // What JsonWriter::endObject would close the document with.
-  out("\"\n}");
+  w.field("events_bytes", eventsBytes);
+  w.endObject();
+  return w.str();
 }
 
 /// Write-to-temp + same-directory rename; `write` fills the temp file.
@@ -214,14 +195,16 @@ bool writeAll(std::FILE* f, std::string_view piece) {
          std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
 }
 
-/// Append `head` then `tail` to `path` in one open.
-bool appendTo(const std::string& path, std::string_view head,
-              std::string_view tail) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return false;
-  const bool wrote = writeAll(f, head) && writeAll(f, tail);
-  const bool flushed = std::fflush(f) == 0;
-  return (std::fclose(f) == 0) && wrote && flushed;
+/// write(2) all of `data`, across short writes and signals.
+bool writeFully(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -377,6 +360,11 @@ std::string CampaignStore::shardPath(const std::string& id,
   return (fs::path(jobDir(id)) / "shards" / shardFileName(index)).string();
 }
 
+std::string CampaignStore::shardEventsPath(const std::string& id,
+                                          std::size_t index) const {
+  return sidecarPathFor(shardPath(id, index));
+}
+
 std::string CampaignStore::statePath(const std::string& id) const {
   return (fs::path(jobDir(id)) / "state.json").string();
 }
@@ -403,14 +391,22 @@ std::string CampaignStore::matrixPath(const std::string& id) const {
 
 // -- shard serialization ----------------------------------------------------
 
+std::string CampaignStore::sidecarPathFor(const std::string& headerPath) {
+  constexpr std::string_view kJson = ".json";
+  std::string_view stem = headerPath;
+  if (stem.size() >= kJson.size() &&
+      stem.substr(stem.size() - kJson.size()) == kJson) {
+    stem.remove_suffix(kJson.size());
+  }
+  return std::string(stem) + ".events.jsonl";
+}
+
 std::string CampaignStore::shardToJson(const ShardResult& r) {
-  std::string doc;
-  renderShard(r, nullptr,
-              [&doc](std::string_view piece) { doc.append(piece); });
-  return doc;
+  return renderHeader(r, r.eventsJsonl.size());
 }
 
 bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
+                                  std::uint64_t& eventsBytes,
                                   std::string& error) {
   obs::JsonValue doc;
   try {
@@ -419,8 +415,15 @@ bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
     error = e.what();
     return false;
   }
-  if (stringOf(doc, "schema") != "confail.shard.v1") {
-    error = "missing or unsupported schema (want confail.shard.v1)";
+  if (stringOf(doc, "schema") != "confail.shard.v2") {
+    error = "missing or unsupported schema (want confail.shard.v2)";
+    return false;
+  }
+  const obs::JsonValue* bytes = doc.get("events_bytes");
+  if (bytes == nullptr || !bytes->isNumber() || bytes->number < 0 ||
+      bytes->number >= 18446744073709551616.0 ||
+      bytes->number != std::floor(bytes->number)) {
+    error = "shard header lacks a byte count for its events";
     return false;
   }
   ShardResult r;
@@ -513,11 +516,8 @@ bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
       r.findings.push_back(std::move(sf));
     }
   }
-  // The events are the bulk of a captured shard: move them out of the DOM.
-  if (auto ev = doc.object.find("events_jsonl"); ev != doc.object.end()) {
-    r.eventsJsonl = std::move(ev->second.string);
-  }
   out = std::move(r);
+  eventsBytes = static_cast<std::uint64_t>(bytes->number);
   error.clear();
   return true;
 }
@@ -525,15 +525,34 @@ bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
 bool CampaignStore::writeShardFile(const std::string& path,
                                    const ShardResult& r,
                                    const events::Trace* run) {
-  return writeAtomically(path, [&](std::FILE* f) {
-    bool ok = true;
-    const Emit out = [&](std::string_view piece) {
-      ok = ok && writeAll(f, piece);
-    };
-    renderShard(r, run, out);
-    out("\n");
-    return ok;
-  });
+  // Uncommit first, so an old header never vouches for the new sidecar.
+  std::error_code ec;
+  fs::remove(path, ec);
+  std::uint64_t bytes = 0;
+  const bool sidecar =
+      writeAtomically(sidecarPathFor(path), [&](std::FILE* f) {
+        if (run == nullptr) {
+          bytes = r.eventsJsonl.size();
+          return writeAll(f, r.eventsJsonl);
+        }
+        // Lines are gathered in one buffer handed on in ~64 KB pieces.
+        constexpr std::size_t kPieceBytes = 64 * 1024;
+        std::string piece;
+        bool ok = true;
+        const auto flush = [&] {
+          ok = ok && writeAll(f, piece);
+          bytes += piece.size();
+          piece.clear();
+        };
+        obs::forEachJsonlLine(*run, [&](const std::string& line) {
+          piece += line;
+          piece += '\n';
+          if (piece.size() >= kPieceBytes) flush();
+        });
+        flush();
+        return ok;
+      });
+  return sidecar && writeFileAtomic(path, renderHeader(r, bytes) + "\n");
 }
 
 bool CampaignStore::writeShard(const std::string& id, const ShardResult& r,
@@ -541,12 +560,34 @@ bool CampaignStore::writeShard(const std::string& id, const ShardResult& r,
   return writeShardFile(shardPath(id, r.spec.index), r, run);
 }
 
-bool CampaignStore::readShard(const std::string& id, std::size_t index,
-                              ShardResult& out) const {
+bool CampaignStore::readShardHeader(const std::string& id,
+                                    std::size_t index, ShardResult& out,
+                                    std::uint64_t& eventsBytes) const {
   std::string text;
   if (!readFile(shardPath(id, index), text)) return false;
+  ShardResult r;
+  std::uint64_t bytes = 0;
   std::string error;
-  return shardFromJson(text, out, error);
+  if (!shardFromJson(text, r, bytes, error)) return false;
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(shardEventsPath(id, index), ec);
+  if (ec || size != bytes) return false;  // torn pair: not landed
+  out = std::move(r);
+  eventsBytes = bytes;
+  return true;
+}
+
+bool CampaignStore::readShard(const std::string& id, std::size_t index,
+                              ShardResult& out) const {
+  ShardResult r;
+  std::uint64_t bytes = 0;
+  if (!readShardHeader(id, index, r, bytes) ||
+      !readFile(shardEventsPath(id, index), r.eventsJsonl) ||
+      r.eventsJsonl.size() != bytes) {
+    return false;
+  }
+  out = std::move(r);
+  return true;
 }
 
 std::vector<bool> CampaignStore::completedShards(const std::string& id,
@@ -554,7 +595,8 @@ std::vector<bool> CampaignStore::completedShards(const std::string& id,
   std::vector<bool> done(count, false);
   for (std::size_t i = 0; i < count; ++i) {
     ShardResult unused;
-    done[i] = readShard(id, i, unused);
+    std::uint64_t bytes = 0;
+    done[i] = readShardHeader(id, i, unused, bytes);
   }
   return done;
 }
@@ -612,10 +654,42 @@ std::vector<bool> CampaignStore::journaledShards(const std::string& id,
   return journaled;
 }
 
-bool CampaignStore::appendEvents(const std::string& id,
-                                 const std::string& jsonl) const {
-  if (jsonl.empty()) return true;
-  return appendTo(eventsPath(id), jsonl, jsonl.back() == '\n' ? "" : "\n");
+bool CampaignStore::appendShardEvents(const std::string& id,
+                                      std::size_t index,
+                                      std::uint64_t eventsBytes,
+                                      std::uint64_t& appended) const {
+  appended = 0;
+  if (eventsBytes == 0) return true;
+  const int in = ::open(shardEventsPath(id, index).c_str(),
+                        O_RDONLY | O_CLOEXEC);
+  if (in < 0) return false;
+  const int feed = ::open(eventsPath(id).c_str(),
+                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (feed < 0) {
+    ::close(in);
+    return false;
+  }
+  std::array<char, 64 * 1024> buf;
+  std::uint64_t left = eventsBytes;
+  char last = '\n';
+  bool ok = true;
+  while (ok && left > 0) {
+    const ssize_t n = ::read(
+        in, buf.data(), static_cast<std::size_t>(std::min<std::uint64_t>(
+                            left, buf.size())));
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0 && writeFully(feed, buf.data(), static_cast<std::size_t>(n));
+    if (!ok) break;  // a sidecar shorter than its header, or I/O failure
+    left -= static_cast<std::uint64_t>(n);
+    appended += static_cast<std::uint64_t>(n);
+    last = buf[static_cast<std::size_t>(n) - 1];
+  }
+  if (ok && last != '\n') {
+    ok = writeFully(feed, "\n", 1);
+    appended += ok ? 1 : 0;
+  }
+  ::close(in);
+  return (::close(feed) == 0) && ok;
 }
 
 // -- primitives -------------------------------------------------------------
@@ -643,7 +717,11 @@ bool CampaignStore::readFile(const std::string& path, std::string& out) {
 
 bool CampaignStore::appendFile(const std::string& path,
                                const std::string& chunk) {
-  return appendTo(path, chunk, "");
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr) return false;
+  const bool wrote = writeAll(f, chunk);
+  const bool flushed = std::fflush(f) == 0;
+  return (std::fclose(f) == 0) && wrote && flushed;
 }
 
 }  // namespace confail::serve

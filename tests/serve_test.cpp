@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +20,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "confail/components/scenario_registry.hpp"
 #include "confail/events/trace.hpp"
 #include "confail/ingest/decode.hpp"
 #include "confail/inject/job_spec.hpp"
+#include "confail/inject/plan.hpp"
+#include "confail/obs/json.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/obs/trace_export.hpp"
 #include "confail/serve/client.hpp"
@@ -29,6 +33,7 @@
 #include "confail/serve/server.hpp"
 #include "confail/serve/store.hpp"
 #include "confail/support/rng.hpp"
+#include "json_mutate.hpp"
 
 namespace fs = std::filesystem;
 namespace inject = confail::inject;
@@ -90,6 +95,135 @@ std::size_t journalLines(const std::string& path) {
   return n;
 }
 
+/// The lines of JSONL text, sorted: a feed's content up to landing order.
+std::vector<std::string> sortedLines(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Drain every job queued or adopted under `root` with a two-worker pool.
+int serveToIdle(const std::string& root, bool subprocess) {
+  serve::ServerOptions opts;
+  opts.root = root;
+  opts.poolSize = 2;
+  opts.subprocess = subprocess;
+  opts.workerBinary = CONFAIL_CLI;
+  opts.exitWhenIdle = true;
+  return serve::Server(std::move(opts)).run();
+}
+
+/// How a shard's pair of files can be left torn: by a worker killed
+/// between its two renames, by a damaged sidecar, or by an older daemon.
+enum class Torn { SidecarOnly, NoSidecar, ShortSidecar, LongSidecar, V1 };
+
+const char* tornName(Torn t) {
+  switch (t) {
+    case Torn::SidecarOnly: return "sidecar without header";
+    case Torn::NoSidecar: return "header without sidecar";
+    case Torn::ShortSidecar: return "short sidecar";
+    case Torn::LongSidecar: return "long sidecar";
+    case Torn::V1: return "confail.shard.v1 document";
+  }
+  return "?";
+}
+
+/// Leave shard 0 of `spec` torn in a fresh spool with the job adopted,
+/// serve it, and require the shard to run again and the job to end as an
+/// untorn run of it does: completed, one journal line per shard, and each
+/// shard's events in the feed exactly once.
+void expectTornShardReruns(const inject::JobSpec& spec, bool subprocess,
+                           Torn torn) {
+  SCOPED_TRACE(std::string(tornName(torn)) +
+               (subprocess ? ", subprocess pool" : ", in-process pool"));
+  const std::size_t total = inject::expandShards(spec).size();
+  TempRoot cleanRoot;
+  const std::string id = serve::submitJob(cleanRoot.str(), spec);
+  ASSERT_EQ(serveToIdle(cleanRoot.str(), false), 0);
+  const serve::CampaignStore cleanStore(cleanRoot.str());
+
+  TempRoot root;
+  const serve::CampaignStore store(root.str());
+  ASSERT_EQ(store.submit(spec), id);
+  inject::JobSpec adopted;
+  std::string error;
+  ASSERT_TRUE(store.adoptJob(id, adopted, error)) << error;
+  confail::events::Trace run;
+  const inject::ShardResult r =
+      inject::runShard(spec, inject::expandShards(spec)[0], {}, run);
+  ASSERT_TRUE(store.writeShard(id, r, &run));
+  const std::string header = store.shardPath(id, 0);
+  const std::string sidecar = store.shardEventsPath(id, 0);
+  const std::string events = slurp(sidecar);
+  ASSERT_FALSE(events.empty());
+  switch (torn) {
+    case Torn::SidecarOnly:
+      fs::remove(header);
+      break;
+    case Torn::NoSidecar:
+      fs::remove(sidecar);
+      break;
+    case Torn::ShortSidecar:
+      fs::resize_file(sidecar, events.size() - 1);
+      break;
+    case Torn::LongSidecar:
+      ASSERT_TRUE(serve::CampaignStore::appendFile(sidecar, events));
+      break;
+    case Torn::V1: {
+      // The old single-file form: the events escaped inside the document.
+      std::string doc = slurp(header);
+      const std::size_t at = doc.find("\"events_bytes\"");
+      ASSERT_NE(at, std::string::npos);
+      std::string escaped;
+      confail::obs::appendJsonEscaped(escaped, events);
+      doc = doc.substr(0, at) + "\"events_jsonl\": \"" + escaped + "\"\n}\n";
+      const std::size_t schema = doc.find("confail.shard.v2");
+      ASSERT_NE(schema, std::string::npos);
+      doc.replace(schema, 16, "confail.shard.v1");
+      ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(header, doc));
+      fs::remove(sidecar);
+      break;
+    }
+  }
+  ASSERT_FALSE(store.completedShards(id, total)[0]);
+
+  ASSERT_EQ(serveToIdle(root.str(), subprocess), 0);
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "completed");
+  EXPECT_EQ(st.shardsDone, total);
+  EXPECT_TRUE(store.completedShards(id, total)[0]);
+  EXPECT_EQ(slurp(sidecar), events);
+  EXPECT_EQ(journalLines(store.journalPath(id)), total);
+  std::string sidecars;
+  for (std::size_t i = 0; i < total; ++i) {
+    sidecars += slurp(store.shardEventsPath(id, i));
+  }
+  const std::vector<std::string> feed =
+      sortedLines(slurp(store.eventsPath(id)));
+  EXPECT_EQ(feed, sortedLines(sidecars));
+  EXPECT_EQ(feed, sortedLines(slurp(cleanStore.eventsPath(id))));
+  EXPECT_EQ(slurp(store.findingsPath(id)), slurp(cleanStore.findingsPath(id)));
+}
+
+/// `doc` (JsonWriter's pretty print) as one line, `{ "k": v, ... }`: the
+/// layout json_mutation::mutate expects.  Newlines in JsonWriter output are
+/// all structural; those in strings are escaped.
+std::string oneLine(const std::string& doc) {
+  std::string out;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    if (doc[i] != '\n') {
+      out += doc[i];
+      continue;
+    }
+    out += ' ';
+    while (i + 1 < doc.size() && doc[i + 1] == ' ') ++i;
+  }
+  return out;
+}
+
 }  // namespace
 
 // ---- JobSpec ---------------------------------------------------------------
@@ -144,6 +278,92 @@ TEST(JobSpec, ParseRejectsMalformedDocuments) {
   EXPECT_FALSE(inject::JobSpec::parse(
       "{\"schema\": \"confail.job.v1\", \"max_runs\": \"many\"}", out,
       error));
+}
+
+TEST(JobSpec, ParserSurvivesSeededMutations) {
+  // Seeded valid documents, each put through the JSONL decoder's mutation
+  // catalogue.  A mutant is rejected or decoded without a crash; the spec
+  // parser accepts only what the JSON parser accepts, and what it accepts
+  // renders to a document it reads back unchanged.
+  confail::SplitMix64 rng(0x10b5eed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next() % n);
+  };
+  const auto& registry = confail::components::scenarios::registry();
+  const auto& classes = inject::injectableClasses();
+  static const Reduction kReductions[] = {Reduction::None, Reduction::Sleep,
+                                          Reduction::Dpor};
+  std::size_t accepted = 0;
+  std::size_t mutants = 0;
+  for (int d = 0; d < 200; ++d) {
+    inject::JobSpec spec;
+    spec.name = "job-" + std::to_string(d) + (d % 3 == 0 ? ".x_y" : "");
+    for (std::size_t i = pick(3); i > 0; --i) {
+      spec.scenarios.push_back(registry[pick(registry.size())].name);
+    }
+    for (std::size_t i = pick(3); i > 0; --i) {
+      spec.classes.push_back(classes[pick(classes.size())]);
+    }
+    spec.reductions.clear();
+    for (std::size_t i = 1 + pick(3); i > 0; --i) {
+      spec.reductions.push_back(kReductions[pick(3)]);
+    }
+    spec.maxRuns = 1 + rng.next() % 100000;
+    spec.maxSteps = 1 + rng.next() % 100000;
+    spec.maxBranchDepth = 1 + pick(20);
+    spec.workers = 1 + pick(8);
+    spec.negativeControls = pick(2) == 0;
+    ASSERT_EQ(spec.validate(), "");
+    const std::string doc = oneLine(spec.toJson());
+    inject::JobSpec back;
+    std::string error;
+    ASSERT_TRUE(inject::JobSpec::parse(doc, back, error)) << error << doc;
+    ASSERT_EQ(back.toJson(), spec.toJson());
+
+    for (int k = 0; k < 8; ++k) {
+      // One to three stacked mutations.
+      std::string m = doc;
+      for (std::size_t n = 1 + pick(3); n > 0; --n) {
+        m = confail::json_mutation::mutate(m, rng);
+      }
+      ++mutants;
+      SCOPED_TRACE("mutant of document " + std::to_string(d) + ": " + m);
+      bool json = true;
+      try {
+        (void)confail::obs::parseJson(m);
+      } catch (const confail::Error&) {
+        json = false;
+      }
+      inject::JobSpec out;
+      if (!inject::JobSpec::parse(m, out, error)) {
+        EXPECT_FALSE(error.empty());
+        continue;
+      }
+      ++accepted;
+      EXPECT_TRUE(json) << "the spec parser accepted invalid JSON";
+      inject::JobSpec again;
+      ASSERT_TRUE(inject::JobSpec::parse(out.toJson(), again, error)) << error;
+      EXPECT_EQ(again.toJson(), out.toJson());
+      // A decoded spec validates, or expands to a usage error; never worse.
+      if (out.validate().empty()) {
+        EXPECT_NO_THROW((void)inject::expandShards(out));
+      } else {
+        EXPECT_THROW((void)inject::expandShards(out), confail::UsageError);
+      }
+    }
+  }
+  // The catalogue must leave some mutants decodable and reject others.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, mutants);
+
+  // Counts outside uint64 are rejected, not converted.
+  inject::JobSpec out;
+  std::string error;
+  EXPECT_FALSE(inject::JobSpec::parse(
+      "{ \"schema\": \"confail.job.v1\", \"max_runs\": 1e300 }", out, error));
+  EXPECT_FALSE(inject::JobSpec::parse(
+      "{ \"schema\": \"confail.job.v1\", \"workers\": 18446744073709551616 }",
+      out, error));
 }
 
 TEST(JobSpec, ValidateCatchesSemanticErrors) {
@@ -234,7 +454,19 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   inject::RunShardOptions ro;
   ro.captureEvents = true;
   const inject::ShardResult r = inject::runShard(spec, shards[0], ro);
+  ASSERT_FALSE(r.eventsJsonl.empty());
   ASSERT_TRUE(store.writeShard(id, r));
+
+  // Two files: the header, then the events verbatim in its sidecar.
+  EXPECT_EQ(store.shardEventsPath(id, 0),
+            serve::CampaignStore::sidecarPathFor(store.shardPath(id, 0)));
+  EXPECT_EQ(serve::CampaignStore::sidecarPathFor("d/shard-0007.json"),
+            "d/shard-0007.events.jsonl");
+  EXPECT_EQ(serve::CampaignStore::sidecarPathFor("d/out"),
+            "d/out.events.jsonl");
+  EXPECT_EQ(slurp(store.shardPath(id, 0)),
+            serve::CampaignStore::shardToJson(r) + "\n");
+  EXPECT_EQ(slurp(store.shardEventsPath(id, 0)), r.eventsJsonl);
 
   inject::ShardResult back;
   ASSERT_TRUE(store.readShard(id, 0, back));
@@ -245,8 +477,19 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   EXPECT_EQ(serve::CampaignStore::shardToJson(back),
             serve::CampaignStore::shardToJson(r));
 
+  // The header alone: the result without its events, and their size.
+  inject::ShardResult header;
+  std::uint64_t eventsBytes = 0;
+  ASSERT_TRUE(store.readShardHeader(id, 0, header, eventsBytes));
+  EXPECT_EQ(eventsBytes, r.eventsJsonl.size());
+  EXPECT_TRUE(header.eventsJsonl.empty());
+  header.eventsJsonl = r.eventsJsonl;
+  EXPECT_EQ(serve::CampaignStore::shardToJson(header),
+            serve::CampaignStore::shardToJson(r));
+
   // The same shard with its events streamed from the captured run, line by
-  // line: the file must be exactly the one serializer's document.
+  // line: the files must be exactly the serializer's header and the
+  // exporter's JSONL.
   confail::events::Trace run;
   inject::ShardResult streamed = inject::runShard(spec, shards[0], {}, run);
   ASSERT_GT(run.size(), 0u);
@@ -256,6 +499,7 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   EXPECT_EQ(streamed.eventsJsonl, r.eventsJsonl);
   EXPECT_EQ(slurp(store.shardPath(id, 0)),
             serve::CampaignStore::shardToJson(streamed) + "\n");
+  EXPECT_EQ(slurp(store.shardEventsPath(id, 0)), streamed.eventsJsonl);
   inject::ShardResult streamedBack;
   ASSERT_TRUE(store.readShard(id, 0, streamedBack));
   EXPECT_EQ(streamedBack.eventsJsonl, streamed.eventsJsonl);
@@ -320,8 +564,8 @@ TEST(CampaignStore, NamesSurviveJsonlAndShardRoundTrips) {
 }
 
 TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
-  // An FF-T3 shard: its captured run spins to the step limit, so the file
-  // is megabytes of escaped events behind a small header.
+  // An FF-T3 shard: its captured run spins to the step limit, so its
+  // sidecar is megabytes of events behind a small header.
   inject::JobSpec spec;
   spec.classes = {taxonomy::FailureClass::FF_T3};
   spec.maxRuns = 20;
@@ -330,37 +574,105 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
   ASSERT_FALSE(shards.empty());
   confail::events::Trace run;
   const inject::ShardResult r = inject::runShard(spec, shards[0], {}, run);
+  ASSERT_EQ(r.spec.index, 0u);
   TempRoot root;
-  const std::string path = (root.path / "shard.json").string();
-  ASSERT_TRUE(serve::CampaignStore::writeShardFile(path, r, &run));
-  const std::string text = slurp(path);
+  const serve::CampaignStore store(root.str());
+  const std::string id = "torn";
+  fs::create_directories(fs::path(store.shardPath(id, 0)).parent_path());
+  ASSERT_TRUE(store.writeShard(id, r, &run));
+  const std::string headerPath = store.shardPath(id, 0);
+  const std::string sidecarPath = store.shardEventsPath(id, 0);
+  const std::string text = slurp(headerPath);
+  const std::uint64_t eventsSize = fs::file_size(sidecarPath);
   const std::size_t close = text.rfind('}');
-  const std::size_t header = text.find("\"events_jsonl\"");
+  const std::size_t bytesKey = text.find("\"events_bytes\": ");
   ASSERT_NE(close, std::string::npos);
-  ASSERT_NE(header, std::string::npos);
-  ASSERT_GT(text.size(), 1000000u);
+  ASSERT_NE(bytesKey, std::string::npos);
+  ASSERT_GT(eventsSize, 1000000u);
 
   inject::ShardResult out;
+  std::uint64_t bytes = 0;
   std::string error;
-  ASSERT_TRUE(serve::CampaignStore::shardFromJson(text, out, error)) << error;
+  ASSERT_TRUE(serve::CampaignStore::shardFromJson(text, out, bytes, error))
+      << error;
+  EXPECT_EQ(bytes, eventsSize);
+  ASSERT_TRUE(store.readShardHeader(id, 0, out, bytes));
+
+  // The landing rule on the files: not landed, and not loadable either.
+  const auto expectNotLanded = [&] {
+    EXPECT_FALSE(store.readShardHeader(id, 0, out, bytes));
+    EXPECT_FALSE(store.readShard(id, 0, out));
+    EXPECT_FALSE(store.completedShards(id, 1)[0]);
+  };
+  const auto putHeader = [&](const std::string& doc) {
+    ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(headerPath, doc));
+  };
 
   confail::Xoshiro256 rng(2024);
-  // Half the offsets fall in the header, half anywhere before the end.
-  auto offset = [&](std::size_t end) {
-    return static_cast<std::size_t>(
-        rng.chance(0.5) ? rng.below(header + 32) : rng.below(end));
-  };
+  // Truncated headers: every cut before the closing brace is rejected.
   for (int i = 0; i < 40; ++i) {
-    const std::size_t cut = offset(close + 1);
-    SCOPED_TRACE("truncated at " + std::to_string(cut));
-    EXPECT_FALSE(
-        serve::CampaignStore::shardFromJson(text.substr(0, cut), out, error));
+    const std::size_t cut = static_cast<std::size_t>(rng.below(close + 1));
+    SCOPED_TRACE("header truncated at " + std::to_string(cut));
+    EXPECT_FALSE(serve::CampaignStore::shardFromJson(text.substr(0, cut), out,
+                                                     bytes, error));
+    putHeader(text.substr(0, cut));
+    expectNotLanded();
   }
+  // A header naming any other sidecar size is rejected: off by a little or
+  // a lot, or no count at all.
+  const std::size_t digits =
+      bytesKey + std::string("\"events_bytes\": ").size();
+  const std::size_t digitsEnd = text.find_first_not_of("0123456789", digits);
+  static const char* const kOddCounts[] = {
+      "-1", "0", "1e300", "0.5", "18446744073709551616", "\"12\"", "null"};
+  for (int i = 0; i < 40; ++i) {
+    std::string count;
+    if (i < 7) {
+      count = kOddCounts[i];
+    } else {
+      const std::uint64_t delta = 1 + rng.below(i % 2 == 0 ? 64 : eventsSize);
+      count = std::to_string(rng.chance(0.5) ? eventsSize + delta
+                                             : eventsSize - delta);
+    }
+    SCOPED_TRACE("events_bytes " + count);
+    putHeader(text.substr(0, digits) + count + text.substr(digitsEnd));
+    expectNotLanded();
+  }
+  putHeader(text.substr(0, bytesKey) + "\"x\": 0" + text.substr(digitsEnd));
+  expectNotLanded();
+  putHeader(text);
+  ASSERT_TRUE(store.readShardHeader(id, 0, out, bytes));
+
+  // A short sidecar: every truncation is rejected (shortest last, so one
+  // file is cut down step by step).
+  std::vector<std::uint64_t> cuts;
+  for (int i = 0; i < 40; ++i) cuts.push_back(rng.below(eventsSize));
+  std::sort(cuts.rbegin(), cuts.rend());
+  for (const std::uint64_t cut : cuts) {
+    SCOPED_TRACE("sidecar truncated to " + std::to_string(cut));
+    fs::resize_file(sidecarPath, cut);
+    expectNotLanded();
+  }
+  fs::remove(sidecarPath);
+  expectNotLanded();
+  ASSERT_TRUE(store.writeShard(id, r, &run));
+  ASSERT_EQ(slurp(headerPath), text);
+  // A long sidecar: every extension is rejected.
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t extra = 1 + static_cast<std::size_t>(rng.below(4096));
+    SCOPED_TRACE("sidecar extended by " + std::to_string(extra));
+    ASSERT_TRUE(serve::CampaignStore::appendFile(
+        sidecarPath, std::string(extra, i % 2 == 0 ? '\n' : '{')));
+    expectNotLanded();
+    fs::resize_file(sidecarPath, eventsSize);
+  }
+  ASSERT_TRUE(store.readShardHeader(id, 0, out, bytes));
+
   static const char kBytes[] = {'"', '\\', '{', '}', '[', ']', ',', ':',
                                 '0', 'e', '-', ' ', '\0', '\xff', 'n'};
   for (int i = 0; i < 80; ++i) {
     std::string m = text;
-    const std::size_t at = offset(m.size());
+    const std::size_t at = static_cast<std::size_t>(rng.below(m.size()));
     if (i % 2 == 0) {
       m[at] = static_cast<char>(m[at] ^ (1u << rng.below(8)));
     } else {
@@ -368,8 +680,13 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
                kBytes[rng.below(sizeof kBytes)]);
     }
     SCOPED_TRACE("mutant " + std::to_string(i) + " at " + std::to_string(at));
-    // Rejected or decoded; either way without a crash or a sanitizer report.
-    (void)serve::CampaignStore::shardFromJson(m, out, error);
+    // Rejected or decoded, without a crash or a sanitizer report; a header
+    // that lands names its sidecar's size.
+    (void)serve::CampaignStore::shardFromJson(m, out, bytes, error);
+    putHeader(m);
+    if (store.readShardHeader(id, 0, out, bytes)) {
+      EXPECT_EQ(bytes, eventsSize);
+    }
   }
 }
 
@@ -416,11 +733,18 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   const confail::obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("serve.events_bytes"),
             fs::file_size(store.eventsPath(id)));
-  const auto land = std::find_if(
-      snap.histograms.begin(), snap.histograms.end(),
-      [](const auto& h) { return h.name == "serve.land_ms"; });
+  const auto histogram = [&snap](const std::string& name) {
+    return std::find_if(snap.histograms.begin(), snap.histograms.end(),
+                        [&name](const auto& h) { return h.name == name; });
+  };
+  const auto land = histogram("serve.land_us");
   ASSERT_NE(land, snap.histograms.end());
   EXPECT_EQ(land->count, st.shardsTotal);
+  // Every shard is reaped on a wake, and each such wake refills once.
+  const auto refill = histogram("serve.refill_us");
+  ASSERT_NE(refill, snap.histograms.end());
+  EXPECT_GT(refill->count, 0u);
+  EXPECT_LE(refill->count, st.shardsTotal);
 }
 
 TEST(Server, WakesOnShardCompletionNotOnPollTimeout) {
@@ -524,15 +848,17 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   ASSERT_LT(landedAtKill, total) << "daemon finished before the kill";
   EXPECT_EQ(landedAtKill, 1u) << "a blocked worker landed its shard";
   struct Landed {
-    std::size_t index;
+    std::string path;  ///< a header or its sidecar
     ino_t inode;
     std::string bytes;
   };
   std::vector<Landed> landedFiles;
   for (std::size_t i = 0; i < total; ++i) {
     if (!doneBeforeResume[i]) continue;
-    const std::string path = store.shardPath(id, i);
-    landedFiles.push_back({i, inodeOf(path), slurp(path)});
+    for (const std::string& path :
+         {store.shardPath(id, i), store.shardEventsPath(id, i)}) {
+      landedFiles.push_back({path, inodeOf(path), slurp(path)});
+    }
   }
 
   // Second daemon over the same root: must finish the job.
@@ -549,13 +875,13 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   EXPECT_EQ(st.status, "completed");
   EXPECT_EQ(st.shardsDone, total);
 
-  // Zero re-runs: a re-run shard would rename a fresh file over its old
-  // one, so every file that had landed before the kill keeps its inode and
-  // its bytes.
+  // Zero re-runs: a re-run shard would rename fresh files over its old
+  // ones, so every header and sidecar that had landed before the kill
+  // keeps its inode and its bytes.
+  ASSERT_FALSE(landedFiles.empty());
   for (const Landed& l : landedFiles) {
-    const std::string path = store.shardPath(id, l.index);
-    EXPECT_EQ(inodeOf(path), l.inode) << "shard " << l.index << " re-ran";
-    EXPECT_EQ(slurp(path), l.bytes) << "shard " << l.index << " re-ran";
+    EXPECT_EQ(inodeOf(l.path), l.inode) << l.path << " re-ran";
+    EXPECT_EQ(slurp(l.path), l.bytes) << l.path << " re-ran";
   }
   // Exactly-once journaling across the crash, including a shard that
   // landed after the first daemon's last journal line.
@@ -578,6 +904,25 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   EXPECT_EQ(slurp(store.findingsPath(id)),
             slurp(cleanStore.findingsPath(id)));
   EXPECT_EQ(slurp(store.sarifPath(id)), slurp(cleanStore.sarifPath(id)));
+}
+
+TEST(Server, SidecarWithoutHeaderRerunsTheShard) {
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  for (const bool subprocess : {false, true}) {
+    expectTornShardReruns(spec, subprocess, Torn::SidecarOnly);
+  }
+}
+
+TEST(Server, HeaderWithoutItsSidecarRerunsTheShard) {
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  for (const bool subprocess : {false, true}) {
+    for (const Torn torn : {Torn::NoSidecar, Torn::ShortSidecar,
+                            Torn::LongSidecar, Torn::V1}) {
+      expectTornShardReruns(spec, subprocess, torn);
+    }
+  }
 }
 
 TEST(Server, MalformedSubmissionIsDroppedNotLooped) {

@@ -9,12 +9,16 @@
 //       the same root (even after SIGKILL) re-runs only missing shards.
 //       The daemon wakes the moment a worker exits; --poll-ms (default 25)
 //       only bounds how long it waits before rescanning queue/ and the
-//       drain marker, and how often --metrics-out is rewritten.
+//       drain marker, and how often a running job's state.json and
+//       --metrics-out are rewritten.
 //
 //   worker  --job FILE --shard N --out FILE
-//       Execute one shard of a job spec and atomically write its
-//       confail.shard.v1 result.  This is the subprocess the daemon forks;
-//       it is a public verb so a shard can be reproduced by hand.
+//       Execute one shard of a job spec and write it as two files, each
+//       atomically: first its captured run as raw JSONL to the sidecar
+//       (FILE with ".json" replaced by ".events.jsonl"), then the
+//       confail.shard.v2 header to FILE, which commits the pair.  This is
+//       the subprocess the daemon forks; it is a public verb so a shard
+//       can be reproduced by hand.
 //
 //   submit  --root DIR (--job FILE | --name N [--scenario S]...
 //           [--class C]... [--reduction R]... [exploration flags])
@@ -59,15 +63,19 @@ int usageServe(const char* prog) {
                "[--metrics-out FILE] [--worker-bin PATH]\n"
                "  --poll-ms N  longest wait between scans for new jobs and "
                "the drain marker;\n"
-               "               also the --metrics-out write interval (a "
-               "finished shard wakes\n"
-               "               the daemon at once; default 25)\n",
+               "               also the state.json and --metrics-out write "
+               "interval (a finished\n"
+               "               shard wakes the daemon at once; default 25)\n",
                prog);
   return 2;
 }
 
 int usageWorker(const char* prog) {
-  std::fprintf(stderr, "usage: %s --job FILE --shard N --out FILE\n", prog);
+  std::fprintf(stderr,
+               "usage: %s --job FILE --shard N --out FILE\n"
+               "  writes the shard's events to FILE's .events.jsonl "
+               "sidecar, then its header to FILE\n",
+               prog);
   return 2;
 }
 
