@@ -363,19 +363,18 @@ OracleOutcome injectionDetection(const Program& p, const OracleConfig& oc,
   }
 
   const auto sc = asScenario(p, "gen_fuzz");
-  inject::CampaignOptions copts;
-  copts.maxRuns = oc.maxRuns;
-  copts.maxSteps = oc.maxSteps;
-  copts.maxBranchDepth = oc.maxBranchDepth;
-  copts.workers = 1;
-  copts.negativeControls = false;
+  sched::ExhaustiveExplorer::Options eo;
+  eo.maxRuns = oc.maxRuns;
+  eo.maxSteps = oc.maxSteps;
+  eo.maxBranchDepth = oc.maxBranchDepth;
+  eo.workers = 1;
   for (taxonomy::FailureClass cls : classes) {
     inject::InjectionPlan plan;
     plan.cls = cls;
     // FF-T4 leaks every outermost unlock (deadlock guaranteed); the wake
     // injections fire once so one deviated wake must be caught.
     if (cls != taxonomy::FailureClass::FF_T4) plan.count = 1;
-    const auto cell = inject::runCell(sc, plan, copts);
+    const auto cell = inject::runCell(sc, plan, eo);
     tally += cell.runs;
     if (cell.deviatedRuns > 0 && !cell.caught) {
       out.ok = false;

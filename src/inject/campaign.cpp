@@ -81,17 +81,6 @@ std::vector<std::string> MatrixCell::caughtBy() const {
 
 namespace {
 
-sched::ExhaustiveExplorer::Options explorerOptions(
-    const CampaignOptions& opts) {
-  sched::ExhaustiveExplorer::Options eo;
-  eo.maxRuns = opts.maxRuns;
-  eo.maxSteps = opts.maxSteps;
-  eo.maxBranchDepth = opts.maxBranchDepth;
-  eo.workers = opts.workers;
-  eo.reduction = opts.reduction;
-  return eo;
-}
-
 double elapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -112,11 +101,12 @@ detect::DetectorSuite::Options suiteOptions() {
 }  // namespace
 
 MatrixCell runCell(const NamedScenario& sc, const InjectionPlan& plan,
-                   const CampaignOptions& opts) {
+                   const sched::ExhaustiveExplorer::Options& eo,
+                   detect::ReportSink* sink) {
   MatrixCell cell;
   cell.scenario = sc.name;
   cell.cls = plan.cls;
-  cell.reduction = opts.reduction;
+  cell.reduction = eo.reduction;
   cell.plan = plan;
   cell.hostConcurrency = std::thread::hardware_concurrency();
   const auto started = std::chrono::steady_clock::now();
@@ -127,7 +117,7 @@ MatrixCell runCell(const NamedScenario& sc, const InjectionPlan& plan,
   }
 
   ExploreConfig cfg;
-  cfg.scenario(sc).plan(plan).explorer(explorerOptions(opts));
+  cfg.scenario(sc).plan(plan).explorer(eo);
   (void)cfg.explore([&](const RunView& view) {
     ++cell.runs;
     if (view.result.outcome != sched::Outcome::Completed) ++cell.failingRuns;
@@ -138,8 +128,8 @@ MatrixCell runCell(const NamedScenario& sc, const InjectionPlan& plan,
     std::vector<detect::Finding> all;
     for (std::size_t i = 0; i < reports.size(); ++i) {
       cell.detectors[i].findings += reports[i].findings.size();
-      if (opts.sink != nullptr) {
-        opts.sink->addAll(reports[i].detector, reports[i].findings);
+      if (sink != nullptr) {
+        sink->addAll(reports[i].detector, reports[i].findings);
       }
       for (const detect::Finding& f : reports[i].findings) {
         const auto classes = taxonomy::Classifier::classesOf(f.kind);
@@ -166,23 +156,25 @@ MatrixCell runCell(const NamedScenario& sc, const InjectionPlan& plan,
   return cell;
 }
 
-ControlCell runControl(const NamedScenario& sc, const CampaignOptions& opts) {
+ControlCell runControl(const NamedScenario& sc,
+                       const sched::ExhaustiveExplorer::Options& eo,
+                       detect::ReportSink* sink) {
   ControlCell cell;
   cell.scenario = sc.name;
-  cell.reduction = opts.reduction;
+  cell.reduction = eo.reduction;
   cell.hostConcurrency = std::thread::hardware_concurrency();
   const auto started = std::chrono::steady_clock::now();
   detect::DetectorSuite suite(suiteOptions());
   ExploreConfig cfg;
-  cfg.scenario(sc).captureRuns().explorer(explorerOptions(opts));
+  cfg.scenario(sc).captureRuns().explorer(eo);
   (void)cfg.explore([&](const RunView& view) {
     ++cell.runs;
     if (view.result.outcome != sched::Outcome::Completed) ++cell.failingRuns;
     if (view.trace != nullptr) {
       for (const auto& report : suite.analyzeEach(*view.trace)) {
         cell.findings += report.findings.size();
-        if (opts.sink != nullptr) {
-          opts.sink->addAll(report.detector, report.findings);
+        if (sink != nullptr) {
+          sink->addAll(report.detector, report.findings);
         }
       }
     }
@@ -192,22 +184,12 @@ ControlCell runControl(const NamedScenario& sc, const CampaignOptions& opts) {
   return cell;
 }
 
-CampaignResult runCampaign(const CampaignOptions& opts) {
-  // The one-shot campaign is the serve path run serially: expand the legacy
-  // whole-registry grid into shards and fold the results back together.
-  // Findings funnel into opts.sink in shard order, exactly as the old
-  // nested-loop driver appended them.
-  const JobSpec spec = jobSpecFrom(opts);
+CampaignResult runCampaign(const JobSpec& spec) {
   RunShardOptions shardOpts;
   shardOpts.resolveNames = false;  // names are unused on this path
   std::vector<ShardResult> results;
   for (const ShardSpec& shard : expandShards(spec)) {
     results.push_back(runShard(spec, shard, shardOpts));
-    if (opts.sink != nullptr) {
-      for (const ShardFinding& f : results.back().findings) {
-        opts.sink->add(f.detector, f.finding);
-      }
-    }
   }
   return campaignFromShards(spec, results);
 }
@@ -237,12 +219,11 @@ std::string CampaignResult::toJson() const {
   w.field("schema", "confail.injection.v1");
   w.key("options");
   w.beginObject();
-  w.field("max_runs", options.maxRuns);
-  w.field("max_steps", options.maxSteps);
-  w.field("max_branch_depth",
-          static_cast<std::uint64_t>(options.maxBranchDepth));
-  w.field("workers", static_cast<std::uint64_t>(options.workers));
-  w.field("reduction", reductionName(options.reduction));
+  w.field("max_runs", spec.maxRuns);
+  w.field("max_steps", spec.maxSteps);
+  w.field("max_branch_depth", static_cast<std::uint64_t>(spec.maxBranchDepth));
+  w.field("workers", static_cast<std::uint64_t>(spec.workers));
+  w.field("reduction", reductionName(spec.reductions.front()));
   w.endObject();
   w.key("matrix");
   w.beginArray();

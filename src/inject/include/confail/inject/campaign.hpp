@@ -1,4 +1,4 @@
-// Injection campaign: the detection matrix experiment.
+// Injection campaign cells: the units of the detection matrix experiment.
 //
 // For every scenario in the registry and every injectable Table 1 class
 // that applies to it (lock classes need a monitor, wait/notify classes need
@@ -13,6 +13,12 @@
 // findings+run-outcome report contain the injected class?), and negative
 // controls: the clean scenarios explored UNinjected must yield zero
 // findings from every detector.
+//
+// This header holds one cell of that matrix: runCell() and runControl()
+// take the explorer's own options as the cell's budget (runs, steps,
+// branch depth, workers, reduction).  The campaign itself — which cells,
+// under which budgets — is an inject::JobSpec (job_spec.hpp), and
+// runCampaign(spec) there computes the whole matrix.
 //
 // This closes the paper's loop experimentally: Table 1 postulates the
 // failure classes by HAZOP deviation of the Figure 1 transitions, and the
@@ -34,28 +40,6 @@ class ReportSink;
 }
 
 namespace confail::inject {
-
-struct CampaignOptions {
-  std::uint64_t maxRuns = 4000;      ///< per-cell exploration budget
-  std::uint64_t maxSteps = 2000;     ///< per-run step bound (spin classes!)
-  std::size_t maxBranchDepth = 4;    ///< keeps each cell's tree small
-  std::size_t workers = 1;           ///< 1 = deterministic cell traversal
-  /// Schedule-tree reduction each cell is explored under (a campaign grid
-  /// axis: the same plan can be run under none/sleep/dpor side by side).
-  sched::ExhaustiveExplorer::Reduction reduction =
-      sched::ExhaustiveExplorer::Reduction::None;
-  bool negativeControls = true;
-  /// Optional finding funnel: every detector finding from every analyzed
-  /// run (deviated cells and negative controls alike) is appended here,
-  /// attributed per detector — the same ReportSink the streaming ingest
-  /// pipeline reports into, so campaign evidence renders as
-  /// confail.findings.v1 / SARIF too.  Construct it with a cap for long
-  /// campaigns; overflow is counted, not stored.  Note the sink's render
-  /// methods take one NameSource, so rendering is only meaningful for
-  /// single-scenario runs (ids are per-run; names are only stable within
-  /// one scenario's deterministic wiring).
-  detect::ReportSink* sink = nullptr;
-};
 
 /// One detector column of a matrix cell.
 struct DetectorCell {
@@ -98,23 +82,6 @@ struct ControlCell {
   std::uint32_t hostConcurrency = 0;
 };
 
-struct CampaignResult {
-  CampaignOptions options;
-  std::vector<MatrixCell> cells;
-  std::vector<ControlCell> controls;
-
-  /// The acceptance predicate: every injectable class was caught (with
-  /// classifier agreement) on fig2, and every negative control is silent.
-  bool ok() const;
-
-  /// Machine-readable document (schema confail.injection.v1).
-  std::string toJson() const;
-
-  /// Table 1 with a detection column (fig2 results), the per-cell matrix,
-  /// the controls, and a final "INJECTION MATRIX OK|FAIL" verdict line.
-  std::string human() const;
-};
-
 /// The default plan the campaign uses for `cls` on `sc` (victim threads,
 /// occasion counts) — exposed so the CLI's single-plan mode and the tests
 /// share it.
@@ -125,15 +92,20 @@ InjectionPlan defaultPlanFor(taxonomy::FailureClass cls,
 bool planApplies(taxonomy::FailureClass cls,
                  const components::scenarios::NamedScenario& sc);
 
-/// Run one cell (exposed for tests and the CLI's single-plan mode).
+/// Run one cell: explore `sc` under `eo` with `plan` injected into every
+/// run, and feed each deviated run's trace to the detector battery.  When
+/// `sink` is set, every detector finding of every analyzed run is appended
+/// to it, attributed per detector (the CLI's single-plan mode renders it as
+/// confail.findings.v1 / SARIF; shards resolve its names).
 MatrixCell runCell(const components::scenarios::NamedScenario& sc,
-                   const InjectionPlan& plan, const CampaignOptions& opts);
+                   const InjectionPlan& plan,
+                   const sched::ExhaustiveExplorer::Options& eo,
+                   detect::ReportSink* sink = nullptr);
 
-/// Run one negative control: explore `sc` uninjected and count findings.
+/// Run one negative control: explore `sc` uninjected under `eo` and count
+/// findings (appended to `sink` when set, as in runCell).
 ControlCell runControl(const components::scenarios::NamedScenario& sc,
-                       const CampaignOptions& opts);
-
-/// Run the full campaign.
-CampaignResult runCampaign(const CampaignOptions& opts = CampaignOptions());
+                       const sched::ExhaustiveExplorer::Options& eo,
+                       detect::ReportSink* sink = nullptr);
 
 }  // namespace confail::inject

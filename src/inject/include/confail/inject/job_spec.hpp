@@ -1,22 +1,23 @@
 // JobSpec: one campaign described declaratively — the single grid spec
 // shared by `confail inject --campaign`, the `confail serve` daemon and the
-// `confail submit` client, replacing the per-verb ad-hoc flag plumbing.
+// `confail submit` client: a campaign is a JobSpec.
 //
 // A job names a (scenario x reduction x injection-plan) grid plus the
 // per-cell exploration budgets; it parses from and renders to the
-// machine-readable `confail.job.v1` JSON document.  expandShards() turns a
-// spec into its deterministic shard list: one shard per applicable
-// (scenario, reduction, class) cell followed by one per negative control.
-// Shard order is part of the contract — the campaign driver, the daemon's
-// checkpointed shard files and the merged reports all index shards the same
-// way, which is what makes a resumed campaign byte-identical to an
-// uninterrupted one.
+// machine-readable `confail.job.v1` JSON document.  explorerOptions(r)
+// turns the budgets into the explorer options one cell runs under.
+// expandShards() turns a spec into its deterministic shard list: one shard
+// per applicable (scenario, reduction, class) cell followed by one per
+// negative control.  Shard order is part of the contract — the campaign
+// driver, the daemon's checkpointed shard files and the merged reports all
+// index shards the same way, which is what makes a resumed campaign
+// byte-identical to an uninterrupted one.
 //
 // runShard() executes one shard in isolation (this is what the `confail
 // worker` subprocess runs) and campaignFromShards() folds ordered shard
-// results back into the CampaignResult the one-shot CLI has always
-// produced; runCampaign() is now exactly expandShards + runShard +
-// campaignFromShards in one process.
+// results back into a CampaignResult; runCampaign() is exactly
+// expandShards + runShard + campaignFromShards in one process, so the CLI
+// campaign and the daemon compute the same matrix.
 #pragma once
 
 #include <cstdint>
@@ -50,15 +51,16 @@ struct JobSpec {
   std::vector<sched::ExhaustiveExplorer::Reduction> reductions = {
       sched::ExhaustiveExplorer::Reduction::None};
 
-  // Per-cell exploration budgets (the CampaignOptions fields).
+  // Per-cell exploration budgets.
   std::uint64_t maxRuns = 4000;
   std::uint64_t maxSteps = 2000;
   std::size_t maxBranchDepth = 4;
   std::size_t workers = 1;
   bool negativeControls = true;
 
-  /// The per-cell options for one reduction of the grid.
-  CampaignOptions campaignOptions(
+  /// The explorer options one cell of the grid runs under: the budgets
+  /// above with reduction `r`, every other option at its default.
+  sched::ExhaustiveExplorer::Options explorerOptions(
       sched::ExhaustiveExplorer::Reduction r) const;
 
   /// Semantic validation: unknown scenarios, non-injectable classes, zero
@@ -139,14 +141,35 @@ ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
 ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
                      const RunShardOptions& opts, events::Trace& run);
 
-/// Fold ordered shard results into the classic campaign result.  `shards`
-/// must be in expandShards order (the caller sorts by ShardSpec::index).
+/// A computed campaign: the spec it ran, its matrix cells and its negative
+/// controls, in expandShards order.
+struct CampaignResult {
+  JobSpec spec;
+  std::vector<MatrixCell> cells;
+  std::vector<ControlCell> controls;
+
+  /// The acceptance predicate: every injectable class was caught (with
+  /// classifier agreement) on fig2, and every negative control is silent.
+  bool ok() const;
+
+  /// Machine-readable document (schema confail.injection.v1).  Its
+  /// `options` block renders the spec's budgets and first reduction.
+  std::string toJson() const;
+
+  /// Table 1 with a detection column (fig2 results), the per-cell matrix,
+  /// the controls, and a final "INJECTION MATRIX OK|FAIL" verdict line.
+  std::string human() const;
+};
+
+/// Fold ordered shard results into the campaign result.  `shards` must be
+/// in expandShards order (the caller sorts by ShardSpec::index).
 CampaignResult campaignFromShards(const JobSpec& spec,
                                   const std::vector<ShardResult>& shards);
 
-/// The legacy whole-registry grid for a CampaignOptions (what runCampaign
-/// has always explored): all scenarios, all injectable classes, the
-/// options' single reduction.
-JobSpec jobSpecFrom(const CampaignOptions& opts);
+/// Run the whole campaign in this process: expandShards, runShard on each
+/// shard in order, campaignFromShards.  Throws UsageError on a spec that
+/// fails validate().  The default spec is the whole registry grid under
+/// Reduction::None.
+CampaignResult runCampaign(const JobSpec& spec = JobSpec());
 
 }  // namespace confail::inject

@@ -39,16 +39,15 @@ bool parseReduction(const std::string& name,
   return true;
 }
 
-CampaignOptions JobSpec::campaignOptions(
+ExhaustiveExplorer::Options JobSpec::explorerOptions(
     ExhaustiveExplorer::Reduction r) const {
-  CampaignOptions co;
-  co.maxRuns = maxRuns;
-  co.maxSteps = maxSteps;
-  co.maxBranchDepth = maxBranchDepth;
-  co.workers = workers;
-  co.reduction = r;
-  co.negativeControls = negativeControls;
-  return co;
+  ExhaustiveExplorer::Options eo;
+  eo.maxRuns = maxRuns;
+  eo.maxSteps = maxSteps;
+  eo.maxBranchDepth = maxBranchDepth;
+  eo.workers = workers;
+  eo.reduction = r;
+  return eo;
 }
 
 std::string JobSpec::validate() const {
@@ -291,15 +290,15 @@ ShardResult executeShard(const JobSpec& spec, const ShardSpec& shard,
   CONFAIL_CHECK(sc != nullptr, UsageError,
                 "shard names unknown scenario '" + shard.scenario + "'");
 
-  CampaignOptions co = spec.campaignOptions(shard.reduction);
+  const ExhaustiveExplorer::Options eo =
+      spec.explorerOptions(shard.reduction);
   detect::ReportSink sink;
-  co.sink = &sink;
   InjectionPlan plan;
   if (shard.control) {
-    r.control = runControl(*sc, co);
+    r.control = runControl(*sc, eo, &sink);
   } else {
     plan = defaultPlanFor(shard.cls, *sc);
-    r.cell = runCell(*sc, plan, co);
+    r.cell = runCell(*sc, plan, eo, &sink);
   }
 
   r.findings.reserve(sink.size());
@@ -364,7 +363,7 @@ ShardResult runShard(const JobSpec& spec, const ShardSpec& shard,
 CampaignResult campaignFromShards(const JobSpec& spec,
                                   const std::vector<ShardResult>& shards) {
   CampaignResult result;
-  result.options = spec.campaignOptions(spec.reductions.front());
+  result.spec = spec;
   for (const ShardResult& s : shards) {
     if (s.spec.control) {
       result.controls.push_back(s.control);
@@ -373,17 +372,6 @@ CampaignResult campaignFromShards(const JobSpec& spec,
     }
   }
   return result;
-}
-
-JobSpec jobSpecFrom(const CampaignOptions& opts) {
-  JobSpec spec;
-  spec.reductions = {opts.reduction};
-  spec.maxRuns = opts.maxRuns;
-  spec.maxSteps = opts.maxSteps;
-  spec.maxBranchDepth = opts.maxBranchDepth;
-  spec.workers = opts.workers;
-  spec.negativeControls = opts.negativeControls;
-  return spec;
 }
 
 }  // namespace confail::inject

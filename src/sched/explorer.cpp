@@ -203,6 +203,13 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = Clock::now();
   obs::Registry* const metrics = opts_.metrics;
+  // The scheduler options of every run, on both run paths; each run only
+  // sets its own sleep window.
+  VirtualScheduler::Options runOpts;
+  runOpts.maxSteps = opts_.maxSteps;
+  runOpts.captureState = captureState;
+  runOpts.captureFingerprints = captureFingerprints;
+  runOpts.metrics = metrics;
   // Resolve histogram handles once; per-run observes are relaxed atomics.
   obs::Histogram* const runStepsH =
       metrics != nullptr ? &metrics->histogram("explorer.run_steps") : nullptr;
@@ -256,6 +263,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
     // The current run's result, reused so an incremental run's path data
     // keeps its capacity from run to run.
     RunResult result;
+    // The replay path's scheduler options (runOpts plus the run's window).
+    VirtualScheduler::Options replayOpts = runOpts;
     const Clock::time_point workerStart = Clock::now();
     while (std::optional<WorkItem> item = queue.next(self)) {
       // Claim a slot in the run budget before executing.  fetch_add makes
@@ -296,13 +305,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
       if (incrementalMode &&
           !snapshotUnsafe.load(std::memory_order_relaxed)) {
         if (incRunner == nullptr) {
-          IncrementalRunner::Config rcfg;
-          rcfg.maxSteps = opts_.maxSteps;
-          rcfg.captureState = captureState;
-          rcfg.captureFingerprints = captureFingerprints;
-          rcfg.budgetBytes = opts_.snapshotBudgetBytes;
-          rcfg.metrics = metrics;
-          incRunner = std::make_unique<IncrementalRunner>(program, rcfg);
+          incRunner = std::make_unique<IncrementalRunner>(
+              program, runOpts, opts_.snapshotBudgetBytes);
         }
         if (incRunner->usable()) {
           if (incRunner->run(result, item->node, prefixBuf, avoid,
@@ -320,22 +324,13 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
       if (!ranIncremental) {
         PrefixReplayStrategy strategy(prefixBuf.data(), prefixBuf.size(),
                                       avoid);
-        VirtualScheduler::Options schedOpts;
-        schedOpts.maxSteps = opts_.maxSteps;
-        schedOpts.captureState = captureState;
-        schedOpts.captureFingerprints = captureFingerprints;
-        schedOpts.metrics = metrics;
-        if (dporMode) {
-          // The node's stored sleep set is valid just before its last
-          // replayed step; the scheduler replays the wake rule from there
-          // and keeps sleeping threads out of every free pick.
-          schedOpts.sleepSet.assign(item->node->sleep.begin(),
-                                    item->node->sleep.end());
-          schedOpts.sleepProcessFrom = prefixLen > 0 ? prefixLen - 1 : 0;
-          schedOpts.sleepFilterFrom = prefixLen;
-          schedOpts.sleepFilterTo = opts_.maxBranchDepth;
-        }
-        VirtualScheduler sched(strategy, schedOpts);
+        // A DPOR node's stored sleep set is valid just before its last
+        // replayed step; the scheduler replays the wake rule from there
+        // and keeps sleeping threads out of every free pick.
+        replayOpts.setSleepWindow(
+            dporMode ? item->node->sleep : std::span<const SleepEntry>(),
+            prefixLen, opts_.maxBranchDepth);
+        VirtualScheduler sched(strategy, replayOpts);
         program(sched);
         result = sched.run();
       }

@@ -34,8 +34,8 @@
 // queued or running at or below it (PrefixNode::live).  Before each restore
 // lookup the runner drops the checkpoints of dead nodes: no later run's
 // prefix passes through them.  Retained memory therefore follows the live
-// DFS frontier, not the number of runs so far.  Config::budgetBytes stays
-// as a backstop: over it, checkpoints are dropped oldest-first (the root
+// DFS frontier, not the number of runs so far.  The byte budget stays as
+// a backstop: over it, checkpoints are dropped oldest-first (the root
 // checkpoint is pinned) and a child whose immediate ancestor was evicted
 // transparently restores a shallower ancestor and replays the gap — the
 // self-healing fallback re-stores what it re-reaches.
@@ -54,7 +54,6 @@
 
 namespace confail::obs {
 class Counter;
-class Registry;
 }
 
 namespace confail::sched {
@@ -87,18 +86,6 @@ class SwapStrategy final : public Strategy {
 /// explorer worker owns one).  See the file comment for the design.
 class IncrementalRunner {
  public:
-  struct Config {
-    std::uint64_t maxSteps = 200000;
-    bool captureState = false;
-    bool captureFingerprints = false;  ///< see VirtualScheduler::Options
-    /// Retained-checkpoint memory cap (fresh bytes + path data, estimated).
-    /// A backstop: dead nodes' checkpoints are dropped regardless.  Over
-    /// the cap, live checkpoints are evicted oldest-first; the pinned root
-    /// checkpoint never goes, so every run can at worst full-replay.
-    std::size_t budgetBytes = 256ull * 1024 * 1024;
-    obs::Registry* metrics = nullptr;  ///< per-run sched.* counters sink
-  };
-
   /// Per-session tallies, drained by the explorer into obs counters.
   struct Tally {
     std::uint64_t restores = 0;           ///< checkpoint restores performed
@@ -112,9 +99,17 @@ class IncrementalRunner {
 
   /// Builds the session: constructs the fiber scheduler, runs `program`
   /// once to build the object graph, and checks it declared itself
-  /// snapshot-safe.  Requires fibersSupported().
+  /// snapshot-safe.  Requires fibersSupported().  `runOpts` are the
+  /// scheduler options of every explorer run (step bound, state capture,
+  /// metrics); the session runs them on fibers and publishes the sched.*
+  /// counters of each run itself.  `budgetBytes` caps retained checkpoint
+  /// memory (fresh bytes + path data, estimated).  It is a backstop: dead
+  /// nodes' checkpoints are dropped regardless; over the cap, live ones
+  /// are evicted oldest-first, and the pinned root checkpoint never goes,
+  /// so every run can at worst full-replay.
   IncrementalRunner(const std::function<void(VirtualScheduler&)>& program,
-                    const Config& cfg);
+                    const VirtualScheduler::Options& runOpts,
+                    std::size_t budgetBytes);
   ~IncrementalRunner();
 
   IncrementalRunner(const IncrementalRunner&) = delete;
@@ -131,7 +126,8 @@ class IncrementalRunner {
   /// RunResult.  `result` is cleared first but keeps its capacity, so a
   /// caller that reuses one result across runs stops allocating path data.
   /// For Reduction::Dpor runs, `dporMode` wires the node's sleep set into
-  /// the scheduler with `branchDepthLimit` as the filter bound.
+  /// the scheduler with `branchDepthLimit` as the filter bound
+  /// (Options::setSleepWindow, as on the replay path).
   /// Returns false (and flips usable() off) if the session discovered it
   /// cannot continue incrementally; the caller falls back to replay.
   bool run(RunResult& result, const PrefixNode* node,
@@ -168,7 +164,7 @@ class IncrementalRunner {
   void dropDead();
   void dropPending();
 
-  Config cfg_;
+  std::size_t budgetBytes_;
   SwapStrategy swap_;
   VirtualScheduler sched_;
   /// The sched.* counters, resolved once (null without metrics): a

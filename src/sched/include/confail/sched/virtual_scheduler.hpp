@@ -218,6 +218,20 @@ class VirtualScheduler {
     std::size_t sleepFilterFrom = 0;
     std::size_t sleepFilterTo = static_cast<std::size_t>(-1);
 
+    /// Set the sleep window of an explorer run that replays a
+    /// `prefixLen`-step prefix: `sleep` is the set valid just before the
+    /// prefix's last step (the DPOR work item's node->sleep; empty for
+    /// every other run, which makes the window inert), and filtering stops
+    /// at the branch bound `filterTo`.  Assigns into sleepSet, so options
+    /// reused across runs keep its capacity.
+    void setSleepWindow(std::span<const SleepEntry> sleep,
+                        std::size_t prefixLen, std::size_t filterTo) {
+      sleepSet.assign(sleep.begin(), sleep.end());
+      sleepProcessFrom = prefixLen > 0 ? prefixLen - 1 : 0;
+      sleepFilterFrom = prefixLen;
+      sleepFilterTo = filterTo;
+    }
+
     /// Back logical threads with stack-switched fibers instead of real
     /// std::threads.  Fibers run on the controller's own thread under the
     /// same strict alternation, but their stacks can be copied in and out,

@@ -9,13 +9,10 @@
 namespace confail::sched {
 
 namespace {
-VirtualScheduler::Options sessionOptions(const IncrementalRunner::Config& cfg) {
-  VirtualScheduler::Options o;
-  o.maxSteps = cfg.maxSteps;
-  o.captureState = cfg.captureState;
-  o.captureFingerprints = cfg.captureFingerprints;
-  // sched.* counters are published by the runner per run (the scheduler
-  // itself only publishes from run(), which a session never calls).
+/// A session scheduler runs on fibers and publishes no sched.* counters:
+/// a scheduler publishes them from run(), which a session never calls, so
+/// the runner counts each run itself.
+VirtualScheduler::Options sessionOptions(VirtualScheduler::Options o) {
   o.metrics = nullptr;
   o.fibers = true;
   return o;
@@ -23,14 +20,15 @@ VirtualScheduler::Options sessionOptions(const IncrementalRunner::Config& cfg) {
 }  // namespace
 
 IncrementalRunner::IncrementalRunner(
-    const std::function<void(VirtualScheduler&)>& program, const Config& cfg)
-    : cfg_(cfg), sched_(swap_, sessionOptions(cfg)) {
+    const std::function<void(VirtualScheduler&)>& program,
+    const VirtualScheduler::Options& runOpts, std::size_t budgetBytes)
+    : budgetBytes_(budgetBytes), sched_(swap_, sessionOptions(runOpts)) {
   CONFAIL_CHECK(fibersSupported(), UsageError,
                 "incremental exploration requires fiber support");
-  if (cfg_.metrics != nullptr) {
-    runsCounter_ = &cfg_.metrics->counter("sched.runs");
-    stepsCounter_ = &cfg_.metrics->counter("sched.steps");
-    switchesCounter_ = &cfg_.metrics->counter("sched.context_switches");
+  if (runOpts.metrics != nullptr) {
+    runsCounter_ = &runOpts.metrics->counter("sched.runs");
+    stepsCounter_ = &runOpts.metrics->counter("sched.steps");
+    switchesCounter_ = &runOpts.metrics->counter("sched.context_switches");
   }
   program(sched_);
   usable_ = sched_.snapshotSafe();
@@ -105,19 +103,11 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
   }
   firstRun_ = false;
 
-  // Per-run scheduler options: runLoop copies opts_.sleepSet at entry, so
-  // mutating them between runs is safe.
-  if (dporMode) {
-    sched_.opts_.sleepSet.assign(node->sleep.begin(), node->sleep.end());
-    sched_.opts_.sleepProcessFrom = prefixLen > 0 ? prefixLen - 1 : 0;
-    sched_.opts_.sleepFilterFrom = prefixLen;
-    sched_.opts_.sleepFilterTo = branchDepthLimit;
-  } else {
-    sched_.opts_.sleepSet.clear();
-    sched_.opts_.sleepProcessFrom = 0;
-    sched_.opts_.sleepFilterFrom = 0;
-    sched_.opts_.sleepFilterTo = static_cast<std::size_t>(-1);
-  }
+  // Per-run sleep window: runLoop copies opts_.sleepSet at entry, so
+  // mutating it between runs is safe.
+  sched_.opts_.setSleepWindow(
+      dporMode ? node->sleep : std::span<const SleepEntry>(), prefixLen,
+      branchDepthLimit);
 
   // The full prefix, not the tail: PrefixReplayStrategy indexes by the
   // GLOBAL step, so a run seeded at depth d simply never consults entries
@@ -211,7 +201,7 @@ IncrementalRunner::Checkpoint IncrementalRunner::makeCheckpoint(
 }
 
 bool IncrementalRunner::admit(Checkpoint& ck, bool pinned) {
-  while (tally_.retainedBytes + ck.costBytes > cfg_.budgetBytes &&
+  while (tally_.retainedBytes + ck.costBytes > budgetBytes_ &&
          !evictOrder_.empty()) {
     const PrefixNode* victim = evictOrder_.front();
     evictOrder_.pop_front();
@@ -222,7 +212,7 @@ bool IncrementalRunner::admit(Checkpoint& ck, bool pinned) {
     cache_.erase(it);
     ++tally_.evictions;
   }
-  if (!pinned && tally_.retainedBytes + ck.costBytes > cfg_.budgetBytes) {
+  if (!pinned && tally_.retainedBytes + ck.costBytes > budgetBytes_) {
     ++tally_.budgetSkips;
     return false;
   }

@@ -1165,16 +1165,15 @@ TEST(ReportSink, SarifDocumentIsStructurallyValid) {
 
 TEST(ReportSink, CampaignRoutesFindingsThroughSink) {
   const scenarios::NamedScenario& sc = *scenarios::find("fig2");
-  confail::inject::CampaignOptions opts;
-  opts.maxRuns = 200;
-  opts.maxSteps = 2000;
-  opts.maxBranchDepth = 3;
+  confail::sched::ExhaustiveExplorer::Options eo;
+  eo.maxRuns = 200;
+  eo.maxSteps = 2000;
+  eo.maxBranchDepth = 3;
   detect::ReportSink sink;
   sink.setSource("campaign");
-  opts.sink = &sink;
   const auto plan = confail::inject::defaultPlanFor(
       confail::taxonomy::FailureClass::FF_T5, sc);
-  const auto cell = confail::inject::runCell(sc, plan, opts);
+  const auto cell = confail::inject::runCell(sc, plan, eo, &sink);
   EXPECT_TRUE(cell.caught);
   ASSERT_GT(sink.size(), 0u);
   bool sawWaitNotify = false;

@@ -157,11 +157,12 @@ TEST(ProtocolDeviation, BargingIsOptIn) {
 TEST(InjectionMatrix, EveryInjectableClassCaughtOnFig2) {
   const scenarios::NamedScenario* fig2 = scenarios::find("fig2");
   ASSERT_NE(fig2, nullptr);
-  inject::CampaignOptions opts;
+  const inject::JobSpec spec;
+  const auto eo = spec.explorerOptions(spec.reductions.front());
   for (FailureClass cls : inject::injectableClasses()) {
     ASSERT_TRUE(inject::planApplies(cls, *fig2));
     const inject::MatrixCell cell =
-        inject::runCell(*fig2, inject::defaultPlanFor(cls, *fig2), opts);
+        inject::runCell(*fig2, inject::defaultPlanFor(cls, *fig2), eo);
     EXPECT_TRUE(cell.caught) << cell.plan.describe();
     EXPECT_TRUE(cell.classifierAgrees) << cell.plan.describe();
     EXPECT_GT(cell.deviatedRuns, 0u) << cell.plan.describe();
@@ -280,15 +281,15 @@ TEST(Campaign, FullMatrixIsOk) {
 // any other thread had moved, and the race analysis found nothing to
 // reverse.
 TEST(Campaign, ReductionsCatchPerCellWhatFullEnumerationCatches) {
-  inject::CampaignOptions opts;
-  opts.maxBranchDepth = 6;
-  const inject::CampaignResult none = inject::runCampaign(opts);
+  inject::JobSpec spec;
+  spec.maxBranchDepth = 6;
+  const inject::CampaignResult none = inject::runCampaign(spec);
   ASSERT_FALSE(none.cells.empty());
   for (const sched::ExhaustiveExplorer::Reduction reduction :
        {sched::ExhaustiveExplorer::Reduction::Sleep,
         sched::ExhaustiveExplorer::Reduction::Dpor}) {
-    opts.reduction = reduction;
-    const inject::CampaignResult reduced = inject::runCampaign(opts);
+    spec.reductions = {reduction};
+    const inject::CampaignResult reduced = inject::runCampaign(spec);
     SCOPED_TRACE(inject::reductionName(reduction));
     EXPECT_TRUE(reduced.ok());
     ASSERT_EQ(reduced.cells.size(), none.cells.size());

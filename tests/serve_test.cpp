@@ -747,6 +747,36 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   EXPECT_LE(refill->count, st.shardsTotal);
 }
 
+// `confail inject --campaign` (runCampaign in one process) and the daemon
+// compute one campaign: a spec's merged matrix.json is the in-process
+// campaign's document, up to where and how fast each cell ran.
+TEST(Server, MergedMatrixEqualsTheInProcessCampaign) {
+  TempRoot root;
+  const inject::JobSpec spec = smallSpec();
+  const std::string id = serve::submitJob(root.str(), spec);
+  ASSERT_FALSE(id.empty());
+  ASSERT_EQ(serveToIdle(root.str(), /*subprocess=*/false), 0);
+  serve::JobResults results;
+  ASSERT_TRUE(serve::jobResults(root.str(), id, results));
+  ASSERT_TRUE(results.complete);
+
+  // Blank each cell's provenance values and drop the file's newline.
+  const auto mask = [](std::string doc) {
+    for (const std::string key : {"\"wall_ms\": ", "\"host_concurrency\": "}) {
+      for (std::size_t at = doc.find(key); at != std::string::npos;
+           at = doc.find(key, at)) {
+        at += key.size();
+        doc.replace(at, doc.find_first_of(",\n}", at) - at, "_");
+      }
+    }
+    while (!doc.empty() && doc.back() == '\n') doc.pop_back();
+    return doc;
+  };
+  const std::string daemon = mask(results.matrixJson);
+  EXPECT_NE(daemon.find("\"runs\""), std::string::npos);
+  EXPECT_EQ(daemon, mask(inject::runCampaign(spec).toJson()));
+}
+
 TEST(Server, WakesOnShardCompletionNotOnPollTimeout) {
   TempRoot root;
   const std::string id = serve::submitJob(root.str(), smallSpec());

@@ -15,6 +15,10 @@
 //     --metrics-out FILE  obs metrics snapshot (counters/gauges/histograms)
 //   A verb that cannot produce an artifact simply does not take its flag.
 //
+//   Numeric flags are strict (parseU64): a value must be a whole token of
+//   decimal digits that fits its field, so `--max-runs 12abc`, `-1` or a
+//   32-bit field given 2^32 is a usage error, never a silent truncation.
+//
 //   Exit status, uniform across verbs:
 //     0  clean — the tool ran and found nothing wrong
 //     1  findings / failures present (detector findings, failing runs, a
@@ -26,9 +30,13 @@
 //   the way; their job is the check, not the findings.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 
 namespace confail::cli {
 
@@ -45,6 +53,10 @@ int cmdIngest(const char* prog, int argc, char** argv);
 int cmdObsCheck(const char* prog, int argc, char** argv);
 
 /// confail inject — deviation injection: single plan or full campaign.
+/// Both modes build an inject::JobSpec.  With --campaign, the single-plan
+/// flags (--scenario, --class, --monitor, --victim, --after, --count,
+/// --json-out/--findings-out, --sarif-out, --findings-cap) are usage
+/// errors: the campaign would ignore them.
 int cmdInject(const char* prog, int argc, char** argv);
 
 /// confail fuzz — seeded program generation + differential oracles.
@@ -78,18 +90,55 @@ inline const char* flagValue(int& i, int argc, char** argv) {
   return ++i < argc ? argv[i] : nullptr;
 }
 
-/// Parse an unsigned integer flag value; returns false (and reports via
-/// `prog`) on a missing or malformed value.
-inline bool parseU64(const char* prog, const char* flag, const char* v,
-                     std::uint64_t& out) {
+/// Strict unsigned decimal: the whole token must be digits and fit in 64
+/// bits.  No sign, no whitespace, no trailing bytes, not empty.
+inline bool parseDecimal(std::string_view s, std::uint64_t& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return !s.empty() && ec == std::errc() && ptr == end;
+}
+
+/// Parse an unsigned flag value (parseDecimal) into `out`, also rejecting a
+/// value `out`'s type cannot hold.  Returns false on a missing value, and
+/// reports a malformed one via `prog`; either way the caller exits 2.
+template <class T>
+bool parseU64(const char* prog, const char* flag, const char* v, T& out) {
   if (v == nullptr) return false;
-  try {
-    out = std::stoull(v);
-    return true;
-  } catch (const std::exception&) {
+  std::uint64_t n = 0;
+  if (!parseDecimal(v, n) ||
+      n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
     std::fprintf(stderr, "%s: bad value for %s\n", prog, flag);
     return false;
   }
+  out = static_cast<T>(n);
+  return true;
+}
+
+/// What a shared flag parser made of argv[i].
+enum class FlagParse { NotMine, Ok, Bad };
+
+/// The per-run exploration budget flags of explore, inject and submit:
+/// --max-runs, --max-steps, --max-depth and --workers, parsed into any
+/// struct with the members maxRuns, maxSteps, maxBranchDepth and workers
+/// (sched::ExhaustiveExplorer::Options, inject::JobSpec).  On a budget
+/// flag, consumes its value (advancing `i`).
+template <class Budget>
+FlagParse parseBudgetFlag(const char* prog, int& i, int argc, char** argv,
+                          Budget& b) {
+  const char* flag = argv[i];
+  bool ok = false;
+  if (std::strcmp(flag, "--max-runs") == 0) {
+    ok = parseU64(prog, flag, flagValue(i, argc, argv), b.maxRuns);
+  } else if (std::strcmp(flag, "--max-steps") == 0) {
+    ok = parseU64(prog, flag, flagValue(i, argc, argv), b.maxSteps);
+  } else if (std::strcmp(flag, "--max-depth") == 0) {
+    ok = parseU64(prog, flag, flagValue(i, argc, argv), b.maxBranchDepth);
+  } else if (std::strcmp(flag, "--workers") == 0) {
+    ok = parseU64(prog, flag, flagValue(i, argc, argv), b.workers);
+  } else {
+    return FlagParse::NotMine;
+  }
+  return ok ? FlagParse::Ok : FlagParse::Bad;
 }
 
 }  // namespace confail::cli

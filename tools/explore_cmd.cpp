@@ -7,6 +7,7 @@
 // exceptions), 2 on usage errors, 3 on internal errors.
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "cli.hpp"
@@ -56,9 +57,8 @@ int usage(const char* prog) {
 
 int cmdExplore(const char* prog, int argc, char** argv) {
   const scenarios::NamedScenario* scenario = nullptr;
-  sched::ExhaustiveExplorer::Options eo;
-  eo.maxRuns = 10000;
-  eo.maxSteps = 20000;
+  sched::ExhaustiveExplorer::Options eo =
+      inject::ExploreConfig().explorerOptions();
   bool json = false;
   bool progress = false;
   std::string metricsOut;
@@ -68,79 +68,64 @@ int cmdExplore(const char* prog, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
-    try {
-      if (arg == "--scenario") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        scenario = scenarios::find(v);
-        if (scenario == nullptr) {
-          std::fprintf(stderr, "%s: unknown scenario '%s'\n", prog, v);
-          return usage(prog);
-        }
-      } else if (arg == "--workers") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        eo.workers = std::stoul(v);
-      } else if (arg == "--max-runs") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        eo.maxRuns = std::stoull(v);
-      } else if (arg == "--max-depth") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        eo.maxBranchDepth = std::stoull(v);
-      } else if (arg == "--max-steps") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        eo.maxSteps = std::stoull(v);
-      } else if (arg == "--prune") {
-        eo.fingerprintPruning = true;
-      } else if (arg == "--incremental") {
-        eo.incremental = true;
-      } else if (arg == "--no-incremental") {
-        eo.incremental = false;
-      } else if (arg == "--snapshot-budget-mb") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        eo.snapshotBudgetBytes = std::stoull(v) * 1024 * 1024;
-      } else if (arg == "--sleep-sets") {
-        eo.reduction = sched::ExhaustiveExplorer::Reduction::Sleep;
-      } else if (arg == "--reduction" || arg.rfind("--reduction=", 0) == 0) {
-        std::string v;
-        if (arg == "--reduction") {
-          const char* n = next();
-          if (n == nullptr) return usage(prog);
-          v = n;
-        } else {
-          v = arg.substr(std::strlen("--reduction="));
-        }
-        if (!inject::parseReduction(v, eo.reduction)) {
-          std::fprintf(stderr, "%s: unknown reduction '%s'\n", prog,
-                       v.c_str());
-          return usage(prog);
-        }
-      } else if (arg == "--json") {
-        json = true;
-      } else if (arg == "--metrics-out") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        metricsOut = v;
-      } else if (arg == "--chrome-trace") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        chromeTrace = v;
-      } else if (arg == "--jsonl-out") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        jsonlOut = v;
-      } else if (arg == "--progress") {
-        progress = true;
-      } else {
-        std::fprintf(stderr, "%s: unknown option '%s'\n", prog, arg.c_str());
+    const FlagParse budget = parseBudgetFlag(prog, i, argc, argv, eo);
+    if (budget == FlagParse::Bad) return usage(prog);
+    if (budget == FlagParse::Ok) continue;
+    if (arg == "--scenario") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      scenario = scenarios::find(v);
+      if (scenario == nullptr) {
+        std::fprintf(stderr, "%s: unknown scenario '%s'\n", prog, v);
         return usage(prog);
       }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "%s: bad value for %s\n", prog, arg.c_str());
+    } else if (arg == "--prune") {
+      eo.fingerprintPruning = true;
+    } else if (arg == "--incremental") {
+      eo.incremental = true;
+    } else if (arg == "--no-incremental") {
+      eo.incremental = false;
+    } else if (arg == "--snapshot-budget-mb") {
+      std::size_t mb = 0;
+      if (!parseU64(prog, arg.c_str(), next(), mb)) return usage(prog);
+      if (mb > std::numeric_limits<std::size_t>::max() >> 20) {
+        std::fprintf(stderr, "%s: bad value for %s\n", prog, arg.c_str());
+        return usage(prog);
+      }
+      eo.snapshotBudgetBytes = mb << 20;
+    } else if (arg == "--sleep-sets") {
+      eo.reduction = sched::ExhaustiveExplorer::Reduction::Sleep;
+    } else if (arg == "--reduction" || arg.rfind("--reduction=", 0) == 0) {
+      std::string v;
+      if (arg == "--reduction") {
+        const char* n = next();
+        if (n == nullptr) return usage(prog);
+        v = n;
+      } else {
+        v = arg.substr(std::strlen("--reduction="));
+      }
+      if (!inject::parseReduction(v, eo.reduction)) {
+        std::fprintf(stderr, "%s: unknown reduction '%s'\n", prog, v.c_str());
+        return usage(prog);
+      }
+    } else if (arg == "--json") {
+      json = true;
+    } else if (arg == "--metrics-out") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      metricsOut = v;
+    } else if (arg == "--chrome-trace") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      chromeTrace = v;
+    } else if (arg == "--jsonl-out") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      jsonlOut = v;
+    } else if (arg == "--progress") {
+      progress = true;
+    } else {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", prog, arg.c_str());
       return usage(prog);
     }
   }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "cli.hpp"
 #include "confail/gen/fuzz.hpp"
@@ -44,18 +45,14 @@ int usage(const char* prog) {
   return 2;
 }
 
-bool parseSeeds(const std::string& v, std::uint64_t& begin,
+bool parseSeeds(std::string_view s, std::uint64_t& begin,
                 std::uint64_t& end) {
-  const std::size_t dots = v.find("..");
-  try {
-    if (dots == std::string::npos) {
-      begin = 0;
-      end = std::stoull(v);
-    } else {
-      begin = std::stoull(v.substr(0, dots));
-      end = std::stoull(v.substr(dots + 2));
-    }
-  } catch (const std::exception&) {
+  const std::size_t dots = s.find("..");
+  if (dots == std::string_view::npos) {
+    begin = 0;
+    if (!parseDecimal(s, end)) return false;
+  } else if (!parseDecimal(s.substr(0, dots), begin) ||
+             !parseDecimal(s.substr(dots + 2), end)) {
     return false;
   }
   return end > begin;
@@ -72,10 +69,9 @@ int cmdFuzz(const char* prog, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
-    auto nextU64 = [&](std::uint64_t& out) {
+    auto nextU64 = [&](auto& out) {
       return parseU64(prog, arg.c_str(), flagValue(i, argc, argv), out);
     };
-    std::uint64_t n = 0;
     if (arg == "--seeds") {
       const char* v = next();
       if (v == nullptr || !parseSeeds(v, opts.seedBegin, opts.seedEnd)) {
@@ -89,20 +85,15 @@ int cmdFuzz(const char* prog, int argc, char** argv) {
       if (v == nullptr) return usage(prog);
       outFile = v;
     } else if (arg == "--max-threads") {
-      if (!nextU64(n)) return usage(prog);
-      opts.cfg.maxThreads = static_cast<int>(n);
+      if (!nextU64(opts.cfg.maxThreads)) return usage(prog);
     } else if (arg == "--max-monitors") {
-      if (!nextU64(n)) return usage(prog);
-      opts.cfg.maxMonitors = static_cast<int>(n);
+      if (!nextU64(opts.cfg.maxMonitors)) return usage(prog);
     } else if (arg == "--max-vars") {
-      if (!nextU64(n)) return usage(prog);
-      opts.cfg.maxVars = static_cast<int>(n);
+      if (!nextU64(opts.cfg.maxVars)) return usage(prog);
     } else if (arg == "--max-ops") {
-      if (!nextU64(n)) return usage(prog);
-      opts.cfg.maxOpsPerThread = static_cast<int>(n);
+      if (!nextU64(opts.cfg.maxOpsPerThread)) return usage(prog);
     } else if (arg == "--max-loop-iters") {
-      if (!nextU64(n)) return usage(prog);
-      opts.cfg.maxLoopIters = static_cast<int>(n);
+      if (!nextU64(opts.cfg.maxLoopIters)) return usage(prog);
     } else if (arg == "--no-loops") {
       opts.cfg.allowLoops = false;
     } else if (arg == "--no-wait-notify") {
@@ -114,8 +105,7 @@ int cmdFuzz(const char* prog, int argc, char** argv) {
     } else if (arg == "--max-steps") {
       if (!nextU64(opts.oracle.maxSteps)) return usage(prog);
     } else if (arg == "--max-depth") {
-      if (!nextU64(n)) return usage(prog);
-      opts.oracle.maxBranchDepth = static_cast<std::size_t>(n);
+      if (!nextU64(opts.oracle.maxBranchDepth)) return usage(prog);
     } else if (arg == "--oracle") {
       const char* v = next();
       if (v == nullptr) return usage(prog);
@@ -142,8 +132,7 @@ int cmdFuzz(const char* prog, int argc, char** argv) {
     } else if (arg == "--no-shrink") {
       opts.shrinkFailures = false;
     } else if (arg == "--max-failures") {
-      if (!nextU64(n)) return usage(prog);
-      opts.maxFailures = static_cast<std::size_t>(n);
+      if (!nextU64(opts.maxFailures)) return usage(prog);
     } else if (arg == "--sabotage") {
       const char* v = next();
       if (v == nullptr) return usage(prog);

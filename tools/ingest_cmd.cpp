@@ -163,63 +163,58 @@ int cmdIngest(const char* prog, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
-    try {
-      if (arg == "--from") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        const std::string fmt = v;
-        if (fmt == "jsonl") {
-          opts.format = ingest::StreamFormat::Jsonl;
-        } else if (fmt == "chrome") {
-          opts.format = ingest::StreamFormat::Chrome;
-        } else {
-          std::fprintf(stderr, "%s: unknown format '%s'\n", prog,
-                       fmt.c_str());
-          return usage(prog);
-        }
-      } else if (arg == "--follow") {
-        opts.follow = true;
-      } else if (arg == "--idle-stop-ms") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        opts.followIdleStopMs = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (arg == "--ring-capacity") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        opts.ringCapacity = std::stoull(v);
-      } else if (arg == "--lossy") {
-        opts.lossy = true;
-      } else if (arg == "--hb-max-vars") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        opts.suite.hbMaxVarHistory = std::stoull(v);
-      } else if (arg == "--sarif-out") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        sarifOut = v;
-      } else if (arg == "--json-out") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        jsonOut = v;
-      } else if (arg == "--metrics-out") {
-        const char* v = next();
-        if (v == nullptr) return usage(prog);
-        metricsOut = v;
-      } else if (arg == "--json") {
-        json = true;
-      } else if (!arg.empty() && (arg[0] != '-' || arg == "-")) {
-        if (!input.empty()) {
-          std::fprintf(stderr, "%s: multiple inputs ('%s', '%s')\n", prog,
-                       input.c_str(), arg.c_str());
-          return usage(prog);
-        }
-        input = arg;
+    if (arg == "--from") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      const std::string fmt = v;
+      if (fmt == "jsonl") {
+        opts.format = ingest::StreamFormat::Jsonl;
+      } else if (fmt == "chrome") {
+        opts.format = ingest::StreamFormat::Chrome;
       } else {
-        std::fprintf(stderr, "%s: unknown option '%s'\n", prog, arg.c_str());
+        std::fprintf(stderr, "%s: unknown format '%s'\n", prog, fmt.c_str());
         return usage(prog);
       }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "%s: bad value for %s\n", prog, arg.c_str());
+    } else if (arg == "--follow") {
+      opts.follow = true;
+    } else if (arg == "--idle-stop-ms") {
+      if (!parseU64(prog, "--idle-stop-ms", next(), opts.followIdleStopMs)) {
+        return usage(prog);
+      }
+    } else if (arg == "--ring-capacity") {
+      if (!parseU64(prog, "--ring-capacity", next(), opts.ringCapacity)) {
+        return usage(prog);
+      }
+    } else if (arg == "--lossy") {
+      opts.lossy = true;
+    } else if (arg == "--hb-max-vars") {
+      if (!parseU64(prog, "--hb-max-vars", next(),
+                    opts.suite.hbMaxVarHistory)) {
+        return usage(prog);
+      }
+    } else if (arg == "--sarif-out") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      sarifOut = v;
+    } else if (arg == "--json-out") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      jsonOut = v;
+    } else if (arg == "--metrics-out") {
+      const char* v = next();
+      if (v == nullptr) return usage(prog);
+      metricsOut = v;
+    } else if (arg == "--json") {
+      json = true;
+    } else if (!arg.empty() && (arg[0] != '-' || arg == "-")) {
+      if (!input.empty()) {
+        std::fprintf(stderr, "%s: multiple inputs ('%s', '%s')\n", prog,
+                     input.c_str(), arg.c_str());
+        return usage(prog);
+      }
+      input = arg;
+    } else {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", prog, arg.c_str());
       return usage(prog);
     }
   }

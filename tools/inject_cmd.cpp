@@ -12,13 +12,16 @@
 //       every applicable injectable Table 1 class, plus negative controls.
 //       --out writes the machine-readable matrix (confail.injection.v1);
 //       stdout gets the human rendering ending in INJECTION MATRIX OK|FAIL.
+//       The single-plan flags are usage errors here (exit 2).
 //
 // Exit status follows cli.hpp: single-plan mode returns 1 when detectors
 // produced findings (the usual outcome of a successful injection), campaign
 // mode returns 1 unless the matrix is OK; 2 usage, 3 internal.
 //
 // Exploration flags (both modes): --max-runs, --max-steps, --max-depth,
-// --workers, --reduction, --no-controls (campaign only).
+// --workers, --reduction, --no-controls (campaign only).  Both modes hold
+// them in one inject::JobSpec; a campaign runs it whole, a single plan
+// runs one cell under its explorer options.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -37,6 +40,7 @@ namespace confail::cli {
 
 namespace inject = confail::inject;
 namespace scenarios = confail::components::scenarios;
+namespace sched = confail::sched;
 namespace taxonomy = confail::taxonomy;
 
 namespace {
@@ -113,6 +117,12 @@ void printCell(const inject::MatrixCell& c) {
 }  // namespace
 
 int cmdInject(const char* prog, int argc, char** argv) {
+  // The flags that configure the one plan of single-plan mode; --campaign
+  // runs every default plan and sets no sink, so it rejects them.
+  static const char* const kSinglePlanFlags[] = {
+      "--scenario",  "--class",    "--monitor",  "--victim",
+      "--after",     "--count",    "--json-out", "--findings-out",
+      "--sarif-out", "--findings-cap"};
   bool campaign = false;
   bool json = false;
   bool haveClass = false;
@@ -128,18 +138,25 @@ int cmdInject(const char* prog, int argc, char** argv) {
   std::string outFile;
   std::string sarifOut;
   std::string findingsOut;
-  std::uint64_t findingsCap = 0;
-  inject::CampaignOptions opts;
+  std::size_t findingsCap = 0;
+  const char* singlePlanFlag = nullptr;
+  inject::JobSpec spec;
 
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
+    for (const char* f : kSinglePlanFlags) {
+      if (arg == f) singlePlanFlag = f;
+    }
+    const FlagParse budget = parseBudgetFlag(prog, i, argc, argv, spec);
+    if (budget == FlagParse::Bad) return usage(prog);
+    if (budget == FlagParse::Ok) continue;
     if (arg == "--campaign") {
       campaign = true;
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--no-controls") {
-      opts.negativeControls = false;
+      spec.negativeControls = false;
     } else if (arg == "--scenario") {
       const char* v = next();
       if (v == nullptr) return usage(prog);
@@ -186,40 +203,31 @@ int cmdInject(const char* prog, int argc, char** argv) {
       findingsOut = v;
     } else if (arg == "--reduction") {
       const char* v = next();
-      if (v == nullptr || !inject::parseReduction(v, opts.reduction)) {
+      sched::ExhaustiveExplorer::Reduction r;
+      if (v == nullptr || !inject::parseReduction(v, r)) {
         std::fprintf(stderr, "%s: unknown reduction '%s'\n", prog,
                      v == nullptr ? "" : v);
         return usage(prog);
       }
+      spec.reductions = {r};
     } else if (arg == "--findings-cap") {
       if (!parseU64(prog, "--findings-cap", next(), findingsCap)) {
         return usage(prog);
       }
-    } else if (arg == "--max-runs") {
-      if (!parseU64(prog, "--max-runs", next(), opts.maxRuns)) {
-        return usage(prog);
-      }
-    } else if (arg == "--max-steps") {
-      if (!parseU64(prog, "--max-steps", next(), opts.maxSteps)) {
-        return usage(prog);
-      }
-    } else if (arg == "--max-depth") {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, "--max-depth", next(), v)) return usage(prog);
-      opts.maxBranchDepth = static_cast<std::size_t>(v);
-    } else if (arg == "--workers") {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, "--workers", next(), v)) return usage(prog);
-      opts.workers = static_cast<std::size_t>(v);
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", prog, arg.c_str());
       return usage(prog);
     }
   }
+  if (campaign && singlePlanFlag != nullptr) {
+    std::fprintf(stderr, "%s: %s does not apply to --campaign\n", prog,
+                 singlePlanFlag);
+    return usage(prog);
+  }
 
   try {
     if (campaign) {
-      const inject::CampaignResult result = inject::runCampaign(opts);
+      const inject::CampaignResult result = inject::runCampaign(spec);
       if (!outFile.empty()) {
         std::ofstream out(outFile);
         if (!out || !(out << result.toJson() << '\n')) {
@@ -258,14 +266,14 @@ int cmdInject(const char* prog, int argc, char** argv) {
     // Single-plan mode can render the findings documents: all runs are of
     // one scenario, whose deterministic wiring keeps ids -> names stable,
     // so one captured run's name tables resolve every finding.
-    confail::detect::ReportSink sink(
-        static_cast<std::size_t>(findingsCap));
+    confail::detect::ReportSink sink(findingsCap);
     sink.setSource(scenario->name + "+" +
                    taxonomy::failureClassName(cls));
     const bool wantSink = !sarifOut.empty() || !findingsOut.empty();
-    if (wantSink) opts.sink = &sink;
 
-    const inject::MatrixCell cell = inject::runCell(*scenario, plan, opts);
+    const inject::MatrixCell cell = inject::runCell(
+        *scenario, plan, spec.explorerOptions(spec.reductions.front()),
+        wantSink ? &sink : nullptr);
 
     if (wantSink) {
       events::Trace captured;

@@ -94,13 +94,13 @@ int cmdPetri(const char* prog, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--threads") == 0) {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, a, flagValue(i, argc, argv), v)) return usage(prog);
-      threads = static_cast<unsigned>(v);
+      if (!parseU64(prog, a, flagValue(i, argc, argv), threads)) {
+        return usage(prog);
+      }
     } else if (std::strcmp(a, "--monitors") == 0) {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, a, flagValue(i, argc, argv), v)) return usage(prog);
-      monitors = static_cast<unsigned>(v);
+      if (!parseU64(prog, a, flagValue(i, argc, argv), monitors)) {
+        return usage(prog);
+      }
     } else if (std::strcmp(a, "--model") == 0) {
       const char* v = flagValue(i, argc, argv);
       if (v == nullptr) return usage(prog);

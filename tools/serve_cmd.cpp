@@ -142,9 +142,9 @@ int cmdServe(const char* prog, int argc, char** argv) {
       if (v == nullptr) return usageServe(prog);
       opts.root = v;
     } else if (arg == "--pool") {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, "--pool", next(), v)) return usageServe(prog);
-      opts.poolSize = static_cast<std::size_t>(v);
+      if (!parseU64(prog, "--pool", next(), opts.poolSize)) {
+        return usageServe(prog);
+      }
     } else if (arg == "--in-process") {
       opts.subprocess = false;
     } else if (arg == "--exit-when-idle") {
@@ -247,11 +247,16 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
   std::string jobPath;
   inject::JobSpec spec;
   spec.maxRuns = 400;  // service default: modest per-cell budget
-  spec.maxSteps = 2000;
   bool builtFromFlags = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
+    const FlagParse budget = parseBudgetFlag(prog, i, argc, argv, spec);
+    if (budget == FlagParse::Bad) return usageSubmit(prog);
+    if (budget == FlagParse::Ok) {
+      builtFromFlags = true;
+      continue;
+    }
     if (arg == "--root") {
       const char* v = next();
       if (v == nullptr) return usageSubmit(prog);
@@ -291,26 +296,6 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
       }
       if (!builtFromFlags) spec.reductions.clear();
       spec.reductions.push_back(r);
-      builtFromFlags = true;
-    } else if (arg == "--max-runs") {
-      if (!parseU64(prog, "--max-runs", next(), spec.maxRuns)) {
-        return usageSubmit(prog);
-      }
-      builtFromFlags = true;
-    } else if (arg == "--max-steps") {
-      if (!parseU64(prog, "--max-steps", next(), spec.maxSteps)) {
-        return usageSubmit(prog);
-      }
-      builtFromFlags = true;
-    } else if (arg == "--max-depth") {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, "--max-depth", next(), v)) return usageSubmit(prog);
-      spec.maxBranchDepth = static_cast<std::size_t>(v);
-      builtFromFlags = true;
-    } else if (arg == "--workers") {
-      std::uint64_t v = 0;
-      if (!parseU64(prog, "--workers", next(), v)) return usageSubmit(prog);
-      spec.workers = static_cast<std::size_t>(v);
       builtFromFlags = true;
     } else if (arg == "--no-controls") {
       spec.negativeControls = false;

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -106,10 +107,10 @@ int doStats(const ev::Trace& trace) {
   return 0;
 }
 
-int doValidate(const ev::Trace& trace, const char* monitorArg) {
+int doValidate(const ev::Trace& trace, std::optional<ev::MonitorId> only) {
   std::set<ev::MonitorId> monitors;
-  if (monitorArg != nullptr) {
-    monitors.insert(static_cast<ev::MonitorId>(std::stoul(monitorArg)));
+  if (only) {
+    monitors.insert(*only);
   } else {
     for (const ev::Event& e : trace.events()) {
       if (e.monitor != ev::kNoMonitor) monitors.insert(e.monitor);
@@ -209,7 +210,7 @@ int doSelftest(const char* prog) {
   std::printf("-- stats --\n");
   doStats(copy);
   std::printf("-- validate --\n");
-  doValidate(copy, nullptr);
+  doValidate(copy, std::nullopt);
   std::printf("-- detect --\n");
   doDetect(prog, copy, "selftest");
   std::printf("-- export --\n");
@@ -235,13 +236,16 @@ int cmdTrace(const char* prog, int argc, char** argv) {
     const bool known = cmd == "render" || cmd == "stats" ||
                        cmd == "validate" || cmd == "detect" || cmd == "chrome";
     if (!known || argc < 2) return usage(prog);
+    std::optional<ev::MonitorId> monitor;
+    if (cmd == "validate" && argc >= 3) {
+      monitor.emplace();
+      if (!parseU64(prog, "monitor id", argv[2], *monitor)) return usage(prog);
+    }
     const std::string path = argv[1];
     ev::Trace trace = load(prog, path);
     if (cmd == "render") return doRender(trace);
     if (cmd == "stats") return doStats(trace);
-    if (cmd == "validate") {
-      return doValidate(trace, argc >= 3 ? argv[2] : nullptr);
-    }
+    if (cmd == "validate") return doValidate(trace, monitor);
     if (cmd == "detect") {
       std::string metricsOut;
       std::string sarifOut;
