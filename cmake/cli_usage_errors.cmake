@@ -3,7 +3,10 @@
 #
 #   numbers   malformed or out-of-range numeric values in every verb that
 #             takes them (explore, inject, submit, fuzz, ingest, trace)
-#   campaign  `inject --campaign` with a single-plan-only flag
+#   campaign  `inject --campaign` with a single-plan-only flag, and
+#             single-plan `inject` with a campaign-only flag
+#
+# No rejected case may write its output file (`${WORK_DIR}/out*`).
 #
 # Invoked as:  cmake -DCONFAIL=<confail binary> -DWORK_DIR=<dir>
 #                    -DGROUP=numbers|campaign -P cli_usage_errors.cmake
@@ -44,6 +47,11 @@ elseif(GROUP STREQUAL "campaign")
     string(REPLACE "=" "|" pair "${pair}")
     list(APPEND cases "inject|--campaign|--max-runs|5|${pair}")
   endforeach()
+  foreach(pair --out=${WORK_DIR}/out--out --no-controls)
+    string(REPLACE "=" "|" pair "${pair}")
+    list(APPEND cases
+      "inject|--scenario|fig2|--class|FF-T5|--max-runs|5|${pair}")
+  endforeach()
 else()
   message(FATAL_ERROR "cli_usage_errors: unknown GROUP '${GROUP}'")
 endif()
@@ -60,7 +68,7 @@ foreach(case IN LISTS cases)
 endforeach()
 file(GLOB written "${WORK_DIR}/out*")
 if(written)
-  list(APPEND failures "campaign mode wrote ${written}")
+  list(APPEND failures "a rejected case wrote ${written}")
 endif()
 
 if(failures)

@@ -223,7 +223,12 @@ std::string CampaignResult::toJson() const {
   w.field("max_steps", spec.maxSteps);
   w.field("max_branch_depth", static_cast<std::uint64_t>(spec.maxBranchDepth));
   w.field("workers", static_cast<std::uint64_t>(spec.workers));
-  w.field("reduction", reductionName(spec.reductions.front()));
+  w.key("reductions");
+  w.beginArray();
+  for (const sched::ExhaustiveExplorer::Reduction r : spec.reductions) {
+    w.value(reductionName(r));
+  }
+  w.endArray();
   w.endObject();
   w.key("matrix");
   w.beginArray();

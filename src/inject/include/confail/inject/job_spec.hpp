@@ -153,7 +153,8 @@ struct CampaignResult {
   bool ok() const;
 
   /// Machine-readable document (schema confail.injection.v1).  Its
-  /// `options` block renders the spec's budgets and first reduction.
+  /// `options` block renders the spec's budgets and its whole reduction
+  /// grid (`reductions`, in spec order); each cell names its own.
   std::string toJson() const;
 
   /// Table 1 with a detection column (fig2 results), the per-cell matrix,

@@ -273,7 +273,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
       if (claimed >= opts_.maxRuns) {
         budgetExhausted.store(true, std::memory_order_relaxed);
         queue.stop();
-        if (incrementalMode) item->node->release();
+        arena.release(self, item->node);
         queue.done();
         continue;
       }
@@ -662,16 +662,21 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             }
           }
         }
-        if (incrementalMode) {
-          // Checkpoint lifetime (PrefixNode::live): children become live
-          // before anyone can see them, and this run's node is released
-          // only after they are queued, so no node on a queued item's path
-          // is ever momentarily dead.
-          for (const WorkItem& child : childBuf) child.node->retain();
+        // Node lifetime (PrefixNode::live): children become live before
+        // anyone can see them, and this run's node is released only after
+        // they are queued, so no node on a queued item's path is ever
+        // momentarily dead.  The spine nodes no child hangs below are dead
+        // already and still private to this worker: recycle them now, as
+        // once the children are published another worker's release() may
+        // kill the rest of the spine.
+        for (const WorkItem& child : childBuf) child.node->retain();
+        for (std::size_t d = spineBuf.size(); d-- > 1;) {
+          if (!spineBuf[d]->dead()) break;
+          arena.recycle(self, spineBuf[d]);
         }
         queue.pushAll(self, childBuf);
       }
-      if (incrementalMode) item->node->release();
+      arena.release(self, item->node);
 
       queue.done();
     }
@@ -718,7 +723,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
 
   WorkItem root;
   root.node = arena.root();
-  if (incrementalMode) root.node->retain();
+  root.node->retain();
   queue.push(0, std::move(root));  // the root: the empty prefix
 
   std::vector<std::thread> extra;

@@ -34,11 +34,16 @@
 // queued or running at or below it (PrefixNode::live).  Before each restore
 // lookup the runner drops the checkpoints of dead nodes: no later run's
 // prefix passes through them.  Retained memory therefore follows the live
-// DFS frontier, not the number of runs so far.  The byte budget stays as
-// a backstop: over it, checkpoints are dropped oldest-first (the root
-// checkpoint is pinned) and a child whose immediate ancestor was evicted
-// transparently restores a shallower ancestor and replays the gap — the
-// self-healing fallback re-stores what it re-reaches.
+// DFS frontier, not the number of runs so far.  The arena recycles a dead
+// node's slot, possibly on another worker and before this runner next
+// looks, so a checkpoint is keyed by the node's address *and* its slot
+// generation: a key whose slot has since been reused names a node that is
+// gone, never matches a lookup, and is dropped like a dead one.  The byte
+// budget stays as a backstop: over it, checkpoints are dropped
+// oldest-first (the root checkpoint is pinned) and a child whose
+// immediate ancestor was evicted transparently restores a shallower
+// ancestor and replays the gap — the self-healing fallback re-stores what
+// it re-reaches.
 #pragma once
 
 #include <cstdint>
@@ -154,13 +159,37 @@ class IncrementalRunner {
     std::size_t costBytes = 0;  ///< budget charge (fresh + path estimate)
   };
 
+  /// A prefix-tree node for one slot generation (see the file comment).
+  struct Key {
+    const PrefixNode* node = nullptr;
+    std::uint32_t generation = 0;
+    explicit Key(const PrefixNode* n = nullptr)
+        : node(n),
+          generation(n != nullptr
+                         ? n->generation.load(std::memory_order_relaxed)
+                         : 0) {}
+    bool operator==(const Key&) const = default;
+    /// The node has died, or its slot has been reused since the key was
+    /// taken: no later run's prefix passes through the keyed node.
+    bool gone() const {
+      return node->dead() ||
+             node->generation.load(std::memory_order_relaxed) != generation;
+    }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<const PrefixNode*>()(k.node) ^
+             (static_cast<std::size_t>(k.generation) << 1);
+    }
+  };
+
   void onCheckpoint(std::uint64_t step, std::size_t runnableCount);
   Checkpoint makeCheckpoint(std::size_t depth);
   /// Admit `ck` under the budget (evicting oldest-first); false = skipped.
   bool admit(Checkpoint& ck, bool pinned);
-  void insert(const PrefixNode* key, Checkpoint ck);
-  /// Drop the checkpoints of dead nodes (PrefixNode::dead): no later run's
-  /// prefix passes through them, so they can never be restored again.
+  void insert(Key key, Checkpoint ck);
+  /// Drop the checkpoints of gone nodes (Key::gone): no later run's prefix
+  /// passes through them, so they can never be restored again.
   void dropDead();
   void dropPending();
 
@@ -177,12 +206,13 @@ class IncrementalRunner {
   Tally tally_;
 
   /// Checkpoints keyed by the prefix-tree node whose path they froze.
-  /// Nodes are arena-allocated for the whole exploration, so raw pointers
-  /// are stable keys; entries for dead nodes are reclaimed by dropDead().
-  std::unordered_map<const PrefixNode*, Checkpoint> cache_;
+  /// The arena recycles dead nodes' slots, so an address alone names a
+  /// node only for one lifetime: keys carry the slot generation too, and
+  /// entries for gone nodes are reclaimed by dropDead().
+  std::unordered_map<Key, Checkpoint, KeyHash> cache_;
   /// Every key but the root's, oldest first (the eviction order).
-  std::deque<const PrefixNode*> evictOrder_;
-  const PrefixNode* rootKey_ = nullptr;       ///< pinned (never evicted)
+  std::deque<Key> evictOrder_;
+  Key rootKey_;  ///< pinned (never evicted); the root is never recycled
 
   /// Checkpoints taken during the current run at depths past the replayed
   /// prefix, awaiting bind() to their spine nodes; keyed by depth.

@@ -10,20 +10,30 @@
 // worker walks the parent chain into its reusable scratch buffer for
 // PrefixReplayStrategy to borrow.
 //
-// Nodes live in per-worker bump-allocated chunks owned by the explorer's
-// PrefixArena: allocation never takes a lock (each worker extends only its
-// own lane), nodes are immutable after publication (publication happens
-// via the work queue's mutex, which orders the node stores before any
-// other worker can observe the pointer), and everything is reclaimed at
-// once when explore() returns.  Nodes are never freed individually — a
-// parent must outlive every descendant, and at well under 100 bytes/node a
-// multi-million-run exploration costs tens of MB, reported through the
-// `explorer.prefix_arena_bytes` gauge (chunk granularity).  DPOR sleep sets
-// live in the same lanes, in chunks of entries: most nodes carry one, and
-// a heap vector per node (an allocation, its header and its slack) cost
-// more than the entries themselves.
+// Nodes live in per-worker chunks owned by the explorer's PrefixArena:
+// allocation never takes a lock (each worker allocates only from its own
+// lane), and a node's path is immutable while it is live (publication
+// happens via the work queue's mutex, which orders the node stores before
+// any other worker can observe the pointer).  A node is recycled as soon
+// as it dies (`live` drops to zero, see below): its slot goes onto the
+// free list of the worker whose release() killed it, its sleep set onto
+// that lane's free list for the set's size class, and the lane hands both
+// out again before it carves a new chunk.  A dead node has no live
+// descendant, so no parent pointer can dangle, and the arena's footprint
+// — the `explorer.prefix_arena_bytes` gauge, chunk granularity — follows
+// the high-water mark of the live frontier, not the number of runs.
+// Chunks are returned all at once when explore() returns.  DPOR sleep
+// sets live in the same lanes, in chunks of entries: most nodes carry
+// one, and a heap vector per node (an allocation, its header and its
+// slack) cost more than the entries themselves.
 //
-// Two fields stay mutable after publication, both atomic:
+// Because slots are reused, a node's address names it only for one
+// lifetime.  Each reuse bumps the slot's `generation`, so (address,
+// generation) names one node for the whole exploration: anything that
+// remembers a node past its death (the incremental runner's checkpoint
+// cache) keys on that pair.
+//
+// Three fields stay mutable after publication, all atomic:
 //   * `expanded`, the DPOR bookkeeping mask: bit t set means a run that
 //     picks thread t at this node's decision point has already been
 //     enqueued (or is the node's own spine).  Source-set backtracking (see
@@ -33,14 +43,17 @@
 //     queued or running at this node or below it.  The explorer retains a
 //     child item's node before publishing it and releases a run's own node
 //     after publishing the run's children.  Only a run inside a subtree can
-//     add work to it, so a count that has dropped to zero never rises
-//     again: the node is dead, and no later run's prefix passes through
-//     it.  The incremental runner drops dead nodes' checkpoints, which ties
-//     retained snapshot memory to the live DFS frontier.
+//     add work to it, so within one generation of a slot a count that has
+//     dropped to zero never rises again: the node is dead, no later run's
+//     prefix passes through it, and the arena recycles it.  The
+//     incremental runner drops dead nodes' checkpoints, which ties retained
+//     snapshot memory to the live DFS frontier.
+//   * `generation`, bumped by the arena each time it reuses the slot.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -57,7 +70,8 @@ using events::ThreadId;
 /// One prefix: the path of thread ids from the root to this node.
 /// `depth` is the path length; `tid` is the last id on it (the edge from
 /// `parent`).  The node also carries the DPOR expansion mask for the
-/// decision point *at the end of* its path.
+/// decision point *at the end of* its path.  Valid while live; a dead
+/// node's slot belongs to the arena (see the file comment).
 struct PrefixNode {
   const PrefixNode* parent = nullptr;  ///< null only on the root
   ThreadId tid = events::kNoThread;    ///< edge label from parent
@@ -74,6 +88,11 @@ struct PrefixNode {
   /// the subtree lets retain/release stop at the first ancestor whose
   /// liveness does not change, instead of touching the root every time.
   mutable std::atomic<std::uint32_t> live{0};
+
+  /// How many times the arena has reused this slot: (address, generation)
+  /// names one node across recycling.  Written only by the arena, before
+  /// the reused node is published.
+  std::atomic<std::uint32_t> generation{0};
 
   /// Reduction::Dpor only: the thread the node's first run took at its
   /// decision point (its spine), set by that run before it publishes any
@@ -99,17 +118,10 @@ struct PrefixNode {
     }
   }
 
-  /// The work item at this node has run and published its children: drop
-  /// it, and the node from its parent's count if the subtree became empty.
-  void release() const {
-    for (const PrefixNode* p = this; p != nullptr; p = p->parent) {
-      if (p->live.fetch_sub(1, std::memory_order_acq_rel) != 1) break;
-    }
-  }
-
   /// True once no work item can ever be queued or run at or below this
-  /// node again.  Exact for any node whose retain() the caller has seen
-  /// (a published item's ancestors, or nodes the caller created).
+  /// node again (in this slot generation: a dead slot may be recycled).
+  /// Exact for any node whose retain() the caller has seen (a published
+  /// item's ancestors, or nodes the caller created).
   bool dead() const { return live.load(std::memory_order_acquire) == 0; }
 
   /// Reduction::Dpor only: the sleep set valid at the state reached by
@@ -124,8 +136,9 @@ struct PrefixNode {
   std::span<const SleepEntry> sleep;
 };
 
-/// Bump allocator for PrefixNodes, one lane per worker so allocation is
-/// lock-free; all chunks die with the arena.
+/// Allocator for PrefixNodes and their sleep sets, one lane per worker so
+/// allocation is lock-free.  Each lane hands out recycled slots first and
+/// bump-allocates from its chunks otherwise; all chunks die with the arena.
 class PrefixArena {
  public:
   explicit PrefixArena(std::size_t workers) : lanes_(workers) {
@@ -137,22 +150,35 @@ class PrefixArena {
   PrefixArena(const PrefixArena&) = delete;
   PrefixArena& operator=(const PrefixArena&) = delete;
 
-  /// The empty prefix.
+  /// The empty prefix.  Never recycled.
   const PrefixNode* root() const { return &root_; }
 
   /// Append `tid` to `parent`'s path.  Only `worker`'s own thread may pass
   /// that lane index; the returned node may be read by any worker once it
   /// has been published through a synchronizing handoff (the work queue).
   /// Returned mutable so the creator can fill `sleep` before publishing.
+  /// A recycled slot comes back as a fresh node (nothing expanded, not
+  /// live, no spine, no sleep set) under the next generation.
   PrefixNode* child(std::size_t worker, const PrefixNode* parent,
                     ThreadId tid) {
     Lane& lane = lanes_[worker];
-    if (lane.used == kChunkNodes) {
-      lane.chunks.push_back(std::make_unique<Chunk>());
-      lane.used = 0;
-      bytes_.fetch_add(sizeof(Chunk), std::memory_order_relaxed);
+    PrefixNode* n;
+    if (!lane.freeNodes.empty()) {
+      n = lane.freeNodes.back();
+      lane.freeNodes.pop_back();
+      n->expanded.store(0, std::memory_order_relaxed);
+      n->live.store(0, std::memory_order_relaxed);
+      n->generation.fetch_add(1, std::memory_order_relaxed);
+      n->spine = events::kNoThread;
+      n->sleep = {};
+    } else {
+      if (lane.used == kChunkNodes) {
+        lane.chunks.push_back(std::make_unique<Chunk>());
+        lane.used = 0;
+        bytes_.fetch_add(sizeof(Chunk), std::memory_order_relaxed);
+      }
+      n = &lane.chunks.back()->nodes[lane.used++];
     }
-    PrefixNode* n = &lane.chunks.back()->nodes[lane.used++];
     n->parent = parent;
     n->tid = tid;
     n->depth = parent->depth + 1;
@@ -160,30 +186,71 @@ class PrefixArena {
   }
 
   /// Store `entries`, followed by `extra` when given, in `worker`'s lane:
-  /// the sleep set of a node that worker creates.  Same lifetime and
-  /// threading rules as child().
+  /// the sleep set of a node that worker creates.  Same threading rules as
+  /// child(); the set is recycled with its node.
   std::span<const SleepEntry> sleepSet(std::size_t worker,
                                        std::span<const SleepEntry> entries,
                                        const SleepEntry* extra = nullptr) {
     const std::size_t n = entries.size() + (extra != nullptr ? 1 : 0);
     if (n == 0) return {};
     Lane& lane = lanes_[worker];
-    if (lane.sleepUsed + n > lane.sleepCap) {
-      lane.sleepCap = std::max(n, kChunkEntries);
-      lane.sleepChunks.push_back(std::make_unique<SleepEntry[]>(lane.sleepCap));
-      lane.sleepUsed = 0;
-      bytes_.fetch_add(lane.sleepCap * sizeof(SleepEntry),
-                       std::memory_order_relaxed);
+    const std::size_t cls = sizeClass(n);
+    std::vector<SleepEntry*>& free = freeSpans(lane, cls);
+    SleepEntry* out;
+    if (!free.empty()) {
+      out = free.back();
+      free.pop_back();
+    } else {
+      const std::size_t cap = std::size_t{1} << cls;
+      if (lane.sleepUsed + cap > lane.sleepCap) {
+        lane.sleepCap = std::max(cap, kChunkEntries);
+        lane.sleepChunks.push_back(
+            std::make_unique<SleepEntry[]>(lane.sleepCap));
+        lane.sleepUsed = 0;
+        bytes_.fetch_add(lane.sleepCap * sizeof(SleepEntry),
+                         std::memory_order_relaxed);
+      }
+      out = lane.sleepChunks.back().get() + lane.sleepUsed;
+      lane.sleepUsed += cap;
     }
-    SleepEntry* out = lane.sleepChunks.back().get() + lane.sleepUsed;
     std::copy(entries.begin(), entries.end(), out);
     if (extra != nullptr) out[entries.size()] = *extra;
-    lane.sleepUsed += n;
     return {out, n};
   }
 
+  /// The work item at `n` has run and published its children, or was
+  /// dropped unrun: drop it, and the node from its parent's count if the
+  /// subtree became empty, and so on up.  Every node whose count reaches
+  /// zero is dead and goes back to `worker`'s lane (recycle()).  Exactly
+  /// one release sees a node die, so each dead node is recycled once.
+  void release(std::size_t worker, const PrefixNode* n) {
+    while (n != nullptr &&
+           n->live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      const PrefixNode* parent = n->parent;
+      if (n != &root_) recycle(worker, n);
+      n = parent;
+    }
+  }
+
+  /// Return dead node `n`, and its sleep set, to `worker`'s free lists.
+  /// The caller must own the death: `n` came out of release()'s walk, or
+  /// `worker` created it and never published it, and no item was ever
+  /// retained at or below it.
+  void recycle(std::size_t worker, const PrefixNode* n) {
+    CONFAIL_ASSERT(n != &root_ && n->dead(), "recycling a live prefix node");
+    Lane& lane = lanes_[worker];
+    PrefixNode* slot = const_cast<PrefixNode*>(n);
+    if (!slot->sleep.empty()) {
+      // Only sleepSet() hands out spans, and always of at least one entry.
+      freeSpans(lane, sizeClass(slot->sleep.size()))
+          .push_back(const_cast<SleepEntry*>(slot->sleep.data()));
+    }
+    lane.freeNodes.push_back(slot);
+  }
+
   /// Bytes of node and sleep-set storage allocated so far (chunk
-  /// granularity).
+  /// granularity): recycled slots are reused, so this is the high-water
+  /// mark of the live tree plus the lanes' free lists.
   std::uint64_t bytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -197,10 +264,23 @@ class PrefixArena {
   struct Lane {
     std::vector<std::unique_ptr<Chunk>> chunks;
     std::size_t used = kChunkNodes;  ///< forces a chunk on first child()
+    std::vector<PrefixNode*> freeNodes;
     std::vector<std::unique_ptr<SleepEntry[]>> sleepChunks;
     std::size_t sleepUsed = 0;
     std::size_t sleepCap = 0;  ///< entries in sleepChunks.back()
+    std::vector<std::vector<SleepEntry*>> freeSleep;  ///< see freeSpans()
   };
+
+  /// A sleep set of n >= 1 entries takes a span of 2^sizeClass(n).
+  static std::size_t sizeClass(std::size_t n) {
+    return static_cast<std::size_t>(std::bit_width(n - 1));
+  }
+
+  /// `lane`'s free list of recycled spans of 2^cls entries.
+  static std::vector<SleepEntry*>& freeSpans(Lane& lane, std::size_t cls) {
+    if (lane.freeSleep.size() <= cls) lane.freeSleep.resize(cls + 1);
+    return lane.freeSleep[cls];
+  }
 
   PrefixNode root_;
   std::vector<Lane> lanes_;

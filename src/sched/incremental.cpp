@@ -64,7 +64,7 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
   const Checkpoint* from = nullptr;
   std::size_t fromDepth = 0;
   for (std::size_t d = searchTop + 1; d-- > 0;) {
-    auto it = cache_.find(chain_[d]);
+    auto it = cache_.find(Key(chain_[d]));
     if (it != cache_.end()) {
       from = &it->second;
       fromDepth = d;
@@ -146,7 +146,7 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
 void IncrementalRunner::bind(const PrefixNode* spineNode) {
   auto it = pending_.find(spineNode->depth);
   if (it == pending_.end()) return;
-  insert(spineNode, std::move(it->second));
+  insert(Key(spineNode), std::move(it->second));
   pending_.erase(it);
 }
 
@@ -162,7 +162,7 @@ void IncrementalRunner::onCheckpoint(std::uint64_t step,
   if (s <= curPrefixLen_) {
     // On the replayed prefix: the branch-point node already exists in the
     // prefix tree — key the checkpoint directly.
-    const PrefixNode* key = chain_[s];
+    const Key key(chain_[s]);
     if (cache_.count(key) != 0) return;  // already restorable
     Checkpoint ck = makeCheckpoint(s);
     if (!admit(ck, /*pinned=*/s == 0)) return;
@@ -203,7 +203,7 @@ IncrementalRunner::Checkpoint IncrementalRunner::makeCheckpoint(
 bool IncrementalRunner::admit(Checkpoint& ck, bool pinned) {
   while (tally_.retainedBytes + ck.costBytes > budgetBytes_ &&
          !evictOrder_.empty()) {
-    const PrefixNode* victim = evictOrder_.front();
+    const Key victim = evictOrder_.front();
     evictOrder_.pop_front();
     auto it = cache_.find(victim);
     if (it == cache_.end()) continue;
@@ -222,7 +222,7 @@ bool IncrementalRunner::admit(Checkpoint& ck, bool pinned) {
   return true;
 }
 
-void IncrementalRunner::insert(const PrefixNode* key, Checkpoint ck) {
+void IncrementalRunner::insert(Key key, Checkpoint ck) {
   if (cache_.count(key) != 0) {
     // Already restorable under this key (a prior run checkpointed the same
     // path); keep the existing entry and refund the duplicate.
@@ -235,8 +235,8 @@ void IncrementalRunner::insert(const PrefixNode* key, Checkpoint ck) {
 
 void IncrementalRunner::dropDead() {
   auto kept = evictOrder_.begin();
-  for (const PrefixNode* key : evictOrder_) {
-    if (!key->dead()) {
+  for (const Key& key : evictOrder_) {
+    if (!key.gone()) {
       *kept++ = key;
       continue;
     }

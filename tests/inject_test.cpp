@@ -19,6 +19,7 @@
 #include "confail/inject/job_spec.hpp"
 #include "confail/inject/plan.hpp"
 #include "confail/monitor/runtime.hpp"
+#include "confail/obs/json.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/obs/trace_export.hpp"
 #include "confail/sched/strategy.hpp"
@@ -272,6 +273,25 @@ TEST(Campaign, FullMatrixIsOk) {
             std::string::npos);
   EXPECT_NE(json.find("\"ok\": true"), std::string::npos);
   EXPECT_NE(result.human().find("INJECTION MATRIX OK"), std::string::npos);
+}
+
+// A campaign document's options name the whole reduction grid its cells
+// ran under, not only the first reduction.
+TEST(Campaign, DocumentNamesEveryReductionOfTheGrid) {
+  inject::CampaignResult result;
+  result.spec.reductions = {sched::ExhaustiveExplorer::Reduction::None,
+                            sched::ExhaustiveExplorer::Reduction::Sleep};
+  const confail::obs::JsonValue doc =
+      confail::obs::parseJson(result.toJson());
+  const confail::obs::JsonValue* options = doc.get("options");
+  ASSERT_NE(options, nullptr);
+  EXPECT_EQ(options->get("reduction"), nullptr);
+  const confail::obs::JsonValue* reductions = options->get("reductions");
+  ASSERT_NE(reductions, nullptr);
+  ASSERT_TRUE(reductions->isArray());
+  ASSERT_EQ(reductions->array.size(), 2u);
+  EXPECT_EQ(reductions->array[0].string, "none");
+  EXPECT_EQ(reductions->array[1].string, "sleep");
 }
 
 // A reduction may skip runs, never findings: at depth 6 every cell is

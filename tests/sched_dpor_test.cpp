@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "confail/obs/metrics.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/fingerprint.hpp"
+#include "confail/sched/prefix_tree.hpp"
 
 namespace sched = confail::sched;
 namespace scenarios = confail::components::scenarios;
@@ -67,6 +69,8 @@ sched::RunResult replay(const scenarios::NamedScenario& sc,
 struct Exploration {
   sched::ExhaustiveExplorer::Stats stats;
   std::set<std::uint64_t> deadlockSigs;
+  /// The `explorer.prefix_arena_bytes` gauge after the exploration.
+  double arenaBytes = 0;
   /// Minimum over all failing runs of the canonical (lex-min linearization
   /// of the trace) schedule; only collected for Reduction::None.
   std::vector<sched::ThreadId> minCanonicalFailure;
@@ -82,6 +86,8 @@ Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
   eo.reduction = reduction;
   eo.workers = workers;
   eo.incremental = incremental;
+  confail::obs::Registry metrics;
+  eo.metrics = &metrics;
   sched::ExhaustiveExplorer explorer(eo);
   Exploration out;
   out.stats = explorer.explore(
@@ -102,6 +108,7 @@ Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
         }
         return true;
       });
+  out.arenaBytes = metrics.gauge("explorer.prefix_arena_bytes").value();
   return out;
 }
 
@@ -193,6 +200,10 @@ void expectPinned(const PinnedDpor& pin, std::size_t workers,
   EXPECT_EQ(e.deadlockSigs, pin.deadlockSigs);
   EXPECT_EQ(st.firstFailure, kFfT5FirstFailure);
   EXPECT_EQ(st.firstFailureOutcome, sched::Outcome::Deadlock);
+  // Dead prefix-tree nodes are recycled, so the arena follows the live
+  // frontier (a few hundred nodes), not the run count: without recycling
+  // the depth-14 tree held 1.6-1.8 MB and the depth-18 tree 13 MB.
+  EXPECT_LE(e.arenaBytes, 1024.0 * 1024.0);
 }
 
 }  // namespace
@@ -346,12 +357,15 @@ TEST(SchedDporTest, SleepBlockedRunsAreTheRunsWithoutAnOutcome) {
 // The ff_t5 trees are pinned to the answers recorded before the explorer's
 // per-run costs were cut: any change to the scheduler, the race analysis or
 // the checkpointing that alters a single counter fails here.  Replay (the
-// differential oracle) must agree with the incremental path; it runs on 4
-// workers to keep its OS-thread churn short (about 4 s instead of 12 s).
+// differential oracle) must agree with the incremental path, and both
+// paths recycle prefix-tree nodes, so each runs serially and on 4 workers
+// (the serial replay is the slow one: about 12 s of OS-thread churn).
 TEST(SchedDporTest, PinnedFfT5Depth14ReplayAndIncremental) {
   if (!sched::fibersSupported()) GTEST_SKIP() << kNoFibers;
-  expectPinned(kFfT5Depth14, 4, /*incremental=*/false);
-  expectPinned(kFfT5Depth14, 1, /*incremental=*/true);
+  for (const bool incremental : {false, true}) {
+    expectPinned(kFfT5Depth14, 4, incremental);
+    expectPinned(kFfT5Depth14, 1, incremental);
+  }
 }
 
 // Worker determinism under repetition: 4-worker incremental explorations
@@ -441,5 +455,89 @@ TEST(SchedDporTest, ReversesRunsCutShortAgainstRunnableThreads) {
       SCOPED_TRACE(workers);
       EXPECT_EQ(outcomesOf(program, Reduction::Dpor, workers), none);
     }
+  }
+}
+
+// A dead node's slot goes back to the lane and comes out of the next
+// child() as a fresh node: nothing claimed, not live, no spine, no sleep
+// set, and the next generation, so that anything keyed on the old node
+// (the incremental runner's checkpoints) can tell the two apart.
+TEST(PrefixArena, RecycledSlotComesBackFreshUnderTheNextGeneration) {
+  sched::PrefixArena arena(1);
+  const sched::PrefixNode* root = arena.root();
+  root->retain();  // the root's own work item
+
+  sched::PrefixNode* a = arena.child(0, root, 1);
+  const sched::SleepEntry asleep{2, {}};
+  a->sleep = arena.sleepSet(0, std::span<const sched::SleepEntry>(&asleep, 1));
+  EXPECT_TRUE(a->tryClaim(3));
+  a->spine = 3;
+  a->retain();  // an item queued at `a`
+  EXPECT_FALSE(a->dead());
+  const std::uint32_t generation = a->generation.load();
+  const std::uint64_t bytes = arena.bytes();
+
+  // The item ran: `a` dies and is recycled; the root keeps its own item.
+  arena.release(0, a);
+  EXPECT_EQ(root->live.load(), 1u);
+
+  sched::PrefixNode* b = arena.child(0, root, 2);
+  ASSERT_EQ(b, a) << "the dead slot was not reused";
+  EXPECT_EQ(b->parent, root);
+  EXPECT_EQ(b->tid, 2u);
+  EXPECT_EQ(b->depth, 1u);
+  EXPECT_EQ(b->expanded.load(), 0u);
+  EXPECT_EQ(b->live.load(), 0u);
+  EXPECT_EQ(b->spine, confail::events::kNoThread);
+  EXPECT_TRUE(b->sleep.empty());
+  EXPECT_EQ(b->generation.load(), generation + 1);
+  EXPECT_TRUE(b->tryClaim(3));  // the old node's claim is gone
+  EXPECT_EQ(arena.bytes(), bytes);
+
+  // The root is never recycled, even when its last item is released.
+  arena.release(0, root);
+  EXPECT_TRUE(root->dead());
+  EXPECT_NE(arena.child(0, root, 0), root);
+}
+
+// Sleep sets are recycled per size class (spans of 2^c entries): a set of
+// any size in a recycled span's class reuses that span, including the
+// classes too large for a shared chunk, and allocates nothing new.
+TEST(PrefixArena, SleepSpansOfEverySizeClassAreReused) {
+  sched::PrefixArena arena(1);
+  const sched::PrefixNode* root = arena.root();
+  for (std::size_t cls = 0; cls <= 13; ++cls) {
+    SCOPED_TRACE("size class " + std::to_string(cls));
+    const std::size_t largest = std::size_t{1} << cls;
+    const std::size_t smallest = cls == 0 ? 1 : largest / 2 + 1;
+    std::vector<sched::SleepEntry> entries(largest);
+    for (std::size_t i = 0; i < largest; ++i) {
+      entries[i].tid = static_cast<sched::ThreadId>(i);
+    }
+
+    // A node created and dropped before publication: it holds a set of
+    // the class's largest size.
+    sched::PrefixNode* n = arena.child(0, root, 0);
+    n->sleep = arena.sleepSet(0, entries);
+    ASSERT_EQ(n->sleep.size(), largest);
+    const sched::SleepEntry* span = n->sleep.data();
+    arena.recycle(0, n);
+    const std::uint64_t bytes = arena.bytes();
+
+    // The class's smallest size, plus the `extra` entry, comes back in it.
+    const sched::SleepEntry extra{7, {}};
+    sched::PrefixNode* m = arena.child(0, root, 1);
+    ASSERT_EQ(m, n);
+    m->sleep = arena.sleepSet(
+        0, std::span<const sched::SleepEntry>(entries.data(), smallest - 1),
+        &extra);
+    EXPECT_EQ(m->sleep.data(), span);
+    ASSERT_EQ(m->sleep.size(), smallest);
+    EXPECT_EQ(m->sleep.back().tid, 7u);
+    if (smallest > 1) {
+      EXPECT_EQ(m->sleep[smallest - 2].tid, smallest - 2);
+    }
+    EXPECT_EQ(arena.bytes(), bytes);
+    arena.recycle(0, m);
   }
 }

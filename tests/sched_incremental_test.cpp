@@ -32,6 +32,8 @@
 #include "confail/obs/metrics.hpp"
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/fingerprint.hpp"
+#include "confail/sched/incremental.hpp"
+#include "confail/sched/prefix_tree.hpp"
 #include "confail/sched/virtual_scheduler.hpp"
 
 namespace sched = confail::sched;
@@ -323,4 +325,81 @@ TEST(SchedIncrementalTest, CheckpointsDieWithTheirSubtree) {
     EXPECT_LE(inc.snapshotPeakBytes, std::size_t{4} * 1024 * 1024);
     EXPECT_EQ(metrics.counter("explorer.snapshot_evictions").value(), 0u);
   }
+}
+
+// The prefix arena recycles a dead node's slot, and on several workers it
+// can republish the slot as a different node before the worker holding a
+// checkpoint for the old one drops it.  The checkpoint cache keys on the
+// slot generation too, so the stale checkpoint — which froze a different
+// prefix — is never restored: the new node's run restores its parent's
+// checkpoint instead and is the run a from-scratch replay makes.
+TEST(SchedIncrementalTest, CheckpointOfARecycledSlotIsNeverRestored) {
+  if (!sched::fibersSupported()) {
+    GTEST_SKIP() << "no fiber support: nothing is checkpointed";
+  }
+  const scenarios::NamedScenario* sc = scenarios::find("fig2");
+  ASSERT_NE(sc, nullptr);
+  sched::VirtualScheduler::Options ro;
+  ro.maxSteps = 20000;
+  constexpr std::size_t kBranchLimit = 64;
+  sched::IncrementalRunner runner(sc->fn, ro, 256ull * 1024 * 1024);
+  ASSERT_TRUE(runner.usable());
+  sched::PrefixArena arena(1);
+  const sched::PrefixNode* root = arena.root();
+  root->retain();
+
+  sched::RunResult first;
+  std::vector<sched::ThreadId> prefix;
+  ASSERT_TRUE(runner.run(first, root, prefix, confail::events::kNoThread,
+                         kBranchLimit, /*dporMode=*/false));
+  // A depth d with a choice at d (the run checkpoints there) and at d-1 (a
+  // sibling of the spine node at d exists).
+  std::size_t d = 0;
+  for (std::size_t i = 1; i < first.choiceSets.size() && i < kBranchLimit;
+       ++i) {
+    if (first.choiceSets[i - 1].size() > 1 && first.choiceSets[i].size() > 1) {
+      d = i;
+      break;
+    }
+  }
+  ASSERT_GT(d, 0u);
+
+  // The run's spine down to depth d, each node bound to the checkpoint the
+  // run took there, as the explorer builds it.
+  const sched::PrefixNode* parent = root;
+  for (std::size_t i = 0; i + 1 < d; ++i) {
+    sched::PrefixNode* n = arena.child(0, parent, first.schedule[i]);
+    runner.bind(n);
+    parent = n;
+  }
+  sched::PrefixNode* spine = arena.child(0, parent, first.schedule[d - 1]);
+  runner.bind(spine);
+
+  // The spine node dies (no child hangs below it) and its slot is reused
+  // for its sibling, which is queued before the runner looks again.
+  sched::ThreadId alt = confail::events::kNoThread;
+  for (sched::ThreadId t : first.choiceSets[d - 1]) {
+    if (t != first.schedule[d - 1]) alt = t;
+  }
+  arena.recycle(0, spine);
+  sched::PrefixNode* sibling = arena.child(0, parent, alt);
+  ASSERT_EQ(sibling, spine) << "the dead slot was not reused";
+  sibling->retain();
+
+  sched::materializePrefix(sibling, prefix);
+  const std::uint64_t avoidedBefore = runner.tally().replayStepsAvoided;
+  sched::RunResult second;
+  ASSERT_TRUE(runner.run(second, sibling, prefix, confail::events::kNoThread,
+                         kBranchLimit, /*dporMode=*/false));
+  // Restored at the parent (depth d-1), not at the stale depth-d checkpoint.
+  EXPECT_EQ(runner.tally().replayStepsAvoided - avoidedBefore, d - 1);
+
+  sched::PrefixReplayStrategy replayStrategy(prefix);
+  sched::VirtualScheduler replayed(replayStrategy, ro);
+  sc->fn(replayed);
+  const sched::RunResult reference = replayed.run();
+  ASSERT_GE(second.schedule.size(), d);
+  EXPECT_EQ(second.schedule[d - 1], alt);
+  EXPECT_EQ(second.schedule, reference.schedule);
+  EXPECT_EQ(second.outcome, reference.outcome);
 }

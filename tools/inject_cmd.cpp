@@ -12,7 +12,8 @@
 //       every applicable injectable Table 1 class, plus negative controls.
 //       --out writes the machine-readable matrix (confail.injection.v1);
 //       stdout gets the human rendering ending in INJECTION MATRIX OK|FAIL.
-//       The single-plan flags are usage errors here (exit 2).
+//       The single-plan flags are usage errors here (exit 2), and --out and
+//       --no-controls are usage errors without --campaign.
 //
 // Exit status follows cli.hpp: single-plan mode returns 1 when detectors
 // produced findings (the usual outcome of a successful injection), campaign
@@ -123,6 +124,8 @@ int cmdInject(const char* prog, int argc, char** argv) {
       "--scenario",  "--class",    "--monitor",  "--victim",
       "--after",     "--count",    "--json-out", "--findings-out",
       "--sarif-out", "--findings-cap"};
+  // The flags only a campaign honours; single-plan mode rejects them.
+  static const char* const kCampaignFlags[] = {"--out", "--no-controls"};
   bool campaign = false;
   bool json = false;
   bool haveClass = false;
@@ -140,6 +143,7 @@ int cmdInject(const char* prog, int argc, char** argv) {
   std::string findingsOut;
   std::size_t findingsCap = 0;
   const char* singlePlanFlag = nullptr;
+  const char* campaignFlag = nullptr;
   inject::JobSpec spec;
 
   for (int i = 0; i < argc; ++i) {
@@ -147,6 +151,9 @@ int cmdInject(const char* prog, int argc, char** argv) {
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
     for (const char* f : kSinglePlanFlags) {
       if (arg == f) singlePlanFlag = f;
+    }
+    for (const char* f : kCampaignFlags) {
+      if (arg == f) campaignFlag = f;
     }
     const FlagParse budget = parseBudgetFlag(prog, i, argc, argv, spec);
     if (budget == FlagParse::Bad) return usage(prog);
@@ -222,6 +229,10 @@ int cmdInject(const char* prog, int argc, char** argv) {
   if (campaign && singlePlanFlag != nullptr) {
     std::fprintf(stderr, "%s: %s does not apply to --campaign\n", prog,
                  singlePlanFlag);
+    return usage(prog);
+  }
+  if (!campaign && campaignFlag != nullptr) {
+    std::fprintf(stderr, "%s: %s requires --campaign\n", prog, campaignFlag);
     return usage(prog);
   }
 

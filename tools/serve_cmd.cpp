@@ -248,6 +248,7 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
   inject::JobSpec spec;
   spec.maxRuns = 400;  // service default: modest per-cell budget
   bool builtFromFlags = false;
+  bool reductionGiven = false;  // the first --reduction replaces the default
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
@@ -294,8 +295,9 @@ int cmdSubmit(const char* prog, int argc, char** argv) {
                      v == nullptr ? "" : v);
         return usageSubmit(prog);
       }
-      if (!builtFromFlags) spec.reductions.clear();
+      if (!reductionGiven) spec.reductions.clear();
       spec.reductions.push_back(r);
+      reductionGiven = true;
       builtFromFlags = true;
     } else if (arg == "--no-controls") {
       spec.negativeControls = false;
