@@ -4,7 +4,9 @@
 #   numbers   malformed or out-of-range numeric values in every verb that
 #             takes them (explore, inject, submit, fuzz, ingest, trace)
 #   campaign  `inject --campaign` with a single-plan-only flag, and
-#             single-plan `inject` with a campaign-only flag
+#             single-plan `inject` with a campaign-only flag; a campaign
+#             (inject --campaign, or submit by flags or --job) whose grid
+#             repeats a value
 #
 # No rejected case may write its output file (`${WORK_DIR}/out*`).
 #
@@ -52,6 +54,13 @@ elseif(GROUP STREQUAL "campaign")
     list(APPEND cases
       "inject|--scenario|fig2|--class|FF-T5|--max-runs|5|${pair}")
   endforeach()
+  file(WRITE "${WORK_DIR}/repeated.json"
+    "{\"schema\": \"confail.job.v1\", \"name\": \"r\", "
+    "\"reductions\": [\"none\", \"none\"]}")
+  list(APPEND cases
+    "inject|--campaign|--reduction|none|--reduction|none|--out|${WORK_DIR}/out-matrix"
+    "submit|--root|${WORK_DIR}/out-spool|--scenario|fig2|--scenario|fig2"
+    "submit|--root|${WORK_DIR}/out-spool|--job|${WORK_DIR}/repeated.json")
 else()
   message(FATAL_ERROR "cli_usage_errors: unknown GROUP '${GROUP}'")
 endif()

@@ -237,9 +237,6 @@ void ExploreConfig::capture(events::Trace& trace,
   sched::RoundRobinStrategy strategy;
   sched::VirtualScheduler::Options so;
   so.maxSteps = eo_.maxSteps;
-  // A step on fibers is a register switch on this thread; on OS threads it
-  // is a semaphore hand-off each way.  The run is the same either way.
-  so.fibers = sched::fibersSupported();
   sched::VirtualScheduler s(strategy, so);
   scenarios::Instruments ins;
   ins.trace = &trace;

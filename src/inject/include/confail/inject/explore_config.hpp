@@ -101,8 +101,7 @@ class ExploreConfig {
   /// Execute one round-robin run of the scenario with an external trace
   /// (for the Chrome export) and a metrics registry, honoring the injection
   /// plan if one is set, then publish CoFG arc coverage of the captured
-  /// events when the scenario has the buffer.  Logical threads are fibers
-  /// where sched::fibersSupported(), OS threads elsewhere.
+  /// events when the scenario has the buffer.
   void capture(events::Trace& trace, obs::Registry& metricsReg) const;
 
   /// Hash of the blocked-thread multiset of a deadlocked run — two

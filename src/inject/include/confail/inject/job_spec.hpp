@@ -63,8 +63,9 @@ struct JobSpec {
   sched::ExhaustiveExplorer::Options explorerOptions(
       sched::ExhaustiveExplorer::Reduction r) const;
 
-  /// Semantic validation: unknown scenarios, non-injectable classes, zero
-  /// budgets, bad name charset.  Returns "" when the spec is runnable.
+  /// Semantic validation: unknown scenarios, non-injectable classes, a
+  /// value repeated on a grid axis, zero budgets, bad name charset.
+  /// Returns "" when the spec is runnable.
   std::string validate() const;
 
   /// Render as a confail.job.v1 document (canonical field order, so equal

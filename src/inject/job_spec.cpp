@@ -1,5 +1,6 @@
 #include "confail/inject/job_spec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "confail/detect/report_sink.hpp"
@@ -50,6 +51,18 @@ ExhaustiveExplorer::Options JobSpec::explorerOptions(
   return eo;
 }
 
+namespace {
+
+/// True when axis[i] already occurs before index i: a grid axis lists each
+/// value once, or every cell on it would run twice.
+template <class T>
+bool repeatsEarlier(const std::vector<T>& axis, std::size_t i) {
+  const auto end = axis.begin() + static_cast<std::ptrdiff_t>(i);
+  return std::find(axis.begin(), end, axis[i]) != end;
+}
+
+}  // namespace
+
 std::string JobSpec::validate() const {
   if (name.empty()) return "job name must not be empty";
   for (char c : name) {
@@ -60,18 +73,31 @@ std::string JobSpec::validate() const {
       return "job name '" + name + "' has characters outside [A-Za-z0-9._-]";
     }
   }
-  for (const std::string& sc : scenarios) {
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const std::string& sc = scenarios[i];
     if (components::scenarios::find(sc) == nullptr) {
       return "unknown scenario '" + sc + "'";
     }
+    if (repeatsEarlier(scenarios, i)) {
+      return "scenario '" + sc + "' is listed twice";
+    }
   }
-  for (FailureClass cls : classes) {
-    if (!isInjectable(cls)) {
-      return std::string("class ") + taxonomy::failureClassName(cls) +
-             " is not injectable";
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const char* cls = taxonomy::failureClassName(classes[i]);
+    if (!isInjectable(classes[i])) {
+      return std::string("class ") + cls + " is not injectable";
+    }
+    if (repeatsEarlier(classes, i)) {
+      return std::string("class ") + cls + " is listed twice";
     }
   }
   if (reductions.empty()) return "reductions must not be empty";
+  for (std::size_t i = 0; i < reductions.size(); ++i) {
+    if (repeatsEarlier(reductions, i)) {
+      return std::string("reduction '") + reductionName(reductions[i]) +
+             "' is listed twice";
+    }
+  }
   if (maxRuns == 0) return "max_runs must be positive";
   if (maxSteps == 0) return "max_steps must be positive";
   if (maxBranchDepth == 0) return "max_branch_depth must be positive";

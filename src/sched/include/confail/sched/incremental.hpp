@@ -102,16 +102,15 @@ class IncrementalRunner {
     std::size_t peakBytes = 0;            ///< high-water mark of the above
   };
 
-  /// Builds the session: constructs the fiber scheduler, runs `program`
-  /// once to build the object graph, and checks it declared itself
-  /// snapshot-safe.  Requires fibersSupported().  `runOpts` are the
-  /// scheduler options of every explorer run (step bound, state capture,
-  /// metrics); the session runs them on fibers and publishes the sched.*
-  /// counters of each run itself.  `budgetBytes` caps retained checkpoint
-  /// memory (fresh bytes + path data, estimated).  It is a backstop: dead
-  /// nodes' checkpoints are dropped regardless; over the cap, live ones
-  /// are evicted oldest-first, and the pinned root checkpoint never goes,
-  /// so every run can at worst full-replay.
+  /// Builds the session: constructs the scheduler, runs `program` once to
+  /// build the object graph, and checks it declared itself snapshot-safe.
+  /// Requires fibersSupported().  `runOpts` are the scheduler options of
+  /// every explorer run (step bound, state capture, metrics); the session
+  /// publishes the sched.* counters of each run itself.  `budgetBytes`
+  /// caps retained checkpoint memory (fresh bytes + path data, estimated).
+  /// It is a backstop: dead nodes' checkpoints are dropped regardless;
+  /// over the cap, live ones are evicted oldest-first, and the pinned root
+  /// checkpoint never goes, so every run can at worst full-replay.
   IncrementalRunner(const std::function<void(VirtualScheduler&)>& program,
                     const VirtualScheduler::Options& runOpts,
                     std::size_t budgetBytes);

@@ -1,10 +1,8 @@
 // VirtualScheduler: deterministic cooperative execution of logical threads.
 //
 // Architecture (the standard model-checker / CHESS design):
-//   * Every logical thread is backed by a real std::thread, but all threads
-//     are gated on per-thread binary semaphores so that EXACTLY ONE logical
-//     thread executes at any moment.  The thread that calls run() acts as
-//     the controller.
+//   * Logical threads run in strict alternation: EXACTLY ONE executes at
+//     any moment.  The thread that calls run() acts as the controller.
 //   * At every instrumented operation (schedule point), the running thread
 //     hands control back to the controller, which consults the Strategy to
 //     pick the next runnable thread.
@@ -15,18 +13,20 @@
 //     "check call completion time" technique and the failure classes FF-T2,
 //     FF-T4 and FF-T5 mechanically detectable.
 //
-// Because only one logical thread runs at a time and control transfer goes
-// through semaphore release/acquire pairs, all scheduler state is free of
-// data races by construction (strict alternation + synchronizes-with).
+// What backs a logical thread is fixed per build (see fibersSupported()):
+// where the build has a fiber switch, a fiber with its own stack on the
+// controller's OS thread, handed control by a register-only stack switch;
+// elsewhere, an OS thread gated on a binary semaphore.  Either way control
+// moves by an explicit hand-off (a switch on one OS thread, or a semaphore
+// release/acquire pair), so all scheduler state is free of data races by
+// construction (strict alternation + synchronizes-with).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "confail/sched/fingerprint.hpp"
@@ -43,17 +43,20 @@ namespace confail::sched {
 class IncrementalRunner;
 
 namespace detail {
-struct Fiber;    // stack-switched fiber backing a logical thread (.cpp)
-struct FiberRt;  // per-scheduler controller stack pointer (.cpp)
+struct ThreadContext;      // what backs one logical thread (.cpp)
+struct ControllerContext;  // the controller's side of a hand-off (.cpp)
 struct StackImage;  // frozen fiber stack, saved registers included (.cpp)
 }  // namespace detail
 
-/// True when this build can back logical threads with snapshot-capable
-/// fibers: Linux on x86-64, sanitizers off.  A fiber switch pushes the
-/// callee-saved registers and FP control words onto the outgoing stack and
-/// pops the incoming one's (fiber_switch_x86_64.S); other targets, aarch64
-/// included, have no switch yet.  When false, incremental exploration
-/// silently degrades to prefix replay.
+/// True when this build has a fiber switch: Linux on x86-64, sanitizers
+/// off.  Then every logical thread of every scheduler is a fiber on the
+/// controller's OS thread, and its stack can be saved and restored.  A
+/// fiber switch pushes the callee-saved registers and FP control words
+/// onto the outgoing stack and pops the incoming one's
+/// (fiber_switch_x86_64.S).  Other targets, aarch64 included, have no
+/// switch yet, and sanitizers cannot follow one: there every logical
+/// thread is an OS thread, and incremental exploration silently degrades
+/// to prefix replay.
 bool fibersSupported() noexcept;
 
 /// Why a logical thread is not runnable.
@@ -231,15 +234,6 @@ class VirtualScheduler {
       sleepFilterFrom = prefixLen;
       sleepFilterTo = filterTo;
     }
-
-    /// Back logical threads with stack-switched fibers instead of real
-    /// std::threads.  Fibers run on the controller's own thread under the
-    /// same strict alternation, but their stacks can be copied in and out,
-    /// which is what makes checkpoint/restore of mid-run threads possible,
-    /// and a switch costs a few registers instead of two semaphore
-    /// hand-offs.  Set by the incremental explorer and by single captured
-    /// runs (inject::ExploreConfig::capture); requires fibersSupported().
-    bool fibers = false;
   };
 
   explicit VirtualScheduler(Strategy& strategy) : VirtualScheduler(strategy, Options()) {}
@@ -374,7 +368,7 @@ class VirtualScheduler {
   enum class ThreadState : std::uint8_t { Runnable, Running, Blocked, Finished };
 
   struct ThreadRecord {
-    // Both out of line: detail::Fiber is incomplete here.
+    // Both out of line: detail::ThreadContext is incomplete here.
     explicit ThreadRecord(ThreadId id_, std::string name_);
     ~ThreadRecord();
     ThreadId id;
@@ -382,12 +376,12 @@ class VirtualScheduler {
     ThreadState state = ThreadState::Runnable;
     BlockKind blockKind = BlockKind::None;
     std::uint64_t blockResource = 0;
-    std::binary_semaphore sem{0};
-    std::thread real;
-    std::unique_ptr<detail::Fiber> fiber;  // set instead of `real` w/ fibers
     std::exception_ptr error;
     std::function<void()> fn;
     std::vector<ThreadId> joiners;  // threads blocked joining on this one
+    // Last, so it goes first: an OS thread is joined before the members
+    // its entry function reads are destroyed.
+    std::unique_ptr<detail::ThreadContext> ctx;  // its fiber or OS thread
   };
 
   /// A copy-on-write checkpoint of the complete session state at one
@@ -416,13 +410,13 @@ class VirtualScheduler {
     std::size_t freshBytes = 0;
   };
 
-  void workerMain(ThreadRecord& rec);
-  static void fiberTrampoline();
-  void fiberMain(ThreadRecord& rec);
+  /// A logical thread's body: its closure, then finishSelf().
+  void threadMain(ThreadRecord& rec);
+  /// Where a fresh fiber starts (fiber builds only).
+  static void fiberEntry();
   void finishSelf(ThreadRecord& rec);
-  /// Hand the CPU to `rec` until it yields/blocks/finishes (semaphore
-  /// hand-off for thread-backed records, a register-only stack switch for
-  /// fibers).
+  /// Hand the CPU to `rec` until it yields/blocks/finishes (a register-only
+  /// stack switch to its fiber, or a semaphore hand-off to its OS thread).
   void resumeThread(ThreadRecord& rec);
   void switchToController(ThreadRecord& rec);
   void checkAbort() const;
@@ -440,7 +434,7 @@ class VirtualScheduler {
   void runLoop(RunResult& result, std::uint64_t& contextSwitches);
 
   /// Freeze the complete session state (controller only, all fibers
-  /// suspended).  Requires Options::fibers.
+  /// suspended).  Null where there are no fibers.
   std::shared_ptr<const Snapshot> saveSnapshot();
 
   /// Rewind the session to `snap`.  Returns false (leaving state poisoned
@@ -451,6 +445,10 @@ class VirtualScheduler {
 
   Strategy& strategy_;
   Options opts_;
+  // Declared before threads_ on purpose: an OS-thread context joins its
+  // thread when destroyed, and that thread may still be returning from
+  // its final hand-off to the controller.
+  std::unique_ptr<detail::ControllerContext> controller_;
   // Declared before threads_ on purpose: destroying threads_ runs the
   // program closures' destructors, which unregister monitors / shared vars
   // from these vectors — they must still be alive then.
@@ -464,8 +462,6 @@ class VirtualScheduler {
   std::vector<SleepEntry> sleep_;
   std::vector<std::unique_ptr<ThreadRecord>> threads_;
   std::vector<IdleHandler*> idleHandlers_;
-  std::binary_semaphore controllerSem_{0};
-  std::unique_ptr<detail::FiberRt> fiberRt_;  // controller context (fibers)
   /// Invoked by runLoop at every decision point, before the pick executes
   /// (the incremental runner installs this to store checkpoints).  Gets the
   /// step index and the runnable-set size: only multi-choice points can

@@ -9,12 +9,11 @@
 namespace confail::sched {
 
 namespace {
-/// A session scheduler runs on fibers and publishes no sched.* counters:
-/// a scheduler publishes them from run(), which a session never calls, so
-/// the runner counts each run itself.
+/// A session scheduler publishes no sched.* counters: a scheduler
+/// publishes them from run(), which a session never calls, so the runner
+/// counts each run itself.
 VirtualScheduler::Options sessionOptions(VirtualScheduler::Options o) {
   o.metrics = nullptr;
-  o.fibers = true;
   return o;
 }
 }  // namespace

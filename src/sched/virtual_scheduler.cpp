@@ -7,10 +7,13 @@
 
 #include "confail/obs/metrics.hpp"
 
-// Fiber support: a register-only stack switch (fiber_switch_x86_64.S) with
-// raw stack-image copies.  Only x86-64 System V has a switch; other targets
-// (aarch64 included) take the documented replay path.  Stack switching is
-// also incompatible with TSan/ASan shadow-stack bookkeeping.
+// The backend is fixed per build.  Where there is a fiber switch (x86-64
+// System V, fiber_switch_x86_64.S) every logical thread is a fiber on the
+// controller's own OS thread: a register-only stack switch with raw
+// stack-image copies for snapshots.  Elsewhere (aarch64, and sanitized
+// builds, whose shadow-stack bookkeeping a stack switch would break) every
+// logical thread is an OS thread parked on a semaphore, and there are no
+// snapshots: incremental exploration takes the documented replay path.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define CONFAIL_SANITIZED 1
 #elif defined(__has_feature)
@@ -21,12 +24,19 @@
 
 #if defined(__linux__) && defined(__x86_64__) && !defined(CONFAIL_SANITIZED)
 #define CONFAIL_FIBERS 1
+#include <sys/mman.h>
+
 #include <cxxabi.h>
+#include <iterator>
+#include <new>
 // fiber_switch_x86_64.S: push the callee-saved registers and FP control
 // words, store the stack pointer through saveSp, load loadSp, pop, return.
 extern "C" void confail_fiber_switch(void** saveSp, void* loadSp);
 // The caller's MXCSR (low 32 bits) and x87 control word (bits 32-47).
 extern "C" std::uint64_t confail_fiber_fp_control();
+#else
+#include <semaphore>
+#include <thread>
 #endif
 
 namespace confail::sched {
@@ -45,6 +55,7 @@ thread_local TlsBinding tlsBinding;
 // fiber's last frame is the switch's own register save area, and nothing
 // live lies below it (the call into the switch clobbered the red zone).
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
+constexpr std::size_t kGuardBytes = 4096;  // one x86-64 page
 
 /// Build the frame a fresh fiber is first switched into: the switch pops
 /// the FP control slot and six zeroed callee-saved registers, then returns
@@ -61,11 +72,59 @@ void* initialFrame(char* stack, std::size_t size, void (*entry)()) {
   frame[8] = 0;
   return frame;
 }
+
+/// A fiber stack, mapped with an inaccessible guard page below it: a
+/// logical thread that overflows its stack faults, as it would on an OS
+/// thread, instead of overwriting whatever lies beneath.
+char* mapStack() {
+  void* base = mmap(nullptr, kGuardBytes + kFiberStackBytes,
+                    PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  if (mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+    munmap(base, kGuardBytes + kFiberStackBytes);
+    throw std::bad_alloc();
+  }
+  return static_cast<char*>(base) + kGuardBytes;
+}
+
+void unmapStack(char* stack) {
+  munmap(stack - kGuardBytes, kGuardBytes + kFiberStackBytes);
+}
+
+/// Stacks released on this OS thread, kept mapped for its next spawns.
+/// Every replay run spawns fresh logical threads, and mapping a stack and
+/// unmapping it again (which makes the kernel flush the TLB of every CPU
+/// running one of the process's threads) cost more than the run itself:
+/// without the cache, ff_t5 dpor at depth 18 with --no-incremental took
+/// 24 s of system time against 4 s of user time at 4 workers on a 4-vCPU
+/// x86-64 host.  No scheduler outlives the exit of the thread that
+/// destroys it, so the cache is never used after it is gone.
+struct StackCache {
+  StackCache() = default;
+  ~StackCache() {
+    while (count > 0) unmapStack(stacks[--count]);
+  }
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+
+  char* take() { return count > 0 ? stacks[--count] : mapStack(); }
+  void give(char* stack) {
+    if (count < std::size(stacks)) {
+      stacks[count++] = stack;
+    } else {
+      unmapStack(stack);
+    }
+  }
+  char* stacks[32] = {};
+  std::size_t count = 0;
+};
+thread_local StackCache stackCache;
 #endif  // CONFAIL_FIBERS
 }  // namespace
 
 namespace detail {
 
+#ifdef CONFAIL_FIBERS
 /// The C++ runtime's per-thread exception state (__cxa_eh_globals, same
 /// layout in libstdc++ and libc++abi): the stack of exceptions being
 /// handled and the count of those still propagating.  Fibers share one OS
@@ -76,12 +135,10 @@ struct EhState {
   void* caught = nullptr;
   unsigned int uncaught = 0;
 
-#ifdef CONFAIL_FIBERS
   /// The calling OS thread's live state.
   static EhState& current() {
     return *reinterpret_cast<EhState*>(abi::__cxa_get_globals());
   }
-#endif
 };
 
 /// One logical thread's frozen execution: the used top of its stack, whose
@@ -92,16 +149,22 @@ struct StackImage {
   std::size_t used = 0;            ///< bytes saved at the top of the stack
   std::unique_ptr<char[]> bytes;   ///< copy of [stackTop - used, stackTop)
   void* sp = nullptr;              ///< the fiber's saved stack pointer
-  EhState eh;                      ///< its exception state (Fiber::eh)
+  EhState eh;                      ///< its exception state (ThreadContext::eh)
 };
 
-/// The fiber backing a logical thread in snapshot mode: its own stack and,
-/// while suspended, the stack pointer the switch saved.  Every register it
-/// needs to resume sits on the stack itself, so a stack image plus `sp`
-/// restores it.
-struct Fiber {
-  std::unique_ptr<char[]> stack;
-  std::size_t stackSize = 0;
+/// The fiber backing a logical thread: its own stack and, while suspended,
+/// the stack pointer the switch saved.  Every register it needs to resume
+/// sits on the stack itself, so a stack image plus `sp` restores it.
+struct ThreadContext {
+  ThreadContext() : stack(stackCache.take()) {}
+  ~ThreadContext() { stackCache.give(stack); }
+  ThreadContext(const ThreadContext&) = delete;
+  ThreadContext& operator=(const ThreadContext&) = delete;
+
+  /// One past the stack's highest byte: where the fiber's frames start.
+  char* top() const { return stack + kFiberStackBytes; }
+
+  char* const stack;  ///< lowest usable byte; the guard page is below
   /// Stamp of the stack's current contents; bumped on every resume (the
   /// stack is about to change).  An image with an equal stamp is
   /// byte-identical to the live stack, so save and restore can skip it.
@@ -112,9 +175,31 @@ struct Fiber {
 };
 
 /// Controller-side stack pointer the running fiber switches back to.
-struct FiberRt {
-  void* controllerSp = nullptr;
+struct ControllerContext {
+  void* sp = nullptr;
 };
+#else
+/// The OS thread backing a logical thread, parked on its semaphore
+/// whenever another one runs.  Released contexts join their thread: by
+/// then it has finished (every run ends with each logical thread
+/// finished) and only returns from its entry function.
+struct ThreadContext {
+  ThreadContext() = default;
+  ~ThreadContext() {
+    if (os.joinable()) os.join();
+  }
+  ThreadContext(const ThreadContext&) = delete;
+  ThreadContext& operator=(const ThreadContext&) = delete;
+
+  std::binary_semaphore sem{0};
+  std::thread os;  ///< after sem, which it waits on
+};
+
+/// The controller's side of the semaphore hand-off.
+struct ControllerContext {
+  std::binary_semaphore sem{0};
+};
+#endif  // CONFAIL_FIBERS
 
 }  // namespace detail
 
@@ -154,23 +239,14 @@ const char* outcomeName(Outcome o) {
 }
 
 VirtualScheduler::VirtualScheduler(Strategy& strategy, Options opts)
-    : strategy_(strategy), opts_(opts) {
-  if (opts_.fibers) {
-    CONFAIL_CHECK(fibersSupported(), UsageError,
-                  "fiber mode is unsupported on this platform/build");
-    fiberRt_ = std::make_unique<detail::FiberRt>();
-  }
-}
+    : strategy_(strategy),
+      opts_(std::move(opts)),
+      controller_(std::make_unique<detail::ControllerContext>()) {}
 
 VirtualScheduler::~VirtualScheduler() {
-  if (!finished_) {
-    // run() was never called (or aborted mid-construction of a test):
-    // tear down parked workers so their std::threads can be joined.
-    abortRun();
-  }
-  for (auto& rec : threads_) {
-    if (rec->real.joinable()) rec->real.join();
-  }
+  // run() was never called (or aborted mid-construction of a test): let
+  // the parked logical threads finish before their contexts go.
+  if (!finished_) abortRun();
 }
 
 ThreadId VirtualScheduler::spawn(std::string name, std::function<void()> fn) {
@@ -183,42 +259,29 @@ ThreadId VirtualScheduler::spawn(std::string name, std::function<void()> fn) {
   const ThreadId id = static_cast<ThreadId>(threads_.size());
   auto rec = std::make_unique<ThreadRecord>(id, std::move(name));
   rec->fn = std::move(fn);
+  rec->ctx = std::make_unique<detail::ThreadContext>();
   ThreadRecord& r = *rec;
   threads_.push_back(std::move(rec));
   ++liveCount_;
   strategy_.onSpawn(id);
-  if (opts_.fibers) {
 #ifdef CONFAIL_FIBERS
-    auto f = std::make_unique<detail::Fiber>();
-    f->stackSize = kFiberStackBytes;
-    f->stack = std::make_unique<char[]>(f->stackSize);
-    f->version = nextSnapshotVersion();
-    f->sp = initialFrame(f->stack.get(), f->stackSize,
-                         &VirtualScheduler::fiberTrampoline);
-    r.fiber = std::move(f);
+  r.ctx->version = nextSnapshotVersion();
+  r.ctx->sp = initialFrame(r.ctx->stack, kFiberStackBytes,
+                           &VirtualScheduler::fiberEntry);
+#else
+  r.ctx->os = std::thread([this, &r] {
+    r.ctx->sem.acquire();  // wait until first scheduled
+    tlsBinding = TlsBinding{this, &r};
+    threadMain(r);
+    tlsBinding = TlsBinding{};
+    controller_->sem.release();
+  });
 #endif
-  } else {
-    r.real = std::thread([this, &r] { workerMain(r); });
-  }
   return id;
 }
 
-void VirtualScheduler::workerMain(ThreadRecord& rec) {
-  rec.sem.acquire();  // wait until first scheduled
-  tlsBinding = TlsBinding{this, &rec};
-  if (!aborting_) {
-    try {
-      rec.fn();
-    } catch (const ExecutionAborted&) {
-      // Normal teardown path; nothing to record.
-    } catch (...) {
-      rec.error = std::current_exception();
-    }
-  }
-  finishSelf(rec);
-}
-
-void VirtualScheduler::fiberTrampoline() {
+#ifdef CONFAIL_FIBERS
+void VirtualScheduler::fiberEntry() {
   // The controller publishes {scheduler, record} through the TLS binding
   // immediately before swapping a fiber in for the first time; fibers run
   // on the controller's own OS thread, so the binding is already ours.
@@ -226,14 +289,14 @@ void VirtualScheduler::fiberTrampoline() {
   auto* rec = static_cast<ThreadRecord*>(tlsBinding.record);
   CONFAIL_ASSERT(sched != nullptr && rec != nullptr,
                  "fiber started without a TLS binding");
-  sched->fiberMain(*rec);
-  // fiberMain's final swap back to the controller never returns: resuming
-  // a finished fiber is a scheduler bug.
+  sched->threadMain(*rec);
+  confail_fiber_switch(&rec->ctx->sp, sched->controller_->sp);
+  // Resuming a finished fiber is a scheduler bug.
   std::abort();
 }
+#endif
 
-void VirtualScheduler::fiberMain(ThreadRecord& rec) {
-#ifdef CONFAIL_FIBERS
+void VirtualScheduler::threadMain(ThreadRecord& rec) {
   if (!aborting_) {
     try {
       rec.fn();
@@ -244,10 +307,6 @@ void VirtualScheduler::fiberMain(ThreadRecord& rec) {
     }
   }
   finishSelf(rec);
-  confail_fiber_switch(&rec.fiber->sp, fiberRt_->controllerSp);
-#else
-  (void)rec;
-#endif
 }
 
 void VirtualScheduler::finishSelf(ThreadRecord& rec) {
@@ -264,13 +323,6 @@ void VirtualScheduler::finishSelf(ThreadRecord& rec) {
     }
   }
   rec.joiners.clear();
-  if (!rec.fiber) {
-    // Thread-backed workers clear their own binding and wake the
-    // controller; for fibers the controller's resumeThread() does both
-    // when the final swap returns to it.
-    tlsBinding = TlsBinding{};
-    controllerSem_.release();
-  }
 }
 
 void VirtualScheduler::runnableSet(std::vector<ThreadId>& out) const {
@@ -299,9 +351,6 @@ RunResult VirtualScheduler::run() {
   runLoop(result, contextSwitches);
   abortRun();
   finished_ = true;
-  for (auto& rec : threads_) {
-    if (rec->real.joinable()) rec->real.join();
-  }
   if (opts_.metrics != nullptr) {
     opts_.metrics->counter("sched.runs").inc();
     opts_.metrics->counter("sched.steps").add(result.steps);
@@ -476,24 +525,26 @@ void VirtualScheduler::abortRun() {
 }
 
 void VirtualScheduler::resumeThread(ThreadRecord& rec) {
-  if (rec.fiber) {
 #ifdef CONFAIL_FIBERS
-    // The fiber's stack is about to change: no frozen image matches it
-    // from here on.
-    rec.fiber->version = nextSnapshotVersion();
-    tlsBinding = TlsBinding{this, &rec};
-    detail::EhState& eh = detail::EhState::current();
-    const detail::EhState controllerEh = eh;
-    eh = rec.fiber->eh;
-    confail_fiber_switch(&fiberRt_->controllerSp, rec.fiber->sp);
-    rec.fiber->eh = eh;
-    eh = controllerEh;
-    tlsBinding = TlsBinding{};
+  detail::ThreadContext& f = *rec.ctx;
+  // The fiber's stack is about to change: no frozen image matches it from
+  // here on.
+  f.version = nextSnapshotVersion();
+  // Restored afterwards, not cleared: a scheduler may run inside a logical
+  // thread of another one.
+  const TlsBinding outer = tlsBinding;
+  tlsBinding = TlsBinding{this, &rec};
+  detail::EhState& eh = detail::EhState::current();
+  const detail::EhState controllerEh = eh;
+  eh = f.eh;
+  confail_fiber_switch(&controller_->sp, f.sp);
+  f.eh = eh;
+  eh = controllerEh;
+  tlsBinding = outer;
+#else
+  rec.ctx->sem.release();
+  controller_->sem.acquire();
 #endif
-  } else {
-    rec.sem.release();
-    controllerSem_.acquire();
-  }
 }
 
 void VirtualScheduler::checkAbort() const {
@@ -538,14 +589,12 @@ void VirtualScheduler::block(BlockKind kind, std::uint64_t resource) {
 }
 
 void VirtualScheduler::switchToController(ThreadRecord& rec) {
-  if (rec.fiber) {
 #ifdef CONFAIL_FIBERS
-    confail_fiber_switch(&rec.fiber->sp, fiberRt_->controllerSp);
+  confail_fiber_switch(&rec.ctx->sp, controller_->sp);
+#else
+  controller_->sem.release();
+  rec.ctx->sem.acquire();
 #endif
-  } else {
-    controllerSem_.release();
-    rec.sem.acquire();
-  }
   checkAbort();
   CONFAIL_ASSERT(rec.state == ThreadState::Running,
                  "scheduled thread not marked running");
@@ -643,27 +692,25 @@ void VirtualScheduler::removeSnapshotSource(SnapshotSource* s) {
 std::shared_ptr<const VirtualScheduler::Snapshot>
 VirtualScheduler::saveSnapshot() {
 #ifdef CONFAIL_FIBERS
-  CONFAIL_ASSERT(opts_.fibers && !onLogicalThread(),
-                 "saveSnapshot outside a fiber session controller");
+  CONFAIL_ASSERT(!onLogicalThread(), "saveSnapshot off the controller");
   auto snap = std::make_shared<Snapshot>();
   snap->threads.reserve(threads_.size());
   for (auto& recPtr : threads_) {
     ThreadRecord& rec = *recPtr;
-    CONFAIL_ASSERT(rec.fiber != nullptr, "snapshot of a non-fiber thread");
     Snapshot::ThreadSnap ts;
     ts.state = rec.state;
     ts.blockKind = rec.blockKind;
     ts.blockResource = rec.blockResource;
     ts.joiners = rec.joiners;
-    detail::Fiber& f = *rec.fiber;
+    detail::ThreadContext& f = *rec.ctx;
     if (!f.lastImage || f.lastImage->version != f.version) {
       auto img = std::make_shared<detail::StackImage>();
       img->version = f.version;
       img->sp = f.sp;
       img->eh = f.eh;
-      char* const top = f.stack.get() + f.stackSize;
+      char* const top = f.top();
       const char* from = static_cast<const char*>(f.sp);
-      CONFAIL_ASSERT(from >= f.stack.get() && from < top,
+      CONFAIL_ASSERT(from >= f.stack && from < top,
                      "fiber stack pointer out of range");
       img->used = static_cast<std::size_t>(top - from);
       img->bytes = std::make_unique<char[]>(img->used);
@@ -705,13 +752,12 @@ bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
     rec.blockResource = ts.blockResource;
     rec.joiners = ts.joiners;
     rec.error = nullptr;
-    detail::Fiber& f = *rec.fiber;
+    detail::ThreadContext& f = *rec.ctx;
     const detail::StackImage& img = *ts.stack;
     if (f.version != img.version) {
       f.sp = img.sp;
       f.eh = img.eh;
-      char* const top = f.stack.get() + f.stackSize;
-      std::memcpy(top - img.used, img.bytes.get(), img.used);
+      std::memcpy(f.top() - img.used, img.bytes.get(), img.used);
       f.version = img.version;
       f.lastImage = ts.stack;
     }

@@ -1,16 +1,16 @@
 // FlatMapN<W>: a flat open-addressing hash table from W-word keys to 32-bit
 // values (FlatMap64 is the one-word alias).
 //
-// Both hot state-space engines key on a compact fixed-width encoding of a
-// state (the Petri reachability engine packs a 1-bounded marking into one
-// bit per place — one word for <= 64 places, up to four words for the
-// N-thread x M-monitor nets; the explorer's visited set keys on a
-// (depth, fingerprint) mix), so the table avoids the per-node allocation,
-// pointer chasing and bucket indirection of std::unordered_map: storage is
-// a single contiguous slot array probed linearly, and lookups on the
-// BFS/DFS hot path touch one cache line in the common case.  Capacity is a
-// power of two, pre-reservable, and doubles at ~70% load.  No erase
-// (neither engine removes states mid-enumeration).
+// The Petri engines key on a compact fixed-width encoding of a state: a
+// 1-bounded marking packed into one bit per place — one word for <= 64
+// places, up to four words for the N-thread x M-monitor nets.  The table
+// avoids the per-node allocation, pointer chasing and bucket indirection
+// of std::unordered_map: storage is a single contiguous slot array probed
+// linearly, and lookups on the BFS hot path touch one cache line in the
+// common case.  Capacity is a power of two, pre-reservable, and doubles at
+// ~70% load.  No erase (no engine removes states mid-enumeration).  The
+// explorer's schedule-tree dedup needs concurrent membership only and uses
+// sched::VisitedSet instead.
 #pragma once
 
 #include <array>
@@ -130,8 +130,7 @@ class FlatMapN {
   std::size_t size_ = 0;
 };
 
-/// The historical one-word table (explorer visited keys, packed markings of
-/// small nets).
+/// The one-word table: packed markings of nets with at most 64 places.
 using FlatMap64 = FlatMapN<1>;
 
 }  // namespace confail

@@ -326,55 +326,120 @@ TEST(Campaign, ReductionsCatchPerCellWhatFullEnumerationCatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Captured runs: fibers replace OS threads without changing the run
+// Captured runs: every backend exports the same bytes
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr std::uint64_t kCaptureSteps = 20000;  // ExploreConfig's default
 
-/// ExploreConfig::capture's run of `c`, on a thread-backed scheduler.
-ev::Trace captureOnThreads(const confail::testing::CaptureCase& c) {
-  ev::Trace trace;
-  confail::obs::Registry reg;
-  sched::RoundRobinStrategy strategy;
-  sched::VirtualScheduler::Options so;
-  so.maxSteps = kCaptureSteps;
-  sched::VirtualScheduler s(strategy, so);
-  scenarios::Instruments ins;
-  ins.trace = &trace;
-  ins.metrics = &reg;
-  if (c.plan) {
-    const inject::InjectionPlan plan = *c.plan;
-    ins.decorate =
-        [plan](confail::monitor::Runtime& rt) -> std::shared_ptr<void> {
-      return std::make_shared<inject::Injector>(rt, plan);
-    };
+/// FNV-1a 64 of `bytes`.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
   }
-  c.scenario->ifn(s, ins);
-  (void)s.run();
-  return trace;
+  return h;
 }
+
+struct CaptureDigest {
+  const char* label;
+  std::uint64_t jsonlFnv1a;  ///< of obs::toJsonl of the captured trace
+};
+
+/// One entry per registryCaptureCases() case, in order: the digest of the
+/// case's captured run as exported when every logical thread was an OS
+/// thread of its own.  Builds with a fiber switch now run them on fibers,
+/// sanitized builds still on OS threads; both must export these bytes.
+constexpr CaptureDigest kCaptureDigests[] = {
+    {"fig2 clean", 0xd08d2b0db1d3d3acull},
+    {"fig2 FF-T1", 0xd6605c87a1ae23baull},
+    {"fig2 FF-T2", 0xab623518de224b3full},
+    {"fig2 EF-T2", 0x153ea667f2ce7d32ull},
+    {"fig2 FF-T3", 0xb1f49b9bb50d129dull},
+    {"fig2 EF-T3", 0xd08d2b0db1d3d3acull},
+    {"fig2 FF-T4", 0x58c2e71af00c5511ull},
+    {"fig2 EF-T4", 0xc2e2aae2d312b904ull},
+    {"fig2 FF-T5", 0xee07eeeca622e5edull},
+    {"fig2 EF-T5", 0xd08d2b0db1d3d3acull},
+    {"ff_t5 clean", 0xaa8ada45c2d41428ull},
+    {"ff_t5 FF-T1", 0xd6605c87a1ae23baull},
+    {"ff_t5 FF-T2", 0x50c24f3dc27374faull},
+    {"ff_t5 EF-T2", 0x6976fe2476a85ce2ull},
+    {"ff_t5 FF-T3", 0xe1ceeee6f12dcc1aull},
+    {"ff_t5 EF-T3", 0xaa8ada45c2d41428ull},
+    {"ff_t5 FF-T4", 0xae6c301aa4c9867eull},
+    {"ff_t5 EF-T4", 0xc2e2aae2d312b904ull},
+    {"ff_t5 FF-T5", 0xee07eeeca622e5edull},
+    {"ff_t5 EF-T5", 0xaa8ada45c2d41428ull},
+    {"ff_t5_small clean", 0x52bcba30cc971facull},
+    {"ff_t5_small FF-T1", 0xd6605c87a1ae23baull},
+    {"ff_t5_small FF-T2", 0x1b1f5088f5490e5eull},
+    {"ff_t5_small EF-T2", 0xc170b335fffe4da6ull},
+    {"ff_t5_small FF-T3", 0xe92715365b992ab6ull},
+    {"ff_t5_small EF-T3", 0x52bcba30cc971facull},
+    {"ff_t5_small FF-T4", 0xd903a32907841925ull},
+    {"ff_t5_small EF-T4", 0xc2e2aae2d312b904ull},
+    {"ff_t5_small FF-T5", 0xa9eeafa4a9921555ull},
+    {"ff_t5_small EF-T5", 0x52bcba30cc971facull},
+    {"lock_order clean", 0xec4ecbb3d055e0adull},
+    {"lock_order FF-T1", 0xad0a259345b7b99dull},
+    {"lock_order FF-T2", 0x7d2881d155b1d784ull},
+    {"lock_order EF-T2", 0xec4ecbb3d055e0adull},
+    {"lock_order FF-T4", 0xec4ecbb3d055e0adull},
+    {"lock_order EF-T4", 0x60460af806eaace5ull},
+    {"disjoint clean", 0xb7a73c69a5acd02full},
+    {"gen_selfwait clean", 0xe3973b65dd277ed5ull},
+    {"gen_selfwait FF-T1", 0x582f2513aeb7b4aaull},
+    {"gen_selfwait FF-T2", 0x97675dfb01109685ull},
+    {"gen_selfwait EF-T2", 0xe3973b65dd277ed5ull},
+    {"gen_selfwait FF-T3", 0x54e9567930f58c61ull},
+    {"gen_selfwait EF-T3", 0xe3973b65dd277ed5ull},
+    {"gen_selfwait FF-T4", 0xe3973b65dd277ed5ull},
+    {"gen_selfwait EF-T4", 0x8e5bd9befa5e8b9bull},
+    {"gen_selfwait FF-T5", 0xe3973b65dd277ed5ull},
+    {"gen_selfwait EF-T5", 0xe3973b65dd277ed5ull},
+    {"gen_lost_signal clean", 0x2502c75661ca23cfull},
+    {"gen_lost_signal FF-T1", 0x582f2513aeb7b4aaull},
+    {"gen_lost_signal FF-T2", 0xccd11f64565e75a6ull},
+    {"gen_lost_signal EF-T2", 0x2502c75661ca23cfull},
+    {"gen_lost_signal FF-T3", 0x38e310c1ecaa092bull},
+    {"gen_lost_signal EF-T3", 0x2502c75661ca23cfull},
+    {"gen_lost_signal FF-T4", 0xc8b9b4e541ee3c72ull},
+    {"gen_lost_signal EF-T4", 0x40a42992d5d587e4ull},
+    {"gen_lost_signal FF-T5", 0x9c42e3ef4bb3a6c1ull},
+    {"gen_lost_signal EF-T5", 0x2502c75661ca23cfull},
+    {"gen_unguarded_write clean", 0xbaf1d279b7824840ull},
+    {"gen_unguarded_write FF-T1", 0x2d24dcd2a5f2d88aull},
+    {"gen_unguarded_write FF-T2", 0xb78582e605acf2efull},
+    {"gen_unguarded_write EF-T2", 0xbaf1d279b7824840ull},
+    {"gen_unguarded_write FF-T4", 0xfa5de6a267a20e78ull},
+    {"gen_unguarded_write EF-T4", 0xa16dfee1f709b1bcull},
+};
 
 }  // namespace
 
-TEST(Capture, FiberBackedRunExportsLikeTheThreadBackedRun) {
-  if (!sched::fibersSupported()) GTEST_SKIP() << "no fibers in this build";
+TEST(Capture, EveryBackendExportsTheThreadBackedDigests) {
+  const std::vector<confail::testing::CaptureCase> cases =
+      confail::testing::registryCaptureCases();
+  ASSERT_EQ(cases.size(), std::size(kCaptureDigests));
   std::size_t longest = 0;
-  for (const confail::testing::CaptureCase& c :
-       confail::testing::registryCaptureCases()) {
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const confail::testing::CaptureCase& c = cases[i];
     SCOPED_TRACE(c.label);
-    ev::Trace fibers;
+    EXPECT_EQ(c.label, kCaptureDigests[i].label);
+    ev::Trace trace;
     confail::obs::Registry reg;
     inject::ExploreConfig cfg;
     sched::ExhaustiveExplorer::Options eo;
     eo.maxSteps = kCaptureSteps;
     cfg.scenario(*c.scenario).explorer(eo);
     if (c.plan) cfg.plan(*c.plan);
-    cfg.capture(fibers, reg);
-    EXPECT_EQ(confail::obs::toJsonl(fibers),
-              confail::obs::toJsonl(captureOnThreads(c)));
-    longest = std::max(longest, fibers.size());
+    cfg.capture(trace, reg);
+    EXPECT_EQ(fnv1a(confail::obs::toJsonl(trace)),
+              kCaptureDigests[i].jsonlFnv1a);
+    longest = std::max(longest, trace.size());
   }
   // FF-T3's suppressed wait spins to the step limit: the longest capture.
   EXPECT_GE(longest, 20000u);

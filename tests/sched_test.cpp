@@ -5,10 +5,13 @@
 
 #include <atomic>
 #include <cfenv>
+#include <csignal>
+#include <cstdlib>
 #include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "confail/sched/explorer.hpp"
@@ -394,14 +397,39 @@ TEST(Explorer, BranchDepthBoundLimitsTree) {
   EXPECT_EQ(stats.runs, 3u);
 }
 
-// ---- the fiber switch (Options::fibers) -----------------------------------
+// ---- the build's backend: fibers where there is a fiber switch -----------
+
+// Every scheduler runs its logical threads on fibers where the build has a
+// fiber switch (on the controller's own OS thread), and on OS threads of
+// their own elsewhere; no option chooses.
+TEST(VirtualScheduler, LogicalThreadsRunOnTheControllerThreadWhereFibersExist) {
+  RoundRobinStrategy strat;
+  VirtualScheduler s(strat);
+  std::vector<std::thread::id> ids(3);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    s.spawn("t" + std::to_string(i), [&s, &ids, i] {
+      ids[i] = std::this_thread::get_id();
+      s.yield();
+      EXPECT_EQ(ids[i], std::this_thread::get_id());  // never migrates
+    });
+  }
+  const auto r = s.run();
+  ASSERT_EQ(r.outcome, Outcome::Completed);
+  const std::thread::id controller = std::this_thread::get_id();
+  for (const std::thread::id& id : ids) {
+    EXPECT_EQ(id == controller, sched::fibersSupported());
+  }
+}
 
 namespace {
 
-VirtualScheduler::Options fiberOptions() {
-  VirtualScheduler::Options o;
-  o.fibers = true;
-  return o;
+/// Recurse `depth` frames of about 1 KB each: each frame stays well under
+/// a page, so an overflow cannot step over a guard page.
+int recurse(int depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth == 0) return pad[0];
+  return recurse(depth - 1) + pad[0];
 }
 
 /// 1/3 in the current rounding mode; volatile operands keep the division
@@ -417,11 +445,10 @@ double third() {
 // The switch saves MXCSR and the x87 control word with the registers: a
 // rounding mode belongs to the logical thread that set it.
 TEST(FiberSwitch, RoundingModeStaysWithItsLogicalThread) {
-  if (!sched::fibersSupported()) GTEST_SKIP() << "no fiber support";
   ASSERT_EQ(std::fegetround(), FE_TONEAREST);
   const double nearest = third();
   RoundRobinStrategy strat;
-  VirtualScheduler s(strat, fiberOptions());
+  VirtualScheduler s(strat);
   int upwardChecks = 0;
   int nearestChecks = 0;
   s.spawn("upward", [&] {
@@ -454,9 +481,8 @@ TEST(FiberSwitch, RoundingModeStaysWithItsLogicalThread) {
 // own exception while another fiber throws and catches in between: each
 // fiber has its own caught-exception stack, as a real thread does.
 TEST(FiberSwitch, ExceptionsCaughtAcrossSchedulePoints) {
-  if (!sched::fibersSupported()) GTEST_SKIP() << "no fiber support";
   RoundRobinStrategy strat;
-  VirtualScheduler s(strat, fiberOptions());
+  VirtualScheduler s(strat);
   std::vector<std::string> seen(2);
   for (int id = 0; id < 2; ++id) {
     s.spawn("t" + std::to_string(id), [&s, &seen, id] {
@@ -483,4 +509,20 @@ TEST(FiberSwitch, ExceptionsCaughtAcrossSchedulePoints) {
   EXPECT_EQ(r.outcome, Outcome::Completed) << r.errorMessage;
   EXPECT_EQ(seen[0], "thrown by t0|thrown by t0");
   EXPECT_EQ(seen[1], "thrown by t1|thrown by t1");
+}
+
+// A fiber stack has an inaccessible guard page below it: a logical thread
+// that recurses past its 256 KB faults, as it would on an OS thread, rather
+// than overwriting the memory beneath its stack.
+TEST(FiberSwitch, StackOverflowFaultsOnTheGuardPage) {
+  if (!sched::fibersSupported()) GTEST_SKIP() << "no fiber support";
+  EXPECT_EXIT(
+      {
+        RoundRobinStrategy strat;
+        VirtualScheduler s(strat);
+        s.spawn("deep", [] { (void)recurse(1024); });  // ~1 MB of frames
+        (void)s.run();
+        std::exit(0);
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
 }

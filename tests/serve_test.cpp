@@ -298,15 +298,21 @@ TEST(JobSpec, ParserSurvivesSeededMutations) {
   for (int d = 0; d < 200; ++d) {
     inject::JobSpec spec;
     spec.name = "job-" + std::to_string(d) + (d % 3 == 0 ? ".x_y" : "");
+    // Each axis lists a drawn value once: a repeat is invalid.
+    const auto addOnce = [](auto& axis, const auto& value) {
+      if (std::find(axis.begin(), axis.end(), value) == axis.end()) {
+        axis.push_back(value);
+      }
+    };
     for (std::size_t i = pick(3); i > 0; --i) {
-      spec.scenarios.push_back(registry[pick(registry.size())].name);
+      addOnce(spec.scenarios, registry[pick(registry.size())].name);
     }
     for (std::size_t i = pick(3); i > 0; --i) {
-      spec.classes.push_back(classes[pick(classes.size())]);
+      addOnce(spec.classes, classes[pick(classes.size())]);
     }
     spec.reductions.clear();
     for (std::size_t i = 1 + pick(3); i > 0; --i) {
-      spec.reductions.push_back(kReductions[pick(3)]);
+      addOnce(spec.reductions, kReductions[pick(3)]);
     }
     spec.maxRuns = 1 + rng.next() % 100000;
     spec.maxSteps = 1 + rng.next() % 100000;
@@ -389,6 +395,28 @@ TEST(JobSpec, ValidateCatchesSemanticErrors) {
   inject::JobSpec badReductions = smallSpec();
   badReductions.reductions.clear();
   EXPECT_NE(badReductions.validate(), "");
+}
+
+// A grid axis lists each value once: a repeat would run every cell on it
+// twice.  The diagnostic names the repeated value.
+TEST(JobSpec, ValidateRejectsARepeatedGridValue) {
+  inject::JobSpec reductions = smallSpec();
+  reductions.reductions = {Reduction::None, Reduction::Dpor,
+                           Reduction::None};
+  EXPECT_EQ(reductions.validate(), "reduction 'none' is listed twice");
+
+  inject::JobSpec scenarios = smallSpec();
+  scenarios.scenarios = {"fig2", "lock_order", "fig2"};
+  EXPECT_EQ(scenarios.validate(), "scenario 'fig2' is listed twice");
+
+  inject::JobSpec classes = smallSpec();
+  classes.classes = {taxonomy::FailureClass::FF_T2,
+                     taxonomy::FailureClass::FF_T2};
+  EXPECT_EQ(classes.validate(), "class FF-T2 is listed twice");
+
+  inject::JobSpec distinct = smallSpec();
+  distinct.reductions = {Reduction::Sleep, Reduction::None};
+  EXPECT_EQ(distinct.validate(), "");
 }
 
 TEST(JobSpec, ExpandShardsIsDeterministicAndOrdered) {
@@ -973,6 +1001,35 @@ TEST(Server, MalformedSubmissionIsDroppedNotLooped) {
   serve::JobState st;
   ASSERT_TRUE(store.readState("broken", st));
   EXPECT_EQ(st.status, "failed");
+}
+
+// A queued spec that repeats a grid value (written past `confail submit`,
+// which refuses it) is dropped at adoption as a failed job, never run.
+TEST(Server, QueuedSpecWithARepeatedReductionIsDropped) {
+  TempRoot root;
+  serve::CampaignStore store(root.str());
+  ASSERT_TRUE(store.init());
+  inject::JobSpec spec = smallSpec();
+  spec.reductions = {Reduction::None, Reduction::None};
+  const std::string id = store.submit(spec);
+  ASSERT_FALSE(id.empty());
+
+  inject::JobSpec adopted;
+  std::string error;
+  EXPECT_FALSE(store.adoptJob(id, adopted, error));
+  EXPECT_EQ(error, "reduction 'none' is listed twice");
+
+  serve::ServerOptions opts;
+  opts.root = root.str();
+  opts.subprocess = false;
+  opts.exitWhenIdle = true;
+  serve::Server server(std::move(opts));
+  EXPECT_EQ(server.run(), 1);  // the dropped job counts as failed
+  EXPECT_TRUE(store.scanQueue().empty());
+  serve::JobState st;
+  ASSERT_TRUE(store.readState(id, st));
+  EXPECT_EQ(st.status, "failed");
+  EXPECT_EQ(st.shardsDone, 0u);
 }
 
 TEST(Server, DrainRequestStopsTheLoop) {

@@ -22,7 +22,10 @@
 // Exploration flags (both modes): --max-runs, --max-steps, --max-depth,
 // --workers, --reduction, --no-controls (campaign only).  Both modes hold
 // them in one inject::JobSpec; a campaign runs it whole, a single plan
-// runs one cell under its explorer options.
+// runs one cell under its explorer options.  Each --reduction adds a
+// column to the campaign's reduction grid (the first replaces the
+// default); a single plan takes one.  A campaign whose spec fails
+// JobSpec::validate (a repeated reduction, a zero budget) exits 2.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -145,6 +148,7 @@ int cmdInject(const char* prog, int argc, char** argv) {
   const char* singlePlanFlag = nullptr;
   const char* campaignFlag = nullptr;
   inject::JobSpec spec;
+  bool reductionGiven = false;  // the first --reduction replaces the default
 
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -216,7 +220,9 @@ int cmdInject(const char* prog, int argc, char** argv) {
                      v == nullptr ? "" : v);
         return usage(prog);
       }
-      spec.reductions = {r};
+      if (!reductionGiven) spec.reductions.clear();
+      spec.reductions.push_back(r);
+      reductionGiven = true;
     } else if (arg == "--findings-cap") {
       if (!parseU64(prog, "--findings-cap", next(), findingsCap)) {
         return usage(prog);
@@ -233,6 +239,17 @@ int cmdInject(const char* prog, int argc, char** argv) {
   }
   if (!campaign && campaignFlag != nullptr) {
     std::fprintf(stderr, "%s: %s requires --campaign\n", prog, campaignFlag);
+    return usage(prog);
+  }
+  if (campaign) {
+    const std::string problem = spec.validate();
+    if (!problem.empty()) {
+      std::fprintf(stderr, "%s: invalid campaign: %s\n", prog,
+                   problem.c_str());
+      return usage(prog);
+    }
+  } else if (spec.reductions.size() > 1) {
+    std::fprintf(stderr, "%s: one plan runs under one --reduction\n", prog);
     return usage(prog);
   }
 
