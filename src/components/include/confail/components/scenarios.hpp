@@ -76,10 +76,9 @@ struct Instruments {
 ///
 /// Constructing it declares the scheduler snapshot-safe, so the explorer
 /// may checkpoint and restore instead of replaying prefixes.  A derived
-/// State must therefore keep all its mutable state in snapshot sources
+/// State must therefore keep all its mutable state in state sources
 /// (Monitor, SharedVar, a SnapshotCell) or in the spawned closures' own
-/// stack frames; a SharedVar over a non-copyable type vetoes the
-/// declaration by itself.
+/// stack frames.
 struct ScenarioState {
   events::Trace ownTrace;
   monitor::Runtime rt;

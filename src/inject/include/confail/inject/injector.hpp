@@ -4,7 +4,7 @@
 // Lifetime: construct one fresh Injector per run, after the Runtime exists
 // and before any thread runs (ExploreConfig does this through the scenario
 // Instruments::decorate hook).  The constructor attaches itself to the
-// Runtime and registers as a fingerprint source with the scheduler; the
+// Runtime and registers as a state source with the scheduler; the
 // destructor reverses both, and must therefore run before the Runtime dies.
 //
 // Determinism: the only mutable state is the occasion counter and the
@@ -22,14 +22,12 @@
 #include "confail/inject/plan.hpp"
 #include "confail/monitor/injection_hooks.hpp"
 #include "confail/monitor/runtime.hpp"
-#include "confail/sched/fingerprint.hpp"
 #include "confail/sched/snapshot.hpp"
 
 namespace confail::inject {
 
 class Injector final : public monitor::InjectionHooks,
-                       public sched::FingerprintSource,
-                       public sched::SnapshotSource {
+                       public sched::StateSource {
  public:
   /// Attaches to `rt` (virtual mode only) and registers with its scheduler.
   /// Throws UsageError if the plan's class is not injectable or the runtime

@@ -1,5 +1,6 @@
 #include "confail/inject/injector.hpp"
 
+#include "confail/sched/fingerprint.hpp"
 #include "confail/support/assert.hpp"
 
 namespace confail::inject {
@@ -18,13 +19,11 @@ Injector::Injector(monitor::Runtime& rt, const InjectionPlan& plan)
         "Injector: deviation injection requires a virtual-mode Runtime");
   }
   rt_.setInjection(this);
-  rt_.scheduler().addFingerprintSource(this);
-  rt_.scheduler().addSnapshotSource(this);
+  rt_.scheduler().addStateSource(this);
 }
 
 Injector::~Injector() {
-  rt_.scheduler().removeSnapshotSource(this);
-  rt_.scheduler().removeFingerprintSource(this);
+  rt_.scheduler().removeStateSource(this);
   rt_.setInjection(nullptr);
 }
 

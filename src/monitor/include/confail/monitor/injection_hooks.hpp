@@ -19,8 +19,9 @@
 //     they may not block or yield; they decide and return.
 //   * Any internal state that advances when a hook fires is shared state
 //     for exploration purposes: implementations must register as a
-//     FingerprintSource and note a scheduler access when they mutate
-//     (Injector does both), or fingerprint pruning and sleep sets become
+//     sched::StateSource (so the state is hashed and snapshotted) and note
+//     a scheduler access when they mutate (Injector does both), or
+//     fingerprint pruning, sleep sets and incremental exploration become
 //     unsound.
 #pragma once
 

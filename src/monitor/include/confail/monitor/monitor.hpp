@@ -56,7 +56,7 @@ enum class SelectPolicy : std::uint8_t {
 
 const char* selectPolicyName(SelectPolicy p);
 
-class Monitor : public sched::FingerprintSource, public sched::SnapshotSource {
+class Monitor : public sched::StateSource {
  public:
   struct Options {
     SelectPolicy grantPolicy = SelectPolicy::Fifo;  ///< entry-queue choice

@@ -38,7 +38,7 @@ using events::MonitorId;
 using events::ThreadId;
 using events::VarId;
 
-class Runtime : public sched::FingerprintSource, public sched::SnapshotSource {
+class Runtime : public sched::StateSource {
  public:
   enum class Mode { Real, Virtual };
 

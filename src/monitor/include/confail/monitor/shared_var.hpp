@@ -12,6 +12,10 @@
 // exhibits the logical race — interference on the component state — without
 // committing C++ undefined behaviour on the raw memory.  The private mutex
 // is not a monitor and is invisible to the detectors.
+//
+// In virtual mode the variable registers once with the scheduler as a
+// StateSource: its value is hashed into the state fingerprint and copied
+// into every checkpoint, so T must be copyable.
 #pragma once
 
 #include <cstdint>
@@ -27,31 +31,18 @@
 namespace confail::monitor {
 
 template <typename T>
-class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource {
-  // Snapshot support requires a copyable value; a SharedVar over a
-  // move-only T poisons the scheduler's snapshot safety instead, forcing
-  // the explorer onto the prefix-replay path for that program.
-  static constexpr bool kSnapshottable =
-      std::is_copy_constructible_v<T> && std::is_copy_assignable_v<T>;
+class SharedVar : public sched::StateSource {
+  static_assert(std::is_copy_constructible_v<T> && std::is_copy_assignable_v<T>,
+                "a SharedVar's value is copied into every snapshot");
 
  public:
   SharedVar(Runtime& rt, const std::string& name, T init)
       : rt_(rt), id_(rt.registerVar(name)), value_(std::move(init)) {
-    if (rt_.isVirtual()) {
-      rt_.scheduler().addFingerprintSource(this);
-      if constexpr (kSnapshottable) {
-        rt_.scheduler().addSnapshotSource(this);
-      } else {
-        rt_.scheduler().poisonSnapshotSafety();
-      }
-    }
+    if (rt_.isVirtual()) rt_.scheduler().addStateSource(this);
   }
 
   ~SharedVar() override {
-    if (rt_.isVirtual()) {
-      if constexpr (kSnapshottable) rt_.scheduler().removeSnapshotSource(this);
-      rt_.scheduler().removeFingerprintSource(this);
-    }
+    if (rt_.isVirtual()) rt_.scheduler().removeStateSource(this);
   }
 
   SharedVar(const SharedVar&) = delete;
@@ -114,21 +105,15 @@ class SharedVar : public sched::FingerprintSource, public sched::SnapshotSource 
   };
 
   std::shared_ptr<const void> saveState() const override {
-    if constexpr (kSnapshottable) {
-      std::lock_guard<std::mutex> g(mu_);
-      return std::make_shared<Snap>(Snap{value_, historyHash_});
-    } else {
-      return nullptr;  // unreachable: non-copyable vars never register
-    }
+    std::lock_guard<std::mutex> g(mu_);
+    return std::make_shared<Snap>(Snap{value_, historyHash_});
   }
 
   void restoreState(const std::shared_ptr<const void>& payload) override {
-    if constexpr (kSnapshottable) {
-      const Snap& s = *static_cast<const Snap*>(payload.get());
-      std::lock_guard<std::mutex> g(mu_);
-      value_ = s.value;
-      historyHash_ = s.historyHash;
-    }
+    const Snap& s = *static_cast<const Snap*>(payload.get());
+    std::lock_guard<std::mutex> g(mu_);
+    value_ = s.value;
+    historyHash_ = s.historyHash;
   }
 
   Runtime& rt_;

@@ -9,17 +9,18 @@
 // a restore and corrupt sibling branches.
 //
 // SnapshotCell wraps the field: in virtual mode it registers with the
-// scheduler as a SnapshotSource and every mutable access (`mut()`) bumps
+// scheduler as a StateSource and every mutable access (`mut()`) bumps
 // the copy-on-write version stamp.  It emits no events and takes no
 // schedule points — it is invisible to detectors and to the DPOR footprint,
 // exactly like the raw field it replaces (the owning monitor already orders
-// all accesses).
+// all accesses).  Its fingerprint is a constant, so the cell's contents do
+// not tell states apart (see docs/exploration.md, "State-fingerprint
+// pruning").
 //
-// T must be copy-constructible and copy-assignable; a non-copyable field
-// should call VirtualScheduler::poisonSnapshotSafety() instead (see
-// SharedVar for the pattern).
+// T must be copy-constructible and copy-assignable.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -29,14 +30,14 @@
 namespace confail::monitor {
 
 template <typename T>
-class SnapshotCell : public sched::SnapshotSource {
+class SnapshotCell : public sched::StateSource {
  public:
   SnapshotCell(Runtime& rt, T init) : rt_(rt), value_(std::move(init)) {
-    if (rt_.isVirtual()) rt_.scheduler().addSnapshotSource(this);
+    if (rt_.isVirtual()) rt_.scheduler().addStateSource(this);
   }
 
   ~SnapshotCell() override {
-    if (rt_.isVirtual()) rt_.scheduler().removeSnapshotSource(this);
+    if (rt_.isVirtual()) rt_.scheduler().removeStateSource(this);
   }
 
   SnapshotCell(const SnapshotCell&) = delete;
@@ -51,6 +52,8 @@ class SnapshotCell : public sched::SnapshotSource {
 
   /// Read-only access: no version bump.
   const T& get() const { return value_; }
+
+  std::uint64_t stateFingerprint() const override { return 0; }
 
   std::size_t snapshotBytes() const override { return sizeof(T); }
 

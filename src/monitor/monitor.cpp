@@ -69,8 +69,7 @@ Monitor::Monitor(Runtime& rt, std::string name, Options opts)
     : rt_(rt), name_(std::move(name)), id_(rt.registerMonitor(name_)), opts_(opts) {
   if (rt_.isVirtual()) {
     v_ = std::make_unique<VirtualState>();
-    rt_.scheduler().addFingerprintSource(this);
-    rt_.scheduler().addSnapshotSource(this);
+    rt_.scheduler().addStateSource(this);
   } else {
     r_ = std::make_unique<RealState>();
   }
@@ -83,8 +82,7 @@ Monitor::Monitor(Runtime& rt, std::string name, Options opts)
 
 Monitor::~Monitor() {
   if (v_) {
-    rt_.scheduler().removeSnapshotSource(this);
-    rt_.scheduler().removeFingerprintSource(this);
+    rt_.scheduler().removeStateSource(this);
   }
 }
 

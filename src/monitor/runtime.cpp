@@ -32,8 +32,7 @@ Runtime::Runtime(events::Trace& trace, sched::VirtualScheduler& sched,
                  std::uint64_t seed, obs::Registry* metrics, Events events)
     : mode_(Mode::Virtual), trace_(trace), sched_(&sched), metrics_(metrics),
       recordEvents_(events == Events::Record), rng_(seed) {
-  sched_->addFingerprintSource(this);
-  sched_->addSnapshotSource(this);
+  sched_->addStateSource(this);
 }
 
 Runtime::Runtime(events::Trace& trace, std::uint64_t seed,
@@ -42,8 +41,7 @@ Runtime::Runtime(events::Trace& trace, std::uint64_t seed,
 
 Runtime::~Runtime() {
   if (sched_ != nullptr) {
-    sched_->removeSnapshotSource(this);
-    sched_->removeFingerprintSource(this);
+    sched_->removeStateSource(this);
   }
   joinAll();
 }

@@ -17,11 +17,11 @@
 //   state numbering, edges, parent links and dead-marking lists are
 //   byte-identical from 1 worker to 64.
 //
-// The explorer's sharded VisitedSet (sched/visited_set.hpp) was the other
-// candidate for the visited structure, but its insert attribution is racy
-// ("new" can be reported twice under contention) which is fine for dedup
-// and fatal for deterministic numbering; the frozen-table probe gets the
-// same lock-free read path without the race (docs/petri.md).
+// The explorer's striped VisitedSet (sched/visited_set.hpp) is not the
+// visited structure here: it answers only "new or seen", so which worker
+// sees a state first — and hence its id — would depend on the schedule,
+// and every probe would take a stripe lock.  Numbering needs ids in
+// discovery order and the frozen table's lock-free reads (docs/petri.md).
 //
 // Because the packed key is the whole marking (packed_marking.hpp), a
 // frontier record is (transition, key, probe result) — a few machine words

@@ -16,6 +16,7 @@
 #include "confail/sched/incremental.hpp"
 #include "confail/sched/prefix_tree.hpp"
 #include "confail/sched/race_index.hpp"
+#include "confail/sched/visited_set.hpp"
 #include "confail/sched/work_queue.hpp"
 
 namespace confail::sched {
@@ -183,7 +184,8 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
 
   WorkStealQueue<WorkItem> queue(workers);
   PrefixArena arena(workers);
-  VisitedSet visited;
+  std::optional<VisitedSet> visited;  // the dedup table; pruning only
+  if (fpPruning) visited.emplace();
   std::atomic<std::uint64_t> runsClaimed{0};
   std::atomic<bool> budgetExhausted{false};
   std::atomic<bool> stoppedByCallback{false};
@@ -627,12 +629,13 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
             if (fpPruning) {
               // Key on (depth, fingerprint): the insert is exactly-once
               // across all workers, so whichever run reaches the state first
-              // expands it and every other run skips it — the total branch
-              // count is the same regardless of who wins.
+              // expands it and every other run skips it.  Which run that is
+              // depends on timing past one worker, so the run count may
+              // differ there.
               ++local.fpLookups;
               const std::uint64_t key =
                   fpMix(fpMix(kFpSeed, i), result.fingerprints[i]);
-              if (!visited.insert(key)) {
+              if (!visited->insert(key)) {
                 ++local.dedupedStates;
                 local.prunedBranches += choices.size() - 1;
                 continue;
@@ -767,11 +770,13 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         .set(static_cast<double>(queue.queuedApprox()));
     metrics->gauge("explorer.prefix_arena_bytes")
         .set(static_cast<double>(arena.bytes()));
-    metrics->gauge("explorer.visited_load_factor").set(visited.loadFactor());
+    // 0 when pruning is off (no table).
+    metrics->gauge("explorer.visited_load_factor")
+        .set(visited ? visited->loadFactor() : 0.0);
     // Companion to the aggregate: the fullest stripe's occupancy, exposing
     // shard imbalance the mean load factor averages away.
     metrics->gauge("explorer.visited_load_factor_peak_shard")
-        .set(visited.maxShardLoadFactor());
+        .set(visited ? visited->maxShardLoadFactor() : 0.0);
     metrics->counter("explorer.snapshot_restores").add(stats.snapshotRestores);
     metrics->counter("explorer.snapshot_stores").add(snapStores);
     metrics->counter("explorer.snapshot_evictions").add(snapEvictions);

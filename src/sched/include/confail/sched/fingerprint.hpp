@@ -7,11 +7,12 @@
 //
 //   * A *fingerprint* is a 64-bit hash of the complete scheduler-visible
 //     state at a decision point: every logical thread's status and block
-//     reason, plus the state of each registered FingerprintSource (monitors
-//     hash owner/depth/entry-queue/wait-set; shared variables hash their
-//     value; the Runtime hashes its policy-RNG state).  Two runs whose
-//     fingerprints agree at the same decision depth are in the same state
-//     and share one future: branching is done once.
+//     reason, plus the state of each registered StateSource (snapshot.hpp:
+//     monitors hash owner/depth/entry-queue/wait-set; shared variables
+//     hash their value; the Runtime hashes its policy-RNG state; the
+//     Injector its occasion counters).  Two runs whose fingerprints agree
+//     at the same decision depth are in the same state and share one
+//     future: branching is done once.
 //
 //   * A *footprint* summarizes what one scheduler step (the segment between
 //     two decision points) touched, as read/write Bloom masks over monitor,
@@ -27,30 +28,11 @@
 // model checkers.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "confail/events/event.hpp"
-#include "confail/sched/visited_set.hpp"
 
 namespace confail::sched {
-
-/// Anything that contributes state to a VirtualScheduler fingerprint.
-/// Instances register via VirtualScheduler::addFingerprintSource (monitors,
-/// shared variables and the Runtime do this automatically in virtual mode)
-/// and must unregister before destruction.
-class FingerprintSource {
- public:
-  virtual ~FingerprintSource() = default;
-  /// A hash of this object's current logical state.  Must be a pure
-  /// function of state: two objects in equal states (possibly in different
-  /// runs of the same program) must return equal values.
-  virtual std::uint64_t stateFingerprint() const = 0;
-};
 
 /// FNV-1a offset basis; the seed of every fingerprint chain.
 inline constexpr std::uint64_t kFpSeed = 0xcbf29ce484222325ull;

@@ -11,10 +11,10 @@
 //
 // A checkpoint is a VirtualScheduler::Snapshot — every fiber's frozen stack
 // (its saved registers are the stack's lowest bytes) plus every registered
-// SnapshotSource's payload — glued
-// to the path data (schedule / choice sets / fingerprints / footprints) of
-// the prefix it stands for, so a restored run's RunResult is
-// indistinguishable from a from-scratch execution of the same schedule.
+// StateSource's payload — glued to the path data (schedule / choice sets /
+// fingerprints / footprints) of the prefix it stands for, so a restored
+// run's RunResult is indistinguishable from a from-scratch execution of
+// the same schedule.
 // Snapshots are copy-on-write: stacks and payloads carry process-wide
 // unique version stamps (snapshot.hpp), so sibling checkpoints share every
 // piece that did not change between them and the budget only pays for
@@ -119,8 +119,8 @@ class IncrementalRunner {
   IncrementalRunner(const IncrementalRunner&) = delete;
   IncrementalRunner& operator=(const IncrementalRunner&) = delete;
 
-  /// False when the program did not declare snapshot safety (or poisoned
-  /// it): the session cannot run anything and the caller must use replay.
+  /// False when the program did not declare snapshot safety: the session
+  /// cannot run anything and the caller must use replay.
   bool usable() const { return usable_; }
 
   /// Execute the run for the work item at `node` (whose materialized

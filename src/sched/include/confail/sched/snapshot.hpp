@@ -1,16 +1,20 @@
-// Snapshot protocol for incremental (stateful) exploration.
+// Program state for incremental (stateful) exploration and pruning.
 //
 // The stateless explorer re-executes every branch's schedule prefix from
 // the root — O(depth) re-execution per run.  Incremental exploration
 // (incremental.hpp) instead checkpoints the complete session state at each
 // decision point and *restores* a parent's state when a child branch is
-// dispatched, the classic stateful-search move of JPF and VeriSoft.
+// dispatched, the classic stateful-search move of JPF and VeriSoft.  As in
+// JPF, the state that is stored is also the state that is hashed.
 //
-// A SnapshotSource is any object whose mutable state must survive a
-// checkpoint/restore round trip: monitors, shared variables, the Runtime
-// (policy RNG, id counters, method stacks, trace length) and the fault
-// Injector all implement it.  The protocol is copy-on-write via *version
-// stamps* that are unique across the whole process:
+// A StateSource is any object whose mutable state belongs to the program
+// under test: monitors, shared variables, uninstrumented SnapshotCell
+// fields, the Runtime (policy RNG, id counters, method stacks, recorded
+// trace) and the fault Injector.  Each registers once, through
+// VirtualScheduler::addStateSource, and supplies both halves: a
+// fingerprint of its logical state (fingerprint.hpp) and a deep copy of it
+// for checkpoint/restore.  The copy is copy-on-write via *version stamps*
+// that are unique across the whole process:
 //
 //   * every mutation calls snapshotBump(), which assigns the object a
 //     fresh, globally unique stamp;
@@ -58,17 +62,24 @@ inline std::uint64_t nextSnapshotVersion() noexcept {
   return next++;
 }
 
-/// An object participating in checkpoint/restore.  Implementations provide
-/// saveState()/restoreState() (a deep copy of their mutable state as an
-/// opaque immutable payload) and call snapshotBump() from every mutating
-/// operation; the base class supplies the copy-on-write caching on top.
+/// A piece of program state, hashed into VirtualScheduler::fingerprint()
+/// and saved into its snapshots.  Implementations provide
+/// stateFingerprint(), saveState()/restoreState() (a deep copy of their
+/// mutable state as an opaque immutable payload) and call snapshotBump()
+/// from every mutating operation; the base class supplies the
+/// copy-on-write caching on top.
 ///
-/// Registration mirrors FingerprintSource: virtual-mode monitors, shared
-/// variables, the Runtime and the Injector register themselves via
-/// VirtualScheduler::addSnapshotSource and unregister in their destructors.
-class SnapshotSource {
+/// Virtual-mode monitors, shared variables, snapshot cells, the Runtime
+/// and the Injector register themselves via VirtualScheduler::addStateSource
+/// and unregister in their destructors.
+class StateSource {
  public:
-  virtual ~SnapshotSource() = default;
+  virtual ~StateSource() = default;
+
+  /// A hash of this object's current logical state.  Must be a pure
+  /// function of state: two objects in equal states (possibly in different
+  /// runs of the same program) must return equal values.
+  virtual std::uint64_t stateFingerprint() const = 0;
 
   /// Payload for the object's current state, reusing the cached one when
   /// nothing mutated since it was produced.  `versionOut` receives the

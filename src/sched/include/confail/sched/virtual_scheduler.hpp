@@ -293,51 +293,33 @@ class VirtualScheduler {
   /// consulted in registration order.
   void addIdleHandler(IdleHandler* h);
 
-  // ---- state fingerprinting (schedule-tree pruning) -----------------------
+  // ---- program state (pruning and incremental exploration) ---------------
 
-  /// Register an object whose state participates in fingerprint().  Sources
-  /// are hashed in registration order, which is deterministic because the
+  /// Register an object whose state is hashed by fingerprint() and saved by
+  /// the snapshots of incremental exploration (see snapshot.hpp).  Sources
+  /// are visited in registration order, which is deterministic because the
   /// explorer's program callback constructs the same objects in the same
-  /// order on every run.  Monitors, SharedVars and the Runtime register
-  /// themselves in virtual mode.
-  void addFingerprintSource(const FingerprintSource* s);
+  /// order on every run.  Monitors, SharedVars, SnapshotCells, the Runtime
+  /// and the Injector register themselves in virtual mode.
+  void addStateSource(StateSource* s);
 
   /// Unregister a source (called from its destructor).  Safe during
   /// scheduler teardown.
-  void removeFingerprintSource(const FingerprintSource* s);
+  void removeStateSource(StateSource* s);
 
-  // ---- state snapshots (incremental exploration) --------------------------
-
-  /// Register an object whose mutable state must survive checkpoint /
-  /// restore (see snapshot.hpp).  Monitors, SharedVars, the Runtime and
-  /// the Injector register themselves in virtual mode, mirroring their
-  /// fingerprint registration.
-  void addSnapshotSource(SnapshotSource* s);
-
-  /// Unregister a snapshot source (called from its destructor).
-  void removeSnapshotSource(SnapshotSource* s);
-
-  /// The registered snapshot sources, in registration order.
-  std::span<SnapshotSource* const> snapshotSources() const {
-    return snapshotSources_;
-  }
+  /// The registered state sources, in registration order.
+  std::span<StateSource* const> stateSources() const { return stateSources_; }
 
   /// Declare that the program under test keeps ALL of its mutable state
-  /// either in registered SnapshotSources or in plain stack locals of its
+  /// either in registered StateSources or in plain stack locals of its
   /// logical threads (no heap-owning locals crossing schedule points, no
   /// unregistered shared state).  Only declared programs are eligible for
   /// incremental exploration; the scenario builders in
   /// components/scenarios.hpp declare themselves.
   void declareSnapshotSafe() { snapshotSafe_ = true; }
 
-  /// Veto snapshot safety for this scheduler (e.g. a SharedVar over a
-  /// non-copyable type cannot participate in save/restore).  Wins over any
-  /// declareSnapshotSafe() call, before or after.
-  void poisonSnapshotSafety() { snapshotPoisoned_ = true; }
-
-  /// True when the program declared itself snapshot-safe and nothing
-  /// vetoed it since.
-  bool snapshotSafe() const { return snapshotSafe_ && !snapshotPoisoned_; }
+  /// True when the program declared itself snapshot-safe.
+  bool snapshotSafe() const { return snapshotSafe_; }
 
   /// Hash of the complete scheduler-visible state: every logical thread's
   /// (status, block kind, block resource) plus each registered source.
@@ -364,6 +346,8 @@ class VirtualScheduler {
 
  private:
   friend class IncrementalRunner;
+  /// Lets tests take and restore snapshots around a plain run().
+  friend struct SnapshotTestAccess;
 
   enum class ThreadState : std::uint8_t { Runnable, Running, Blocked, Finished };
 
@@ -386,7 +370,7 @@ class VirtualScheduler {
 
   /// A copy-on-write checkpoint of the complete session state at one
   /// decision point: every logical thread's scheduler state and frozen
-  /// stack, plus every registered SnapshotSource's payload.  Immutable
+  /// stack, plus every registered StateSource's payload.  Immutable
   /// once built; siblings share unmodified pieces via shared_ptr.
   struct Snapshot {
     struct ThreadSnap {
@@ -397,7 +381,7 @@ class VirtualScheduler {
       std::shared_ptr<const detail::StackImage> stack;
     };
     struct SourceSnap {
-      SnapshotSource* src = nullptr;
+      StateSource* src = nullptr;
       std::shared_ptr<const void> payload;
       std::uint64_t version = 0;
     };
@@ -438,7 +422,7 @@ class VirtualScheduler {
   std::shared_ptr<const Snapshot> saveSnapshot();
 
   /// Rewind the session to `snap`.  Returns false (leaving state poisoned
-  /// for this session) if the thread set or snapshot-source registration
+  /// for this session) if the thread set or state-source registration
   /// changed since the snapshot was taken — the caller must then abandon
   /// incremental execution for this session.
   bool restoreSnapshot(const Snapshot& snap);
@@ -451,10 +435,9 @@ class VirtualScheduler {
   std::unique_ptr<detail::ControllerContext> controller_;
   // Declared before threads_ on purpose: destroying threads_ runs the
   // program closures' destructors, which unregister monitors / shared vars
-  // from these vectors — they must still be alive then.
-  std::vector<const FingerprintSource*> fingerprintSources_;
-  std::vector<SnapshotSource*> snapshotSources_;
-  std::uint64_t snapshotSourceGen_ = 0;  // bumped on (un)registration
+  // from this vector — it must still be alive then.
+  std::vector<StateSource*> stateSources_;
+  std::uint64_t stateSourceGen_ = 0;  // bumped on (un)registration
   Footprint stepFootprint_;
   // runLoop scratch, kept across runs so a session does not reallocate.
   std::vector<ThreadId> runnable_;
@@ -471,7 +454,6 @@ class VirtualScheduler {
   bool aborting_ = false;
   bool finished_ = false;
   bool snapshotSafe_ = false;
-  bool snapshotPoisoned_ = false;
   std::uint64_t liveCount_ = 0;  // spawned and not finished
 };
 

@@ -1,183 +1,81 @@
-// Concurrent visited set of 64-bit state keys, shared by the explorer's
-// schedule-tree dedup and reusable by any state-space enumerator that only
-// needs membership ("was this state seen?") rather than a value per state.
+// Concurrent visited set of 64-bit state keys: the explorer's
+// fingerprint-pruning dedup table ("was this state already expanded?").
 //
-// 64 open-addressing segments striped by the key's high bits, with a
-// lock-free insert fast path.  Each segment is a power-of-two array of
-// atomic key slots probed linearly; an insert claims an empty slot with a
-// single fetch-style CAS, so the dedup check on the explorer's branch loop
-// never takes a mutex — at 8 workers the striped-mutex predecessor
-// serialized exactly the runs that fan out fastest.  Only segment *growth*
-// locks (one mutex per segment, held by the grower alone): the grower
-// copies the live table, publishes the bigger one, then re-scans the old
-// table once so inserts that raced the copy are carried over (an inserter
-// that noticed the swap also re-inserts itself — the CAS makes the
-// duplicate harmless).  Keys are never deleted and retired tables are kept
-// until destruction, so a concurrent prober can always finish its probe on
-// the table it loaded.
+// 64 stripes, chosen by the key's high bits, each a mutex over a
+// FlatMap64.  Every insert takes one stripe lock, so it is linearizable:
+// exactly one caller sees a given key as new.  Only `--prune` reads the
+// set, and there the stripe locks cost nothing measurable, so the
+// explorer builds it only when pruning is on.
 //
-// A rare insert/grow race can report the same key "new" twice; callers
-// then expand one converged state twice — strictly extra work, never lost
-// work, the same direction hash collisions already lean.  The flip side:
-// "new" attribution is *racy*, so a deterministic enumerator that numbers
-// states by discovery order cannot be built on this set — the Petri
-// reachability engine needs exactly that and uses a barrier-phased
-// FlatMapN instead (see docs/petri.md for the trade-off).
+// The Petri reachability engine does not share this set: it numbers
+// states in discovery order and probes a frozen table from several threads
+// without locks (see docs/petri.md).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <vector>
+
+#include "confail/support/flat_table.hpp"
 
 namespace confail::sched {
 
 class VisitedSet {
  public:
-  explicit VisitedSet(std::size_t expectedPerShard = 256) {
-    std::size_t cap = 64;
-    while (cap * 7 < expectedPerShard * 10) cap <<= 1;
-    for (auto& s : shards_) {
-      s = std::make_unique<Shard>();
-      s->tables.push_back(std::make_unique<Table>(cap));
-      s->live.store(s->tables.back().get(), std::memory_order_release);
-    }
-  }
-
   /// Insert the key; returns true if it was new (caller owns expanding the
   /// state), false if some run already expanded an equal state.
   bool insert(std::uint64_t key) {
-    if (key == 0) key = 1;  // 0 marks an empty slot
-    Shard& s = *shards_[(key >> 58) & (kShards - 1)];
-    // One scramble per insert, not per probe attempt: the hash is a pure
-    // function of the key, so retries (table growth, CAS losses) reuse it.
-    const std::uint64_t h = scramble(key);
-    for (;;) {
-      Table* t = s.live.load(std::memory_order_seq_cst);
-      std::size_t i = static_cast<std::size_t>(h) & t->mask;
-      for (;;) {
-        std::uint64_t cur = t->slots[i].load(std::memory_order_acquire);
-        if (cur == key) return false;
-        if (cur == 0) {
-          if (t->slots[i].compare_exchange_strong(cur, key,
-                                                  std::memory_order_seq_cst)) {
-            // If a grower swapped tables while we probed, it may have
-            // copied past our slot already; redo the insert in the live
-            // table (the CAS there dedups against the grower's re-scan).
-            if (s.live.load(std::memory_order_seq_cst) != t) break;
-            const std::size_t n =
-                s.size.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (n * 10 >= (t->mask + 1) * 7) grow(s, t);
-            return true;
-          }
-          if (cur == key) return false;  // lost the race to an equal key
-          continue;  // lost to a different key in this slot; keep probing
-        }
-        i = (i + 1) & t->mask;
-      }
-    }
+    Stripe& s = stripes_[key >> (64 - kStripeBits)];
+    std::lock_guard<std::mutex> g(s.mu);
+    return s.keys.findOrInsert(key, 0).second;
   }
 
   std::size_t size() const {
     std::size_t n = 0;
-    for (const auto& s : shards_) {
-      n += s->size.load(std::memory_order_relaxed);
+    for (const Stripe& s : stripes_) {
+      std::lock_guard<std::mutex> g(s.mu);
+      n += s.keys.size();
     }
     return n;
   }
 
-  /// Occupied fraction of the live tables (dedup-table pressure gauge).
+  /// Occupied fraction of all stripes' slots (dedup-table pressure gauge).
   double loadFactor() const {
     std::size_t used = 0;
     std::size_t cap = 0;
-    for (const auto& s : shards_) {
-      used += s->size.load(std::memory_order_relaxed);
-      cap += s->live.load(std::memory_order_acquire)->mask + 1;
+    for (const Stripe& s : stripes_) {
+      std::lock_guard<std::mutex> g(s.mu);
+      used += s.keys.size();
+      cap += s.keys.capacity();
     }
-    return cap > 0 ? static_cast<double>(used) / static_cast<double>(cap) : 0.0;
+    return static_cast<double>(used) / static_cast<double>(cap);
   }
 
-  /// Occupancy of the fullest shard.  The aggregate loadFactor() hides
+  /// Occupancy of the fullest stripe.  The aggregate loadFactor() hides
   /// stripe imbalance — a skewed fingerprint distribution can drive one
-  /// shard toward its growth threshold while the mean looks healthy.
+  /// stripe toward its growth threshold while the mean looks healthy.
   double maxShardLoadFactor() const {
     double worst = 0.0;
-    for (const auto& s : shards_) {
-      const double used =
-          static_cast<double>(s->size.load(std::memory_order_relaxed));
-      const double cap = static_cast<double>(
-          s->live.load(std::memory_order_acquire)->mask + 1);
-      worst = std::max(worst, used / cap);
+    for (const Stripe& s : stripes_) {
+      std::lock_guard<std::mutex> g(s.mu);
+      worst = std::max(worst, static_cast<double>(s.keys.size()) /
+                                  static_cast<double>(s.keys.capacity()));
     }
     return worst;
   }
 
  private:
-  static constexpr std::size_t kShards = 64;
+  /// The stripe is the key's top kStripeBits bits.
+  static constexpr unsigned kStripeBits = 6;
+  /// Keys a stripe holds before its first rehash.
+  static constexpr std::size_t kStripeReserve = 256;
 
-  struct Table {
-    explicit Table(std::size_t cap)
-        : mask(cap - 1), slots(std::make_unique<std::atomic<std::uint64_t>[]>(cap)) {
-      for (std::size_t i = 0; i < cap; ++i) {
-        slots[i].store(0, std::memory_order_relaxed);
-      }
-    }
-    std::size_t mask;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    FlatMap64 keys{kStripeReserve};
   };
 
-  struct Shard {
-    std::atomic<Table*> live{nullptr};
-    std::atomic<std::size_t> size{0};
-    std::mutex growMu;                           ///< serializes growth only
-    std::vector<std::unique_ptr<Table>> tables;  ///< guarded by growMu
-  };
-
-  /// SplitMix64 finalizer: fpMix output is already avalanched, but the
-  /// shard stripe consumed the high bits — rescramble so the probe index
-  /// is independent of the stripe.
-  static std::uint64_t scramble(std::uint64_t k) {
-    k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-    return k ^ (k >> 31);
-  }
-
-  static void copyInto(const Table& from, Table& to) {
-    for (std::size_t i = 0; i <= from.mask; ++i) {
-      const std::uint64_t key = from.slots[i].load(std::memory_order_acquire);
-      if (key == 0) continue;
-      std::size_t j = static_cast<std::size_t>(scramble(key)) & to.mask;
-      for (;;) {
-        std::uint64_t cur = to.slots[j].load(std::memory_order_relaxed);
-        if (cur == key) break;
-        if (cur == 0 &&
-            to.slots[j].compare_exchange_strong(cur, key,
-                                                std::memory_order_release)) {
-          break;
-        }
-        if (cur == key) break;
-        j = (j + 1) & to.mask;
-      }
-    }
-  }
-
-  static void grow(Shard& s, Table* seen) {
-    std::lock_guard<std::mutex> g(s.growMu);
-    Table* t = s.live.load(std::memory_order_seq_cst);
-    if (t != seen) return;  // someone else already grew past this table
-    auto bigger = std::make_unique<Table>((t->mask + 1) * 2);
-    copyInto(*t, *bigger);
-    s.live.store(bigger.get(), std::memory_order_seq_cst);
-    // Catch stragglers: a CAS into the old table that was not yet visible
-    // during the first copy is visible now (it preceded the seq_cst swap
-    // the straggler checked against).
-    copyInto(*t, *bigger);
-    s.tables.push_back(std::move(bigger));
-  }
-
-  std::unique_ptr<Shard> shards_[kShards];
+  Stripe stripes_[std::size_t{1} << kStripeBits];
 };
 
 }  // namespace confail::sched

@@ -75,7 +75,7 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
   if (from != nullptr) {
     if (!sched_.restoreSnapshot(*from->snap)) {
       // The program mutated its object graph mid-run (spawned a thread or
-      // (un)registered a snapshot source): no snapshot taken before the
+      // (un)registered a state source): no snapshot taken before the
       // mutation can describe this session any more.  Poison the session;
       // the explorer falls back to plain replay.
       usable_ = false;

@@ -657,33 +657,17 @@ void VirtualScheduler::addIdleHandler(IdleHandler* h) {
   idleHandlers_.push_back(h);
 }
 
-void VirtualScheduler::addFingerprintSource(const FingerprintSource* s) {
-  CONFAIL_ASSERT(s != nullptr, "null fingerprint source");
-  fingerprintSources_.push_back(s);
+void VirtualScheduler::addStateSource(StateSource* s) {
+  CONFAIL_ASSERT(s != nullptr, "null state source");
+  stateSources_.push_back(s);
+  ++stateSourceGen_;
 }
 
-void VirtualScheduler::removeFingerprintSource(const FingerprintSource* s) {
-  for (auto it = fingerprintSources_.begin(); it != fingerprintSources_.end();
-       ++it) {
+void VirtualScheduler::removeStateSource(StateSource* s) {
+  for (auto it = stateSources_.begin(); it != stateSources_.end(); ++it) {
     if (*it == s) {
-      fingerprintSources_.erase(it);
-      return;
-    }
-  }
-}
-
-void VirtualScheduler::addSnapshotSource(SnapshotSource* s) {
-  CONFAIL_ASSERT(s != nullptr, "null snapshot source");
-  snapshotSources_.push_back(s);
-  ++snapshotSourceGen_;
-}
-
-void VirtualScheduler::removeSnapshotSource(SnapshotSource* s) {
-  for (auto it = snapshotSources_.begin(); it != snapshotSources_.end();
-       ++it) {
-    if (*it == s) {
-      snapshotSources_.erase(it);
-      ++snapshotSourceGen_;
+      stateSources_.erase(it);
+      ++stateSourceGen_;
       return;
     }
   }
@@ -722,14 +706,14 @@ VirtualScheduler::saveSnapshot() {
     snap->threads.push_back(std::move(ts));
   }
   snap->liveCount = liveCount_;
-  snap->sources.reserve(snapshotSources_.size());
-  for (SnapshotSource* s : snapshotSources_) {
+  snap->sources.reserve(stateSources_.size());
+  for (StateSource* s : stateSources_) {
     Snapshot::SourceSnap ss;
     ss.src = s;
     ss.payload = s->snapshotSave(ss.version, snap->freshBytes);
     snap->sources.push_back(std::move(ss));
   }
-  snap->sourceGen = snapshotSourceGen_;
+  snap->sourceGen = stateSourceGen_;
   return snap;
 #else
   return nullptr;
@@ -738,7 +722,7 @@ VirtualScheduler::saveSnapshot() {
 
 bool VirtualScheduler::restoreSnapshot(const Snapshot& snap) {
 #ifdef CONFAIL_FIBERS
-  if (snap.sourceGen != snapshotSourceGen_ ||
+  if (snap.sourceGen != stateSourceGen_ ||
       snap.threads.size() != threads_.size()) {
     // The program spawned threads or (un)registered sources mid-run: the
     // snapshot no longer describes this session's object graph.
@@ -782,7 +766,7 @@ std::uint64_t VirtualScheduler::fingerprint() const {
                      (static_cast<std::uint64_t>(rec->blockKind) << 32));
     h = fpMix(h, rec->blockResource);
   }
-  for (const FingerprintSource* s : fingerprintSources_) {
+  for (const StateSource* s : stateSources_) {
     h = fpMix(h, s->stateFingerprint());
   }
   return h;

@@ -9,8 +9,9 @@
 // linearly, and lookups on the BFS hot path touch one cache line in the
 // common case.  Capacity is a power of two, pre-reservable, and doubles at
 // ~70% load.  No erase (no engine removes states mid-enumeration).  The
-// explorer's schedule-tree dedup needs concurrent membership only and uses
-// sched::VisitedSet instead.
+// table itself is unsynchronized: the Petri engine reads a frozen table
+// from many threads, and the explorer's dedup (sched::VisitedSet) locks
+// one of 64 striped tables per insert.
 #pragma once
 
 #include <array>
@@ -75,6 +76,9 @@ class FlatMapN {
   }
 
   std::size_t size() const { return size_; }
+
+  /// Slots allocated (the load-factor denominator).
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Grow the slot array so at least `expected` entries fit under the load
   /// factor.  Never shrinks.

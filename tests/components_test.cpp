@@ -593,7 +593,7 @@ namespace {
 
 /// The Runtime a scenario registered on `s`.
 Runtime& runtimeOf(const sched::VirtualScheduler& s) {
-  for (sched::SnapshotSource* src : s.snapshotSources()) {
+  for (sched::StateSource* src : s.stateSources()) {
     if (auto* rt = dynamic_cast<Runtime*>(src)) return *rt;
   }
   throw std::logic_error("no Runtime registered on the scheduler");

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,7 +21,10 @@
 #include "confail/inject/injector.hpp"
 #include "confail/inject/job_spec.hpp"
 #include "confail/inject/plan.hpp"
+#include "confail/monitor/monitor.hpp"
 #include "confail/monitor/runtime.hpp"
+#include "confail/monitor/shared_var.hpp"
+#include "confail/monitor/snapshot_cell.hpp"
 #include "confail/obs/json.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/obs/trace_export.hpp"
@@ -60,6 +66,125 @@ TEST(Injector, RejectsStructuralClass) {
   inject::InjectionPlan plan;
   plan.cls = FailureClass::EF_T1;
   EXPECT_THROW(inject::Injector(rt, plan), confail::UsageError);
+}
+
+// ---------------------------------------------------------------------------
+// The scheduler's registry of program state
+// ---------------------------------------------------------------------------
+
+namespace confail::sched {
+
+/// Reaches the snapshot primitives that only the incremental runner uses
+/// in production, so a test can take a snapshot around a plain run().
+struct SnapshotTestAccess {
+  static void onDecision(
+      VirtualScheduler& s,
+      std::function<void(std::uint64_t step, std::size_t runnable)> hook) {
+    s.checkpointHook_ = std::move(hook);
+  }
+  static auto save(VirtualScheduler& s) { return s.saveSnapshot(); }
+  template <typename Snapshot>
+  static bool restore(VirtualScheduler& s, const Snapshot& snap) {
+    return s.restoreSnapshot(snap);
+  }
+  /// Unwind the restored threads, as the end of a run does.
+  static void unwind(VirtualScheduler& s) { s.abortRun(); }
+};
+
+}  // namespace confail::sched
+
+namespace {
+
+/// fig2 on `s` with an FF-T5 plan that suppresses the second notify.
+void buildFig2WithInjector(sched::VirtualScheduler& s) {
+  inject::InjectionPlan plan;
+  plan.cls = FailureClass::FF_T5;
+  plan.after = 1;
+  plan.count = 1;
+  scenarios::Instruments ins;
+  ins.decorate = [plan](confail::monitor::Runtime& rt) {
+    return std::shared_ptr<void>(std::make_shared<inject::Injector>(rt, plan));
+  };
+  scenarios::find("fig2")->ifn(s, ins);
+}
+
+}  // namespace
+
+// Every object of fig2's program state registers once, into one list:
+// the Runtime, the buffer's monitor, its size variable, its item cell and
+// the Injector.
+TEST(StateRegistry, HoldsEachObjectOfFig2Once) {
+  sched::RoundRobinStrategy strategy;
+  sched::VirtualScheduler s(strategy);
+  buildFig2WithInjector(s);
+
+  namespace mon = confail::monitor;
+  std::map<std::string, int> kinds;
+  for (sched::StateSource* src : s.stateSources()) {
+    if (dynamic_cast<mon::Runtime*>(src) != nullptr) {
+      ++kinds["runtime"];
+    } else if (dynamic_cast<mon::Monitor*>(src) != nullptr) {
+      ++kinds["monitor"];
+    } else if (dynamic_cast<mon::SharedVar<int>*>(src) != nullptr) {
+      ++kinds["shared_var"];
+    } else if (dynamic_cast<mon::SnapshotCell<std::deque<int>>*>(src) !=
+               nullptr) {
+      ++kinds["snapshot_cell"];
+    } else if (dynamic_cast<inject::Injector*>(src) != nullptr) {
+      ++kinds["injector"];
+    } else {
+      ++kinds["other"];
+    }
+  }
+  EXPECT_EQ(kinds, (std::map<std::string, int>{{"injector", 1},
+                                               {"monitor", 1},
+                                               {"runtime", 1},
+                                               {"shared_var", 1},
+                                               {"snapshot_cell", 1}}));
+  const std::set<sched::StateSource*> distinct(s.stateSources().begin(),
+                                               s.stateSources().end());
+  EXPECT_EQ(distinct.size(), s.stateSources().size());
+  (void)s.run();
+}
+
+// A snapshot saved mid-run and restored after the run has ended brings
+// the fingerprint back to its value at the save.
+TEST(StateRegistry, RestoredSnapshotHasTheSavedFingerprint) {
+  if (!sched::fibersSupported()) {
+    GTEST_SKIP() << "snapshots need fibers";
+  }
+  sched::RoundRobinStrategy strategy;
+  sched::VirtualScheduler s(strategy);
+  buildFig2WithInjector(s);
+
+  // Save while the buffer holds an item: the rest of the run empties it,
+  // so the restore has the shared variable to rewind, not just threads.
+  confail::monitor::SharedVar<int>* size = nullptr;
+  for (sched::StateSource* src : s.stateSources()) {
+    if (auto* v = dynamic_cast<confail::monitor::SharedVar<int>*>(src)) {
+      size = v;
+    }
+  }
+  ASSERT_NE(size, nullptr);
+
+  using Access = sched::SnapshotTestAccess;
+  decltype(Access::save(s)) snap;
+  std::uint64_t atSave = 0;
+  Access::onDecision(s, [&](std::uint64_t, std::size_t runnable) {
+    if (snap == nullptr && size->peek() == 1 && runnable > 1) {
+      snap = Access::save(s);
+      atSave = s.fingerprint();
+    }
+  });
+  (void)s.run();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(size->peek(), 0);
+  EXPECT_NE(s.fingerprint(), atSave);
+
+  ASSERT_TRUE(Access::restore(s, *snap));
+  EXPECT_EQ(size->peek(), 1);
+  EXPECT_EQ(s.fingerprint(), atSave);
+  Access::unwind(s);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,14 +17,20 @@
 //   * All of the above is identical at 1, 2 and 8 workers: the prefix
 //     tree's atomic claim masks make the explored frontier a function of
 //     the scenario, not of scheduling luck.
+//
+// The prefix-tree arena and the fingerprint-pruning dedup table
+// (VisitedSet) are tested here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "confail/components/scenario_registry.hpp"
@@ -34,6 +40,7 @@
 #include "confail/sched/explorer.hpp"
 #include "confail/sched/fingerprint.hpp"
 #include "confail/sched/prefix_tree.hpp"
+#include "confail/sched/visited_set.hpp"
 
 namespace sched = confail::sched;
 namespace scenarios = confail::components::scenarios;
@@ -117,7 +124,7 @@ Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
 /// of the bounded full enumeration.  Tighter bounds genuinely diverge —
 /// the classic bounded-POR incompleteness documented in
 /// docs/exploration.md — so a new scenario must be calibrated, not
-/// defaulted: the registry loop below fails on a scenario missing here.
+/// defaulted: the per-scenario test below fails on a scenario missing here.
 std::size_t depthFor(const std::string& name) {
   if (name == "fig2") return 6;
   if (name == "ff_t5") return 6;
@@ -206,41 +213,53 @@ void expectPinned(const PinnedDpor& pin, std::size_t workers,
   EXPECT_LE(e.arenaBytes, 1024.0 * 1024.0);
 }
 
+class SchedDporScenarioTest : public testing::TestWithParam<std::string> {};
+
+std::vector<std::string> registryNames() {
+  std::vector<std::string> names;
+  for (const scenarios::NamedScenario& sc : scenarios::registry()) {
+    names.push_back(sc.name);
+  }
+  return names;
+}
+
 }  // namespace
 
 // For every registry scenario: DPOR preserves the deadlock-state set and
 // the canonical lex-min failing witness of the bounded full enumeration,
 // explores strictly fewer runs, and does all of it identically at 1, 2
-// and 8 workers.
-TEST(SchedDporTest, MatchesFullEnumerationPerScenario) {
-  for (const scenarios::NamedScenario& sc : scenarios::registry()) {
-    const std::size_t depth = depthFor(sc.name);
-    ASSERT_NE(depth, 0u) << "scenario '" << sc.name
-                         << "' has no calibrated DPOR test depth";
-    const Exploration none =
-        explore(sc, Reduction::None, depth, 1, /*canonicalizeFailures=*/true);
-    ASSERT_TRUE(none.stats.exhausted) << sc.name;
+// and 8 workers.  One test per scenario, so each has its own time limit.
+TEST_P(SchedDporScenarioTest, MatchesFullEnumeration) {
+  const scenarios::NamedScenario& sc = *scenarios::find(GetParam());
+  const std::size_t depth = depthFor(sc.name);
+  ASSERT_NE(depth, 0u) << "scenario '" << sc.name
+                       << "' has no calibrated DPOR test depth";
+  const Exploration none =
+      explore(sc, Reduction::None, depth, 1, /*canonicalizeFailures=*/true);
+  ASSERT_TRUE(none.stats.exhausted);
 
-    for (std::size_t workers : kWorkerCounts) {
-      SCOPED_TRACE(std::string(sc.name) + " workers=" +
-                   std::to_string(workers));
-      const Exploration dpor = explore(sc, Reduction::Dpor, depth, workers,
-                                       /*canonicalizeFailures=*/false);
-      ASSERT_TRUE(dpor.stats.exhausted);
-      EXPECT_EQ(dpor.deadlockSigs, none.deadlockSigs);
-      EXPECT_EQ(dpor.stats.firstFailure, none.minCanonicalFailure);
-      if (expectStrictReduction(sc.name)) {
-        EXPECT_LT(dpor.stats.runs, none.stats.runs);
-      } else {
-        EXPECT_LE(dpor.stats.runs, none.stats.runs);
-      }
-      if (!none.minCanonicalFailure.empty()) {
-        EXPECT_EQ(dpor.stats.firstFailureOutcome,
-                  none.stats.firstFailureOutcome);
-      }
+  for (std::size_t workers : kWorkerCounts) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const Exploration dpor = explore(sc, Reduction::Dpor, depth, workers,
+                                     /*canonicalizeFailures=*/false);
+    ASSERT_TRUE(dpor.stats.exhausted);
+    EXPECT_EQ(dpor.deadlockSigs, none.deadlockSigs);
+    EXPECT_EQ(dpor.stats.firstFailure, none.minCanonicalFailure);
+    if (expectStrictReduction(sc.name)) {
+      EXPECT_LT(dpor.stats.runs, none.stats.runs);
+    } else {
+      EXPECT_LE(dpor.stats.runs, none.stats.runs);
+    }
+    if (!none.minCanonicalFailure.empty()) {
+      EXPECT_EQ(dpor.stats.firstFailureOutcome,
+                none.stats.firstFailureOutcome);
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, SchedDporScenarioTest, testing::ValuesIn(registryNames()),
+    [](const testing::TestParamInfo<std::string>& p) { return p.param; });
 
 // DPOR's canonical witness is a *feasible* schedule: replaying it
 // reproduces the reported failure even though DPOR itself may never have
@@ -540,4 +559,47 @@ TEST(PrefixArena, SleepSpansOfEverySizeClassAreReused) {
     EXPECT_EQ(arena.bytes(), bytes);
     arena.recycle(0, m);
   }
+}
+
+// Eight threads insert overlapping key ranges at once, each range offset
+// from the next by a small step, so neighbours race on the same keys.  The
+// keys spread over every stripe, and there are enough of them that each
+// stripe's table rehashes several times while the inserts run.  Every
+// distinct key is reported new to exactly one thread, and size() counts
+// each once.
+TEST(VisitedSet, ConcurrentInsertsReportEachKeyNewExactlyOnce) {
+  constexpr std::uint64_t kThreads = 8;
+  constexpr std::uint64_t kRange = 100000;  // keys per thread
+  constexpr std::uint64_t kStep = 1000;     // offset between neighbours
+  constexpr std::uint64_t kDistinct = (kThreads - 1) * kStep + kRange;
+  // An odd multiplier is a bijection on 64-bit words that spreads
+  // consecutive indices over the high bits, which pick the stripe.
+  auto keyOf = [](std::uint64_t i) { return i * 0x9e3779b97f4a7c15ull; };
+
+  sched::VisitedSet set;
+  std::vector<std::vector<std::uint64_t>> fresh(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::uint64_t i = t * kStep; i < t * kStep + kRange; ++i) {
+        if (set.insert(keyOf(i))) fresh[t].push_back(keyOf(i));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<std::uint64_t> all;
+  for (const std::vector<std::uint64_t>& f : fresh) {
+    all.insert(all.end(), f.begin(), f.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "a key was reported new twice";
+  EXPECT_EQ(all.size(), kDistinct);
+  EXPECT_EQ(set.size(), kDistinct);
+  // Growth keeps every stripe under the 70% load bound.
+  EXPECT_GT(set.loadFactor(), 0.0);
+  EXPECT_LT(set.maxShardLoadFactor(), 0.7);
 }
