@@ -2,27 +2,35 @@
 //
 // One instance owns a CampaignStore root and runs jobs to completion:
 //
-//   reap finished workers -> land their shards -> dispatch to freed workers
-//     -> merge jobs whose shards all landed -> on the poll clock: scan
-//     queue/ and the drain marker, rewrite state.json, snapshot metrics
-//     -> wait for a worker to finish (at most pollMs) -> repeat
+//   read workers' replies -> land their shards -> dispatch to freed workers
+//     -> merge jobs whose shards all landed -> stop the pool if no job is
+//     left -> on the poll clock: scan queue/ and the drain marker, rewrite
+//     state.json, snapshot metrics -> wait for a reply (at most pollMs)
+//     -> repeat
 //
-// The loop is event-driven: it blocks in poll(2) on one pidfd per worker
-// subprocess and on an eventfd the in-process workers signal, so a
-// finished shard's slot is refilled at once.  The pollMs timeout is only
-// how often an otherwise idle daemon rescans queue/ and the drain marker
-// (a worker without a pidfd is also reaped on that timed wake).  The same
-// pollMs is the daemon's bookkeeping clock: while jobs run, the queue/ and
-// drain scans, the state.json rewrites of jobs that landed shards, and the
-// metricsOut snapshot happen at most once per pollMs.  Adopting, completing
-// or failing a job, and failing a shard, write state.json at once.
+// The loop is event-driven.  Up to poolSize persistent workers are started
+// lazily, each on a socketpair; a worker serves one shard request after
+// another (the line protocol in worker.hpp) until the daemon closes its
+// channel, which it does as soon as no job is in flight and before run()
+// returns, reaping every worker.  The daemon blocks in poll(2) on the
+// workers' channels, so a reply wakes it and the freed worker gets the
+// next shard at once.  The pollMs timeout is only how often an otherwise
+// idle daemon rescans queue/ and the drain marker.  The same pollMs is
+// the daemon's bookkeeping clock: while jobs run, the queue/ and drain
+// scans, the state.json rewrites of jobs that landed shards, and the
+// metricsOut snapshot happen at most once per pollMs.  Adopting,
+// completing or failing a job, and failing a shard, write state.json at
+// once.
 //
-// Shards run in worker subprocesses by default (`<self> worker --job ...
-// --shard N --out ...`), so a shard that crashes or is killed takes down
-// only its own process: the daemon reaps the failure, retries once and
-// otherwise records the shard as failed without losing the job.  An
-// in-process pool (threads calling inject::runShard directly) backs tests
-// and sanitizer builds where fork+exec is unavailable or unsafe.
+// Workers are subprocesses by default (`<self> worker --root DIR`, the
+// channel on its stdin and stdout), so a shard that crashes or is killed
+// takes down only its own process: the daemon sees the channel end, reaps
+// the worker, charges the shard's request as one attempt, retries it once
+// on another or a fresh worker, and otherwise records the shard as failed
+// without losing the job.  A shard is charged only for requests that
+// reached a worker: a worker that cannot be started costs nothing.  An
+// in-process pool (the same worker loop on threads) backs tests and
+// sanitizer builds where fork+exec is unavailable or unsafe.
 //
 // Resume is structural, not transactional: a shard is complete iff it has
 // landed (its header parses and its events sidecar has the size the header
@@ -37,15 +45,19 @@
 //
 // Observability: progress counters live in an obs::Registry
 // (serve.jobs_adopted, serve.shards_completed, serve.shards_failed,
-// serve.heartbeats = waits that timed out with nothing to reap,
-// serve.events_bytes = bytes appended to the feeds, gauges
-// serve.jobs_active / serve.workers_busy, histograms serve.land_us = µs to
-// land one shard and serve.refill_us = µs from a wake that reaped workers
-// to the end of its dispatch).  They are snapshot to `metricsOut` at most
-// once per pollMs and at exit.
+// serve.heartbeats = waits that timed out with nothing to settle,
+// serve.workers_started = the pool size on a clean drain plus one per
+// replaced worker, serve.events_bytes = bytes appended to the feeds,
+// gauges serve.jobs_active / serve.workers_busy, histograms serve.land_us
+// = µs to land one shard and serve.refill_us = µs from a wake that
+// settled requests to the end of its dispatch).  They are snapshot to
+// `metricsOut` at most once per pollMs and at exit.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "confail/serve/store.hpp"
@@ -63,7 +75,12 @@ struct ServerOptions {
   /// them on in-process threads.
   bool subprocess = true;
   /// Worker binary; empty = /proc/self/exe (the running confail binary).
+  /// Started as `<bin> worker --root <root>`, it must speak the request
+  /// protocol of worker.hpp on stdin/stdout.
   std::string workerBinary;
+  /// How a subprocess worker is forked; empty = fork(2).  A test puts a
+  /// failing one here to stand for fork pressure.
+  std::function<pid_t()> forkProcess;
   /// Longest wait for a worker to finish before the loop rescans queue/
   /// and the drain marker; also the metricsOut write interval.
   std::uint64_t pollMs = 25;

@@ -1,26 +1,28 @@
 #include "confail/serve/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
-#include <sys/eventfd.h>
-#include <sys/syscall.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <climits>
+#include <csignal>
 #include <deque>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "confail/events/trace.hpp"
 #include "confail/obs/metrics.hpp"
 #include "confail/serve/merge.hpp"
+#include "confail/serve/worker.hpp"
 #include "confail/support/assert.hpp"
 
 namespace confail::serve {
@@ -32,17 +34,6 @@ using inject::ShardSpec;
 namespace {
 
 constexpr int kMaxAttempts = 2;  ///< one retry per shard before giving up
-
-/// A close-on-exec fd that turns readable when `pid` exits, or -1 where the
-/// kernel offers no pidfd_open; such a worker is reaped on a timed wake.
-int openPidfd(pid_t pid) {
-#ifdef SYS_pidfd_open
-  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
-#else
-  (void)pid;
-  return -1;
-#endif
-}
 
 void closeFd(int& fd) {
   if (fd >= 0) ::close(fd);
@@ -68,16 +59,14 @@ struct Server::Impl {
     shardsFailed = &reg->counter("serve.shards_failed");
     heartbeats = &reg->counter("serve.heartbeats");
     eventsBytes = &reg->counter("serve.events_bytes");
+    workersStarted = &reg->counter("serve.workers_started");
     landUs = &reg->histogram("serve.land_us");
     refillUs = &reg->histogram("serve.refill_us");
     jobsActive = &reg->gauge("serve.jobs_active");
     workersBusy = &reg->gauge("serve.workers_busy");
   }
 
-  ~Impl() {
-    for (Worker& w : workers) closeFd(w.pidfd);
-    closeFd(wakeFd);
-  }
+  ~Impl() { stopWorkers(); }
 
   Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
@@ -88,6 +77,7 @@ struct Server::Impl {
     std::vector<bool> done;
     /// Landed shards' results without their events: what the merge reads.
     std::vector<ShardResult> results;
+    /// Requests for each shard that reached a worker.
     std::vector<int> attempts;
     std::deque<std::size_t> pending;
     std::size_t inFlight = 0;
@@ -97,13 +87,16 @@ struct Server::Impl {
     bool stateDirty = false;
   };
 
+  /// One persistent worker: a subprocess or a thread serving requests on
+  /// the other end of `fd` (see worker.hpp).
   struct Worker {
+    int fd = -1;         ///< the daemon's end of the worker's socketpair
+    pid_t pid = -1;      ///< subprocess mode
+    std::thread thread;  ///< in-process mode
+    bool busy = false;   ///< a request for (jobId, shardIndex) is out
     std::string jobId;
     std::size_t shardIndex = 0;
-    pid_t pid = -1;    ///< subprocess mode
-    int pidfd = -1;    ///< readable once `pid` exits (-1: none)
-    std::thread thread;
-    std::shared_ptr<std::atomic<int>> state;  ///< 0 running, 1 ok, 2 failed
+    std::string replies;  ///< reply bytes read but not yet a whole line
   };
 
   ServerOptions opts;
@@ -117,17 +110,16 @@ struct Server::Impl {
   obs::Counter* shardsFailed = nullptr;
   obs::Counter* heartbeats = nullptr;
   obs::Counter* eventsBytes = nullptr;
+  obs::Counter* workersStarted = nullptr;
   obs::Histogram* landUs = nullptr;
   obs::Histogram* refillUs = nullptr;
   obs::Gauge* jobsActive = nullptr;
   obs::Gauge* workersBusy = nullptr;
 
-  /// In-process workers bump this eventfd after storing their state, so the
-  /// daemon's poll(2) wakes on them as it does on a subprocess's pidfd.
-  int wakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-
   std::map<std::string, JobRun> jobs;  ///< in-flight jobs by id
   std::vector<Worker> workers;
+  /// The last wait's poll set, one entry per worker in `workers` order.
+  std::vector<pollfd> polled;
   std::uint64_t mergedJobs = 0;
   bool anyFailed = false;
   /// The poll clock: queue/ and drain scans, dirty state.json rewrites and
@@ -255,87 +247,142 @@ struct Server::Impl {
 
   // -- worker pool ---------------------------------------------------------
 
-  bool spawn(const std::string& id, JobRun& jr, std::size_t shardIndex) {
+  /// Start one worker on a fresh socketpair.  False when the system
+  /// refuses (no fd, no fork, no thread): nothing is charged to any shard,
+  /// and the next dispatch tries again.
+  bool startWorker() {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+      return false;
+    }
     Worker w;
-    w.jobId = id;
-    w.shardIndex = shardIndex;
-    ++jr.attempts[shardIndex];
+    w.fd = sv[0];
     if (opts.subprocess) {
-      const std::string bin =
+      std::string bin =
           opts.workerBinary.empty() ? "/proc/self/exe" : opts.workerBinary;
-      std::vector<std::string> args = {
-          bin,     "worker",                   "--job",
-          store.jobDir(id) + "/job.json",      "--shard",
-          std::to_string(shardIndex),          "--out",
-          store.shardPath(id, shardIndex)};
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      const pid_t pid = ::fork();
-      if (pid < 0) return false;
+      std::string verb = "worker";
+      std::string flag = "--root";
+      std::string root = opts.root;
+      char* argv[] = {bin.data(), verb.data(), flag.data(), root.data(),
+                      nullptr};
+      pid_t pid = -1;
+      try {
+        pid = opts.forkProcess ? opts.forkProcess() : ::fork();
+      } catch (...) {
+        ::close(sv[0]);
+        ::close(sv[1]);
+        throw;
+      }
       if (pid == 0) {
-        ::execv(bin.c_str(), argv.data());
-        ::_exit(127);  // exec failed; the parent records a shard failure
+        // The worker's end becomes its stdin and stdout.  dup2 clears
+        // close-on-exec on the copies; an end that already is fd 0 or 1
+        // (a daemon started with them closed) needs it cleared by hand.
+        if (sv[1] <= STDOUT_FILENO) ::fcntl(sv[1], F_SETFD, 0);
+        if (::dup2(sv[1], STDIN_FILENO) < 0 ||
+            ::dup2(sv[1], STDOUT_FILENO) < 0) {
+          ::_exit(127);
+        }
+        ::execv(bin.c_str(), argv);
+        ::_exit(127);  // exec failed: the daemon sees EOF, a dead worker
+      }
+      ::close(sv[1]);
+      if (pid < 0) {
+        ::close(sv[0]);
+        return false;
       }
       w.pid = pid;
-      w.pidfd = openPidfd(pid);
     } else {
-      w.state = std::make_shared<std::atomic<int>>(0);
-      // Copies keep the thread self-contained; CampaignStore is a plain
-      // path wrapper, safe to use concurrently.
-      w.thread = std::thread(
-          [state = w.state, st = store, spec = jr.spec,
-           shard = jr.shards[shardIndex], id, wake = wakeFd]() {
-            int result = 2;
-            try {
-              events::Trace run;
-              const ShardResult r = inject::runShard(spec, shard, {}, run);
-              result = st.writeShard(id, r, &run) ? 1 : 2;
-            } catch (...) {
-              // result stays 2: the daemon retries or fails the shard
-            }
-            state->store(result);
-            if (wake >= 0) {
-              const std::uint64_t one = 1;
-              [[maybe_unused]] const ssize_t n =
-                  ::write(wake, &one, sizeof one);
-            }
-          });
+      try {
+        w.thread = std::thread([root = opts.root, fd = sv[1]] {
+          try {
+            (void)serveShardRequests(root, fd, fd);
+          } catch (...) {
+            // Closing the channel reports it: the daemon charges the shard
+            // in flight as if a worker process had died.
+          }
+          ::close(fd);
+        });
+      } catch (const std::system_error&) {
+        ::close(sv[0]);
+        ::close(sv[1]);
+        return false;
+      }
     }
-    ++jr.inFlight;
     workers.push_back(std::move(w));
+    workersStarted->inc();
     return true;
   }
 
-  void dispatch() {
-    if (workers.size() >= opts.poolSize) return;
-    for (auto& [id, jr] : jobs) {
-      while (workers.size() < opts.poolSize && !jr.pending.empty()) {
-        const std::size_t shardIndex = jr.pending.front();
-        jr.pending.pop_front();
-        if (!spawn(id, jr, shardIndex)) {
-          jr.pending.push_front(shardIndex);
-          return;  // fork pressure; retry next iteration
-        }
-      }
-      if (workers.size() >= opts.poolSize) return;
+  /// End a worker: close its channel, which it reads as the end of its
+  /// requests, then join or reap it.  `kill` first SIGKILLs a subprocess
+  /// that has broken the protocol or closed its end while still running.
+  static void stopWorker(Worker& w, bool kill) {
+    closeFd(w.fd);
+    if (w.thread.joinable()) w.thread.join();
+    if (w.pid < 0) return;
+    if (kill) ::kill(w.pid, SIGKILL);
+    int status = 0;
+    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
     }
+    w.pid = -1;
   }
 
-  /// Returns -1 still running, 0 succeeded, 1 failed.
-  int pollWorker(Worker& w) {
-    if (w.pid >= 0) {
-      int status = 0;
-      const pid_t got = ::waitpid(w.pid, &status, WNOHANG);
-      if (got == 0) return -1;
-      if (got != w.pid) return 1;
-      return (WIFEXITED(status) && WEXITSTATUS(status) == 0) ? 0 : 1;
+  /// Stop the whole pool: every channel closes first, so the workers exit
+  /// together, then each is reaped.  Nothing is left running or unreaped.
+  void stopWorkers() {
+    for (Worker& w : workers) closeFd(w.fd);
+    for (Worker& w : workers) stopWorker(w, w.busy);
+    workers.clear();
+  }
+
+  /// Index of an idle worker, starting one if the pool has room; npos when
+  /// every worker is busy or a new one could not start.
+  std::size_t idleWorker() {
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      if (!workers[i].busy) return i;
     }
-    const int s = w.state->load();
-    if (s == 0) return -1;
-    if (w.thread.joinable()) w.thread.join();
-    return s == 1 ? 0 : 1;
+    if (workers.size() < opts.poolSize && startWorker()) {
+      return workers.size() - 1;
+    }
+    return static_cast<std::size_t>(-1);
+  }
+
+  /// Write one request; false when the worker is gone (EPIPE, never
+  /// SIGPIPE).  A request line is far below the socket's buffer, so it is
+  /// written whole or not at all.
+  static bool sendRequest(const Worker& w, const std::string& id,
+                          std::size_t shard) {
+    const std::string line = id + " " + std::to_string(shard) + "\n";
+    ssize_t n = -1;
+    do {
+      n = ::send(w.fd, line.data(), line.size(), MSG_NOSIGNAL);
+    } while (n < 0 && errno == EINTR);
+    return n == static_cast<ssize_t>(line.size());
+  }
+
+  /// Hand pending shards to idle workers.  A shard is charged an attempt
+  /// only once its request has reached a worker.
+  void dispatch() {
+    for (auto& [id, jr] : jobs) {
+      while (!jr.pending.empty()) {
+        const std::size_t i = idleWorker();
+        if (i >= workers.size()) return;  // pool busy, or none could start
+        Worker& w = workers[i];
+        const std::size_t shard = jr.pending.front();
+        if (!sendRequest(w, id, shard)) {
+          // Died while idle; the next pass starts a fresh worker.
+          stopWorker(w, true);
+          workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(i));
+          return;
+        }
+        jr.pending.pop_front();
+        ++jr.attempts[shard];
+        ++jr.inFlight;
+        w.busy = true;
+        w.jobId = id;
+        w.shardIndex = shard;
+      }
+    }
   }
 
   void onShardDone(const std::string& id, JobRun& jr, std::size_t index,
@@ -361,46 +408,74 @@ struct Server::Impl {
     publishState(id, jr, "running");
   }
 
-  /// Land (or re-queue) every finished worker's shard; returns how many
-  /// workers finished.
-  std::size_t reap() {
-    std::size_t reaped = 0;
-    for (std::size_t i = 0; i < workers.size();) {
-      const int result = pollWorker(workers[i]);
-      if (result < 0) {
-        ++i;
-        continue;
-      }
-      Worker w = std::move(workers[i]);
-      workers.erase(workers.begin() +
-                    static_cast<std::ptrdiff_t>(i));
-      closeFd(w.pidfd);
-      ++reaped;
-      auto it = jobs.find(w.jobId);
-      if (it != jobs.end()) {
-        onShardDone(w.jobId, it->second, w.shardIndex, result == 0);
-      }
-    }
-    return reaped;
+  /// The worker's request is answered (`ok`) or lost: land or re-queue it.
+  void finishRequest(Worker& w, bool ok) {
+    w.busy = false;
+    auto it = jobs.find(w.jobId);
+    if (it != jobs.end()) onShardDone(w.jobId, it->second, w.shardIndex, ok);
   }
 
-  /// Block until a worker finishes or `pollMs` passes.  Returns false when
-  /// the wait timed out, i.e. the daemon was idle for a whole poll interval.
-  bool waitForWorker() {
-    std::vector<pollfd> fds;
-    fds.reserve(workers.size() + 1);
-    if (wakeFd >= 0) fds.push_back({wakeFd, POLLIN, 0});
-    for (const Worker& w : workers) {
-      if (w.pidfd >= 0) fds.push_back({w.pidfd, POLLIN, 0});
+  /// Read what a readable worker sent.  Returns false when the worker is
+  /// finished with: its channel ended (it died, or was killed) or it broke
+  /// the protocol.  `answered` counts the requests it settled.
+  bool readReplies(Worker& w, std::size_t& answered) {
+    char buf[256];
+    const ssize_t n = ::recv(w.fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      return true;
     }
+    if (n > 0) {
+      w.replies.append(buf, static_cast<std::size_t>(n));
+      bool broken = w.replies.size() > sizeof buf;  // no reply is this long
+      for (std::size_t eol;
+           !broken && (eol = w.replies.find('\n')) != std::string::npos;) {
+        const std::string line = w.replies.substr(0, eol);
+        w.replies.erase(0, eol + 1);
+        const std::string prefix = std::to_string(w.shardIndex) + " ";
+        const bool ok = line == prefix + "ok";
+        broken = !w.busy || (!ok && line != prefix + "failed");
+        if (broken) break;
+        finishRequest(w, ok);
+        ++answered;
+      }
+      if (!broken) return true;
+    }
+    // End of the channel, or a reply nobody asked for: the in-flight
+    // request (if any) is charged as a crash.
+    if (w.busy) {
+      finishRequest(w, false);
+      ++answered;
+    }
+    return false;
+  }
+
+  /// Settle every request whose worker replied or died since the last
+  /// wait; returns how many were settled.
+  std::size_t reap() {
+    std::size_t answered = 0;
+    // Backwards, so erasing a finished worker keeps `polled` aligned.
+    const bool aligned = polled.size() == workers.size();
+    for (std::size_t i = workers.size(); aligned && i-- > 0;) {
+      if (polled[i].revents == 0) continue;
+      if (readReplies(workers[i], answered)) continue;
+      stopWorker(workers[i], true);
+      workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    polled.clear();
+    return answered;
+  }
+
+  /// Block until a worker replies or its channel ends, or `pollMs` passes.
+  /// Returns false when the wait timed out, i.e. the daemon was idle for a
+  /// whole poll interval.
+  bool waitForWorker() {
+    polled.clear();
+    for (const Worker& w : workers) polled.push_back({w.fd, POLLIN, 0});
     const int timeoutMs =
         static_cast<int>(std::min<std::uint64_t>(opts.pollMs, INT_MAX));
-    const int ready = ::poll(fds.data(), fds.size(), timeoutMs);
+    const int ready = ::poll(polled.data(), polled.size(), timeoutMs);
     wokeAt = std::chrono::steady_clock::now();
-    if (ready > 0 && wakeFd >= 0 && (fds.front().revents & POLLIN) != 0) {
-      std::uint64_t count = 0;  // reset the eventfd; reap() finds who woke
-      [[maybe_unused]] const ssize_t n = ::read(wakeFd, &count, sizeof count);
-    }
+    if (ready < 0) polled.clear();
     return ready != 0;  // an EINTR wake is not an idle interval either
   }
 
@@ -468,7 +543,9 @@ struct Server::Impl {
   /// Refresh the gauges and write the metricsOut snapshot.
   void publishMetrics() {
     jobsActive->set(static_cast<double>(jobs.size()));
-    workersBusy->set(static_cast<double>(workers.size()));
+    workersBusy->set(static_cast<double>(
+        std::count_if(workers.begin(), workers.end(),
+                      [](const Worker& w) { return w.busy; })));
     if (opts.metricsOut.empty()) return;
     (void)CampaignStore::writeFileAtomic(opts.metricsOut,
                                          reg->snapshot().toJson() + "\n");
@@ -479,14 +556,17 @@ struct Server::Impl {
     resumeAdopted();
     bool draining = false;
     for (;;) {
-      // Land what finished and refill the freed slots first; the rest of
-      // the bookkeeping waits for the poll clock.  A worker is reaped only
-      // after a wait, so wokeAt is set.
+      // Land what finished and refill the freed workers first; the rest of
+      // the bookkeeping waits for the poll clock.  A request is settled
+      // only after a wait, so wokeAt is set.
       if (reap() > 0) {
         dispatch();
         refillUs->observe(microsSince(wokeAt));
       }
       mergeFinished();
+      // The pool lives only while jobs do.  Every exit below needs an
+      // empty job table, so run() never returns with a worker left.
+      if (jobs.empty()) stopWorkers();
       if (tickDue()) {
         if (!draining) adoptQueued();
         if (store.drainRequested()) draining = true;
@@ -513,17 +593,7 @@ struct Server::Impl {
 
 Server::Server(ServerOptions opts) : impl_(new Impl(std::move(opts))) {}
 
-Server::~Server() {
-  // Join any in-process stragglers so the pool never outlives the store.
-  for (auto& w : impl_->workers) {
-    if (w.thread.joinable()) w.thread.join();
-    if (w.pid >= 0) {
-      int status = 0;
-      (void)::waitpid(w.pid, &status, 0);
-    }
-  }
-  delete impl_;
-}
+Server::~Server() { delete impl_; }
 
 int Server::run() { return impl_->run(); }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +43,21 @@ namespace serve = confail::serve;
 namespace taxonomy = confail::taxonomy;
 using Reduction = confail::sched::ExhaustiveExplorer::Reduction;
 
+#if defined(__SANITIZE_THREAD__)
+#define CONFAIL_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CONFAIL_UNDER_TSAN 1
+#endif
+#endif
+
 namespace {
+
+#if defined(CONFAIL_UNDER_TSAN)
+constexpr bool kUnderTsan = true;
+#else
+constexpr bool kUnderTsan = false;
+#endif
 
 // A scratch spool root, removed on destruction.
 struct TempRoot {
@@ -222,6 +238,43 @@ std::string oneLine(const std::string& doc) {
     while (i + 1 < doc.size() && doc[i + 1] == ' ') ++i;
   }
   return out;
+}
+
+/// A `--worker-bin` that speaks the worker protocol by handing each request
+/// to a one-request real worker, except a request for shard `victim`: on
+/// that one it SIGKILLs itself before replying, every time or (`once`) only
+/// the first time.  Returns its path.
+std::string killingWorker(const fs::path& dir, std::size_t victim,
+                          bool once) {
+  const std::string path = (dir / "killing-worker.sh").string();
+  const std::string marker = (dir / "killed").string();
+  {
+    std::ofstream out(path);
+    out << "#!/bin/sh\n"
+        << "while IFS=' ' read -r id shard; do\n"
+        << "  if [ \"$shard\" = " << victim << " ]"
+        << (once ? " && mkdir '" + marker + "' 2>/dev/null" : "")
+        << "; then kill -KILL $$; fi\n"
+        << "  printf '%s %s\\n' \"$id\" \"$shard\" | '" << CONFAIL_CLI
+        << "' \"$@\" || exit 1\n"
+        << "done\n";
+  }
+  fs::permissions(path, fs::perms::owner_all);
+  return path;
+}
+
+/// True when this process has no child, running or unreaped.  WNOWAIT:
+/// the check reaps nothing, so a daemon running on another thread still
+/// reaps its own workers.
+bool noChildren() {
+  siginfo_t info{};
+  errno = 0;
+  return ::waitid(P_ALL, 0, &info, WEXITED | WNOHANG | WNOWAIT) == -1 &&
+         errno == ECHILD;
+}
+
+void expectNoChildren(const char* when) {
+  EXPECT_TRUE(noChildren()) << "a worker process is left " << when;
 }
 
 }  // namespace
@@ -836,13 +889,7 @@ TEST(Server, WakesOnShardCompletionNotOnPollTimeout) {
 }
 
 TEST(Server, CrashResumeRerunsOnlyMissingShards) {
-#if defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
-#endif
-#endif
+  if (kUnderTsan) GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
   TempRoot root;
   inject::JobSpec spec = smallSpec();
   spec.scenarios = {"fig2", "lock_order"};  // enough shards to die mid-job
@@ -853,17 +900,18 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
 
   const serve::CampaignStore store(root.str());
 
-  // The first daemon's worker: the first shard it is handed lands through
-  // the real worker CLI, and every later one blocks until the kill below.
-  // The daemon is therefore always mid-job, with exactly one shard landed,
-  // when it dies, however fast shards run.
+  // The first daemon's worker: it forwards only the first request it is
+  // handed to a real one-request worker, whose reply lands that shard, and
+  // then blocks holding its channel, leaving every later request unread
+  // until the kill below.  The daemon is therefore always mid-job, with
+  // exactly one shard landed, when it dies, however fast shards run.
   TempRoot scripts;
   const std::string wrapper = (scripts.path / "worker.sh").string();
   {
     std::ofstream out(wrapper);
     out << "#!/bin/sh\n"
-        << "if mkdir '" << (scripts.path / "first").string()
-        << "' 2>/dev/null; then exec '" << CONFAIL_CLI << "' \"$@\"; fi\n"
+        << "IFS= read -r request\n"
+        << "printf '%s\\n' \"$request\" | '" << CONFAIL_CLI << "' \"$@\"\n"
         << "exec sleep 600\n";
   }
   fs::permissions(wrapper, fs::perms::owner_all);
@@ -962,6 +1010,189 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   EXPECT_EQ(slurp(store.findingsPath(id)),
             slurp(cleanStore.findingsPath(id)));
   EXPECT_EQ(slurp(store.sarifPath(id)), slurp(cleanStore.sarifPath(id)));
+}
+
+// A worker killed mid-shard costs that shard one attempt: the daemon sees
+// its channel end, reaps it, and retries the shard on a fresh worker.  A
+// shard killed on both attempts fails alone; the job's other shards land.
+TEST(Server, WorkerKilledMidShardIsReplacedAndRetried) {
+  if (kUnderTsan) GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  const std::size_t total = inject::expandShards(spec).size();
+  const std::size_t victim = 1;
+  ASSERT_GT(total, victim + 1);
+  TempRoot cleanRoot;
+  const std::string id = serve::submitJob(cleanRoot.str(), spec);
+  ASSERT_EQ(serveToIdle(cleanRoot.str(), true), 0);
+  const serve::CampaignStore cleanStore(cleanRoot.str());
+
+  for (const bool once : {true, false}) {
+    SCOPED_TRACE(once ? "killed once" : "killed on both attempts");
+    TempRoot scripts;
+    TempRoot root;
+    ASSERT_EQ(serve::submitJob(root.str(), spec), id);
+    confail::obs::Registry reg;
+    serve::ServerOptions opts;
+    opts.root = root.str();
+    opts.poolSize = once ? 1 : 2;
+    opts.workerBinary = killingWorker(scripts.path, victim, once);
+    opts.exitWhenIdle = true;
+    opts.metrics = &reg;
+    const int rc = serve::Server(std::move(opts)).run();
+    expectNoChildren("after the drain");
+
+    const serve::CampaignStore store(root.str());
+    serve::JobState st;
+    ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+    const std::vector<bool> landed = store.completedShards(id, total);
+    const confail::obs::Snapshot snap = reg.snapshot();
+    if (once) {
+      EXPECT_EQ(rc, 0);
+      EXPECT_EQ(st.status, "completed");
+      EXPECT_EQ(st.shardsDone, total);
+      EXPECT_EQ(st.shardsFailed, 0u);
+      // One worker, killed once: its replacement is the only other start.
+      EXPECT_EQ(snap.counter("serve.workers_started"), 2u);
+      EXPECT_EQ(slurp(store.findingsPath(id)),
+                slurp(cleanStore.findingsPath(id)));
+      EXPECT_EQ(sortedLines(slurp(store.eventsPath(id))),
+                sortedLines(slurp(cleanStore.eventsPath(id))));
+    } else {
+      EXPECT_EQ(rc, 1);
+      EXPECT_EQ(st.status, "failed");
+      EXPECT_EQ(st.shardsFailed, 1u);
+      EXPECT_EQ(st.shardsDone, total - 1);
+      EXPECT_EQ(snap.counter("serve.shards_failed"), 1u);
+      for (std::size_t i = 0; i < total; ++i) {
+        EXPECT_EQ(landed[i], i != victim) << "shard " << i;
+      }
+    }
+  }
+}
+
+// A worker that cannot be started (fork refused) is not an attempt: the
+// shard keeps its retry for a worker that really runs it.
+TEST(Server, FailedWorkerStartDoesNotUseUpARetry) {
+  if (kUnderTsan) GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
+  TempRoot scripts;
+  TempRoot root;
+  const std::string id = serve::submitJob(root.str(), smallSpec());
+  ASSERT_FALSE(id.empty());
+  confail::obs::Registry reg;
+  int forks = 0;
+  serve::ServerOptions opts;
+  opts.root = root.str();
+  opts.poolSize = 1;
+  // The first fork fails, then shard 0's first request is killed: only
+  // the retry, on the next worker, can land it.
+  opts.forkProcess = [&forks]() -> pid_t {
+    if (forks++ == 0) {
+      errno = EAGAIN;
+      return -1;
+    }
+    return ::fork();
+  };
+  opts.workerBinary = killingWorker(scripts.path, 0, /*once=*/true);
+  opts.exitWhenIdle = true;
+  opts.metrics = &reg;
+  EXPECT_EQ(serve::Server(std::move(opts)).run(), 0);
+  EXPECT_EQ(forks, 3);
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "completed");
+  EXPECT_EQ(st.shardsFailed, 0u);
+  EXPECT_EQ(st.shardsDone, st.shardsTotal);
+  EXPECT_EQ(reg.snapshot().counter("serve.workers_started"), 2u);
+}
+
+// The subprocess pool lives only while jobs are in flight, and every way
+// the daemon stops reaps it before run() returns: idle exit, a drain
+// request, maxJobs.  The destructor of a Server whose run() ended early by
+// an exception, with a worker mid-shard, reaps it too.
+TEST(Server, LeavesNoWorkerProcessBehind) {
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  const auto options = [](const std::string& root,
+                          confail::obs::Registry& reg) {
+    serve::ServerOptions opts;
+    opts.root = root;
+    opts.poolSize = 2;
+    opts.workerBinary = CONFAIL_CLI;
+    opts.metrics = &reg;
+    return opts;
+  };
+
+  {
+    TempRoot root;
+    ASSERT_FALSE(serve::submitJob(root.str(), spec).empty());
+    confail::obs::Registry reg;
+    serve::ServerOptions opts = options(root.str(), reg);
+    opts.exitWhenIdle = true;
+    serve::Server server(std::move(opts));
+    EXPECT_EQ(server.run(), 0);
+    expectNoChildren("after an idle exit");
+    EXPECT_EQ(reg.snapshot().counter("serve.workers_started"), 2u);
+  }
+  {
+    // A daemon serving until drained: once its only job completes it holds
+    // no worker while it idles, and the drain ends it.
+    TempRoot root;
+    const std::string id = serve::submitJob(root.str(), spec);
+    ASSERT_FALSE(id.empty());
+    confail::obs::Registry reg;
+    serve::Server server(options(root.str(), reg));
+    int rc = -1;
+    std::thread daemon([&] {
+      rc = server.run();
+      expectNoChildren("after a drain");
+    });
+    serve::JobState st;
+    for (int spin = 0; spin < 5000; ++spin) {
+      if (serve::jobStatus(root.str(), id, st) && st.status == "completed" &&
+          noChildren()) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(st.status, "completed");
+    expectNoChildren("while the daemon idles");
+    ASSERT_TRUE(serve::requestDrain(root.str()));
+    daemon.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(reg.snapshot().counter("serve.workers_started"), 2u);
+  }
+  {
+    TempRoot root;
+    ASSERT_FALSE(serve::submitJob(root.str(), spec).empty());
+    confail::obs::Registry reg;
+    serve::ServerOptions opts = options(root.str(), reg);
+    opts.maxJobs = 1;
+    serve::Server server(std::move(opts));
+    EXPECT_EQ(server.run(), 0);
+    expectNoChildren("after maxJobs");
+  }
+  {
+    // The second worker's start throws out of run(): the first is busy
+    // with a shard when ~Server stops the pool.
+    TempRoot root;
+    ASSERT_FALSE(serve::submitJob(root.str(), spec).empty());
+    confail::obs::Registry reg;
+    serve::ServerOptions opts = options(root.str(), reg);
+    opts.exitWhenIdle = true;
+    int forks = 0;
+    opts.forkProcess = [&forks]() -> pid_t {
+      if (forks++ == 1) throw std::runtime_error("no second worker");
+      return ::fork();
+    };
+    {
+      serve::Server server(std::move(opts));
+      EXPECT_THROW(server.run(), std::runtime_error);
+      EXPECT_EQ(reg.snapshot().counter("serve.workers_started"), 1u);
+    }
+    EXPECT_EQ(forks, 2);
+    expectNoChildren("after ~Server on an early return");
+  }
 }
 
 TEST(Server, SidecarWithoutHeaderRerunsTheShard) {

@@ -2,23 +2,31 @@
 //
 //   serve   --root DIR [--pool N] [--in-process] [--exit-when-idle]
 //           [--max-jobs N] [--poll-ms N] [--metrics-out FILE]
+//           [--worker-bin PATH]
 //       Run the campaign daemon over a spool directory: adopt queued
-//       confail.job.v1 specs, fan their shards across a pool of `confail
-//       worker` subprocesses, checkpoint every shard, merge finished jobs
-//       into findings/SARIF/matrix documents.  Resumable: restarting over
-//       the same root (even after SIGKILL) re-runs only missing shards.
-//       The daemon wakes the moment a worker exits; --poll-ms (default 25)
-//       only bounds how long it waits before rescanning queue/ and the
-//       drain marker, and how often a running job's state.json and
-//       --metrics-out are rewritten.
+//       confail.job.v1 specs, fan their shards across a pool of up to N
+//       persistent `confail worker --root DIR` subprocesses (threads with
+//       --in-process), checkpoint every shard, merge finished jobs into
+//       findings/SARIF/matrix documents.  Workers start as shards need
+//       them and all exit when no job is in flight.  Resumable: restarting
+//       over the same root (even after SIGKILL) re-runs only missing
+//       shards.  The daemon wakes the moment a worker replies; --poll-ms
+//       (default 25) only bounds how long it waits before rescanning
+//       queue/ and the drain marker, and how often a running job's
+//       state.json and --metrics-out are rewritten.
 //
 //   worker  --job FILE --shard N --out FILE
 //       Execute one shard of a job spec and write it as two files, each
 //       atomically: first its captured run as raw JSONL to the sidecar
 //       (FILE with ".json" replaced by ".events.jsonl"), then the
-//       confail.shard.v2 header to FILE, which commits the pair.  This is
-//       the subprocess the daemon forks; it is a public verb so a shard
-//       can be reproduced by hand.
+//       confail.shard.v2 header to FILE, which commits the pair.  A public
+//       verb so a shard can be reproduced by hand; it writes the same
+//       bytes as the daemon's workers.
+//
+//   worker  --root DIR
+//       The daemon's persistent worker: read "<job-id> <shard>" requests
+//       from stdin, run each shard into the spool under DIR, and reply
+//       "<shard> ok" or "<shard> failed" on stdout, until stdin ends.
 //
 //   submit  --root DIR (--job FILE | --name N [--scenario S]...
 //           [--class C]... [--reduction R]... [exploration flags])
@@ -37,16 +45,18 @@
 //
 // Exit codes follow the cli.hpp convention: 0 clean, 1 findings/failures
 // (a failed job, unfinished results), 2 usage, 3 internal/IO error.
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cli.hpp"
-#include "confail/events/trace.hpp"
 #include "confail/inject/job_spec.hpp"
 #include "confail/serve/client.hpp"
 #include "confail/serve/server.hpp"
 #include "confail/serve/store.hpp"
+#include "confail/serve/worker.hpp"
 
 namespace confail::cli {
 
@@ -74,8 +84,11 @@ int usageWorker(const char* prog) {
   std::fprintf(stderr,
                "usage: %s --job FILE --shard N --out FILE\n"
                "  writes the shard's events to FILE's .events.jsonl "
-               "sidecar, then its header to FILE\n",
-               prog);
+               "sidecar, then its header to FILE\n"
+               "       %s --root DIR\n"
+               "  serves '<job-id> <shard>' requests from stdin, replying "
+               "'<shard> ok|failed'\n",
+               prog, prog);
   return 2;
 }
 
@@ -181,6 +194,7 @@ int cmdServe(const char* prog, int argc, char** argv) {
 }
 
 int cmdWorker(const char* prog, int argc, char** argv) {
+  std::string root;
   std::string jobPath;
   std::string outPath;
   std::uint64_t shardIndex = 0;
@@ -188,7 +202,11 @@ int cmdWorker(const char* prog, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return flagValue(i, argc, argv); };
-    if (arg == "--job") {
+    if (arg == "--root") {
+      const char* v = next();
+      if (v == nullptr) return usageWorker(prog);
+      root = v;
+    } else if (arg == "--job") {
       const char* v = next();
       if (v == nullptr) return usageWorker(prog);
       jobPath = v;
@@ -206,40 +224,18 @@ int cmdWorker(const char* prog, int argc, char** argv) {
       return usageWorker(prog);
     }
   }
-  if (jobPath.empty() || outPath.empty() || !haveShard) {
+  const bool oneShot = !jobPath.empty() || !outPath.empty() || haveShard;
+  if (!root.empty() && !oneShot) {
+    return serve::serveShardRequests(root, STDIN_FILENO, STDOUT_FILENO);
+  }
+  if (!root.empty() || jobPath.empty() || outPath.empty() || !haveShard) {
     return usageWorker(prog);
   }
-  try {
-    std::string text;
-    if (!readWholeFile(jobPath, text)) {
-      std::fprintf(stderr, "%s: cannot read %s\n", prog, jobPath.c_str());
-      return 3;
-    }
-    inject::JobSpec spec;
-    std::string error;
-    if (!inject::JobSpec::parse(text, spec, error)) {
-      std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-      return 2;
-    }
-    const std::vector<inject::ShardSpec> shards = inject::expandShards(spec);
-    if (shardIndex >= shards.size()) {
-      std::fprintf(stderr, "%s: shard %llu out of range (job has %zu)\n",
-                   prog, static_cast<unsigned long long>(shardIndex),
-                   shards.size());
-      return 2;
-    }
-    events::Trace run;
-    const inject::ShardResult result = inject::runShard(
-        spec, shards[static_cast<std::size_t>(shardIndex)], {}, run);
-    if (!serve::CampaignStore::writeShardFile(outPath, result, &run)) {
-      std::fprintf(stderr, "%s: cannot write %s\n", prog, outPath.c_str());
-      return 3;
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", prog, e.what());
-    return 3;
-  }
+  std::string error;
+  const int rc = serve::ShardWorker().run(
+      jobPath, static_cast<std::size_t>(shardIndex), outPath, error);
+  if (rc != 0) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
+  return rc;
 }
 
 int cmdSubmit(const char* prog, int argc, char** argv) {
