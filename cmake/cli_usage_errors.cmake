@@ -2,7 +2,8 @@
 # truncation or a silently dropped flag.  Two groups:
 #
 #   numbers   malformed or out-of-range numeric values in every verb that
-#             takes them (explore, inject, submit, fuzz, ingest, trace)
+#             takes them (explore, inject, submit, fuzz, ingest, worker,
+#             trace)
 #   campaign  `inject --campaign` with a single-plan-only flag, and
 #             single-plan `inject` with a campaign-only flag; a campaign
 #             (inject --campaign, or submit by flags or --job) whose grid
@@ -37,6 +38,7 @@ if(GROUP STREQUAL "numbers")
     "fuzz|--seeds|3x"
     "fuzz|--seeds|0..4x"
     "ingest|--idle-stop-ms|4294967296|${WORK_DIR}/empty"
+    "worker|--job|${WORK_DIR}/empty|--shard|1x|--out|${WORK_DIR}/out-shard"
     "trace|validate|${WORK_DIR}/empty|7x")
 elseif(GROUP STREQUAL "campaign")
   set(cases "")

@@ -22,8 +22,19 @@
 // completing or failing a job, and failing a shard, write state.json at
 // once.
 //
+// Each pool slot has a scratch buffer, a memfd the daemon opens with the
+// worker and reuses for every shard it runs: the worker writes the shard's
+// captured run there and replies with the shard's header, and the daemon
+// lands it (CampaignStore::landShard): it copies the buffer onto the job's
+// events.jsonl and only then appends the header, with the segment's offset,
+// as the shard's line in journal.jsonl.  The journal line is the commit
+// point, and a shard counts as landed only when both writes succeeded.  A
+// buffer holds at most one shard's events, unmapped, and is emptied as soon
+// as they are landed.
+//
 // Workers are subprocesses by default (`<self> worker --root DIR`, the
-// channel on its stdin and stdout), so a shard that crashes or is killed
+// channel on its stdin and stdout, the buffer on fd 3), so a shard that
+// crashes or is killed
 // takes down only its own process: the daemon sees the channel end, reaps
 // the worker, charges the shard's request as one attempt, retries it once
 // on another or a fresh worker, and otherwise records the shard as failed
@@ -32,16 +43,15 @@
 // in-process pool (the same worker loop on threads) backs tests and
 // sanitizer builds where fork+exec is unavailable or unsafe.
 //
-// Resume is structural, not transactional: a shard is complete iff it has
-// landed (its header parses and its events sidecar has the size the header
-// names; see store.hpp), so a daemon restarted over an existing root —
-// including after SIGKILL — re-expands each unfinished job and dispatches
-// only the missing shards.  Landed shard files are never rewritten, and
-// each is journaled exactly once.  Landing a shard reads only its small
-// header: the daemon keeps the parsed result (which has no events) in
-// memory and merges from there, never re-reading the spool, and appends
-// the sidecar to the job's events.jsonl feed through a fixed 64 KB buffer
-// without parsing it.
+// Resume is structural: a shard is complete iff its line is in the
+// journal's valid prefix (see store.hpp), so a daemon restarted over an
+// existing root — including after SIGKILL — re-expands each unfinished
+// job, cuts the journal and the feed back to that prefix, and dispatches
+// only the missing shards.  A landed shard's line and segment are never
+// rewritten, and each shard is journaled exactly once.  The daemon keeps
+// each landed shard's parsed header (which has no events) in memory and
+// merges from there, never re-reading the spool, and it never holds a
+// shard's events itself: the kernel copies them from buffer to feed.
 //
 // Observability: progress counters live in an obs::Registry
 // (serve.jobs_adopted, serve.shards_completed, serve.shards_failed,
@@ -49,8 +59,9 @@
 // serve.workers_started = the pool size on a clean drain plus one per
 // replaced worker, serve.events_bytes = bytes appended to the feeds,
 // gauges serve.jobs_active / serve.workers_busy, histograms serve.land_us
-// = µs to land one shard and serve.refill_us = µs from a wake that
-// settled requests to the end of its dispatch).  They are snapshot to
+// = µs to land one shard: reply parse + feed copy + journal line, and
+// serve.refill_us = µs from a wake that settled requests to the end of
+// its dispatch).  They are snapshot to
 // `metricsOut` at most once per pollMs and at exit.
 #pragma once
 
@@ -76,7 +87,8 @@ struct ServerOptions {
   bool subprocess = true;
   /// Worker binary; empty = /proc/self/exe (the running confail binary).
   /// Started as `<bin> worker --root <root>`, it must speak the request
-  /// protocol of worker.hpp on stdin/stdout.
+  /// protocol of worker.hpp on stdin/stdout and write each shard's events
+  /// into the buffer on fd 3.
   std::string workerBinary;
   /// How a subprocess worker is forked; empty = fork(2).  A test puts a
   /// failing one here to stand for fork pressure.

@@ -9,33 +9,35 @@
 //     jobs/<job-id>/
 //       job.json                 the adopted canonical spec
 //       state.json               confail.jobstate.v1 progress summary
-//       shards/shard-NNNN.events.jsonl
-//                                a done shard's captured run, raw JSONL
-//                                (obs::toJsonl bytes, no JSON escaping)
-//       shards/shard-NNNN.json   its confail.shard.v2 header: the result
-//                                without events, plus `events_bytes`, the
-//                                sidecar's size
-//       journal.jsonl            append-only completion log, exactly one
-//                                line per landed shard across crashes: the
-//                                daemon journals a shard when it reaps it,
-//                                and at adoption journals any landed shard
-//                                the log lacks (a daemon killed between the
-//                                header landing and the journal line)
 //       events.jsonl             heartbeat feed: every landed shard's
-//                                sidecar appended verbatim (`confail
-//                                ingest` consumes this directly)
+//                                captured run as raw JSONL (obs::toJsonl
+//                                bytes), one contiguous segment per shard
+//                                (`confail ingest` consumes this directly)
+//       journal.jsonl            append-only landing log, one line per
+//                                landed shard: its confail.shard.v3 header
+//                                plus `events_offset`, where its segment
+//                                starts in events.jsonl (`events_bytes` is
+//                                the segment's size)
 //       findings.json            merged confail.findings.v1 (on completion)
 //       findings.sarif           merged SARIF 2.1.0
 //       matrix.json              merged confail.injection.v1 matrix
 //
-// Every file the store writes lands via write-to-temp + rename in the same
+// A job directory holds these seven files and no more, whatever its shard
+// count.  Landing a shard appends its segment to events.jsonl, then its
+// line to journal.jsonl: the journal line is the commit point.  A shard is
+// *landed* iff its line is in the journal's valid prefix: whole lines that
+// parse as confail.shard.v3 with an offset, each for a shard in range and
+// not yet landed, each segment starting where the previous one ended and
+// lying inside the feed, ending in a newline.  Reading stops at the first
+// line that breaks the rule (a torn last line, or the `{"shard": N}` lines
+// of an older spool, which therefore re-runs), and adoption cuts both files
+// back to the prefix: feed bytes past the last journaled segment (a daemon
+// killed between the copy and the line) are truncated away, so every
+// landed shard's events appear in the feed exactly once.
+//
+// The other documents land via write-to-temp + rename in the same
 // directory, so readers (including a daemon resuming after SIGKILL) only
-// ever see absent or complete documents.  A shard writer removes any old
-// header, lands the sidecar, then the header: the header is the commit
-// point.  A shard is *landed* iff its header parses as confail.shard.v2
-// and its sidecar's size equals the header's `events_bytes`; anything else
-// (a v1 document, a sidecar without a header, a header whose sidecar is
-// missing, short or long) is not landed, and the shard runs again.
+// ever see absent or complete documents.
 //
 // Job ids are content-derived (`<name>-<hash of the canonical spec JSON>`),
 // so re-submitting the same spec is idempotent: same id, same queue file,
@@ -115,9 +117,6 @@ class CampaignStore {
   // -- paths ---------------------------------------------------------------
 
   std::string jobDir(const std::string& id) const;
-  std::string shardPath(const std::string& id, std::size_t index) const;
-  /// Shard `index`'s events sidecar: sidecarPathFor(shardPath(id, index)).
-  std::string shardEventsPath(const std::string& id, std::size_t index) const;
   std::string statePath(const std::string& id) const;
   std::string journalPath(const std::string& id) const;
   std::string eventsPath(const std::string& id) const;
@@ -125,72 +124,102 @@ class CampaignStore {
   std::string sarifPath(const std::string& id) const;
   std::string matrixPath(const std::string& id) const;
 
-  // -- shard persistence ---------------------------------------------------
+  // -- shard headers -------------------------------------------------------
 
-  /// The events sidecar of the shard header at `headerPath`: the path with
-  /// a trailing ".json" replaced by ".events.jsonl" (appended otherwise).
-  static std::string sidecarPathFor(const std::string& headerPath);
-
-  /// Serialize one shard header (schema confail.shard.v2): every field of
-  /// the result but its events, and events_bytes = r.eventsJsonl.size().
-  /// The injection plan is not on the wire: parsing reconstructs it with
-  /// defaultPlanFor, which is deterministic in (class, scenario).
-  static std::string shardToJson(const inject::ShardResult& r);
-  /// Parse a shard header.  out.eventsJsonl stays empty; `eventsBytes`
-  /// receives the sidecar size the header commits to.
+  /// Serialize one shard header on one line (schema confail.shard.v3):
+  /// every field of the result but its events, and events_bytes, the size
+  /// of its captured run.  The injection plan is not on the wire: parsing
+  /// reconstructs it with defaultPlanFor, which is deterministic in
+  /// (class, scenario).
+  static std::string shardToJson(const inject::ShardResult& r,
+                                 std::uint64_t eventsBytes);
+  /// Parse a shard header (a worker's reply, a shard file's first line).
+  /// out.eventsJsonl stays empty; `eventsBytes` receives the events' size.
+  /// A header that already names an events_offset is rejected.
   static bool shardFromJson(const std::string& json, inject::ShardResult& out,
                             std::uint64_t& eventsBytes, std::string& error);
 
-  /// Write one shard as a sidecar + header pair, header at `path`: remove
-  /// the old header, land the events sidecar (sidecarPathFor(path)), then
-  /// the header.  Given `run` (the shard's captured run, from the runShard
-  /// overload that takes a trace), the sidecar is streamed from it one
-  /// event line at a time, so the payload is never held as one string;
-  /// otherwise it is r.eventsJsonl.  Either way the sidecar holds
-  /// obs::toJsonl(*run) and the header is shardToJson of the result whose
-  /// eventsJsonl that is, plus "\n".
-  static bool writeShardFile(const std::string& path,
-                             const inject::ShardResult& r,
-                             const events::Trace* run = nullptr);
+  /// Stream `run`'s JSONL (obs::toJsonl bytes, one event line at a time,
+  /// never the whole payload as one string) into `fd` from offset 0, after
+  /// truncating it: a scratch buffer reused for every shard.  `bytes`
+  /// receives the size written.
+  static bool writeEvents(int fd, const events::Trace& run,
+                          std::uint64_t& bytes);
 
-  /// writeShardFile into shard r.spec.index of job `id`.
-  bool writeShard(const std::string& id, const inject::ShardResult& r,
-                  const events::Trace* run = nullptr) const;
+  /// Write the one-file form of a shard at `path` (write-to-temp + rename):
+  /// `header`, a newline, then everything in `eventsFd` (`confail worker
+  /// --out`).
+  static bool writeShardFile(const std::string& path, const std::string& header,
+                             int eventsFd);
 
-  /// True when shard `index` has landed: fills `out` from its header alone
-  /// (no events) and `eventsBytes` with its sidecar's size.
-  bool readShardHeader(const std::string& id, std::size_t index,
-                       inject::ShardResult& out,
-                       std::uint64_t& eventsBytes) const;
+  // -- the journal ---------------------------------------------------------
 
-  /// readShardHeader that also loads the sidecar into out.eventsJsonl.
+  /// One shard's bytes in events.jsonl.
+  struct Segment {
+    std::uint64_t offset = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  /// One landed shard, as its journal line records it.
+  struct Landing {
+    inject::ShardResult result;  ///< without its events
+    Segment segment;
+  };
+
+  /// Where the next landing goes: the end of the journal's valid prefix
+  /// and of the last segment it commits.
+  struct JournalEnd {
+    std::uint64_t journal = 0;
+    std::uint64_t feed = 0;
+  };
+
+  /// The journal's valid prefix (see the layout comment above).
+  struct Journal {
+    std::vector<Landing> landings;  ///< in landing order
+    JournalEnd end;
+  };
+
+  /// Parse one journal line (without its newline): a shard header plus
+  /// events_offset.  Checks the line alone, not its place in the feed.
+  static bool landingFromJson(const std::string& line, Landing& out,
+                              std::string& error);
+
+  /// Read job `id`'s journal up to the first line that does not commit a
+  /// landing: shard indexes must be below `count`.
+  Journal readJournal(const std::string& id,
+                      std::size_t count = static_cast<std::size_t>(-1)) const;
+
+  /// Cut journal.jsonl and events.jsonl back to `end` where they are
+  /// longer: a torn last line and feed bytes no line commits go.  False
+  /// when a file that needs cutting cannot be cut.
+  bool truncateJournal(const std::string& id, const JournalEnd& end) const;
+
+  /// Land one shard of job `id`: copy the `eventsBytes` bytes of `eventsFd`
+  /// (from offset 0; the fd must hold exactly that many, ending in a
+  /// newline) onto events.jsonl at end.feed, then append `header` with the
+  /// segment's offset as the shard's line at end.journal.  The bytes are
+  /// copied by the kernel, never held as a string.  Only a whole landing
+  /// counts: on any failure both files are cut back to `end` and false is
+  /// returned; on success `end` moves past the new segment and line.
+  bool landShard(const std::string& id, const std::string& header,
+                 int eventsFd, std::uint64_t eventsBytes,
+                 JournalEnd& end) const;
+
+  /// Read one segment of job `id`'s feed into `out`.
+  bool readSegment(const std::string& id, const Segment& segment,
+                   std::string& out) const;
+
+  /// True when shard `index` has landed: fills `out` from its journal line
+  /// and out.eventsJsonl from its feed segment.  It reads the whole
+  /// journal: a reader of every shard calls readJournal once and
+  /// readSegment per shard instead.
   bool readShard(const std::string& id, std::size_t index,
                  inject::ShardResult& out) const;
-
-  /// completed[i] == true iff shard i has landed.
-  std::vector<bool> completedShards(const std::string& id,
-                                    std::size_t count) const;
 
   // -- job metadata --------------------------------------------------------
 
   bool writeState(const std::string& id, const JobState& st) const;
   bool readState(const std::string& id, JobState& out) const;
-
-  /// Append one completion line to journal.jsonl ({"shard": N}).
-  bool journalShard(const std::string& id, std::size_t index) const;
-
-  /// journaled[i] == true iff journal.jsonl has a line for shard i.
-  std::vector<bool> journaledShards(const std::string& id,
-                                    std::size_t count) const;
-
-  /// Append the first `eventsBytes` bytes of shard `index`'s sidecar to
-  /// the job's heartbeat feed through one fixed 64 KB buffer (no parse, no
-  /// string), ending them with a newline if they lack one.  `appended`
-  /// receives the bytes written to the feed.  False when the sidecar is
-  /// shorter than `eventsBytes` or on I/O failure.
-  bool appendShardEvents(const std::string& id, std::size_t index,
-                         std::uint64_t eventsBytes,
-                         std::uint64_t& appended) const;
 
   // -- primitives ----------------------------------------------------------
 

@@ -34,6 +34,8 @@ using inject::ShardSpec;
 namespace {
 
 constexpr int kMaxAttempts = 2;  ///< one retry per shard before giving up
+/// No reply line is longer: a worker sending more has broken the protocol.
+constexpr std::size_t kMaxReplyBytes = 16u << 20;
 
 void closeFd(int& fd) {
   if (fd >= 0) ::close(fd);
@@ -80,6 +82,8 @@ struct Server::Impl {
     /// Requests for each shard that reached a worker.
     std::vector<int> attempts;
     std::deque<std::size_t> pending;
+    /// Where the next landing's segment and journal line go.
+    CampaignStore::JournalEnd end;
     std::size_t inFlight = 0;
     std::uint64_t failed = 0;
     /// Shards landed since state.json was last written: it is rewritten
@@ -91,6 +95,7 @@ struct Server::Impl {
   /// the other end of `fd` (see worker.hpp).
   struct Worker {
     int fd = -1;         ///< the daemon's end of the worker's socketpair
+    int events = -1;     ///< the scratch buffer it writes each shard's run to
     pid_t pid = -1;      ///< subprocess mode
     std::thread thread;  ///< in-process mode
     bool busy = false;   ///< a request for (jobId, shardIndex) is out
@@ -158,35 +163,26 @@ struct Server::Impl {
     jr.done.assign(n, false);
     jr.results.resize(n);
     jr.attempts.assign(n, 0);
-    // Resume criterion: a shard that landed (its header parses and its
-    // sidecar has the size the header names) was completed by an earlier
-    // daemon run and is never re-executed.  One killed between a shard
-    // landing and journaling it left the journal short: record such a
-    // landing now, so each shard is journaled once.
-    const std::vector<bool> journaled = store.journaledShards(id, n);
+    // Resume criterion: a shard whose line is in the journal's valid prefix
+    // was landed by an earlier daemon run and is never re-executed.  What
+    // follows the prefix (a torn line, feed bytes a daemon killed before
+    // the line copied) is cut away, so those shards run again and land
+    // their events once.
+    CampaignStore::Journal journal = store.readJournal(id, n);
+    if (!store.truncateJournal(id, journal.end)) {
+      failJob(id, &jr.spec);
+      return;
+    }
+    jr.end = journal.end;
+    for (CampaignStore::Landing& l : journal.landings) {
+      keep(jr, l.result.spec.index, std::move(l.result));
+    }
     for (std::size_t i = 0; i < n; ++i) {
-      ShardResult r;
-      std::uint64_t bytes = 0;
-      if (!store.readShardHeader(id, i, r, bytes)) {
-        jr.pending.push_back(i);
-        continue;
-      }
-      if (!journaled[i]) recordLanding(id, i, bytes);
-      keep(jr, i, std::move(r));
+      if (!jr.done[i]) jr.pending.push_back(i);
     }
     publishState(id, jr, "running");
     jobsAdopted->inc();
     jobs.emplace(id, std::move(jr));
-  }
-
-  /// Journal a landed shard and append its sidecar to the job's heartbeat
-  /// feed (journal first: a journaled shard is never recorded again).
-  void recordLanding(const std::string& id, std::size_t index,
-                     std::uint64_t sidecarBytes) const {
-    (void)store.journalShard(id, index);
-    std::uint64_t appended = 0;
-    (void)store.appendShardEvents(id, index, sidecarBytes, appended);
-    eventsBytes->add(appended);
   }
 
   /// Keep a landed shard's header for the merge, which never reads events.
@@ -257,6 +253,18 @@ struct Server::Impl {
     }
     Worker w;
     w.fd = sv[0];
+    // Opened after the socketpair took the lowest free fds, the buffer is
+    // never fd 0 or 1.
+    w.events = openEventsBuffer();
+    const auto abandon = [&] {
+      ::close(sv[0]);
+      ::close(sv[1]);
+      closeFd(w.events);
+    };
+    if (w.events < 0) {
+      abandon();
+      return false;
+    }
     if (opts.subprocess) {
       std::string bin =
           opts.workerBinary.empty() ? "/proc/self/exe" : opts.workerBinary;
@@ -269,17 +277,19 @@ struct Server::Impl {
       try {
         pid = opts.forkProcess ? opts.forkProcess() : ::fork();
       } catch (...) {
-        ::close(sv[0]);
-        ::close(sv[1]);
+        abandon();
         throw;
       }
       if (pid == 0) {
-        // The worker's end becomes its stdin and stdout.  dup2 clears
-        // close-on-exec on the copies; an end that already is fd 0 or 1
-        // (a daemon started with them closed) needs it cleared by hand.
+        // The worker's end becomes its stdin and stdout, its scratch buffer
+        // fd 3.  dup2 clears close-on-exec on the copies; an fd already in
+        // place (a daemon started with fds 0 and 1 closed) needs it
+        // cleared by hand.  The channel goes first: its end may be fd 3.
         if (sv[1] <= STDOUT_FILENO) ::fcntl(sv[1], F_SETFD, 0);
+        if (w.events == kEventsFd) ::fcntl(w.events, F_SETFD, 0);
         if (::dup2(sv[1], STDIN_FILENO) < 0 ||
-            ::dup2(sv[1], STDOUT_FILENO) < 0) {
+            ::dup2(sv[1], STDOUT_FILENO) < 0 ||
+            (w.events != kEventsFd && ::dup2(w.events, kEventsFd) < 0)) {
           ::_exit(127);
         }
         ::execv(bin.c_str(), argv);
@@ -288,14 +298,16 @@ struct Server::Impl {
       ::close(sv[1]);
       if (pid < 0) {
         ::close(sv[0]);
+        closeFd(w.events);
         return false;
       }
       w.pid = pid;
     } else {
       try {
-        w.thread = std::thread([root = opts.root, fd = sv[1]] {
+        w.thread = std::thread([root = opts.root, fd = sv[1],
+                                events = w.events] {
           try {
-            (void)serveShardRequests(root, fd, fd);
+            (void)serveShardRequests(root, fd, fd, events);
           } catch (...) {
             // Closing the channel reports it: the daemon charges the shard
             // in flight as if a worker process had died.
@@ -303,8 +315,7 @@ struct Server::Impl {
           ::close(fd);
         });
       } catch (const std::system_error&) {
-        ::close(sv[0]);
-        ::close(sv[1]);
+        abandon();
         return false;
       }
     }
@@ -319,12 +330,14 @@ struct Server::Impl {
   static void stopWorker(Worker& w, bool kill) {
     closeFd(w.fd);
     if (w.thread.joinable()) w.thread.join();
-    if (w.pid < 0) return;
-    if (kill) ::kill(w.pid, SIGKILL);
-    int status = 0;
-    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
+    if (w.pid >= 0) {
+      if (kill) ::kill(w.pid, SIGKILL);
+      int status = 0;
+      while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      w.pid = -1;
     }
-    w.pid = -1;
+    closeFd(w.events);
   }
 
   /// Stop the whole pool: every channel closes first, so the workers exit
@@ -385,14 +398,28 @@ struct Server::Impl {
     }
   }
 
+  /// Land the shard a worker answered with `header` (nullptr: it failed
+  /// or died) from its scratch buffer `events`: parse the header, copy the
+  /// events onto the feed, journal it.  A shard counts as landed only when
+  /// all of that succeeded; otherwise it is retried once, then failed.
   void onShardDone(const std::string& id, JobRun& jr, std::size_t index,
-                   bool workerOk) {
+                   const std::string* header, int events) {
     --jr.inFlight;
     const auto t0 = std::chrono::steady_clock::now();
     ShardResult r;
     std::uint64_t bytes = 0;
-    if (workerOk && store.readShardHeader(id, index, r, bytes)) {
-      recordLanding(id, index, bytes);
+    std::string error;
+    const bool landed =
+        header != nullptr &&
+        CampaignStore::shardFromJson(*header, r, bytes, error) &&
+        r.spec.index == index &&
+        r.spec.describe() == jr.shards[index].describe() &&
+        store.landShard(id, *header, events, bytes, jr.end);
+    // The buffer's pages go back now, not when the worker's next shard
+    // overwrites them.
+    if (events >= 0) (void)::ftruncate(events, 0);
+    if (landed) {
+      eventsBytes->add(bytes);
       keep(jr, index, std::move(r));
       landUs->observe(microsSince(t0));
       shardsCompleted->inc();
@@ -408,42 +435,47 @@ struct Server::Impl {
     publishState(id, jr, "running");
   }
 
-  /// The worker's request is answered (`ok`) or lost: land or re-queue it.
-  void finishRequest(Worker& w, bool ok) {
+  /// The worker's request is answered (`header`: ok) or lost: land or
+  /// re-queue it.
+  void finishRequest(Worker& w, const std::string* header) {
     w.busy = false;
     auto it = jobs.find(w.jobId);
-    if (it != jobs.end()) onShardDone(w.jobId, it->second, w.shardIndex, ok);
+    if (it != jobs.end()) {
+      onShardDone(w.jobId, it->second, w.shardIndex, header, w.events);
+    }
   }
 
   /// Read what a readable worker sent.  Returns false when the worker is
   /// finished with: its channel ended (it died, or was killed) or it broke
   /// the protocol.  `answered` counts the requests it settled.
   bool readReplies(Worker& w, std::size_t& answered) {
-    char buf[256];
+    char buf[64 * 1024];
     const ssize_t n = ::recv(w.fd, buf, sizeof buf, MSG_DONTWAIT);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
       return true;
     }
     if (n > 0) {
+      const std::size_t scanned = w.replies.size();
       w.replies.append(buf, static_cast<std::size_t>(n));
-      bool broken = w.replies.size() > sizeof buf;  // no reply is this long
-      for (std::size_t eol;
-           !broken && (eol = w.replies.find('\n')) != std::string::npos;) {
+      bool broken = false;
+      for (std::size_t from = scanned, eol;
+           !broken && (eol = w.replies.find('\n', from)) != std::string::npos;
+           from = 0) {
         const std::string line = w.replies.substr(0, eol);
         w.replies.erase(0, eol + 1);
-        const std::string prefix = std::to_string(w.shardIndex) + " ";
-        const bool ok = line == prefix + "ok";
-        broken = !w.busy || (!ok && line != prefix + "failed");
+        bool ok = false;
+        std::string header;
+        broken = !w.busy || !parseReply(line, w.shardIndex, ok, header);
         if (broken) break;
-        finishRequest(w, ok);
+        finishRequest(w, ok ? &header : nullptr);
         ++answered;
       }
-      if (!broken) return true;
+      if (!broken && w.replies.size() <= kMaxReplyBytes) return true;
     }
-    // End of the channel, or a reply nobody asked for: the in-flight
-    // request (if any) is charged as a crash.
+    // End of the channel, or a reply nobody asked for or too long: the
+    // in-flight request (if any) is charged as a crash.
     if (w.busy) {
-      finishRequest(w, false);
+      finishRequest(w, nullptr);
       ++answered;
     }
     return false;

@@ -1,10 +1,11 @@
 #include "confail/serve/store.hpp"
 
 #include <fcntl.h>
+#include <sys/sendfile.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <functional>
 #include <string_view>
 #include <system_error>
+#include <unordered_set>
 #include <utility>
 
 #include "confail/obs/json.hpp"
@@ -44,12 +46,6 @@ std::string hex16(std::uint64_t v) {
     v >>= 4;
   }
   return out;
-}
-
-std::string shardFileName(std::size_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "shard-%04zu.json", index);
-  return buf;
 }
 
 bool ensureDir(const fs::path& p) {
@@ -99,12 +95,41 @@ bool boolOf(const obs::JsonValue& doc, const std::string& key) {
   return v != nullptr && v->boolean;
 }
 
-/// The one confail.shard.v2 serializer: a shard header whose events sidecar
-/// holds `eventsBytes` bytes.
+/// `doc[key]` as an exact uint64; false when absent or not one.
+bool exactCount(const obs::JsonValue& doc, const char* key,
+                std::uint64_t& out) {
+  const obs::JsonValue* v = doc.get(key);
+  if (v == nullptr || !v->isNumber() || v->number < 0 ||
+      v->number >= 18446744073709551616.0 ||
+      v->number != std::floor(v->number)) {
+    return false;
+  }
+  out = static_cast<std::uint64_t>(v->number);
+  return true;
+}
+
+/// JsonWriter's pretty print on one line: every newline in its output is
+/// structural (strings escape theirs), so each newline and the indent
+/// after it become one space.
+std::string oneLine(const std::string& doc) {
+  std::string out;
+  out.reserve(doc.size());
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    if (doc[i] != '\n') {
+      out += doc[i];
+      continue;
+    }
+    out += ' ';
+    while (i + 1 < doc.size() && doc[i + 1] == ' ') ++i;
+  }
+  return out;
+}
+
+/// The one confail.shard.v3 serializer.
 std::string renderHeader(const ShardResult& r, std::uint64_t eventsBytes) {
   obs::JsonWriter w;
   w.beginObject();
-  w.field("schema", "confail.shard.v2");
+  w.field("schema", "confail.shard.v3");
   w.field("index", static_cast<std::uint64_t>(r.spec.index));
   w.field("control", r.spec.control);
   w.field("scenario", r.spec.scenario);
@@ -166,7 +191,7 @@ std::string renderHeader(const ShardResult& r, std::uint64_t eventsBytes) {
   w.endArray();
   w.field("events_bytes", eventsBytes);
   w.endObject();
-  return w.str();
+  return oneLine(w.str());
 }
 
 /// Write-to-temp + same-directory rename; `write` fills the temp file.
@@ -195,16 +220,51 @@ bool writeAll(std::FILE* f, std::string_view piece) {
          std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
 }
 
-/// write(2) all of `data`, across short writes and signals.
-bool writeFully(int fd, const char* data, std::size_t size) {
+/// pwrite(2) all of `data` at `offset`, across short writes and signals.
+bool pwriteFully(int fd, const char* data, std::size_t size,
+                 std::uint64_t offset) {
   while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
+    const ssize_t n = ::pwrite(fd, data, size, static_cast<off_t>(offset));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     data += n;
     size -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
   }
   return true;
+}
+
+/// Copy the first `size` bytes of `in` to `out` at `outOffset` inside the
+/// kernel (sendfile(2)): no user-space buffer holds them.
+bool copyBytes(int in, int out, std::uint64_t outOffset, std::uint64_t size) {
+  if (::lseek(out, static_cast<off_t>(outOffset), SEEK_SET) < 0) return false;
+  off_t from = 0;
+  while (size > 0) {
+    const ssize_t n = ::sendfile(out, in, &from, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;  // I/O failure, or `in` ended early
+    size -= static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
+/// True when the segment of `fd` is empty or ends in a newline.
+bool endsLine(int fd, const CampaignStore::Segment& s) {
+  if (s.bytes == 0) return true;
+  char last = 0;
+  return ::pread(fd, &last, 1,
+                 static_cast<off_t>(s.offset + s.bytes - 1)) == 1 &&
+         last == '\n';
+}
+
+/// Cut `path` back to `size` bytes if it is a longer regular file.
+bool cutTo(const std::string& path, std::uint64_t size) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode) ||
+      static_cast<std::uint64_t>(st.st_size) <= size) {
+    return true;
+  }
+  return ::truncate(path.c_str(), static_cast<off_t>(size)) == 0;
 }
 
 }  // namespace
@@ -322,7 +382,7 @@ bool CampaignStore::adoptJob(const std::string& id, JobSpec& out,
     error = problem;
     return false;
   }
-  if (!ensureDir(fs::path(jobDir(id)) / "shards")) {
+  if (!ensureDir(jobDir(id))) {
     error = "cannot create job directory for '" + id + "'";
     return false;
   }
@@ -355,16 +415,6 @@ std::string CampaignStore::jobDir(const std::string& id) const {
   return (fs::path(root_) / "jobs" / id).string();
 }
 
-std::string CampaignStore::shardPath(const std::string& id,
-                                     std::size_t index) const {
-  return (fs::path(jobDir(id)) / "shards" / shardFileName(index)).string();
-}
-
-std::string CampaignStore::shardEventsPath(const std::string& id,
-                                          std::size_t index) const {
-  return sidecarPathFor(shardPath(id, index));
-}
-
 std::string CampaignStore::statePath(const std::string& id) const {
   return (fs::path(jobDir(id)) / "state.json").string();
 }
@@ -389,45 +439,29 @@ std::string CampaignStore::matrixPath(const std::string& id) const {
   return (fs::path(jobDir(id)) / "matrix.json").string();
 }
 
-// -- shard serialization ----------------------------------------------------
+// -- shard headers ----------------------------------------------------------
 
-std::string CampaignStore::sidecarPathFor(const std::string& headerPath) {
-  constexpr std::string_view kJson = ".json";
-  std::string_view stem = headerPath;
-  if (stem.size() >= kJson.size() &&
-      stem.substr(stem.size() - kJson.size()) == kJson) {
-    stem.remove_suffix(kJson.size());
-  }
-  return std::string(stem) + ".events.jsonl";
-}
+namespace {
 
-std::string CampaignStore::shardToJson(const ShardResult& r) {
-  return renderHeader(r, r.eventsJsonl.size());
-}
-
-bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
-                                  std::uint64_t& eventsBytes,
-                                  std::string& error) {
-  obs::JsonValue doc;
-  try {
-    doc = obs::parseJson(json);
-  } catch (const Error& e) {
-    error = e.what();
+/// Fill `out` and `eventsBytes` from a parsed confail.shard.v3 header.
+bool headerFromDoc(const obs::JsonValue& doc, ShardResult& out,
+                   std::uint64_t& eventsBytes, std::string& error) {
+  if (stringOf(doc, "schema") != "confail.shard.v3") {
+    error = "missing or unsupported schema (want confail.shard.v3)";
     return false;
   }
-  if (stringOf(doc, "schema") != "confail.shard.v2") {
-    error = "missing or unsupported schema (want confail.shard.v2)";
-    return false;
-  }
-  const obs::JsonValue* bytes = doc.get("events_bytes");
-  if (bytes == nullptr || !bytes->isNumber() || bytes->number < 0 ||
-      bytes->number >= 18446744073709551616.0 ||
-      bytes->number != std::floor(bytes->number)) {
+  std::uint64_t bytes = 0;
+  if (!exactCount(doc, "events_bytes", bytes)) {
     error = "shard header lacks a byte count for its events";
     return false;
   }
+  std::uint64_t index = 0;
+  if (!exactCount(doc, "index", index)) {
+    error = "shard header lacks its index";
+    return false;
+  }
   ShardResult r;
-  r.spec.index = static_cast<std::size_t>(countOf(doc, "index"));
+  r.spec.index = static_cast<std::size_t>(index);
   r.spec.control = boolOf(doc, "control");
   r.spec.scenario = stringOf(doc, "scenario");
   if (!taxonomy::parseFailureClass(stringOf(doc, "class"), r.spec.cls) &&
@@ -517,89 +551,207 @@ bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
     }
   }
   out = std::move(r);
-  eventsBytes = static_cast<std::uint64_t>(bytes->number);
+  eventsBytes = bytes;
   error.clear();
   return true;
 }
 
+bool parseDoc(const std::string& json, obs::JsonValue& doc,
+              std::string& error) {
+  try {
+    doc = obs::parseJson(json);
+  } catch (const Error& e) {
+    error = e.what();
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string CampaignStore::shardToJson(const ShardResult& r,
+                                       std::uint64_t eventsBytes) {
+  return renderHeader(r, eventsBytes);
+}
+
+bool CampaignStore::shardFromJson(const std::string& json, ShardResult& out,
+                                  std::uint64_t& eventsBytes,
+                                  std::string& error) {
+  obs::JsonValue doc;
+  if (!parseDoc(json, doc, error)) return false;
+  if (doc.get("events_offset") != nullptr) {
+    error = "a shard header names no feed offset";
+    return false;
+  }
+  return headerFromDoc(doc, out, eventsBytes, error);
+}
+
+bool CampaignStore::writeEvents(int fd, const events::Trace& run,
+                                std::uint64_t& bytes) {
+  bytes = 0;
+  if (::ftruncate(fd, 0) != 0) return false;
+  // Lines are gathered in one buffer handed on in ~64 KB pieces.
+  constexpr std::size_t kPieceBytes = 64 * 1024;
+  std::string piece;
+  bool ok = true;
+  const auto flush = [&] {
+    ok = ok && pwriteFully(fd, piece.data(), piece.size(), bytes);
+    bytes += piece.size();
+    piece.clear();
+  };
+  obs::forEachJsonlLine(run, [&](const std::string& line) {
+    piece += line;
+    piece += '\n';
+    if (piece.size() >= kPieceBytes) flush();
+  });
+  flush();
+  return ok;
+}
+
 bool CampaignStore::writeShardFile(const std::string& path,
-                                   const ShardResult& r,
-                                   const events::Trace* run) {
-  // Uncommit first, so an old header never vouches for the new sidecar.
-  std::error_code ec;
-  fs::remove(path, ec);
-  std::uint64_t bytes = 0;
-  const bool sidecar =
-      writeAtomically(sidecarPathFor(path), [&](std::FILE* f) {
-        if (run == nullptr) {
-          bytes = r.eventsJsonl.size();
-          return writeAll(f, r.eventsJsonl);
-        }
-        // Lines are gathered in one buffer handed on in ~64 KB pieces.
-        constexpr std::size_t kPieceBytes = 64 * 1024;
-        std::string piece;
-        bool ok = true;
-        const auto flush = [&] {
-          ok = ok && writeAll(f, piece);
-          bytes += piece.size();
-          piece.clear();
-        };
-        obs::forEachJsonlLine(*run, [&](const std::string& line) {
-          piece += line;
-          piece += '\n';
-          if (piece.size() >= kPieceBytes) flush();
-        });
-        flush();
-        return ok;
-      });
-  return sidecar && writeFileAtomic(path, renderHeader(r, bytes) + "\n");
+                                   const std::string& header, int eventsFd) {
+  struct stat st {};
+  if (::fstat(eventsFd, &st) != 0) return false;
+  return writeAtomically(path, [&](std::FILE* f) {
+    return writeAll(f, header) && writeAll(f, "\n") && std::fflush(f) == 0 &&
+           copyBytes(eventsFd, ::fileno(f), header.size() + 1,
+                     static_cast<std::uint64_t>(st.st_size));
+  });
 }
 
-bool CampaignStore::writeShard(const std::string& id, const ShardResult& r,
-                               const events::Trace* run) const {
-  return writeShardFile(shardPath(id, r.spec.index), r, run);
+// -- the journal ------------------------------------------------------------
+
+bool CampaignStore::landingFromJson(const std::string& line, Landing& out,
+                                    std::string& error) {
+  obs::JsonValue doc;
+  if (!parseDoc(line, doc, error)) return false;
+  Landing l;
+  if (!exactCount(doc, "events_offset", l.segment.offset)) {
+    error = "journal line lacks the offset of its events";
+    return false;
+  }
+  if (!headerFromDoc(doc, l.result, l.segment.bytes, error)) return false;
+  out = std::move(l);
+  return true;
 }
 
-bool CampaignStore::readShardHeader(const std::string& id,
-                                    std::size_t index, ShardResult& out,
-                                    std::uint64_t& eventsBytes) const {
+CampaignStore::Journal CampaignStore::readJournal(const std::string& id,
+                                                  std::size_t count) const {
+  Journal j;
+  // Only a regular file is read: a device in the journal's place (one that
+  // never ends, say) commits nothing.
+  struct stat st {};
   std::string text;
-  if (!readFile(shardPath(id, index), text)) return false;
-  ShardResult r;
-  std::uint64_t bytes = 0;
-  std::string error;
-  if (!shardFromJson(text, r, bytes, error)) return false;
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(shardEventsPath(id, index), ec);
-  if (ec || size != bytes) return false;  // torn pair: not landed
-  out = std::move(r);
-  eventsBytes = bytes;
+  if (::stat(journalPath(id).c_str(), &st) != 0 || !S_ISREG(st.st_mode) ||
+      !readFile(journalPath(id), text)) {
+    return j;
+  }
+  const int feed = ::open(eventsPath(id).c_str(), O_RDONLY | O_CLOEXEC);
+  const std::uint64_t feedSize =
+      feed >= 0 && ::fstat(feed, &st) == 0 && S_ISREG(st.st_mode)
+          ? static_cast<std::uint64_t>(st.st_size)
+          : 0;
+  std::unordered_set<std::size_t> landed;
+  // A line without its newline is torn: it commits nothing.
+  for (std::size_t begin = 0, eol;
+       (eol = text.find('\n', begin)) != std::string::npos; begin = eol + 1) {
+    Landing l;
+    std::string error;
+    if (!landingFromJson(text.substr(begin, eol - begin), l, error)) break;
+    const Segment& s = l.segment;
+    const std::size_t index = l.result.spec.index;
+    if (index >= count || !landed.insert(index).second ||
+        s.offset != j.end.feed || s.bytes > feedSize - s.offset ||
+        !endsLine(feed, s)) {
+      break;
+    }
+    j.end.feed += s.bytes;
+    j.end.journal = eol + 1;
+    j.landings.push_back(std::move(l));
+  }
+  if (feed >= 0) ::close(feed);
+  return j;
+}
+
+bool CampaignStore::truncateJournal(const std::string& id,
+                                    const JournalEnd& end) const {
+  return cutTo(journalPath(id), end.journal) && cutTo(eventsPath(id), end.feed);
+}
+
+bool CampaignStore::landShard(const std::string& id,
+                              const std::string& header, int eventsFd,
+                              std::uint64_t eventsBytes,
+                              JournalEnd& end) const {
+  struct stat st {};
+  const std::size_t brace = header.rfind('}');
+  if (::fstat(eventsFd, &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_size) != eventsBytes ||
+      !endsLine(eventsFd, {0, eventsBytes}) || brace == std::string::npos) {
+    return false;
+  }
+  // The header's last member gains a sibling: where its segment starts.
+  std::string line = header.substr(0, brace);
+  while (!line.empty() && line.back() == ' ') line.pop_back();
+  line += ", \"events_offset\": " + std::to_string(end.feed) + " }\n";
+  const int feed =
+      ::open(eventsPath(id).c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (feed < 0) return false;
+  bool ok = copyBytes(eventsFd, feed, end.feed, eventsBytes);
+  int journal = -1;
+  if (ok) {
+    journal = ::open(journalPath(id).c_str(),
+                     O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    ok = journal >= 0 &&
+         pwriteFully(journal, line.data(), line.size(), end.journal);
+  }
+  if (!ok) {
+    // Leave no partial segment or line behind.
+    if (journal >= 0) {
+      (void)::ftruncate(journal, static_cast<off_t>(end.journal));
+    }
+    (void)::ftruncate(feed, static_cast<off_t>(end.feed));
+  }
+  if (journal >= 0) ::close(journal);
+  ::close(feed);
+  if (ok) {
+    end.feed += eventsBytes;
+    end.journal += line.size();
+  }
+  return ok;
+}
+
+bool CampaignStore::readSegment(const std::string& id, const Segment& segment,
+                                std::string& out) const {
+  std::string bytes(static_cast<std::size_t>(segment.bytes), '\0');
+  const int feed = ::open(eventsPath(id).c_str(), O_RDONLY | O_CLOEXEC);
+  if (feed < 0) return false;
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::pread(feed, bytes.data() + got, bytes.size() - got,
+                              static_cast<off_t>(segment.offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(feed);
+  if (got != bytes.size()) return false;
+  out = std::move(bytes);
   return true;
 }
 
 bool CampaignStore::readShard(const std::string& id, std::size_t index,
                               ShardResult& out) const {
-  ShardResult r;
-  std::uint64_t bytes = 0;
-  if (!readShardHeader(id, index, r, bytes) ||
-      !readFile(shardEventsPath(id, index), r.eventsJsonl) ||
-      r.eventsJsonl.size() != bytes) {
-    return false;
+  Journal j = readJournal(id);
+  for (Landing& l : j.landings) {
+    if (l.result.spec.index != index) continue;
+    if (!readSegment(id, l.segment, l.result.eventsJsonl)) return false;
+    out = std::move(l.result);
+    return true;
   }
-  out = std::move(r);
-  return true;
+  return false;
 }
 
-std::vector<bool> CampaignStore::completedShards(const std::string& id,
-                                                 std::size_t count) const {
-  std::vector<bool> done(count, false);
-  for (std::size_t i = 0; i < count; ++i) {
-    ShardResult unused;
-    std::uint64_t bytes = 0;
-    done[i] = readShardHeader(id, i, unused, bytes);
-  }
-  return done;
-}
+// -- job metadata -----------------------------------------------------------
 
 bool CampaignStore::writeState(const std::string& id,
                                const JobState& st) const {
@@ -611,85 +763,6 @@ bool CampaignStore::readState(const std::string& id, JobState& out) const {
   if (!readFile(statePath(id), text)) return false;
   std::string error;
   return JobState::parse(text, out, error);
-}
-
-bool CampaignStore::journalShard(const std::string& id,
-                                 std::size_t index) const {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.field("shard", static_cast<std::uint64_t>(index));
-  w.endObject();
-  std::string line = w.str();
-  // JsonWriter pretty-prints; a journal line must be exactly one line.
-  std::string flat;
-  for (char c : line) {
-    if (c == '\n') continue;
-    flat += c;
-  }
-  return appendFile(journalPath(id), flat + "\n");
-}
-
-std::vector<bool> CampaignStore::journaledShards(const std::string& id,
-                                                 std::size_t count) const {
-  std::vector<bool> journaled(count, false);
-  std::string text;
-  if (!readFile(journalPath(id), text)) return journaled;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    try {
-      const obs::JsonValue doc =
-          obs::parseJson(text.substr(begin, end - begin));
-      const obs::JsonValue* shard = doc.get("shard");
-      if (shard != nullptr && shard->isNumber() && shard->number >= 0 &&
-          shard->number < static_cast<double>(count)) {
-        journaled[static_cast<std::size_t>(shard->number)] = true;
-      }
-    } catch (const Error&) {
-      // A line that does not parse journals nothing.
-    }
-    begin = end + 1;
-  }
-  return journaled;
-}
-
-bool CampaignStore::appendShardEvents(const std::string& id,
-                                      std::size_t index,
-                                      std::uint64_t eventsBytes,
-                                      std::uint64_t& appended) const {
-  appended = 0;
-  if (eventsBytes == 0) return true;
-  const int in = ::open(shardEventsPath(id, index).c_str(),
-                        O_RDONLY | O_CLOEXEC);
-  if (in < 0) return false;
-  const int feed = ::open(eventsPath(id).c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (feed < 0) {
-    ::close(in);
-    return false;
-  }
-  std::array<char, 64 * 1024> buf;
-  std::uint64_t left = eventsBytes;
-  char last = '\n';
-  bool ok = true;
-  while (ok && left > 0) {
-    const ssize_t n = ::read(
-        in, buf.data(), static_cast<std::size_t>(std::min<std::uint64_t>(
-                            left, buf.size())));
-    if (n < 0 && errno == EINTR) continue;
-    ok = n > 0 && writeFully(feed, buf.data(), static_cast<std::size_t>(n));
-    if (!ok) break;  // a sidecar shorter than its header, or I/O failure
-    left -= static_cast<std::uint64_t>(n);
-    appended += static_cast<std::uint64_t>(n);
-    last = buf[static_cast<std::size_t>(n) - 1];
-  }
-  if (ok && last != '\n') {
-    ok = writeFully(feed, "\n", 1);
-    appended += ok ? 1 : 0;
-  }
-  ::close(in);
-  return (::close(feed) == 0) && ok;
 }
 
 // -- primitives -------------------------------------------------------------

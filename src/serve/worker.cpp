@@ -1,5 +1,6 @@
 #include "confail/serve/worker.hpp"
 
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <charconv>
 #include <cstdio>
 #include <exception>
+#include <string_view>
 
 #include "confail/events/trace.hpp"
 #include "confail/serve/store.hpp"
@@ -32,7 +34,7 @@ int ShardWorker::load(const std::string& jobPath, std::string& error) {
 }
 
 int ShardWorker::run(const std::string& jobPath, std::size_t index,
-                     const std::string& outPath, std::string& error) {
+                     int eventsFd, std::string& header, std::string& error) {
   int rc = 0;
   try {
     rc = load(jobPath, error);
@@ -45,8 +47,11 @@ int ShardWorker::run(const std::string& jobPath, std::size_t index,
       events::Trace run;
       const inject::ShardResult result =
           inject::runShard(spec_, shards_[index], {}, run);
-      if (!CampaignStore::writeShardFile(outPath, result, &run)) {
-        error = "cannot write " + outPath;
+      std::uint64_t bytes = 0;
+      if (CampaignStore::writeEvents(eventsFd, run, bytes)) {
+        header = CampaignStore::shardToJson(result, bytes);
+      } else {
+        error = "cannot write the shard's events";
         rc = 3;
       }
     }
@@ -55,30 +60,71 @@ int ShardWorker::run(const std::string& jobPath, std::size_t index,
     rc = 3;
   }
 #if defined(__GLIBC__)
-  // The shard's run and events are freed: give the pages back, so a worker
-  // that lives on does not keep its largest shard's heap resident.
+  // The shard's run is freed: give the pages back, so a worker that lives
+  // on does not keep its largest shard's heap resident.
   ::malloc_trim(0);
 #endif
   return rc;
 }
 
+int openEventsBuffer() {
+  return ::memfd_create("confail-shard-events", MFD_CLOEXEC);
+}
+
+int writeShard(const std::string& jobPath, std::size_t index,
+               const std::string& outPath, std::string& error) {
+  const int events = openEventsBuffer();
+  if (events < 0) {
+    error = "cannot open a scratch buffer for the shard's events";
+    return 3;
+  }
+  std::string header;
+  int rc = ShardWorker().run(jobPath, index, events, header, error);
+  if (rc == 0 && !CampaignStore::writeShardFile(outPath, header, events)) {
+    error = "cannot write " + outPath;
+    rc = 3;
+  }
+  ::close(events);
+  return rc;
+}
+
+bool parseReply(const std::string& line, std::size_t shard, bool& ok,
+                std::string& header) {
+  const std::string prefix = std::to_string(shard) + " ";
+  if (line.compare(0, prefix.size(), prefix) != 0) return false;
+  const std::string_view rest = std::string_view(line).substr(prefix.size());
+  if (rest == "failed") {
+    ok = false;
+    return true;
+  }
+  if (rest.substr(0, 3) != "ok ") return false;
+  ok = true;
+  header = rest.substr(3);
+  return true;
+}
+
 namespace {
 
-/// Write one reply line to `fd`: send(2) without SIGPIPE on a socket (a
-/// closed peer is an error, not a signal), write(2) on anything else.  A
-/// reply is far below any socket or pipe buffer, so it goes whole or not
-/// at all.
+/// Write all of `line` to `fd`: send(2) without SIGPIPE on a socket (a
+/// closed peer is an error, not a signal), write(2) on anything else.
 bool writeLine(int fd, const std::string& line) {
-  ssize_t n = -1;
-  do {
-    n = ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
-  } while (n < 0 && errno == EINTR);
-  if (n < 0 && errno == ENOTSOCK) {
-    do {
-      n = ::write(fd, line.data(), line.size());
-    } while (n < 0 && errno == EINTR);
+  bool socket = true;
+  for (std::size_t done = 0; done < line.size();) {
+    ssize_t n = -1;
+    if (socket) {
+      n = ::send(fd, line.data() + done, line.size() - done, MSG_NOSIGNAL);
+      if (n < 0 && errno == ENOTSOCK) {
+        socket = false;
+        continue;
+      }
+    } else {
+      n = ::write(fd, line.data() + done, line.size() - done);
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
   }
-  return n == static_cast<ssize_t>(line.size());
+  return true;
 }
 
 /// Split a "<job-id> <shard>" request; false when it is not one.
@@ -96,7 +142,8 @@ bool parseRequest(const std::string& line, std::string& id,
 
 }  // namespace
 
-int serveShardRequests(const std::string& root, int in, int out) {
+int serveShardRequests(const std::string& root, int in, int out,
+                       int eventsFd) {
   const CampaignStore store(root);
   ShardWorker worker;
   std::string buffer;
@@ -123,17 +170,18 @@ int serveShardRequests(const std::string& root, int in, int out) {
                    line.c_str());
       return 2;
     }
+    std::string header;
     std::string error;
     const int rc = worker.run(store.jobDir(id) + "/job.json", shard,
-                              store.shardPath(id, shard), error);
+                              eventsFd, header, error);
     if (rc != 0) {
       std::fprintf(stderr, "confail worker: shard %zu of %s: %s\n", shard,
                    id.c_str(), error.c_str());
     }
-    if (!writeLine(out, std::to_string(shard) + (rc == 0 ? " ok\n"
-                                                         : " failed\n"))) {
-      return 3;
-    }
+    const std::string reply =
+        std::to_string(shard) + (rc == 0 ? " ok " + header + "\n"
+                                         : std::string(" failed\n"));
+    if (!writeLine(out, reply)) return 3;
   }
 }
 

@@ -34,6 +34,7 @@
 #include "confail/serve/merge.hpp"
 #include "confail/serve/server.hpp"
 #include "confail/serve/store.hpp"
+#include "confail/serve/worker.hpp"
 #include "confail/support/rng.hpp"
 #include "json_mutate.hpp"
 
@@ -95,66 +96,125 @@ std::string slurp(const std::string& path) {
   return out;
 }
 
-ino_t inodeOf(const std::string& path) {
-  struct stat st {};
-  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
-  return st.st_ino;
-}
-
-std::size_t journalLines(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty()) ++n;
-  }
-  return n;
+/// The lines of `text`, each without its newline (a torn last one too).
+std::vector<std::string> linesOf(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
 /// The lines of JSONL text, sorted: a feed's content up to landing order.
 std::vector<std::string> sortedLines(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::vector<std::string> lines = linesOf(text);
   std::sort(lines.begin(), lines.end());
   return lines;
 }
 
 /// Drain every job queued or adopted under `root` with a two-worker pool.
-int serveToIdle(const std::string& root, bool subprocess) {
+int serveToIdle(const std::string& root, bool subprocess,
+                confail::obs::Registry* metrics = nullptr) {
   serve::ServerOptions opts;
   opts.root = root;
   opts.poolSize = 2;
   opts.subprocess = subprocess;
   opts.workerBinary = CONFAIL_CLI;
   opts.exitWhenIdle = true;
+  opts.metrics = metrics;
   return serve::Server(std::move(opts)).run();
 }
 
-/// How a shard's pair of files can be left torn: by a worker killed
-/// between its two renames, by a damaged sidecar, or by an older daemon.
-enum class Torn { SidecarOnly, NoSidecar, ShortSidecar, LongSidecar, V1 };
+/// An anonymous scratch buffer, closed on destruction.
+struct EventsBuffer {
+  int fd = serve::openEventsBuffer();
+  EventsBuffer() { EXPECT_GE(fd, 0); }
+  ~EventsBuffer() {
+    if (fd >= 0) ::close(fd);
+  }
+  EventsBuffer(const EventsBuffer&) = delete;
+  EventsBuffer& operator=(const EventsBuffer&) = delete;
+};
+
+/// Run shard `index` of `spec` and land it in job `id` as the daemon does:
+/// its events into a scratch buffer, then landShard at `end`.
+void landShard(const serve::CampaignStore& store, const std::string& id,
+               const inject::JobSpec& spec, std::size_t index,
+               serve::CampaignStore::JournalEnd& end) {
+  confail::events::Trace run;
+  const inject::ShardResult r =
+      inject::runShard(spec, inject::expandShards(spec).at(index), {}, run);
+  EventsBuffer events;
+  std::uint64_t bytes = 0;
+  ASSERT_TRUE(serve::CampaignStore::writeEvents(events.fd, run, bytes));
+  ASSERT_TRUE(store.landShard(id, serve::CampaignStore::shardToJson(r, bytes),
+                              events.fd, bytes, end));
+}
+
+/// The lines of job `id`'s journal.
+std::vector<std::string> journalText(const serve::CampaignStore& store,
+                                     const std::string& id) {
+  return linesOf(slurp(store.journalPath(id)));
+}
+
+/// Job `id` in `store` ended as an untorn run of it in `clean` does: one
+/// journal line per shard, and a feed that is exactly the shards' segments,
+/// end to end, each holding that shard's events once.
+void expectExactFeed(const serve::CampaignStore& store,
+                     const serve::CampaignStore& clean, const std::string& id,
+                     std::size_t total) {
+  const serve::CampaignStore::Journal journal = store.readJournal(id, total);
+  ASSERT_EQ(journal.landings.size(), total);
+  EXPECT_EQ(journalText(store, id).size(), total);
+  EXPECT_EQ(journal.end.journal, fs::file_size(store.journalPath(id)));
+  EXPECT_EQ(journal.end.feed, fs::file_size(store.eventsPath(id)));
+  const serve::CampaignStore::Journal want = clean.readJournal(id, total);
+  ASSERT_EQ(want.landings.size(), total);
+  std::vector<std::string> got(total);
+  std::vector<std::string> expected(total);
+  for (std::size_t k = 0; k < total; ++k) {
+    const auto& l = journal.landings[k];
+    ASSERT_TRUE(store.readSegment(id, l.segment, got[l.result.spec.index]));
+    const auto& c = want.landings[k];
+    ASSERT_TRUE(
+        clean.readSegment(id, c.segment, expected[c.result.spec.index]));
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(sortedLines(slurp(store.eventsPath(id))),
+            sortedLines(slurp(clean.eventsPath(id))));
+  EXPECT_EQ(slurp(store.findingsPath(id)), slurp(clean.findingsPath(id)));
+}
+
+/// landed[i] == true iff shard i's line is in the journal's valid prefix.
+std::vector<bool> landedShards(const serve::CampaignStore& store,
+                               const std::string& id, std::size_t total) {
+  std::vector<bool> landed(total, false);
+  for (const auto& l : store.readJournal(id, total).landings) {
+    landed[l.result.spec.index] = true;
+  }
+  return landed;
+}
+
+/// How a journal can be left short of its feed, or its feed short of it.
+enum class Torn { FeedPastJournal, TornLastLine, SegmentPastFeed };
 
 const char* tornName(Torn t) {
   switch (t) {
-    case Torn::SidecarOnly: return "sidecar without header";
-    case Torn::NoSidecar: return "header without sidecar";
-    case Torn::ShortSidecar: return "short sidecar";
-    case Torn::LongSidecar: return "long sidecar";
-    case Torn::V1: return "confail.shard.v1 document";
+    case Torn::FeedPastJournal: return "feed bytes past the last segment";
+    case Torn::TornLastLine: return "torn last journal line";
+    case Torn::SegmentPastFeed: return "segment past the feed's end";
   }
   return "?";
 }
 
-/// Leave shard 0 of `spec` torn in a fresh spool with the job adopted,
-/// serve it, and require the shard to run again and the job to end as an
-/// untorn run of it does: completed, one journal line per shard, and each
-/// shard's events in the feed exactly once.
-void expectTornShardReruns(const inject::JobSpec& spec, bool subprocess,
-                           Torn torn) {
+/// Land shard 0 of `spec` in a fresh spool with the job adopted, leave
+/// shard 1 half landed as `torn` says, serve it, and require shard 1 to run
+/// again, shard 0 not to, and the job to end as an untorn run of it does.
+void expectTornJournalReruns(const inject::JobSpec& spec, bool subprocess,
+                             Torn torn) {
   SCOPED_TRACE(std::string(tornName(torn)) +
                (subprocess ? ", subprocess pool" : ", in-process pool"));
   const std::size_t total = inject::expandShards(spec).size();
+  ASSERT_GT(total, 2u);
   TempRoot cleanRoot;
   const std::string id = serve::submitJob(cleanRoot.str(), spec);
   ASSERT_EQ(serveToIdle(cleanRoot.str(), false), 0);
@@ -166,62 +226,42 @@ void expectTornShardReruns(const inject::JobSpec& spec, bool subprocess,
   inject::JobSpec adopted;
   std::string error;
   ASSERT_TRUE(store.adoptJob(id, adopted, error)) << error;
-  confail::events::Trace run;
-  const inject::ShardResult r =
-      inject::runShard(spec, inject::expandShards(spec)[0], {}, run);
-  ASSERT_TRUE(store.writeShard(id, r, &run));
-  const std::string header = store.shardPath(id, 0);
-  const std::string sidecar = store.shardEventsPath(id, 0);
-  const std::string events = slurp(sidecar);
-  ASSERT_FALSE(events.empty());
+  serve::CampaignStore::JournalEnd end;
+  landShard(store, id, spec, 0, end);
+  const serve::CampaignStore::JournalEnd first = end;
+  const std::string firstLine = journalText(store, id).at(0);
   switch (torn) {
-    case Torn::SidecarOnly:
-      fs::remove(header);
-      break;
-    case Torn::NoSidecar:
-      fs::remove(sidecar);
-      break;
-    case Torn::ShortSidecar:
-      fs::resize_file(sidecar, events.size() - 1);
-      break;
-    case Torn::LongSidecar:
-      ASSERT_TRUE(serve::CampaignStore::appendFile(sidecar, events));
-      break;
-    case Torn::V1: {
-      // The old single-file form: the events escaped inside the document.
-      std::string doc = slurp(header);
-      const std::size_t at = doc.find("\"events_bytes\"");
-      ASSERT_NE(at, std::string::npos);
-      std::string escaped;
-      confail::obs::appendJsonEscaped(escaped, events);
-      doc = doc.substr(0, at) + "\"events_jsonl\": \"" + escaped + "\"\n}\n";
-      const std::size_t schema = doc.find("confail.shard.v2");
-      ASSERT_NE(schema, std::string::npos);
-      doc.replace(schema, 16, "confail.shard.v1");
-      ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(header, doc));
-      fs::remove(sidecar);
+    case Torn::FeedPastJournal: {
+      // A daemon killed between the copy and the journal line.
+      inject::ShardResult next;
+      ASSERT_TRUE(cleanStore.readShard(id, 1, next));
+      ASSERT_TRUE(serve::CampaignStore::appendFile(store.eventsPath(id),
+                                                   next.eventsJsonl));
       break;
     }
+    case Torn::TornLastLine:
+      landShard(store, id, spec, 1, end);
+      fs::resize_file(store.journalPath(id),
+                      first.journal + (end.journal - first.journal) / 2);
+      break;
+    case Torn::SegmentPastFeed:
+      landShard(store, id, spec, 1, end);
+      fs::resize_file(store.eventsPath(id), end.feed - 1);
+      break;
   }
-  ASSERT_FALSE(store.completedShards(id, total)[0]);
+  ASSERT_EQ(store.readJournal(id, total).landings.size(), 1u);
+  inject::ShardResult unused;
+  ASSERT_FALSE(store.readShard(id, 1, unused));
 
-  ASSERT_EQ(serveToIdle(root.str(), subprocess), 0);
+  confail::obs::Registry reg;
+  ASSERT_EQ(serveToIdle(root.str(), subprocess, &reg), 0);
   serve::JobState st;
   ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
   EXPECT_EQ(st.status, "completed");
   EXPECT_EQ(st.shardsDone, total);
-  EXPECT_TRUE(store.completedShards(id, total)[0]);
-  EXPECT_EQ(slurp(sidecar), events);
-  EXPECT_EQ(journalLines(store.journalPath(id)), total);
-  std::string sidecars;
-  for (std::size_t i = 0; i < total; ++i) {
-    sidecars += slurp(store.shardEventsPath(id, i));
-  }
-  const std::vector<std::string> feed =
-      sortedLines(slurp(store.eventsPath(id)));
-  EXPECT_EQ(feed, sortedLines(sidecars));
-  EXPECT_EQ(feed, sortedLines(slurp(cleanStore.eventsPath(id))));
-  EXPECT_EQ(slurp(store.findingsPath(id)), slurp(cleanStore.findingsPath(id)));
+  EXPECT_EQ(reg.snapshot().counter("serve.shards_completed"), total - 1);
+  EXPECT_EQ(journalText(store, id).at(0), firstLine);
+  expectExactFeed(store, cleanStore, id, total);
 }
 
 /// `doc` (JsonWriter's pretty print) as one line, `{ "k": v, ... }`: the
@@ -242,21 +282,29 @@ std::string oneLine(const std::string& doc) {
 
 /// A `--worker-bin` that speaks the worker protocol by handing each request
 /// to a one-request real worker, except a request for shard `victim`: on
-/// that one it SIGKILLs itself before replying, every time or (`once`) only
+/// that one it SIGKILLs itself before replying (`midReply`: after sending
+/// the first half of the real worker's reply), every time or (`once`) only
 /// the first time.  Returns its path.
-std::string killingWorker(const fs::path& dir, std::size_t victim,
-                          bool once) {
+std::string killingWorker(const fs::path& dir, std::size_t victim, bool once,
+                          bool midReply = false) {
   const std::string path = (dir / "killing-worker.sh").string();
   const std::string marker = (dir / "killed").string();
+  const std::string worker = "printf '%s %s\\n' \"$id\" \"$shard\" | '" +
+                             std::string(CONFAIL_CLI) + "' \"$@\"";
   {
     std::ofstream out(path);
     out << "#!/bin/sh\n"
         << "while IFS=' ' read -r id shard; do\n"
         << "  if [ \"$shard\" = " << victim << " ]"
         << (once ? " && mkdir '" + marker + "' 2>/dev/null" : "")
-        << "; then kill -KILL $$; fi\n"
-        << "  printf '%s %s\\n' \"$id\" \"$shard\" | '" << CONFAIL_CLI
-        << "' \"$@\" || exit 1\n"
+        << "; then\n";
+    if (midReply) {
+      out << "    reply=$(" << worker << ")\n"
+          << "    printf '%s' \"$reply\" | head -c $((${#reply} / 2))\n";
+    }
+    out << "    kill -KILL $$\n"
+        << "  fi\n"
+        << "  " << worker << " || exit 1\n"
         << "done\n";
   }
   fs::permissions(path, fs::perms::owner_all);
@@ -516,7 +564,8 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   serve::CampaignStore store(root.str());
   ASSERT_TRUE(store.init());
 
-  const inject::JobSpec spec = smallSpec();
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"lock_order", "fig2"};
   const std::string id = store.submit(spec);
   ASSERT_FALSE(id.empty());
   EXPECT_EQ(store.submit(spec), id);  // idempotent
@@ -531,23 +580,42 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
 
   // Run one shard and round-trip it through the on-disk form.
   const std::vector<inject::ShardSpec> shards = inject::expandShards(spec);
-  ASSERT_FALSE(shards.empty());
+  ASSERT_GT(shards.size(), 1u);
   inject::RunShardOptions ro;
   ro.captureEvents = true;
   const inject::ShardResult r = inject::runShard(spec, shards[0], ro);
   ASSERT_FALSE(r.eventsJsonl.empty());
-  ASSERT_TRUE(store.writeShard(id, r));
 
-  // Two files: the header, then the events verbatim in its sidecar.
-  EXPECT_EQ(store.shardEventsPath(id, 0),
-            serve::CampaignStore::sidecarPathFor(store.shardPath(id, 0)));
-  EXPECT_EQ(serve::CampaignStore::sidecarPathFor("d/shard-0007.json"),
-            "d/shard-0007.events.jsonl");
-  EXPECT_EQ(serve::CampaignStore::sidecarPathFor("d/out"),
-            "d/out.events.jsonl");
-  EXPECT_EQ(slurp(store.shardPath(id, 0)),
-            serve::CampaignStore::shardToJson(r) + "\n");
-  EXPECT_EQ(slurp(store.shardEventsPath(id, 0)), r.eventsJsonl);
+  // The same shard with its events streamed from the captured run into a
+  // scratch buffer, line by line: the buffer holds exactly the exporter's
+  // JSONL, and an earlier, longer content is gone.
+  confail::events::Trace run;
+  const inject::ShardResult streamed =
+      inject::runShard(spec, shards[0], {}, run);
+  ASSERT_GT(run.size(), 0u);
+  EXPECT_TRUE(streamed.eventsJsonl.empty());
+  EventsBuffer events;
+  ASSERT_EQ(::write(events.fd, r.eventsJsonl.data(), r.eventsJsonl.size()),
+            static_cast<ssize_t>(r.eventsJsonl.size()));
+  ASSERT_EQ(::write(events.fd, "tail", 4), 4);
+  std::uint64_t bytes = 0;
+  ASSERT_TRUE(serve::CampaignStore::writeEvents(events.fd, run, bytes));
+  EXPECT_EQ(bytes, r.eventsJsonl.size());
+  EXPECT_EQ(confail::obs::toJsonl(run), r.eventsJsonl);
+  const std::string header =
+      serve::CampaignStore::shardToJson(streamed, bytes);
+  EXPECT_EQ(header.find('\n'), std::string::npos);
+
+  // Landed: the events are the feed's first segment, and the journal's
+  // line is the header with that segment's offset.
+  serve::CampaignStore::JournalEnd end;
+  ASSERT_TRUE(store.landShard(id, header, events.fd, bytes, end));
+  EXPECT_EQ(slurp(store.eventsPath(id)), r.eventsJsonl);
+  const std::string line = header.substr(0, header.size() - 2) +
+                           ", \"events_offset\": 0 }";
+  EXPECT_EQ(slurp(store.journalPath(id)), line + "\n");
+  EXPECT_EQ(end.feed, bytes);
+  EXPECT_EQ(end.journal, line.size() + 1);
 
   inject::ShardResult back;
   ASSERT_TRUE(store.readShard(id, 0, back));
@@ -555,39 +623,65 @@ TEST(CampaignStore, SubmitAdoptShardRoundTrip) {
   EXPECT_EQ(back.cell.runs, r.cell.runs);
   EXPECT_EQ(back.findings.size(), r.findings.size());
   EXPECT_EQ(back.eventsJsonl, r.eventsJsonl);
-  EXPECT_EQ(serve::CampaignStore::shardToJson(back),
-            serve::CampaignStore::shardToJson(r));
+  EXPECT_EQ(serve::CampaignStore::shardToJson(back, back.eventsJsonl.size()),
+            header);
 
   // The header alone: the result without its events, and their size.
-  inject::ShardResult header;
+  inject::ShardResult parsed;
   std::uint64_t eventsBytes = 0;
-  ASSERT_TRUE(store.readShardHeader(id, 0, header, eventsBytes));
+  ASSERT_TRUE(
+      serve::CampaignStore::shardFromJson(header, parsed, eventsBytes, error))
+      << error;
   EXPECT_EQ(eventsBytes, r.eventsJsonl.size());
-  EXPECT_TRUE(header.eventsJsonl.empty());
-  header.eventsJsonl = r.eventsJsonl;
-  EXPECT_EQ(serve::CampaignStore::shardToJson(header),
-            serve::CampaignStore::shardToJson(r));
+  EXPECT_TRUE(parsed.eventsJsonl.empty());
+  EXPECT_EQ(serve::CampaignStore::shardToJson(parsed, eventsBytes), header);
+  // A journal line is not a header, nor a header a journal line.
+  EXPECT_FALSE(
+      serve::CampaignStore::shardFromJson(line, parsed, eventsBytes, error));
+  serve::CampaignStore::Landing landing;
+  EXPECT_FALSE(serve::CampaignStore::landingFromJson(header, landing, error));
+  ASSERT_TRUE(serve::CampaignStore::landingFromJson(line, landing, error))
+      << error;
+  EXPECT_EQ(landing.segment.offset, 0u);
+  EXPECT_EQ(landing.segment.bytes, bytes);
 
-  // The same shard with its events streamed from the captured run, line by
-  // line: the files must be exactly the serializer's header and the
-  // exporter's JSONL.
-  confail::events::Trace run;
-  inject::ShardResult streamed = inject::runShard(spec, shards[0], {}, run);
-  ASSERT_GT(run.size(), 0u);
-  EXPECT_TRUE(streamed.eventsJsonl.empty());
-  ASSERT_TRUE(store.writeShard(id, streamed, &run));
-  streamed.eventsJsonl = confail::obs::toJsonl(run);
-  EXPECT_EQ(streamed.eventsJsonl, r.eventsJsonl);
-  EXPECT_EQ(slurp(store.shardPath(id, 0)),
-            serve::CampaignStore::shardToJson(streamed) + "\n");
-  EXPECT_EQ(slurp(store.shardEventsPath(id, 0)), streamed.eventsJsonl);
-  inject::ShardResult streamedBack;
-  ASSERT_TRUE(store.readShard(id, 0, streamedBack));
-  EXPECT_EQ(streamedBack.eventsJsonl, streamed.eventsJsonl);
+  // The next shard's segment follows; the scratch buffer is reused.
+  confail::events::Trace run1;
+  const inject::ShardResult r1 = inject::runShard(spec, shards[1], {}, run1);
+  std::uint64_t bytes1 = 0;
+  ASSERT_TRUE(serve::CampaignStore::writeEvents(events.fd, run1, bytes1));
+  ASSERT_TRUE(store.landShard(
+      id, serve::CampaignStore::shardToJson(r1, bytes1), events.fd, bytes1,
+      end));
+  EXPECT_EQ(slurp(store.eventsPath(id)),
+            r.eventsJsonl + confail::obs::toJsonl(run1));
+  const serve::CampaignStore::Journal journal =
+      store.readJournal(id, shards.size());
+  ASSERT_EQ(journal.landings.size(), 2u);
+  EXPECT_EQ(journal.landings[1].segment.offset, bytes);
+  EXPECT_EQ(journal.landings[1].segment.bytes, bytes1);
+  EXPECT_EQ(journal.end.feed, end.feed);
+  EXPECT_EQ(journal.end.journal, end.journal);
+  // A buffer whose size is not the header's count does not land, even
+  // when the count ends on a line of it.
+  const serve::CampaignStore::JournalEnd before = end;
+  const std::uint64_t firstLine =
+      confail::obs::toJsonl(run1).find('\n') + 1;
+  ASSERT_LT(firstLine, bytes1);
+  for (const std::uint64_t count : {bytes1 + 1, firstLine}) {
+    EXPECT_FALSE(store.landShard(
+        id, serve::CampaignStore::shardToJson(r1, count), events.fd, count,
+        end));
+  }
+  EXPECT_EQ(end.feed, before.feed);
+  EXPECT_EQ(end.journal, before.journal);
+  EXPECT_EQ(fs::file_size(store.eventsPath(id)), before.feed);
 
-  const std::vector<bool> done = store.completedShards(id, shards.size());
-  EXPECT_TRUE(done[0]);
-  for (std::size_t i = 1; i < done.size(); ++i) EXPECT_FALSE(done[i]);
+  // The one-file form: the header line, then the events.
+  const std::string file = (root.path / "one.json").string();
+  const std::string header1 = serve::CampaignStore::shardToJson(r1, bytes1);
+  ASSERT_TRUE(serve::CampaignStore::writeShardFile(file, header1, events.fd));
+  EXPECT_EQ(slurp(file), header1 + "\n" + confail::obs::toJsonl(run1));
 }
 
 TEST(CampaignStore, NamesSurviveJsonlAndShardRoundTrips) {
@@ -633,11 +727,17 @@ TEST(CampaignStore, NamesSurviveJsonlAndShardRoundTrips) {
 
   TempRoot root;
   serve::CampaignStore store(root.str());
-  fs::create_directories(fs::path(store.shardPath("names", 0)).parent_path());
+  fs::create_directories(store.jobDir("names"));
   inject::ShardResult r;
   r.spec.control = true;
   r.spec.scenario = "fig2";
-  ASSERT_TRUE(store.writeShard("names", r, &run));
+  EventsBuffer events;
+  std::uint64_t bytes = 0;
+  ASSERT_TRUE(serve::CampaignStore::writeEvents(events.fd, run, bytes));
+  serve::CampaignStore::JournalEnd end;
+  ASSERT_TRUE(store.landShard("names",
+                              serve::CampaignStore::shardToJson(r, bytes),
+                              events.fd, bytes, end));
   inject::ShardResult back;
   ASSERT_TRUE(store.readShard("names", 0, back));
   EXPECT_EQ(back.eventsJsonl, jsonl);
@@ -646,129 +746,240 @@ TEST(CampaignStore, NamesSurviveJsonlAndShardRoundTrips) {
 
 TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
   // An FF-T3 shard: its captured run spins to the step limit, so its
-  // sidecar is megabytes of events behind a small header.
+  // segment is megabytes of events behind one journal line.
   inject::JobSpec spec;
   spec.classes = {taxonomy::FailureClass::FF_T3};
   spec.maxRuns = 20;
   spec.negativeControls = false;
   const std::vector<inject::ShardSpec> shards = inject::expandShards(spec);
   ASSERT_FALSE(shards.empty());
-  confail::events::Trace run;
-  const inject::ShardResult r = inject::runShard(spec, shards[0], {}, run);
-  ASSERT_EQ(r.spec.index, 0u);
   TempRoot root;
   const serve::CampaignStore store(root.str());
   const std::string id = "torn";
-  fs::create_directories(fs::path(store.shardPath(id, 0)).parent_path());
-  ASSERT_TRUE(store.writeShard(id, r, &run));
-  const std::string headerPath = store.shardPath(id, 0);
-  const std::string sidecarPath = store.shardEventsPath(id, 0);
-  const std::string text = slurp(headerPath);
-  const std::uint64_t eventsSize = fs::file_size(sidecarPath);
-  const std::size_t close = text.rfind('}');
-  const std::size_t bytesKey = text.find("\"events_bytes\": ");
-  ASSERT_NE(close, std::string::npos);
-  ASSERT_NE(bytesKey, std::string::npos);
+  fs::create_directories(store.jobDir(id));
+  serve::CampaignStore::JournalEnd end;
+  landShard(store, id, spec, 0, end);
+  const std::string line = journalText(store, id).at(0);
+  const std::string feed = slurp(store.eventsPath(id));
+  const std::uint64_t eventsSize = feed.size();
   ASSERT_GT(eventsSize, 1000000u);
+  ASSERT_EQ(end.feed, eventsSize);
 
-  inject::ShardResult out;
-  std::uint64_t bytes = 0;
   std::string error;
-  ASSERT_TRUE(serve::CampaignStore::shardFromJson(text, out, bytes, error))
+  serve::CampaignStore::Landing parsed;
+  ASSERT_TRUE(serve::CampaignStore::landingFromJson(line, parsed, error))
       << error;
-  EXPECT_EQ(bytes, eventsSize);
-  ASSERT_TRUE(store.readShardHeader(id, 0, out, bytes));
+  EXPECT_EQ(parsed.segment.offset, 0u);
+  EXPECT_EQ(parsed.segment.bytes, eventsSize);
 
-  // The landing rule on the files: not landed, and not loadable either.
+  const auto putJournal = [&](const std::string& text) {
+    ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(store.journalPath(id),
+                                                      text));
+  };
+  const auto landings = [&] { return store.readJournal(id, 1).landings; };
   const auto expectNotLanded = [&] {
-    EXPECT_FALSE(store.readShardHeader(id, 0, out, bytes));
+    EXPECT_TRUE(landings().empty());
+    inject::ShardResult out;
     EXPECT_FALSE(store.readShard(id, 0, out));
-    EXPECT_FALSE(store.completedShards(id, 1)[0]);
   };
-  const auto putHeader = [&](const std::string& doc) {
-    ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(headerPath, doc));
-  };
+  putJournal(line + "\n");
+  ASSERT_EQ(landings().size(), 1u);
 
   confail::Xoshiro256 rng(2024);
-  // Truncated headers: every cut before the closing brace is rejected.
+  // Truncated lines: every cut is rejected, torn or ended by a newline.
   for (int i = 0; i < 40; ++i) {
-    const std::size_t cut = static_cast<std::size_t>(rng.below(close + 1));
-    SCOPED_TRACE("header truncated at " + std::to_string(cut));
-    EXPECT_FALSE(serve::CampaignStore::shardFromJson(text.substr(0, cut), out,
-                                                     bytes, error));
-    putHeader(text.substr(0, cut));
+    const std::size_t cut = static_cast<std::size_t>(rng.below(line.size()));
+    SCOPED_TRACE("line truncated at " + std::to_string(cut));
+    EXPECT_FALSE(serve::CampaignStore::landingFromJson(line.substr(0, cut),
+                                                       parsed, error));
+    putJournal(line.substr(0, cut));
+    expectNotLanded();
+    putJournal(line.substr(0, cut) + "\n");
     expectNotLanded();
   }
-  // A header naming any other sidecar size is rejected: off by a little or
-  // a lot, or no count at all.
-  const std::size_t digits =
-      bytesKey + std::string("\"events_bytes\": ").size();
-  const std::size_t digitsEnd = text.find_first_not_of("0123456789", digits);
+  // The line with no newline is torn as well.
+  putJournal(line);
+  expectNotLanded();
+
+  // A segment that does not fit the feed is rejected: a size or offset
+  // that is not a count, a segment past the feed's end, a first segment
+  // that does not start at the feed's start, a field missing.
+  const auto withField = [&line](const std::string& key,
+                                 const std::string& value) {
+    const std::string k = "\"" + key + "\": ";
+    const std::size_t at = line.find(k);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + k.size();
+    const std::size_t to = line.find_first_of(",}", from);
+    return line.substr(0, from) + value + line.substr(to);
+  };
   static const char* const kOddCounts[] = {
-      "-1", "0", "1e300", "0.5", "18446744073709551616", "\"12\"", "null"};
-  for (int i = 0; i < 40; ++i) {
-    std::string count;
-    if (i < 7) {
-      count = kOddCounts[i];
-    } else {
-      const std::uint64_t delta = 1 + rng.below(i % 2 == 0 ? 64 : eventsSize);
-      count = std::to_string(rng.chance(0.5) ? eventsSize + delta
-                                             : eventsSize - delta);
+      "-1", "1e300", "0.5", "18446744073709551616", "\"12\"", "null", "[]"};
+  for (const char* odd : kOddCounts) {
+    for (const char* key : {"events_bytes", "events_offset"}) {
+      SCOPED_TRACE(std::string(key) + " " + odd);
+      putJournal(withField(key, odd) + " \n");
+      expectNotLanded();
     }
-    SCOPED_TRACE("events_bytes " + count);
-    putHeader(text.substr(0, digits) + count + text.substr(digitsEnd));
-    expectNotLanded();
   }
-  putHeader(text.substr(0, bytesKey) + "\"x\": 0" + text.substr(digitsEnd));
-  expectNotLanded();
-  putHeader(text);
-  ASSERT_TRUE(store.readShardHeader(id, 0, out, bytes));
-
-  // A short sidecar: every truncation is rejected (shortest last, so one
-  // file is cut down step by step).
-  std::vector<std::uint64_t> cuts;
-  for (int i = 0; i < 40; ++i) cuts.push_back(rng.below(eventsSize));
-  std::sort(cuts.rbegin(), cuts.rend());
-  for (const std::uint64_t cut : cuts) {
-    SCOPED_TRACE("sidecar truncated to " + std::to_string(cut));
-    fs::resize_file(sidecarPath, cut);
-    expectNotLanded();
-  }
-  fs::remove(sidecarPath);
-  expectNotLanded();
-  ASSERT_TRUE(store.writeShard(id, r, &run));
-  ASSERT_EQ(slurp(headerPath), text);
-  // A long sidecar: every extension is rejected.
   for (int i = 0; i < 40; ++i) {
-    const std::size_t extra = 1 + static_cast<std::size_t>(rng.below(4096));
-    SCOPED_TRACE("sidecar extended by " + std::to_string(extra));
-    ASSERT_TRUE(serve::CampaignStore::appendFile(
-        sidecarPath, std::string(extra, i % 2 == 0 ? '\n' : '{')));
+    const std::uint64_t delta = 1 + rng.below(i % 2 == 0 ? 64 : eventsSize);
+    SCOPED_TRACE("delta " + std::to_string(delta));
+    putJournal(withField("events_bytes", std::to_string(eventsSize + delta)) +
+               "\n");
     expectNotLanded();
-    fs::resize_file(sidecarPath, eventsSize);
+    putJournal(withField("events_offset", std::to_string(delta)) + "\n");
+    expectNotLanded();
+    // A shorter segment is a segment: it lands when it ends a line, and
+    // then the shard's events are exactly its bytes.
+    const std::uint64_t shorter = eventsSize - delta;
+    putJournal(withField("events_bytes", std::to_string(shorter)) + "\n");
+    const bool endsLine = shorter == 0 || feed[shorter - 1] == '\n';
+    EXPECT_EQ(landings().size(), endsLine ? 1u : 0u);
+    inject::ShardResult out;
+    if (store.readShard(id, 0, out)) {
+      EXPECT_EQ(out.eventsJsonl, feed.substr(0, shorter));
+    }
   }
-  ASSERT_TRUE(store.readShardHeader(id, 0, out, bytes));
+  putJournal(line.substr(0, line.find(", \"events_offset\"")) + " }\n");
+  expectNotLanded();
+  // A segment inside the feed that does not start where the previous one
+  // ended (here: at the feed's start) does not land either.
+  const std::uint64_t firstLine = feed.find('\n') + 1;
+  putJournal(withField("events_offset", std::to_string(firstLine))
+                 .replace(line.find("\"events_bytes\": "),
+                          std::string("\"events_bytes\": ").size() +
+                              std::to_string(eventsSize).size(),
+                          "\"events_bytes\": " +
+                              std::to_string(eventsSize - firstLine)) +
+             "\n");
+  expectNotLanded();
+  putJournal(withField("index", "1") + "\n");  // out of range
+  expectNotLanded();
+  // A shard lands once: a second line for it ends the valid prefix, even
+  // one whose (empty) segment follows the first.
+  const std::string again =
+      withField("events_offset", std::to_string(eventsSize))
+          .replace(line.find("\"events_bytes\": "),
+                   std::string("\"events_bytes\": ").size() +
+                       std::to_string(eventsSize).size(),
+                   "\"events_bytes\": 0");
+  putJournal(line + "\n" + again + "\n");
+  EXPECT_EQ(landings().size(), 1u);
+  EXPECT_EQ(store.readJournal(id, 1).end.journal, line.size() + 1);
+  // Adoption's cut: a torn line and feed bytes past the last segment go.
+  putJournal(line + "\n" + line.substr(0, 40));
+  ASSERT_TRUE(serve::CampaignStore::appendFile(store.eventsPath(id),
+                                               "{\"kind\": \"x\"}\n"));
+  ASSERT_TRUE(store.truncateJournal(id, store.readJournal(id, 1).end));
+  EXPECT_EQ(slurp(store.journalPath(id)), line + "\n");
+  EXPECT_EQ(fs::file_size(store.eventsPath(id)), eventsSize);
+  ASSERT_EQ(landings().size(), 1u);
 
+  // Seeded mutations: rejected or decoded, without a crash or a sanitizer
+  // report; a line that lands names a segment inside the feed, from its
+  // start, ending a line.
+  confail::SplitMix64 catalogueRng(0x5eed);
   static const char kBytes[] = {'"', '\\', '{', '}', '[', ']', ',', ':',
                                 '0', 'e', '-', ' ', '\0', '\xff', 'n'};
-  for (int i = 0; i < 80; ++i) {
-    std::string m = text;
+  std::size_t landed = 0;
+  for (int i = 0; i < 120; ++i) {
+    std::string m = line;
     const std::size_t at = static_cast<std::size_t>(rng.below(m.size()));
-    if (i % 2 == 0) {
+    if (i % 3 == 0) {
       m[at] = static_cast<char>(m[at] ^ (1u << rng.below(8)));
-    } else {
+    } else if (i % 3 == 1) {
       m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
                kBytes[rng.below(sizeof kBytes)]);
+    } else {
+      m = confail::json_mutation::mutate(m, catalogueRng);
     }
-    SCOPED_TRACE("mutant " + std::to_string(i) + " at " + std::to_string(at));
-    // Rejected or decoded, without a crash or a sanitizer report; a header
-    // that lands names its sidecar's size.
-    (void)serve::CampaignStore::shardFromJson(m, out, bytes, error);
-    putHeader(m);
-    if (store.readShardHeader(id, 0, out, bytes)) {
-      EXPECT_EQ(bytes, eventsSize);
-    }
+    SCOPED_TRACE("mutant " + std::to_string(i) + ": " + m.substr(0, 200));
+    (void)serve::CampaignStore::landingFromJson(m, parsed, error);
+    putJournal(m + "\n");
+    const auto got = landings();
+    if (got.empty()) continue;
+    ++landed;
+    const serve::CampaignStore::Segment& s = got.front().segment;
+    EXPECT_EQ(s.offset, 0u);
+    EXPECT_LE(s.bytes, eventsSize);
+    EXPECT_TRUE(s.bytes == 0 || feed[s.bytes - 1] == '\n');
   }
+  EXPECT_LT(landed, 120u);
+}
+
+// A worker's reply is outside input too: a mutated one is rejected, or
+// lands a segment that is exactly the scratch buffer's contents.
+TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfAWorkerReply) {
+  const inject::JobSpec spec = smallSpec();
+  confail::events::Trace run;
+  const inject::ShardResult r =
+      inject::runShard(spec, inject::expandShards(spec).at(0), {}, run);
+  EventsBuffer events;
+  std::uint64_t bytes = 0;
+  ASSERT_TRUE(serve::CampaignStore::writeEvents(events.fd, run, bytes));
+  const std::string jsonl = confail::obs::toJsonl(run);
+  const std::string reply =
+      "0 ok " + serve::CampaignStore::shardToJson(r, bytes);
+  TempRoot root;
+  const serve::CampaignStore store(root.str());
+  const std::string id = "reply";
+  fs::create_directories(store.jobDir(id));
+
+  bool ok = false;
+  std::string header;
+  ASSERT_TRUE(serve::parseReply(reply, 0, ok, header));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ("0 ok " + header, reply);
+  EXPECT_TRUE(serve::parseReply("3 failed", 3, ok, header));
+  EXPECT_FALSE(ok);
+  for (const std::string bad :
+       {"3 failed ", "3 failedx", "3 ok", "3 okay {}", "03 failed",
+        "4 failed", "3  failed", "3", "", "failed", "3 ok\t{}"}) {
+    EXPECT_FALSE(serve::parseReply(bad, 3, ok, header)) << bad;
+  }
+
+  confail::Xoshiro256 rng(77);
+  confail::SplitMix64 catalogueRng(0xbeef);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 160; ++i) {
+    std::string m = reply;
+    const std::size_t at = static_cast<std::size_t>(rng.below(m.size()));
+    if (i == 0) {
+      // unmutated
+    } else if (i % 2 == 0) {
+      m[at] = static_cast<char>(m[at] ^ (1u << rng.below(8)));
+    } else {
+      m = "0 ok " + confail::json_mutation::mutate(m.substr(5), catalogueRng);
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i) + ": " + m.substr(0, 200));
+    inject::ShardResult parsed;
+    std::uint64_t count = 0;
+    std::string error;
+    if (!serve::parseReply(m, 0, ok, header) || !ok ||
+        !serve::CampaignStore::shardFromJson(header, parsed, count, error)) {
+      continue;
+    }
+    serve::CampaignStore::JournalEnd end;
+    if (!store.landShard(id, header, events.fd, count, end)) {
+      EXPECT_EQ(end.feed, 0u);
+      EXPECT_FALSE(fs::exists(store.eventsPath(id)) &&
+                   fs::file_size(store.eventsPath(id)) != 0);
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(count, bytes);
+    const serve::CampaignStore::Journal journal =
+        store.readJournal(id, parsed.spec.index + 1);
+    ASSERT_EQ(journal.landings.size(), 1u);
+    EXPECT_EQ(journal.landings[0].segment.bytes, bytes);
+    inject::ShardResult back;
+    ASSERT_TRUE(store.readShard(id, parsed.spec.index, back));
+    EXPECT_EQ(back.eventsJsonl, jsonl);
+    ASSERT_TRUE(store.truncateJournal(id, {}));
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 160u);
 }
 
 // ---- daemon ----------------------------------------------------------------
@@ -808,7 +1019,7 @@ TEST(Server, RunsSubmittedJobToCompletion) {
   // The heartbeat feed carries every shard's captured run.
   const serve::CampaignStore& store = server.store();
   EXPECT_GT(fs::file_size(store.eventsPath(id)), 0u);
-  EXPECT_EQ(journalLines(store.journalPath(id)), st.shardsTotal);
+  EXPECT_EQ(journalText(store, id).size(), st.shardsTotal);
 
   // Every landing is timed, and every byte it appended is counted.
   const confail::obs::Snapshot snap = reg.snapshot();
@@ -902,9 +1113,11 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
 
   // The first daemon's worker: it forwards only the first request it is
   // handed to a real one-request worker, whose reply lands that shard, and
-  // then blocks holding its channel, leaving every later request unread
-  // until the kill below.  The daemon is therefore always mid-job, with
-  // exactly one shard landed, when it dies, however fast shards run.
+  // then holds its channel, reading every later request without answering
+  // it, until the channel ends.  The daemon is therefore always mid-job,
+  // with exactly one shard landed, when it dies, however fast shards run;
+  // and since the hold ends with the daemon's end of the channel, the
+  // wrapper cannot outlive it.
   TempRoot scripts;
   const std::string wrapper = (scripts.path / "worker.sh").string();
   {
@@ -912,7 +1125,7 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
     out << "#!/bin/sh\n"
         << "IFS= read -r request\n"
         << "printf '%s\\n' \"$request\" | '" << CONFAIL_CLI << "' \"$@\"\n"
-        << "exec sleep 600\n";
+        << "exec cat >/dev/null\n";
   }
   fs::permissions(wrapper, fs::perms::owner_all);
 
@@ -937,9 +1150,7 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   // Kill the daemon once its first shard has landed.
   std::size_t landed = 0;
   for (int spin = 0; spin < 20000; ++spin) {
-    const std::vector<bool> done = store.completedShards(id, total);
-    landed = 0;
-    for (const bool d : done) landed += d ? 1 : 0;
+    landed = store.readJournal(id, total).landings.size();
     if (landed >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -948,31 +1159,23 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
   ASSERT_GE(landed, 1u);
 
-  const std::vector<bool> doneBeforeResume = store.completedShards(id, total);
-  std::size_t landedAtKill = 0;
-  for (const bool d : doneBeforeResume) landedAtKill += d ? 1 : 0;
+  const serve::CampaignStore::Journal atKill = store.readJournal(id, total);
+  const std::size_t landedAtKill = atKill.landings.size();
   ASSERT_LT(landedAtKill, total) << "daemon finished before the kill";
   EXPECT_EQ(landedAtKill, 1u) << "a blocked worker landed its shard";
-  struct Landed {
-    std::string path;  ///< a header or its sidecar
-    ino_t inode;
-    std::string bytes;
-  };
-  std::vector<Landed> landedFiles;
-  for (std::size_t i = 0; i < total; ++i) {
-    if (!doneBeforeResume[i]) continue;
-    for (const std::string& path :
-         {store.shardPath(id, i), store.shardEventsPath(id, i)}) {
-      landedFiles.push_back({path, inodeOf(path), slurp(path)});
-    }
-  }
+  std::vector<std::string> linesAtKill = journalText(store, id);
+  linesAtKill.resize(landedAtKill);
+  const std::string feedAtKill =
+      slurp(store.eventsPath(id)).substr(0, atKill.end.feed);
 
   // Second daemon over the same root: must finish the job.
+  confail::obs::Registry reg;
   serve::ServerOptions opts;
   opts.root = root.str();
   opts.poolSize = 2;
   opts.subprocess = false;
   opts.exitWhenIdle = true;
+  opts.metrics = &reg;
   serve::Server server(std::move(opts));
   EXPECT_EQ(server.run(), 0);
 
@@ -981,18 +1184,20 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   EXPECT_EQ(st.status, "completed");
   EXPECT_EQ(st.shardsDone, total);
 
-  // Zero re-runs: a re-run shard would rename fresh files over its old
-  // ones, so every header and sidecar that had landed before the kill
-  // keeps its inode and its bytes.
-  ASSERT_FALSE(landedFiles.empty());
-  for (const Landed& l : landedFiles) {
-    EXPECT_EQ(inodeOf(l.path), l.inode) << l.path << " re-ran";
-    EXPECT_EQ(slurp(l.path), l.bytes) << l.path << " re-ran";
-  }
-  // Exactly-once journaling across the crash, including a shard that
-  // landed after the first daemon's last journal line.
-  EXPECT_EQ(journalLines(store.journalPath(id)), total);
-  for (const bool j : store.journaledShards(id, total)) EXPECT_TRUE(j);
+  // Zero re-runs: the second daemon ran only the shards that had not
+  // landed, and every landed shard keeps its journal line and its feed
+  // segment, byte for byte.
+  EXPECT_EQ(reg.snapshot().counter("serve.shards_completed"),
+            total - landedAtKill);
+  std::vector<std::string> lines = journalText(store, id);
+  ASSERT_EQ(lines.size(), total);  // exactly one journal line per shard
+  lines.resize(landedAtKill);
+  EXPECT_EQ(lines, linesAtKill);
+  EXPECT_EQ(slurp(store.eventsPath(id)).substr(0, atKill.end.feed),
+            feedAtKill);
+  const serve::CampaignStore::Journal journal = store.readJournal(id, total);
+  ASSERT_EQ(journal.landings.size(), total);  // each shard once
+  EXPECT_EQ(journal.end.feed, fs::file_size(store.eventsPath(id)));
 
   // Byte-identical reports: an uninterrupted run of the same spec in a
   // fresh root merges to the same findings and SARIF documents.
@@ -1045,7 +1250,7 @@ TEST(Server, WorkerKilledMidShardIsReplacedAndRetried) {
     const serve::CampaignStore store(root.str());
     serve::JobState st;
     ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
-    const std::vector<bool> landed = store.completedShards(id, total);
+    const std::vector<bool> landed = landedShards(store, id, total);
     const confail::obs::Snapshot snap = reg.snapshot();
     if (once) {
       EXPECT_EQ(rc, 0);
@@ -1067,6 +1272,68 @@ TEST(Server, WorkerKilledMidShardIsReplacedAndRetried) {
       for (std::size_t i = 0; i < total; ++i) {
         EXPECT_EQ(landed[i], i != victim) << "shard " << i;
       }
+    }
+  }
+}
+
+// A worker killed mid-reply costs its shard one attempt, as one killed
+// mid-shard does: the daemon lands nothing of a reply that lacks its
+// newline, so no partial segment reaches the feed.
+TEST(Server, WorkerKilledMidReplyLeavesNoPartialSegment) {
+  if (kUnderTsan) GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  const std::size_t total = inject::expandShards(spec).size();
+  const std::size_t victim = 1;
+  ASSERT_GT(total, victim + 1);
+  TempRoot cleanRoot;
+  const std::string id = serve::submitJob(cleanRoot.str(), spec);
+  ASSERT_EQ(serveToIdle(cleanRoot.str(), false), 0);
+  const serve::CampaignStore cleanStore(cleanRoot.str());
+
+  for (const bool once : {true, false}) {
+    SCOPED_TRACE(once ? "killed once" : "killed on both attempts");
+    TempRoot scripts;
+    TempRoot root;
+    ASSERT_EQ(serve::submitJob(root.str(), spec), id);
+    confail::obs::Registry reg;
+    serve::ServerOptions opts;
+    opts.root = root.str();
+    opts.poolSize = once ? 1 : 2;
+    opts.workerBinary = killingWorker(scripts.path, victim, once, true);
+    opts.exitWhenIdle = true;
+    opts.metrics = &reg;
+    const int rc = serve::Server(std::move(opts)).run();
+    expectNoChildren("after the drain");
+
+    const serve::CampaignStore store(root.str());
+    serve::JobState st;
+    ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+    const confail::obs::Snapshot snap = reg.snapshot();
+    if (once) {
+      EXPECT_EQ(rc, 0);
+      EXPECT_EQ(st.status, "completed");
+      EXPECT_EQ(st.shardsFailed, 0u);
+      EXPECT_EQ(snap.counter("serve.workers_started"), 2u);
+      expectExactFeed(store, cleanStore, id, total);
+      continue;
+    }
+    EXPECT_EQ(rc, 1);
+    EXPECT_EQ(st.status, "failed");
+    EXPECT_EQ(st.shardsFailed, 1u);
+    EXPECT_EQ(snap.counter("serve.shards_failed"), 1u);
+    // The feed is the other shards' segments end to end, nothing more.
+    const serve::CampaignStore::Journal journal = store.readJournal(id, total);
+    EXPECT_EQ(journal.landings.size(), total - 1);
+    EXPECT_EQ(journal.end.feed, fs::file_size(store.eventsPath(id)));
+    EXPECT_EQ(snap.counter("serve.events_bytes"), journal.end.feed);
+    for (std::size_t i = 0; i < total; ++i) {
+      inject::ShardResult got;
+      inject::ShardResult want;
+      EXPECT_EQ(store.readShard(id, i, got), i != victim) << "shard " << i;
+      if (i == victim) continue;
+      ASSERT_TRUE(cleanStore.readShard(id, i, want));
+      EXPECT_EQ(got.eventsJsonl, want.eventsJsonl) << "shard " << i;
     }
   }
 }
@@ -1195,21 +1462,140 @@ TEST(Server, LeavesNoWorkerProcessBehind) {
   }
 }
 
-TEST(Server, SidecarWithoutHeaderRerunsTheShard) {
+// A daemon killed between a shard's feed copy and its journal line left
+// feed bytes no line commits: adoption cuts them, and the shard runs again.
+TEST(Server, FeedBytesPastTheJournalAreCutAndTheShardReruns) {
   inject::JobSpec spec = smallSpec();
   spec.scenarios = {"fig2", "lock_order"};
   for (const bool subprocess : {false, true}) {
-    expectTornShardReruns(spec, subprocess, Torn::SidecarOnly);
+    expectTornJournalReruns(spec, subprocess, Torn::FeedPastJournal);
   }
 }
 
-TEST(Server, HeaderWithoutItsSidecarRerunsTheShard) {
+TEST(Server, TornLastJournalLineIsIgnoredAndTheShardReruns) {
   inject::JobSpec spec = smallSpec();
   spec.scenarios = {"fig2", "lock_order"};
   for (const bool subprocess : {false, true}) {
-    for (const Torn torn : {Torn::NoSidecar, Torn::ShortSidecar,
-                            Torn::LongSidecar, Torn::V1}) {
-      expectTornShardReruns(spec, subprocess, torn);
+    expectTornJournalReruns(spec, subprocess, Torn::TornLastLine);
+  }
+}
+
+TEST(Server, JournalLineWhoseSegmentRunsPastTheFeedIsNotLanded) {
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  for (const bool subprocess : {false, true}) {
+    expectTornJournalReruns(spec, subprocess, Torn::SegmentPastFeed);
+  }
+}
+
+// A spool an older daemon left (`{"shard": N}` journal lines, a feed, and
+// shard files beside them) has no valid journal prefix: every shard runs
+// again, and the feed holds each shard's events once.
+TEST(Server, OlderSpoolRerunsEveryShard) {
+  const inject::JobSpec spec = smallSpec();
+  const std::size_t total = inject::expandShards(spec).size();
+  TempRoot cleanRoot;
+  const std::string id = serve::submitJob(cleanRoot.str(), spec);
+  ASSERT_EQ(serveToIdle(cleanRoot.str(), false), 0);
+  const serve::CampaignStore cleanStore(cleanRoot.str());
+
+  TempRoot root;
+  const serve::CampaignStore store(root.str());
+  ASSERT_EQ(store.submit(spec), id);
+  inject::JobSpec adopted;
+  std::string error;
+  ASSERT_TRUE(store.adoptJob(id, adopted, error)) << error;
+  ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(store.journalPath(id),
+                                                    "{\"shard\": 0}\n"));
+  ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(
+      store.eventsPath(id), slurp(cleanStore.eventsPath(id))));
+  confail::obs::Registry reg;
+  ASSERT_EQ(serveToIdle(root.str(), false, &reg), 0);
+  EXPECT_EQ(reg.snapshot().counter("serve.shards_completed"), total);
+  expectExactFeed(store, cleanStore, id, total);
+}
+
+// A shard lands only when its feed copy and its journal line both succeed.
+// A feed that cannot be opened (a directory in its place) or written (the
+// full device: ENOSPC), or a journal that cannot take the line, fails
+// every landing: each shard is retried once, then failed, the job fails,
+// no journal line names a shard, and no copied segment stays in the feed.
+TEST(Server, FailedLandingIsRetriedThenFailed) {
+  const inject::JobSpec spec = smallSpec();
+  const std::size_t total = inject::expandShards(spec).size();
+  enum class Broken { FeedIsADirectory, FeedIsFull, JournalIsFull };
+  for (const Broken broken : {Broken::FeedIsADirectory, Broken::FeedIsFull,
+                              Broken::JournalIsFull})
+  for (const bool subprocess : {false, true}) {
+    SCOPED_TRACE(std::to_string(static_cast<int>(broken)) +
+                 (subprocess ? ", subprocess pool" : ", in-process pool"));
+    TempRoot root;
+    const serve::CampaignStore store(root.str());
+    const std::string id = store.submit(spec);
+    ASSERT_FALSE(id.empty());
+    fs::create_directories(store.jobDir(id));
+    switch (broken) {
+      case Broken::FeedIsADirectory:
+        fs::create_directories(store.eventsPath(id));
+        break;
+      case Broken::FeedIsFull:
+        fs::create_symlink("/dev/full", store.eventsPath(id));
+        break;
+      case Broken::JournalIsFull:
+        fs::create_symlink("/dev/full", store.journalPath(id));
+        break;
+    }
+    confail::obs::Registry reg;
+    EXPECT_EQ(serveToIdle(root.str(), subprocess, &reg), 1);
+    serve::JobState st;
+    ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+    EXPECT_EQ(st.status, "failed");
+    EXPECT_EQ(st.shardsDone, 0u);
+    EXPECT_EQ(st.shardsFailed, total);
+    const confail::obs::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("serve.shards_completed"), 0u);
+    EXPECT_EQ(snap.counter("serve.shards_failed"), total);
+    EXPECT_EQ(snap.counter("serve.events_bytes"), 0u);
+    EXPECT_TRUE(store.readJournal(id).landings.empty());
+    if (broken != Broken::JournalIsFull) {
+      EXPECT_TRUE(!fs::exists(store.journalPath(id)) ||
+                  fs::file_size(store.journalPath(id)) == 0);
+    }
+    if (broken == Broken::JournalIsFull) {
+      EXPECT_EQ(fs::file_size(store.eventsPath(id)), 0u);
+    }
+  }
+}
+
+// A drain creates no file per shard: a finished job's directory holds the
+// same seven files whatever its shard count, on both pools.
+TEST(Server, JobDirectoryHoldsNoPerShardFile) {
+  inject::JobSpec smoke;  // the CLI smoke job of serve_cli_roundtrip
+  smoke.name = "smoke";
+  smoke.scenarios = {"fig2"};
+  smoke.maxRuns = 80;
+  inject::JobSpec grid;  // every registry scenario
+  grid.name = "grid";
+  grid.maxBranchDepth = 4;
+  const std::size_t smokeShards = inject::expandShards(smoke).size();
+  ASSERT_GE(inject::expandShards(grid).size(), 3 * smokeShards);
+  const std::vector<std::string> expected = {
+      "events.jsonl", "findings.json", "findings.sarif", "job.json",
+      "journal.jsonl", "matrix.json", "state.json"};
+  for (const bool subprocess : {false, true}) {
+    SCOPED_TRACE(subprocess ? "subprocess pool" : "in-process pool");
+    TempRoot root;
+    const std::vector<std::string> ids = {serve::submitJob(root.str(), smoke),
+                                          serve::submitJob(root.str(), grid)};
+    ASSERT_EQ(serveToIdle(root.str(), subprocess), 0);
+    const serve::CampaignStore store(root.str());
+    for (const std::string& id : ids) {
+      std::vector<std::string> names;
+      for (const auto& e : fs::directory_iterator(store.jobDir(id))) {
+        names.push_back(e.path().filename().string());
+      }
+      std::sort(names.begin(), names.end());
+      EXPECT_EQ(names, expected) << id;
     }
   }
 }

@@ -6,7 +6,9 @@
 //       Run the campaign daemon over a spool directory: adopt queued
 //       confail.job.v1 specs, fan their shards across a pool of up to N
 //       persistent `confail worker --root DIR` subprocesses (threads with
-//       --in-process), checkpoint every shard, merge finished jobs into
+//       --in-process), land every shard by appending its
+//       events to the job's events.jsonl and its header to journal.jsonl
+//       (the commit point), merge finished jobs into
 //       findings/SARIF/matrix documents.  Workers start as shards need
 //       them and all exit when no job is in flight.  Resumable: restarting
 //       over the same root (even after SIGKILL) re-runs only missing
@@ -16,17 +18,20 @@
 //       state.json and --metrics-out are rewritten.
 //
 //   worker  --job FILE --shard N --out FILE
-//       Execute one shard of a job spec and write it as two files, each
-//       atomically: first its captured run as raw JSONL to the sidecar
-//       (FILE with ".json" replaced by ".events.jsonl"), then the
-//       confail.shard.v2 header to FILE, which commits the pair.  A public
-//       verb so a shard can be reproduced by hand; it writes the same
-//       bytes as the daemon's workers.
+//       Execute one shard of a job spec and write it atomically as one
+//       file: its confail.shard.v3 header on the first line, then its
+//       captured run as raw JSONL (`events_bytes` of them).  A public verb
+//       so a shard can be reproduced by hand; the header is the one the
+//       daemon journals (less `events_offset`) and the events are the
+//       shard's segment of the feed.
 //
 //   worker  --root DIR
 //       The daemon's persistent worker: read "<job-id> <shard>" requests
-//       from stdin, run each shard into the spool under DIR, and reply
-//       "<shard> ok" or "<shard> failed" on stdout, until stdin ends.
+//       from stdin, run each shard of the job under DIR with its captured
+//       run written into the scratch buffer the daemon opened on fd 3, and
+//       reply
+//       "<shard> ok <header>" or "<shard> failed" on stdout, until stdin
+//       ends.  It writes no file: the daemon lands what it replies.
 //
 //   submit  --root DIR (--job FILE | --name N [--scenario S]...
 //           [--class C]... [--reduction R]... [exploration flags])
@@ -83,11 +88,13 @@ int usageServe(const char* prog) {
 int usageWorker(const char* prog) {
   std::fprintf(stderr,
                "usage: %s --job FILE --shard N --out FILE\n"
-               "  writes the shard's events to FILE's .events.jsonl "
-               "sidecar, then its header to FILE\n"
+               "  writes the shard's header line, then its events, to "
+               "FILE\n"
                "       %s --root DIR\n"
-               "  serves '<job-id> <shard>' requests from stdin, replying "
-               "'<shard> ok|failed'\n",
+               "  serves '<job-id> <shard>' requests from stdin, writing "
+               "each shard's events\n"
+               "  to the buffer on fd 3 and replying '<shard> ok <header>' "
+               "or '<shard> failed'\n",
                prog, prog);
   return 2;
 }
@@ -226,13 +233,14 @@ int cmdWorker(const char* prog, int argc, char** argv) {
   }
   const bool oneShot = !jobPath.empty() || !outPath.empty() || haveShard;
   if (!root.empty() && !oneShot) {
-    return serve::serveShardRequests(root, STDIN_FILENO, STDOUT_FILENO);
+    return serve::serveShardRequests(root, STDIN_FILENO, STDOUT_FILENO,
+                                     serve::kEventsFd);
   }
   if (!root.empty() || jobPath.empty() || outPath.empty() || !haveShard) {
     return usageWorker(prog);
   }
   std::string error;
-  const int rc = serve::ShardWorker().run(
+  const int rc = serve::writeShard(
       jobPath, static_cast<std::size_t>(shardIndex), outPath, error);
   if (rc != 0) std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
   return rc;
