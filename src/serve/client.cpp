@@ -1,14 +1,10 @@
 #include "confail/serve/client.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <system_error>
 
 #include "confail/obs/json.hpp"
 
 namespace confail::serve {
-
-namespace fs = std::filesystem;
 
 std::string submitJob(const std::string& root, const inject::JobSpec& spec) {
   return CampaignStore(root).submit(spec);
@@ -16,18 +12,7 @@ std::string submitJob(const std::string& root, const inject::JobSpec& spec) {
 
 bool jobStatus(const std::string& root, const std::string& id,
                JobState& out) {
-  const CampaignStore store(root);
-  if (store.readState(id, out)) return true;
-  // Adopted but never stated, or still queued.
-  std::error_code ec;
-  const bool queued =
-      fs::exists(fs::path(root) / "queue" / (id + ".json"), ec);
-  const bool adopted = fs::exists(fs::path(store.jobDir(id)), ec);
-  if (!queued && !adopted) return false;
-  out = JobState{};
-  out.id = id;
-  out.status = "queued";
-  return true;
+  return CampaignStore(root).status(id, out);
 }
 
 std::vector<JobState> allJobStatus(const std::string& root) {

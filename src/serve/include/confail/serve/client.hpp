@@ -1,10 +1,10 @@
 // Client: what `confail submit|status|results|drain` call.
 //
 // Clients share the daemon's CampaignStore — submitting is an atomic file
-// drop into queue/, status is a read of state.json, results are reads of
-// the merged documents.  No daemon needs to be running for submit/drain
-// (the spool holds the work); status and results simply report what the
-// store contains so far.
+// drop into queue/, status is derived from the job's files
+// (CampaignStore::status), results are reads of the merged documents.  No
+// daemon needs to be running for submit/drain (the spool holds the work);
+// status and results simply report what the store contains so far.
 #pragma once
 
 #include <string>
@@ -17,9 +17,8 @@ namespace confail::serve {
 /// Enqueue a spec; returns the job id ("" on I/O failure).  Idempotent.
 std::string submitJob(const std::string& root, const inject::JobSpec& spec);
 
-/// State of one job.  False when the job is unknown to the store (never
-/// submitted, or submitted but not yet adopted — then `queued` is
-/// reported when the spec is still in queue/).
+/// State of one job (CampaignStore::status).  False when the store has no
+/// trace of it.
 bool jobStatus(const std::string& root, const std::string& id, JobState& out);
 
 /// States of every job the store knows about, queued ones included.

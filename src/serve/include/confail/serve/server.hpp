@@ -3,10 +3,9 @@
 // One instance owns a CampaignStore root and runs jobs to completion:
 //
 //   read workers' replies -> land their shards -> dispatch to freed workers
-//     -> merge jobs whose shards all landed -> stop the pool if no job is
-//     left -> on the poll clock: scan queue/ and the drain marker, rewrite
-//     state.json, snapshot metrics -> wait for a reply (at most pollMs)
-//     -> repeat
+//     -> merge jobs whose shards all settled -> stop the pool if no job is
+//     left -> on the poll clock: scan queue/ and the drain marker, snapshot
+//     metrics -> wait for a reply (at most pollMs) -> repeat
 //
 // The loop is event-driven.  Up to poolSize persistent workers are started
 // lazily, each on a socketpair; a worker serves one shard request after
@@ -17,10 +16,9 @@
 // next shard at once.  The pollMs timeout is only how often an otherwise
 // idle daemon rescans queue/ and the drain marker.  The same pollMs is
 // the daemon's bookkeeping clock: while jobs run, the queue/ and drain
-// scans, the state.json rewrites of jobs that landed shards, and the
-// metricsOut snapshot happen at most once per pollMs.  Adopting,
-// completing or failing a job, and failing a shard, write state.json at
-// once.
+// scans and the metricsOut snapshot happen at most once per pollMs.  No
+// job status is written: CampaignStore::status derives it from the job's
+// files, so what the daemon writes per job does not depend on pollMs.
 //
 // Each pool slot has a scratch buffer, a memfd the daemon opens with the
 // worker and reuses for every shard it runs: the worker writes the shard's
@@ -37,18 +35,21 @@
 // crashes or is killed
 // takes down only its own process: the daemon sees the channel end, reaps
 // the worker, charges the shard's request as one attempt, retries it once
-// on another or a fresh worker, and otherwise records the shard as failed
+// on another or a fresh worker, and otherwise journals the shard as failed
 // without losing the job.  A shard is charged only for requests that
 // reached a worker: a worker that cannot be started costs nothing.  An
 // in-process pool (the same worker loop on threads) backs tests and
 // sanitizer builds where fork+exec is unavailable or unsafe.
 //
-// Resume is structural: a shard is complete iff its line is in the
-// journal's valid prefix (see store.hpp), so a daemon restarted over an
-// existing root — including after SIGKILL — re-expands each unfinished
-// job, cuts the journal and the feed back to that prefix, and dispatches
-// only the missing shards.  A landed shard's line and segment are never
-// rewritten, and each shard is journaled exactly once.  The daemon keeps
+// Resume is structural: a shard is settled iff its line (a landing or a
+// failure) is in the journal's valid prefix (see store.hpp), so a daemon
+// restarted over an existing root — including after SIGKILL — re-expands
+// each job whose status is running, cuts the journal and the feed back to
+// that prefix, and dispatches only the unsettled shards.  A landed shard's
+// line and segment are never rewritten, and each shard is journaled
+// exactly once.  A merge writes findings.json, findings.sarif, then
+// matrix.json; a write that fails leaves the job running for the next
+// daemon to merge again.  The daemon keeps
 // each landed shard's parsed header (which has no events) in memory and
 // merges from there, never re-reading the spool, and it never holds a
 // shard's events itself: the kernel copies them from buffer to feed.

@@ -8,32 +8,39 @@
 //     ctl/drain                  marker file: finish running jobs, then exit
 //     jobs/<job-id>/
 //       job.json                 the adopted canonical spec
-//       state.json               confail.jobstate.v1 progress summary
 //       events.jsonl             heartbeat feed: every landed shard's
 //                                captured run as raw JSONL (obs::toJsonl
 //                                bytes), one contiguous segment per shard
 //                                (`confail ingest` consumes this directly)
-//       journal.jsonl            append-only landing log, one line per
-//                                landed shard: its confail.shard.v3 header
-//                                plus `events_offset`, where its segment
-//                                starts in events.jsonl (`events_bytes` is
-//                                the segment's size)
+//       journal.jsonl            append-only log, one line per settled
+//                                shard: a landed shard's confail.shard.v3
+//                                header plus `events_offset`, where its
+//                                segment starts in events.jsonl
+//                                (`events_bytes` is the segment's size), or
+//                                a confail.shard_failed.v1 line for a shard
+//                                that failed for good
 //       findings.json            merged confail.findings.v1 (on completion)
 //       findings.sarif           merged SARIF 2.1.0
 //       matrix.json              merged confail.injection.v1 matrix
 //
-// A job directory holds these seven files and no more, whatever its shard
+// A job directory holds these six files and no more, whatever its shard
 // count.  Landing a shard appends its segment to events.jsonl, then its
 // line to journal.jsonl: the journal line is the commit point.  A shard is
-// *landed* iff its line is in the journal's valid prefix: whole lines that
-// parse as confail.shard.v3 with an offset, each for a shard in range and
-// not yet landed, each segment starting where the previous one ended and
-// lying inside the feed, ending in a newline.  Reading stops at the first
-// line that breaks the rule (a torn last line, or the `{"shard": N}` lines
-// of an older spool, which therefore re-runs), and adoption cuts both files
-// back to the prefix: feed bytes past the last journaled segment (a daemon
-// killed between the copy and the line) are truncated away, so every
-// landed shard's events appear in the feed exactly once.
+// *settled* iff a line for it is in the journal's valid prefix: whole
+// lines, each for a shard in range that no earlier line settled.  A landing
+// line parses as confail.shard.v3 with an offset, its segment starting
+// where the previous one ended and lying inside the feed, ending in a
+// newline; a failure line (`{ "schema": "confail.shard_failed.v1",
+// "index": N }`, no other member) names no segment.  Reading stops at the
+// first line that breaks the rule (a torn last line, or the `{"shard": N}`
+// lines of an older spool, which therefore re-runs), and adoption cuts both
+// files back to the prefix: feed bytes past the last journaled segment (a
+// daemon killed between the copy and the line) are truncated away, so every
+// landed shard's events appear in the feed exactly once.  A resumed job
+// runs only the shards the prefix does not settle.
+//
+// No file holds a job's status: status() derives it from these.  A
+// submission refused at adoption leaves an empty job directory.
 //
 // The other documents land via write-to-temp + rename in the same
 // directory, so readers (including a daemon resuming after SIGKILL) only
@@ -53,7 +60,8 @@
 
 namespace confail::serve {
 
-/// Progress summary of one job (the state.json document).
+/// Progress summary of one job, derived from its files
+/// (CampaignStore::status).
 struct JobState {
   std::string id;
   std::string name;
@@ -62,10 +70,6 @@ struct JobState {
   std::uint64_t shardsDone = 0;
   std::uint64_t shardsFailed = 0;
   std::uint64_t findings = 0;  ///< unique findings after the merge
-
-  std::string toJson() const;  ///< confail.jobstate.v1
-  static bool parse(const std::string& json, JobState& out,
-                    std::string& error);
 };
 
 class CampaignStore {
@@ -117,7 +121,6 @@ class CampaignStore {
   // -- paths ---------------------------------------------------------------
 
   std::string jobDir(const std::string& id) const;
-  std::string statePath(const std::string& id) const;
   std::string journalPath(const std::string& id) const;
   std::string eventsPath(const std::string& id) const;
   std::string findingsPath(const std::string& id) const;
@@ -175,7 +178,8 @@ class CampaignStore {
 
   /// The journal's valid prefix (see the layout comment above).
   struct Journal {
-    std::vector<Landing> landings;  ///< in landing order
+    std::vector<Landing> landings;    ///< in landing order
+    std::vector<std::size_t> failed;  ///< shards failed for good
     JournalEnd end;
   };
 
@@ -184,8 +188,8 @@ class CampaignStore {
   static bool landingFromJson(const std::string& line, Landing& out,
                               std::string& error);
 
-  /// Read job `id`'s journal up to the first line that does not commit a
-  /// landing: shard indexes must be below `count`.
+  /// Read job `id`'s journal up to the first line that does not settle a
+  /// shard: shard indexes must be below `count`.
   Journal readJournal(const std::string& id,
                       std::size_t count = static_cast<std::size_t>(-1)) const;
 
@@ -205,6 +209,13 @@ class CampaignStore {
                  int eventsFd, std::uint64_t eventsBytes,
                  JournalEnd& end) const;
 
+  /// Commit shard `index` of job `id` as failed for good: append its
+  /// failure line at end.journal.  On failure the journal is cut back to
+  /// `end` and false is returned (the shard then runs again on resume); on
+  /// success end.journal moves past the line.
+  bool journalFailure(const std::string& id, std::size_t index,
+                      JournalEnd& end) const;
+
   /// Read one segment of job `id`'s feed into `out`.
   bool readSegment(const std::string& id, const Segment& segment,
                    std::string& out) const;
@@ -216,10 +227,20 @@ class CampaignStore {
   bool readShard(const std::string& id, std::size_t index,
                  inject::ShardResult& out) const;
 
-  // -- job metadata --------------------------------------------------------
+  // -- status --------------------------------------------------------------
 
-  bool writeState(const std::string& id, const JobState& st) const;
-  bool readState(const std::string& id, JobState& out) const;
+  /// Derive job `id`'s status from its files; false when the store has no
+  /// trace of it.  In order:
+  ///   queued     queue/<id>.json exists and job.json does not load;
+  ///   failed     the job directory has no job.json that loads and
+  ///              expands (refused at adoption);
+  ///   completed  findings.json, findings.sarif and matrix.json all exist
+  ///              (`findings` is findings.json's count); the journal is
+  ///              not read;
+  ///   failed     the journal's valid prefix settles every shard, at least
+  ///              one of them as failed;
+  ///   running    otherwise, with the prefix's landed and failed counts.
+  bool status(const std::string& id, JobState& out) const;
 
   // -- primitives ----------------------------------------------------------
 

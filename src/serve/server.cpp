@@ -76,7 +76,6 @@ struct Server::Impl {
   struct JobRun {
     JobSpec spec;
     std::vector<ShardSpec> shards;
-    std::vector<bool> done;
     /// Landed shards' results without their events: what the merge reads.
     std::vector<ShardResult> results;
     /// Requests for each shard that reached a worker.
@@ -86,9 +85,6 @@ struct Server::Impl {
     CampaignStore::JournalEnd end;
     std::size_t inFlight = 0;
     std::uint64_t failed = 0;
-    /// Shards landed since state.json was last written: it is rewritten
-    /// on the poll clock, not once per landing.
-    bool stateDirty = false;
   };
 
   /// One persistent worker: a subprocess or a thread serving requests on
@@ -127,8 +123,8 @@ struct Server::Impl {
   std::vector<pollfd> polled;
   std::uint64_t mergedJobs = 0;
   bool anyFailed = false;
-  /// The poll clock: queue/ and drain scans, dirty state.json rewrites and
-  /// metricsOut snapshots run at most once per pollMs.
+  /// The poll clock: queue/ and drain scans and metricsOut snapshots run at
+  /// most once per pollMs.
   std::chrono::steady_clock::time_point lastTick;
   bool ticked = false;
   /// When the last poll(2) returned: a wake's refill is timed from here.
@@ -136,16 +132,9 @@ struct Server::Impl {
 
   // -- job lifecycle -------------------------------------------------------
 
-  void failJob(const std::string& id, const JobSpec* spec) {
-    JobState st;
-    st.id = id;
-    st.name = spec != nullptr ? spec->name : "";
-    st.status = "failed";
-    // A malformed submission fails before adoption ever creates its job
-    // directory, so make sure the state file has somewhere to land.
-    std::error_code ec;
-    std::filesystem::create_directories(store.jobDir(id), ec);
-    (void)store.writeState(id, st);
+  // A job's status is derived from its files (CampaignStore::status), so
+  // failing one writes nothing: it only counts.
+  void failJob() {
     jobsFailed->inc();
     anyFailed = true;
   }
@@ -156,55 +145,35 @@ struct Server::Impl {
     try {
       jr.shards = inject::expandShards(jr.spec);
     } catch (const Error&) {
-      failJob(id, &jr.spec);
+      failJob();
       return;
     }
     const std::size_t n = jr.shards.size();
-    jr.done.assign(n, false);
     jr.results.resize(n);
     jr.attempts.assign(n, 0);
-    // Resume criterion: a shard whose line is in the journal's valid prefix
-    // was landed by an earlier daemon run and is never re-executed.  What
-    // follows the prefix (a torn line, feed bytes a daemon killed before
-    // the line copied) is cut away, so those shards run again and land
-    // their events once.
+    // Resume criterion: a shard the journal's valid prefix settles, landed
+    // or failed for good by an earlier daemon run, is never re-executed.
+    // What follows the prefix (a torn line, feed bytes a daemon killed
+    // before the line copied) is cut away, so those shards run again and
+    // land their events once.
     CampaignStore::Journal journal = store.readJournal(id, n);
     if (!store.truncateJournal(id, journal.end)) {
-      failJob(id, &jr.spec);
+      failJob();
       return;
     }
     jr.end = journal.end;
+    std::vector<bool> settled(n, false);
     for (CampaignStore::Landing& l : journal.landings) {
-      keep(jr, l.result.spec.index, std::move(l.result));
+      settled[l.result.spec.index] = true;
+      jr.results[l.result.spec.index] = std::move(l.result);
     }
+    for (const std::size_t i : journal.failed) settled[i] = true;
+    jr.failed = journal.failed.size();
     for (std::size_t i = 0; i < n; ++i) {
-      if (!jr.done[i]) jr.pending.push_back(i);
+      if (!settled[i]) jr.pending.push_back(i);
     }
-    publishState(id, jr, "running");
     jobsAdopted->inc();
     jobs.emplace(id, std::move(jr));
-  }
-
-  /// Keep a landed shard's header for the merge, which never reads events.
-  static void keep(JobRun& jr, std::size_t index, ShardResult r) {
-    jr.done[index] = true;
-    jr.results[index] = std::move(r);
-  }
-
-  void publishState(const std::string& id, const JobRun& jr,
-                    const std::string& status,
-                    std::uint64_t findings = 0) const {
-    JobState st;
-    st.id = id;
-    st.name = jr.spec.name;
-    st.status = status;
-    st.shardsTotal = jr.shards.size();
-    std::uint64_t done = 0;
-    for (bool d : jr.done) done += d ? 1 : 0;
-    st.shardsDone = done;
-    st.shardsFailed = jr.failed;
-    st.findings = findings;
-    (void)store.writeState(id, st);
   }
 
   void adoptQueued() {
@@ -216,28 +185,28 @@ struct Server::Impl {
       JobSpec spec;
       std::string error;
       if (!store.adoptJob(id, spec, error)) {
+        // The refusal's record is an empty job directory, made before the
+        // queue file goes so that the job never reads as unknown.
+        std::error_code ec;
+        std::filesystem::create_directories(store.jobDir(id), ec);
         store.removeQueued(id);
-        failJob(id, nullptr);
+        failJob();
         continue;
       }
       openJob(id, std::move(spec));
     }
   }
 
+  /// Reopen every job an earlier daemon adopted and did not finish.
   void resumeAdopted() {
     for (const std::string& id : store.listJobs()) {
       JobState st;
-      if (store.readState(id, st) &&
-          (st.status == "completed" || st.status == "failed")) {
-        continue;
-      }
       JobSpec spec;
       std::string error;
-      if (!store.loadJob(id, spec, error)) {
-        failJob(id, nullptr);
-        continue;
+      if (store.status(id, st) && st.status == "running" &&
+          store.loadJob(id, spec, error)) {
+        openJob(id, std::move(spec));
       }
-      openJob(id, std::move(spec));
     }
   }
 
@@ -420,10 +389,10 @@ struct Server::Impl {
     if (events >= 0) (void)::ftruncate(events, 0);
     if (landed) {
       eventsBytes->add(bytes);
-      keep(jr, index, std::move(r));
+      // The merge reads the header alone, never the events.
+      jr.results[index] = std::move(r);
       landUs->observe(microsSince(t0));
       shardsCompleted->inc();
-      jr.stateDirty = true;
       return;
     }
     if (jr.attempts[index] < kMaxAttempts) {
@@ -432,7 +401,9 @@ struct Server::Impl {
     }
     ++jr.failed;
     shardsFailed->inc();
-    publishState(id, jr, "running");
+    // Committed, a resumed job does not run it again.  Uncommitted (the
+    // journal cannot take the line), it does: the job is then not settled.
+    (void)store.journalFailure(id, index, jr.end);
   }
 
   /// The worker's request is answered (`header`: ok) or lost: land or
@@ -523,21 +494,25 @@ struct Server::Impl {
       }
       const std::string id = it->first;
       if (jr.failed > 0) {
-        publishState(id, jr, "failed");
-        jobsFailed->inc();
-        anyFailed = true;
+        failJob();
       } else {
+        // matrix.json goes last: the job reads as completed once all three
+        // documents exist.  A write that fails stops the merge there, and
+        // the job stays running until a later daemon merges it again from
+        // the journal.
         const MergedReports merged =
             mergeShards(jr.spec, id, std::move(jr.results));
-        (void)CampaignStore::writeFileAtomic(store.findingsPath(id),
-                                             merged.findingsJson + "\n");
-        (void)CampaignStore::writeFileAtomic(store.sarifPath(id),
-                                             merged.sarif + "\n");
-        (void)CampaignStore::writeFileAtomic(store.matrixPath(id),
-                                             merged.matrixJson + "\n");
-        publishState(id, jr, "completed", merged.uniqueFindings);
-        jobsCompleted->inc();
-        ++mergedJobs;
+        if (CampaignStore::writeFileAtomic(store.findingsPath(id),
+                                           merged.findingsJson + "\n") &&
+            CampaignStore::writeFileAtomic(store.sarifPath(id),
+                                           merged.sarif + "\n") &&
+            CampaignStore::writeFileAtomic(store.matrixPath(id),
+                                           merged.matrixJson + "\n")) {
+          jobsCompleted->inc();
+          ++mergedJobs;
+        } else {
+          failJob();
+        }
       }
       it = jobs.erase(it);
     }
@@ -561,15 +536,6 @@ struct Server::Impl {
     lastTick = now;
     ticked = true;
     return true;
-  }
-
-  /// Rewrite state.json of every job that landed shards since its last.
-  void flushStates() {
-    for (auto& [id, jr] : jobs) {
-      if (!jr.stateDirty) continue;
-      publishState(id, jr, "running");
-      jr.stateDirty = false;
-    }
   }
 
   /// Refresh the gauges and write the metricsOut snapshot.
@@ -602,7 +568,6 @@ struct Server::Impl {
       if (tickDue()) {
         if (!draining) adoptQueued();
         if (store.drainRequested()) draining = true;
-        flushStates();
         publishMetrics();
       }
       dispatch();  // newly adopted jobs

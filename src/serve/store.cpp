@@ -257,6 +257,18 @@ bool endsLine(int fd, const CampaignStore::Segment& s) {
          last == '\n';
 }
 
+/// Write `line` at `offset` of the file at `path`, creating it.  On failure
+/// the file is cut back to `offset`: no partial line stays.
+bool writeLineAt(const std::string& path, const std::string& line,
+                 std::uint64_t offset) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  const bool ok = pwriteFully(fd, line.data(), line.size(), offset);
+  if (!ok) (void)::ftruncate(fd, static_cast<off_t>(offset));
+  ::close(fd);
+  return ok;
+}
+
 /// Cut `path` back to `size` bytes if it is a longer regular file.
 bool cutTo(const std::string& path, std::uint64_t size) {
   struct stat st {};
@@ -268,47 +280,6 @@ bool cutTo(const std::string& path, std::uint64_t size) {
 }
 
 }  // namespace
-
-// -- JobState ---------------------------------------------------------------
-
-std::string JobState::toJson() const {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.field("schema", "confail.jobstate.v1");
-  w.field("id", id);
-  w.field("name", name);
-  w.field("status", status);
-  w.field("shards_total", shardsTotal);
-  w.field("shards_done", shardsDone);
-  w.field("shards_failed", shardsFailed);
-  w.field("findings", findings);
-  w.endObject();
-  return w.str();
-}
-
-bool JobState::parse(const std::string& json, JobState& out,
-                     std::string& error) {
-  obs::JsonValue doc;
-  try {
-    doc = obs::parseJson(json);
-  } catch (const Error& e) {
-    error = e.what();
-    return false;
-  }
-  if (stringOf(doc, "schema") != "confail.jobstate.v1") {
-    error = "missing or unsupported schema (want confail.jobstate.v1)";
-    return false;
-  }
-  out.id = stringOf(doc, "id");
-  out.name = stringOf(doc, "name");
-  out.status = stringOf(doc, "status");
-  out.shardsTotal = countOf(doc, "shards_total");
-  out.shardsDone = countOf(doc, "shards_done");
-  out.shardsFailed = countOf(doc, "shards_failed");
-  out.findings = countOf(doc, "findings");
-  error.clear();
-  return true;
-}
 
 // -- CampaignStore ----------------------------------------------------------
 
@@ -413,10 +384,6 @@ void CampaignStore::removeQueued(const std::string& id) const {
 
 std::string CampaignStore::jobDir(const std::string& id) const {
   return (fs::path(root_) / "jobs" / id).string();
-}
-
-std::string CampaignStore::statePath(const std::string& id) const {
-  return (fs::path(jobDir(id)) / "state.json").string();
 }
 
 std::string CampaignStore::journalPath(const std::string& id) const {
@@ -567,6 +534,29 @@ bool parseDoc(const std::string& json, obs::JsonValue& doc,
   return true;
 }
 
+/// A parsed journal line as a landing: a shard header plus events_offset.
+bool landingFromDoc(const obs::JsonValue& doc, CampaignStore::Landing& out,
+                    std::string& error) {
+  CampaignStore::Landing l;
+  if (!exactCount(doc, "events_offset", l.segment.offset)) {
+    error = "journal line lacks the offset of its events";
+    return false;
+  }
+  if (!headerFromDoc(doc, l.result, l.segment.bytes, error)) return false;
+  out = std::move(l);
+  return true;
+}
+
+constexpr const char* kShardFailedSchema = "confail.shard_failed.v1";
+
+/// True when a parsed journal line is a failure line: its schema and its
+/// shard's index, no other member (in particular no segment).
+bool failureFromDoc(const obs::JsonValue& doc, std::uint64_t& index) {
+  return doc.isObject() && doc.object.size() == 2 &&
+         stringOf(doc, "schema") == kShardFailedSchema &&
+         exactCount(doc, "index", index);
+}
+
 }  // namespace
 
 std::string CampaignStore::shardToJson(const ShardResult& r,
@@ -624,15 +614,7 @@ bool CampaignStore::writeShardFile(const std::string& path,
 bool CampaignStore::landingFromJson(const std::string& line, Landing& out,
                                     std::string& error) {
   obs::JsonValue doc;
-  if (!parseDoc(line, doc, error)) return false;
-  Landing l;
-  if (!exactCount(doc, "events_offset", l.segment.offset)) {
-    error = "journal line lacks the offset of its events";
-    return false;
-  }
-  if (!headerFromDoc(doc, l.result, l.segment.bytes, error)) return false;
-  out = std::move(l);
-  return true;
+  return parseDoc(line, doc, error) && landingFromDoc(doc, out, error);
 }
 
 CampaignStore::Journal CampaignStore::readJournal(const std::string& id,
@@ -651,16 +633,25 @@ CampaignStore::Journal CampaignStore::readJournal(const std::string& id,
       feed >= 0 && ::fstat(feed, &st) == 0 && S_ISREG(st.st_mode)
           ? static_cast<std::uint64_t>(st.st_size)
           : 0;
-  std::unordered_set<std::size_t> landed;
+  std::unordered_set<std::size_t> settled;
   // A line without its newline is torn: it commits nothing.
   for (std::size_t begin = 0, eol;
        (eol = text.find('\n', begin)) != std::string::npos; begin = eol + 1) {
-    Landing l;
+    obs::JsonValue doc;
     std::string error;
-    if (!landingFromJson(text.substr(begin, eol - begin), l, error)) break;
+    if (!parseDoc(text.substr(begin, eol - begin), doc, error)) break;
+    std::uint64_t failed = 0;
+    if (failureFromDoc(doc, failed)) {
+      if (failed >= count || !settled.insert(failed).second) break;
+      j.failed.push_back(static_cast<std::size_t>(failed));
+      j.end.journal = eol + 1;
+      continue;
+    }
+    Landing l;
+    if (!landingFromDoc(doc, l, error)) break;
     const Segment& s = l.segment;
     const std::size_t index = l.result.spec.index;
-    if (index >= count || !landed.insert(index).second ||
+    if (index >= count || !settled.insert(index).second ||
         s.offset != j.end.feed || s.bytes > feedSize - s.offset ||
         !endsLine(feed, s)) {
       break;
@@ -696,28 +687,26 @@ bool CampaignStore::landShard(const std::string& id,
   const int feed =
       ::open(eventsPath(id).c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
   if (feed < 0) return false;
-  bool ok = copyBytes(eventsFd, feed, end.feed, eventsBytes);
-  int journal = -1;
-  if (ok) {
-    journal = ::open(journalPath(id).c_str(),
-                     O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
-    ok = journal >= 0 &&
-         pwriteFully(journal, line.data(), line.size(), end.journal);
-  }
-  if (!ok) {
-    // Leave no partial segment or line behind.
-    if (journal >= 0) {
-      (void)::ftruncate(journal, static_cast<off_t>(end.journal));
-    }
-    (void)::ftruncate(feed, static_cast<off_t>(end.feed));
-  }
-  if (journal >= 0) ::close(journal);
+  const bool ok = copyBytes(eventsFd, feed, end.feed, eventsBytes) &&
+                  writeLineAt(journalPath(id), line, end.journal);
+  // Leave no partial segment behind.
+  if (!ok) (void)::ftruncate(feed, static_cast<off_t>(end.feed));
   ::close(feed);
   if (ok) {
     end.feed += eventsBytes;
     end.journal += line.size();
   }
   return ok;
+}
+
+bool CampaignStore::journalFailure(const std::string& id, std::size_t index,
+                                   JournalEnd& end) const {
+  const std::string line = std::string("{ \"schema\": \"") +
+                           kShardFailedSchema + "\", \"index\": " +
+                           std::to_string(index) + " }\n";
+  if (!writeLineAt(journalPath(id), line, end.journal)) return false;
+  end.journal += line.size();
+  return true;
 }
 
 bool CampaignStore::readSegment(const std::string& id, const Segment& segment,
@@ -751,18 +740,56 @@ bool CampaignStore::readShard(const std::string& id, std::size_t index,
   return false;
 }
 
-// -- job metadata -----------------------------------------------------------
+// -- status -----------------------------------------------------------------
 
-bool CampaignStore::writeState(const std::string& id,
-                               const JobState& st) const {
-  return writeFileAtomic(statePath(id), st.toJson() + "\n");
-}
-
-bool CampaignStore::readState(const std::string& id, JobState& out) const {
-  std::string text;
-  if (!readFile(statePath(id), text)) return false;
+bool CampaignStore::status(const std::string& id, JobState& out) const {
+  out = JobState{};
+  out.id = id;
+  std::error_code ec;
+  const bool queued =
+      fs::exists(fs::path(root_) / "queue" / (id + ".json"), ec);
+  JobSpec spec;
   std::string error;
-  return JobState::parse(text, out, error);
+  std::vector<inject::ShardSpec> shards;
+  bool loaded = loadJob(id, spec, error);
+  try {
+    if (loaded) shards = inject::expandShards(spec);
+  } catch (const Error&) {
+    loaded = false;
+  }
+  if (!loaded) {
+    // adoptJob writes job.json before it removes the queue file, so an
+    // adoption in progress reads as queued, never as refused.
+    if (queued) {
+      out.status = "queued";
+      return true;
+    }
+    if (!fs::is_directory(jobDir(id), ec)) return false;
+    out.status = "failed";
+    return true;
+  }
+  out.name = spec.name;
+  out.shardsTotal = shards.size();
+  // The merge writes matrix.json last: all three exist only once it ended.
+  std::string findings;
+  obs::JsonValue doc;
+  if (fs::is_regular_file(sarifPath(id), ec) &&
+      fs::is_regular_file(matrixPath(id), ec) &&
+      readFile(findingsPath(id), findings) &&
+      parseDoc(findings, doc, error)) {
+    out.status = "completed";
+    out.shardsDone = out.shardsTotal;
+    out.findings = countOf(doc, "count");
+    return true;
+  }
+  const Journal journal = readJournal(id, shards.size());
+  out.shardsDone = journal.landings.size();
+  out.shardsFailed = journal.failed.size();
+  out.status = out.shardsFailed > 0 &&
+                       out.shardsDone + out.shardsFailed == out.shardsTotal
+                   ? "failed"
+                   : "running";
+  return true;
 }
 
 // -- primitives -------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/inotify.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -757,6 +759,10 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
   const serve::CampaignStore store(root.str());
   const std::string id = "torn";
   fs::create_directories(store.jobDir(id));
+  // With the spec adopted, status() reads the journal too.
+  ASSERT_TRUE(serve::CampaignStore::writeFileAtomic(
+      (fs::path(store.jobDir(id)) / "job.json").string(),
+      spec.toJson() + "\n"));
   serve::CampaignStore::JournalEnd end;
   landShard(store, id, spec, 0, end);
   const std::string line = journalText(store, id).at(0);
@@ -777,6 +783,23 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
                                                       text));
   };
   const auto landings = [&] { return store.readJournal(id, 1).landings; };
+  // Whatever the journal holds, status() counts what readJournal settles.
+  const std::size_t total = shards.size();
+  const auto expectStatusMatchesJournal = [&] {
+    const serve::CampaignStore::Journal j = store.readJournal(id, total);
+    serve::JobState st;
+    ASSERT_TRUE(store.status(id, st));
+    EXPECT_EQ(st.shardsTotal, total);
+    EXPECT_EQ(st.shardsDone, j.landings.size());
+    EXPECT_EQ(st.shardsFailed, j.failed.size());
+    std::set<std::size_t> settled(j.failed.begin(), j.failed.end());
+    for (const auto& l : j.landings) settled.insert(l.result.spec.index);
+    EXPECT_EQ(settled.size(), j.landings.size() + j.failed.size());
+    EXPECT_TRUE(settled.empty() || *settled.rbegin() < total);
+    EXPECT_EQ(st.status, settled.size() == total && !j.failed.empty()
+                             ? "failed"
+                             : "running");
+  };
   const auto expectNotLanded = [&] {
     EXPECT_TRUE(landings().empty());
     inject::ShardResult out;
@@ -876,6 +899,56 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
   EXPECT_EQ(fs::file_size(store.eventsPath(id)), eventsSize);
   ASSERT_EQ(landings().size(), 1u);
 
+  // Failure lines: a shard that failed for good is settled by a line of
+  // its own, naming no segment.  A shard is settled once and in range,
+  // whatever the kinds of its lines; a torn failure line settles nothing.
+  const auto failure = [](const std::string& index) {
+    return "{ \"schema\": \"confail.shard_failed.v1\", \"index\": " + index +
+           " }";
+  };
+  const std::string failed0 = failure("0");
+  struct Settles {
+    std::string journal;
+    std::size_t landed;
+    std::size_t failed;
+    std::uint64_t end;  ///< where the valid prefix ends
+  };
+  std::vector<Settles> cases = {
+      {failed0 + "\n", 0, 1, failed0.size() + 1},
+      {failure("1") + "\n", 0, 0, 0},  // out of range
+      {failure(std::to_string(total)) + "\n", 0, 0, 0},
+      {failed0 + "\n" + failed0 + "\n", 0, 1, failed0.size() + 1},
+      {line + "\n" + failed0 + "\n", 1, 0, line.size() + 1},
+      {failed0 + "\n" + line + "\n", 0, 1, failed0.size() + 1},
+      {line + "\n" + failed0, 1, 0, line.size() + 1},  // torn
+      {failed0, 0, 0, 0},
+      {"{ \"schema\": \"confail.shard_failed.v1\" }\n", 0, 0, 0},
+      {"{ \"schema\": \"confail.shard_failed.v1\", \"index\": 0, "
+       "\"events_offset\": 0 }\n",
+       0, 0, 0},
+      {"{ \"schema\": \"confail.shard_failed.v1\", \"index\": 0, "
+       "\"events_bytes\": 0 }\n",
+       0, 0, 0},
+      {"{ \"schema\": \"confail.shard_failed.v2\", \"index\": 0 }\n", 0, 0,
+       0},
+      {"[ \"confail.shard_failed.v1\", 0 ]\n", 0, 0, 0},
+  };
+  for (const char* odd : kOddCounts) {
+    cases.push_back({failure(odd) + "\n", 0, 0, 0});
+  }
+  for (std::size_t cut = 0; cut < failed0.size(); ++cut) {
+    cases.push_back({failed0.substr(0, cut) + "\n", 0, 0, 0});
+  }
+  for (const Settles& c : cases) {
+    SCOPED_TRACE("journal: " + c.journal.substr(0, 200));
+    putJournal(c.journal);
+    const serve::CampaignStore::Journal j = store.readJournal(id, 1);
+    EXPECT_EQ(j.landings.size(), c.landed);
+    EXPECT_EQ(j.failed.size(), c.failed);
+    EXPECT_EQ(j.end.journal, c.end);
+    expectStatusMatchesJournal();
+  }
+
   // Seeded mutations: rejected or decoded, without a crash or a sanitizer
   // report; a line that lands names a segment inside the feed, from its
   // start, ending a line.
@@ -897,6 +970,7 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
     SCOPED_TRACE("mutant " + std::to_string(i) + ": " + m.substr(0, 200));
     (void)serve::CampaignStore::landingFromJson(m, parsed, error);
     putJournal(m + "\n");
+    expectStatusMatchesJournal();
     const auto got = landings();
     if (got.empty()) continue;
     ++landed;
@@ -906,6 +980,24 @@ TEST(CampaignStore, ShardParserSurvivesSeededMutationsOfATornShard) {
     EXPECT_TRUE(s.bytes == 0 || feed[s.bytes - 1] == '\n');
   }
   EXPECT_LT(landed, 120u);
+
+  // Seeded mutations of failure lines, alone and beside the landing line:
+  // shard 0 is settled at most once, and status() still agrees.
+  std::size_t settledByFailure = 0;
+  for (int i = 0; i < 120; ++i) {
+    const std::string m = confail::json_mutation::mutate(
+        failure(std::to_string(rng.below(3))), catalogueRng);
+    for (const std::string& journal :
+         {m + "\n", line + "\n" + m + "\n", m + "\n" + line + "\n"}) {
+      SCOPED_TRACE("failure mutant " + std::to_string(i) + ": " + m);
+      putJournal(journal);
+      const serve::CampaignStore::Journal j = store.readJournal(id, 1);
+      EXPECT_LE(j.landings.size() + j.failed.size(), 1u);
+      settledByFailure += j.failed.size();
+      expectStatusMatchesJournal();
+    }
+  }
+  EXPECT_GT(settledByFailure, 0u);
 }
 
 // A worker's reply is outside input too: a mutated one is rejected, or
@@ -1167,6 +1259,10 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   linesAtKill.resize(landedAtKill);
   const std::string feedAtKill =
       slurp(store.eventsPath(id)).substr(0, atKill.end.feed);
+  serve::JobState killed;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, killed));
+  EXPECT_EQ(killed.status, "running");
+  EXPECT_EQ(killed.shardsDone, landedAtKill);
 
   // Second daemon over the same root: must finish the job.
   confail::obs::Registry reg;
@@ -1215,6 +1311,98 @@ TEST(Server, CrashResumeRerunsOnlyMissingShards) {
   EXPECT_EQ(slurp(store.findingsPath(id)),
             slurp(cleanStore.findingsPath(id)));
   EXPECT_EQ(slurp(store.sarifPath(id)), slurp(cleanStore.sarifPath(id)));
+}
+
+// A shard that failed for good is committed as a journal line: a daemon
+// killed after that line, mid-job, is followed by one that runs only the
+// shards the journal does not settle, never the failed one, and the job
+// ends failed with the same count of failed shards.
+TEST(Server, CommittedShardFailureIsNotRerunAfterACrash) {
+  if (kUnderTsan) GTEST_SKIP() << "fork-based crash test is unsafe under TSan";
+  TempRoot root;
+  inject::JobSpec spec = smallSpec();
+  spec.scenarios = {"fig2", "lock_order"};
+  const std::string id = serve::submitJob(root.str(), spec);
+  ASSERT_FALSE(id.empty());
+  const std::size_t total = inject::expandShards(spec).size();
+  ASSERT_GE(total, 3u);
+  const serve::CampaignStore store(root.str());
+
+  // The first daemon's only worker fails shard 0 on every request, fails
+  // shard 1's first request, and hands the others to a real one-request
+  // worker.  A failed request goes to the back of the queue, so shard 0
+  // fails for good after every other shard but 1 has landed, and shard 1's
+  // retry, next, is held: the wrapper reads on without answering until its
+  // channel ends.
+  TempRoot scripts;
+  const std::string wrapper = (scripts.path / "worker.sh").string();
+  const std::string marker = (scripts.path / "failed-once").string();
+  {
+    std::ofstream out(wrapper);
+    out << "#!/bin/sh\n"
+        << "while IFS=' ' read -r id shard; do\n"
+        << "  if [ \"$shard\" = 0 ]; then echo '0 failed'; continue; fi\n"
+        << "  if [ \"$shard\" = 1 ]; then\n"
+        << "    if mkdir '" << marker << "' 2>/dev/null; then\n"
+        << "      echo '1 failed'; continue\n"
+        << "    fi\n"
+        << "    exec cat >/dev/null\n"
+        << "  fi\n"
+        << "  printf '%s %s\\n' \"$id\" \"$shard\" | '" << CONFAIL_CLI
+        << "' \"$@\" || exit 1\n"
+        << "done\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all);
+
+  // As in CrashResumeRerunsOnlyMissingShards: the daemon and its worker in
+  // a process group of their own, killed together.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::setpgid(0, 0);
+    serve::ServerOptions opts;
+    opts.root = root.str();
+    opts.poolSize = 1;
+    opts.subprocess = true;
+    opts.workerBinary = wrapper;
+    opts.exitWhenIdle = true;
+    serve::Server server(std::move(opts));
+    ::_exit(server.run());
+  }
+  ::setpgid(child, child);
+  for (int spin = 0; spin < 20000; ++spin) {
+    if (!store.readJournal(id, total).failed.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ::kill(-child, SIGKILL);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+
+  const serve::CampaignStore::Journal atKill = store.readJournal(id, total);
+  ASSERT_EQ(atKill.failed, std::vector<std::size_t>{0});
+  EXPECT_EQ(atKill.landings.size(), total - 2);
+  serve::JobState killed;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, killed));
+  EXPECT_EQ(killed.status, "running");
+  EXPECT_EQ(killed.shardsDone, total - 2);
+  EXPECT_EQ(killed.shardsFailed, 1u);
+
+  // The second daemon runs shard 1 alone.
+  confail::obs::Registry reg;
+  EXPECT_EQ(serveToIdle(root.str(), false, &reg), 1);
+  EXPECT_EQ(reg.snapshot().counter("serve.shards_completed"), 1u);
+  EXPECT_EQ(reg.snapshot().counter("serve.shards_failed"), 0u);
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "failed");
+  EXPECT_EQ(st.shardsFailed, killed.shardsFailed);
+  EXPECT_EQ(st.shardsDone, total - 1);
+  EXPECT_EQ(journalText(store, id).size(), total);
+
+  // A settled job is not reopened.
+  confail::obs::Registry idle;
+  EXPECT_EQ(serveToIdle(root.str(), false, &idle), 0);
+  EXPECT_EQ(idle.snapshot().counter("serve.jobs_adopted"), 0u);
 }
 
 // A worker killed mid-shard costs that shard one attempt: the daemon sees
@@ -1518,8 +1706,11 @@ TEST(Server, OlderSpoolRerunsEveryShard) {
 // A shard lands only when its feed copy and its journal line both succeed.
 // A feed that cannot be opened (a directory in its place) or written (the
 // full device: ENOSPC), or a journal that cannot take the line, fails
-// every landing: each shard is retried once, then failed, the job fails,
-// no journal line names a shard, and no copied segment stays in the feed.
+// every landing: each shard is retried once, then failed, the daemon exits
+// 1, no journal line lands a shard, and no copied segment stays in the
+// feed.  A journal that takes lines commits each shard's failure, so the
+// job reads failed; a full one commits nothing, so the job reads running
+// 0/N, and a daemon that finds room in it again retries every shard.
 TEST(Server, FailedLandingIsRetriedThenFailed) {
   const inject::JobSpec spec = smallSpec();
   const std::size_t total = inject::expandShards(spec).size();
@@ -1547,28 +1738,91 @@ TEST(Server, FailedLandingIsRetriedThenFailed) {
     }
     confail::obs::Registry reg;
     EXPECT_EQ(serveToIdle(root.str(), subprocess, &reg), 1);
-    serve::JobState st;
-    ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
-    EXPECT_EQ(st.status, "failed");
-    EXPECT_EQ(st.shardsDone, 0u);
-    EXPECT_EQ(st.shardsFailed, total);
     const confail::obs::Snapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter("serve.shards_completed"), 0u);
     EXPECT_EQ(snap.counter("serve.shards_failed"), total);
     EXPECT_EQ(snap.counter("serve.events_bytes"), 0u);
-    EXPECT_TRUE(store.readJournal(id).landings.empty());
+    const serve::CampaignStore::Journal journal = store.readJournal(id, total);
+    EXPECT_TRUE(journal.landings.empty());
+    serve::JobState st;
+    ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+    EXPECT_EQ(st.shardsDone, 0u);
     if (broken != Broken::JournalIsFull) {
-      EXPECT_TRUE(!fs::exists(store.journalPath(id)) ||
-                  fs::file_size(store.journalPath(id)) == 0);
+      // The journal is one failure line per shard, and nothing else.
+      EXPECT_EQ(st.status, "failed");
+      EXPECT_EQ(st.shardsFailed, total);
+      std::vector<std::size_t> failed = journal.failed;
+      std::sort(failed.begin(), failed.end());
+      std::vector<std::size_t> every;
+      for (std::size_t i = 0; i < total; ++i) every.push_back(i);
+      EXPECT_EQ(failed, every);
+      EXPECT_EQ(journalText(store, id).size(), total);
+      EXPECT_EQ(journal.end.journal, fs::file_size(store.journalPath(id)));
+      continue;
     }
-    if (broken == Broken::JournalIsFull) {
-      EXPECT_EQ(fs::file_size(store.eventsPath(id)), 0u);
-    }
+    EXPECT_EQ(st.status, "running");
+    EXPECT_EQ(st.shardsFailed, 0u);
+    EXPECT_EQ(fs::file_size(store.eventsPath(id)), 0u);
+    fs::remove(store.journalPath(id));
+    confail::obs::Registry again;
+    EXPECT_EQ(serveToIdle(root.str(), subprocess, &again), 0);
+    EXPECT_EQ(again.snapshot().counter("serve.shards_completed"), total);
+    ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+    EXPECT_EQ(st.status, "completed");
+    EXPECT_EQ(st.shardsDone, total);
   }
 }
 
-// A drain creates no file per shard: a finished job's directory holds the
-// same seven files whatever its shard count, on both pools.
+// A merged document that cannot be written stops the merge: the job is not
+// reported completed, and the daemon exits 1.  The next daemon merges it
+// again from the journal, running no shard, into the documents an
+// uninterrupted run writes.
+TEST(Server, FailedMergeWriteLeavesTheJobRunningUntilItMerges) {
+  const inject::JobSpec spec = smallSpec();
+  const std::size_t total = inject::expandShards(spec).size();
+  TempRoot cleanRoot;
+  const std::string id = serve::submitJob(cleanRoot.str(), spec);
+  ASSERT_EQ(serveToIdle(cleanRoot.str(), false), 0);
+  const serve::CampaignStore cleanStore(cleanRoot.str());
+  serve::JobState clean;
+  ASSERT_TRUE(serve::jobStatus(cleanRoot.str(), id, clean));
+  ASSERT_EQ(clean.status, "completed");
+
+  TempRoot root;
+  const serve::CampaignStore store(root.str());
+  ASSERT_EQ(store.submit(spec), id);
+  inject::JobSpec adopted;
+  std::string error;
+  ASSERT_TRUE(store.adoptJob(id, adopted, error)) << error;
+  fs::create_directories(store.sarifPath(id));
+  confail::obs::Registry reg;
+  EXPECT_EQ(serveToIdle(root.str(), false, &reg), 1);
+  EXPECT_EQ(reg.snapshot().counter("serve.shards_completed"), total);
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "running");
+  EXPECT_EQ(st.shardsDone, total);
+  EXPECT_FALSE(fs::exists(store.matrixPath(id)));
+  serve::JobResults results;
+  ASSERT_TRUE(serve::jobResults(root.str(), id, results));
+  EXPECT_FALSE(results.complete);
+
+  fs::remove(store.sarifPath(id));
+  confail::obs::Registry again;
+  EXPECT_EQ(serveToIdle(root.str(), false, &again), 0);
+  EXPECT_EQ(again.snapshot().counter("serve.shards_completed"), 0u);
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "completed");
+  EXPECT_EQ(st.shardsDone, total);
+  EXPECT_EQ(st.findings, clean.findings);
+  EXPECT_EQ(slurp(store.findingsPath(id)), slurp(cleanStore.findingsPath(id)));
+  EXPECT_EQ(slurp(store.sarifPath(id)), slurp(cleanStore.sarifPath(id)));
+}
+
+// A drain creates no file per shard, and what it creates does not depend
+// on the poll clock: a finished job's directory holds the same six files
+// whatever its shard count, on both pools, and draining an adopted job
+// creates the same files at a 1 ms poll as at a 1 s one.
 TEST(Server, JobDirectoryHoldsNoPerShardFile) {
   inject::JobSpec smoke;  // the CLI smoke job of serve_cli_roundtrip
   smoke.name = "smoke";
@@ -1581,21 +1835,62 @@ TEST(Server, JobDirectoryHoldsNoPerShardFile) {
   ASSERT_GE(inject::expandShards(grid).size(), 3 * smokeShards);
   const std::vector<std::string> expected = {
       "events.jsonl", "findings.json", "findings.sarif", "job.json",
-      "journal.jsonl", "matrix.json", "state.json"};
+      "journal.jsonl", "matrix.json"};
+  // The feed and the journal, then each merged document written to a temp
+  // file and renamed into place.
+  constexpr std::size_t kCreatedPerDrain = 2 + 3 * 2;
   for (const bool subprocess : {false, true}) {
-    SCOPED_TRACE(subprocess ? "subprocess pool" : "in-process pool");
-    TempRoot root;
-    const std::vector<std::string> ids = {serve::submitJob(root.str(), smoke),
-                                          serve::submitJob(root.str(), grid)};
-    ASSERT_EQ(serveToIdle(root.str(), subprocess), 0);
-    const serve::CampaignStore store(root.str());
-    for (const std::string& id : ids) {
-      std::vector<std::string> names;
-      for (const auto& e : fs::directory_iterator(store.jobDir(id))) {
-        names.push_back(e.path().filename().string());
+    for (const std::uint64_t pollMs : {1u, 1000u}) {
+      SCOPED_TRACE(std::string(subprocess ? "subprocess pool"
+                                          : "in-process pool") +
+                   ", poll " + std::to_string(pollMs) + " ms");
+      TempRoot root;
+      const serve::CampaignStore store(root.str());
+      const int watcher = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+      ASSERT_GE(watcher, 0);
+      std::map<int, std::string> watched;  // watch descriptor -> job id
+      std::vector<std::string> ids;
+      for (const inject::JobSpec* spec : {&smoke, &grid}) {
+        const std::string id = store.submit(*spec);
+        inject::JobSpec adopted;
+        std::string error;
+        ASSERT_TRUE(store.adoptJob(id, adopted, error)) << error;
+        const int wd = ::inotify_add_watch(watcher, store.jobDir(id).c_str(),
+                                           IN_CREATE | IN_MOVED_TO);
+        ASSERT_GE(wd, 0);
+        watched[wd] = id;
+        ids.push_back(id);
       }
-      std::sort(names.begin(), names.end());
-      EXPECT_EQ(names, expected) << id;
+      serve::ServerOptions opts;
+      opts.root = root.str();
+      opts.poolSize = 2;
+      opts.subprocess = subprocess;
+      opts.workerBinary = CONFAIL_CLI;
+      opts.exitWhenIdle = true;
+      opts.pollMs = pollMs;
+      ASSERT_EQ(serve::Server(std::move(opts)).run(), 0);
+      std::map<std::string, std::size_t> created;
+      alignas(inotify_event) char buf[64 * 1024];
+      for (ssize_t n; (n = ::read(watcher, buf, sizeof buf)) > 0;) {
+        for (std::size_t at = 0; at < static_cast<std::size_t>(n);) {
+          const auto* e = reinterpret_cast<const inotify_event*>(buf + at);
+          EXPECT_EQ(e->mask & IN_Q_OVERFLOW, 0u);
+          if ((e->mask & (IN_CREATE | IN_MOVED_TO)) != 0) {
+            ++created[watched[e->wd]];
+          }
+          at += sizeof(inotify_event) + e->len;
+        }
+      }
+      ::close(watcher);
+      for (const std::string& id : ids) {
+        std::vector<std::string> names;
+        for (const auto& e : fs::directory_iterator(store.jobDir(id))) {
+          names.push_back(e.path().filename().string());
+        }
+        std::sort(names.begin(), names.end());
+        EXPECT_EQ(names, expected) << id;
+        EXPECT_EQ(created[id], kCreatedPerDrain) << id;
+      }
     }
   }
 }
@@ -1616,8 +1911,10 @@ TEST(Server, MalformedSubmissionIsDroppedNotLooped) {
 
   EXPECT_TRUE(store.scanQueue().empty());
   serve::JobState st;
-  ASSERT_TRUE(store.readState("broken", st));
+  ASSERT_TRUE(serve::jobStatus(root.str(), "broken", st));
   EXPECT_EQ(st.status, "failed");
+  // The refusal's record is the job's empty directory.
+  EXPECT_TRUE(fs::is_empty(store.jobDir("broken")));
 }
 
 // A queued spec that repeats a grid value (written past `confail submit`,
@@ -1631,6 +1928,15 @@ TEST(Server, QueuedSpecWithARepeatedReductionIsDropped) {
   const std::string id = store.submit(spec);
   ASSERT_FALSE(id.empty());
 
+  // Queued, and still queued with its job directory made but no job.json
+  // in it, as in the middle of an adoption.
+  serve::JobState st;
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "queued");
+  fs::create_directories(store.jobDir(id));
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
+  EXPECT_EQ(st.status, "queued");
+
   inject::JobSpec adopted;
   std::string error;
   EXPECT_FALSE(store.adoptJob(id, adopted, error));
@@ -1643,8 +1949,7 @@ TEST(Server, QueuedSpecWithARepeatedReductionIsDropped) {
   serve::Server server(std::move(opts));
   EXPECT_EQ(server.run(), 1);  // the dropped job counts as failed
   EXPECT_TRUE(store.scanQueue().empty());
-  serve::JobState st;
-  ASSERT_TRUE(store.readState(id, st));
+  ASSERT_TRUE(serve::jobStatus(root.str(), id, st));
   EXPECT_EQ(st.status, "failed");
   EXPECT_EQ(st.shardsDone, 0u);
 }

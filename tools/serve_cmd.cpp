@@ -11,11 +11,11 @@
 //       (the commit point), merge finished jobs into
 //       findings/SARIF/matrix documents.  Workers start as shards need
 //       them and all exit when no job is in flight.  Resumable: restarting
-//       over the same root (even after SIGKILL) re-runs only missing
-//       shards.  The daemon wakes the moment a worker replies; --poll-ms
-//       (default 25) only bounds how long it waits before rescanning
-//       queue/ and the drain marker, and how often a running job's
-//       state.json and --metrics-out are rewritten.
+//       over the same root (even after SIGKILL) re-runs only the shards
+//       the journal has not settled (landed or failed for good).  The
+//       daemon wakes the moment a worker replies; --poll-ms (default 25)
+//       only bounds how long it waits before rescanning queue/ and the
+//       drain marker, and how often --metrics-out is rewritten.
 //
 //   worker  --job FILE --shard N --out FILE
 //       Execute one shard of a job spec and write it atomically as one
@@ -39,7 +39,8 @@
 //       its id.  Idempotent per spec content.
 //
 //   status  --root DIR [--job ID] [--json]
-//       Report job states (state.json contents; queued jobs included).
+//       Report job states, derived from each job's files (job.json, the
+//       journal, the merged documents; queued jobs included).
 //
 //   results --root DIR --job ID [--json-out F] [--sarif-out F]
 //           [--matrix-out F] [--json]
@@ -78,9 +79,9 @@ int usageServe(const char* prog) {
                "[--metrics-out FILE] [--worker-bin PATH]\n"
                "  --poll-ms N  longest wait between scans for new jobs and "
                "the drain marker;\n"
-               "               also the state.json and --metrics-out write "
-               "interval (a finished\n"
-               "               shard wakes the daemon at once; default 25)\n",
+               "               also the --metrics-out write interval (a "
+               "finished shard\n"
+               "               wakes the daemon at once; default 25)\n",
                prog);
   return 2;
 }
