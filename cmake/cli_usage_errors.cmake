@@ -3,13 +3,15 @@
 #
 #   numbers   malformed or out-of-range numeric values in every verb that
 #             takes them (explore, inject, submit, fuzz, ingest, worker,
-#             trace)
+#             trace), and a removed flag (explore --snapshot-budget-mb),
+#             which is an unknown option whatever its value
 #   campaign  `inject --campaign` with a single-plan-only flag, and
 #             single-plan `inject` with a campaign-only flag; a campaign
 #             (inject --campaign, or submit by flags or --job) whose grid
 #             repeats a value
 #
-# No rejected case may write its output file (`${WORK_DIR}/out*`).
+# No rejected case may write its output file (`${WORK_DIR}/out*`) or
+# anything on stdout.
 #
 # Invoked as:  cmake -DCONFAIL=<confail binary> -DWORK_DIR=<dir>
 #                    -DGROUP=numbers|campaign -P cli_usage_errors.cmake
@@ -32,6 +34,7 @@ if(GROUP STREQUAL "numbers")
     "explore|--scenario|fig2|--workers|"
     "explore|--scenario|fig2|--snapshot-budget-mb|1x"
     "explore|--scenario|fig2|--snapshot-budget-mb|18446744073709551615"
+    "explore|--scenario|fig2|--snapshot-budget-mb|64"
     "inject|--campaign|--max-runs|5x"
     "inject|--scenario|fig2|--class|FF-T5|--max-depth|4.5"
     "submit|--root|${WORK_DIR}/spool|--scenario|fig2|--class|FF-T5|--max-steps|-3"
@@ -71,10 +74,11 @@ set(failures "")
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" args "${case}")
   execute_process(COMMAND "${CONFAIL}" ${args}
-    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc STREQUAL "2" OR err MATCHES "Sanitizer|runtime error")
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "2" OR NOT out STREQUAL "" OR
+     err MATCHES "Sanitizer|runtime error")
     string(REPLACE "|" " " shown "${case}")
-    list(APPEND failures "confail ${shown}: exit ${rc}\n${err}")
+    list(APPEND failures "confail ${shown}: exit ${rc}\n${out}${err}")
   endif()
 endforeach()
 file(GLOB written "${WORK_DIR}/out*")

@@ -9,7 +9,8 @@
 //
 // Two entry points:
 //   * validateTraceAgainstModel — the historical single-monitor check:
-//     project the trace onto one monitor, replay on a free-notify net.
+//     project the trace onto one monitor, then replay the projection the
+//     way replayTraceOnModel does, on a one-monitor free-notify net.
 //   * replayTraceOnModel — the N x M replay behind the cross-check oracle:
 //     the whole trace against a ThreadLockNet, all monitors at once,
 //     collecting every visited marking.  Traces that use nested monitors
@@ -30,13 +31,15 @@ namespace confail::petri {
 struct ValidationResult {
   bool ok = true;
   std::size_t eventsChecked = 0;
-  std::size_t firstBadIndex = 0;  ///< index into the filtered event list
   std::string message;
 };
 
 /// Validate the projection of `trace` onto monitor `mon` against the
-/// free-notify thread/lock net.  Threads are mapped densely in order of
-/// first appearance; `maxThreads` caps the net size.
+/// one-monitor free-notify thread/lock net of the projection's traceShape
+/// size.  Threads are mapped densely in order of first appearance;
+/// `maxThreads` caps the net size.  A projection the replay finds out of
+/// scope (a thread requesting the monitor while it already engages it) is
+/// a violation: T1 is not enabled there.
 ///
 /// SpuriousWake events are treated as T5 firings (a wake without a notify
 /// is still the D->B move of the model).  Reentrant lock operations emit no

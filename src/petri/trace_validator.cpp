@@ -1,5 +1,6 @@
 #include "confail/petri/trace_validator.hpp"
 
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -16,88 +17,27 @@ bool isReplayEvent(EventKind k) {
   return events::isModelTransition(k) || k == EventKind::SpuriousWake;
 }
 
-}  // namespace
-
-ValidationResult validateTraceAgainstModel(const events::Trace& trace,
-                                           events::MonitorId mon,
-                                           unsigned maxThreads) {
-  ValidationResult result;
-  std::vector<Event> events = trace.monitorProjection(mon);
-
-  // Map trace thread ids to dense net thread indices by first appearance.
-  std::unordered_map<events::ThreadId, unsigned> threadIndex;
-  for (const Event& e : events) {
-    if (!isReplayEvent(e.kind)) continue;
-    if (threadIndex.find(e.thread) == threadIndex.end()) {
-      if (threadIndex.size() >= maxThreads) {
-        result.ok = false;
-        result.message = "more threads than maxThreads";
-        return result;
-      }
-      unsigned idx = static_cast<unsigned>(threadIndex.size());
-      threadIndex.emplace(e.thread, idx);
-    }
-  }
-  if (threadIndex.empty()) return result;  // nothing to check
-
-  ThreadLockNet tl =
-      buildThreadLockNet(static_cast<unsigned>(threadIndex.size()),
-                         NotifyModel::Free);
-  Marking m = tl.initial;
-
-  std::size_t filteredIdx = 0;
-  for (const Event& e : events) {
-    TransitionId t;
-    switch (e.kind) {
-      case EventKind::LockRequest: t = tl.T1[threadIndex[e.thread]][0]; break;
-      case EventKind::LockAcquire: t = tl.T2[threadIndex[e.thread]][0]; break;
-      case EventKind::WaitBegin: t = tl.T3[threadIndex[e.thread]][0]; break;
-      case EventKind::LockRelease: t = tl.T4[threadIndex[e.thread]][0]; break;
-      case EventKind::Notified:
-      case EventKind::SpuriousWake:
-        t = tl.T5free[threadIndex[e.thread]][0];
-        break;
-      default: continue;  // notify calls, accesses etc. are not transitions
-    }
-    if (!tl.net.enabled(t, m)) {
-      std::ostringstream os;
-      os << "event seq=" << e.seq << " (" << events::kindName(e.kind)
-         << " by thread " << e.thread << ") fires "
-         << tl.net.transitionName(t) << " which is not enabled in "
-         << tl.net.renderMarking(m);
-      result.ok = false;
-      result.firstBadIndex = filteredIdx;
-      result.message = os.str();
-      return result;
-    }
-    m = tl.net.fire(t, m);
-    ++filteredIdx;
-    ++result.eventsChecked;
-  }
-  return result;
-}
-
-TraceShape traceShape(const events::Trace& trace) {
-  TraceShape shape;
+TraceShape shapeOf(std::span<const Event> events) {
   std::unordered_map<events::ThreadId, unsigned> threads;
   std::unordered_map<events::MonitorId, unsigned> monitors;
-  for (const Event& e : trace.events()) {
+  for (const Event& e : events) {
     if (!isReplayEvent(e.kind)) continue;
     threads.emplace(e.thread, static_cast<unsigned>(threads.size()));
     monitors.emplace(e.monitor, static_cast<unsigned>(monitors.size()));
   }
-  shape.threads = static_cast<unsigned>(threads.size());
-  shape.monitors = static_cast<unsigned>(monitors.size());
-  return shape;
+  return {static_cast<unsigned>(threads.size()),
+          static_cast<unsigned>(monitors.size())};
 }
 
-ModelReplay replayTraceOnModel(const events::Trace& trace,
-                               const ThreadLockNet& tl) {
+/// replayTraceOnModel over `events`; the visited markings are kept only
+/// when `keepMarkings` (one per event: a validation does not read them).
+ModelReplay replayEvents(std::span<const Event> events,
+                         const ThreadLockNet& tl, bool keepMarkings) {
   ModelReplay rep;
   std::unordered_map<events::ThreadId, unsigned> threadIndex;
   std::unordered_map<events::MonitorId, unsigned> monitorIndex;
   Marking m = tl.initial;
-  rep.markings.push_back(m);
+  if (keepMarkings) rep.markings.push_back(m);
 
   const auto fail = [&](const Event& e, const std::string& why) {
     std::ostringstream os;
@@ -108,7 +48,7 @@ ModelReplay replayTraceOnModel(const events::Trace& trace,
     rep.message = os.str();
   };
 
-  for (const Event& e : trace.events()) {
+  for (const Event& e : events) {
     if (!isReplayEvent(e.kind)) continue;
     auto ti = threadIndex.emplace(e.thread,
                                   static_cast<unsigned>(threadIndex.size()));
@@ -127,14 +67,16 @@ ModelReplay replayTraceOnModel(const events::Trace& trace,
     switch (e.kind) {
       case EventKind::LockRequest:
         // A request while the thread is not in A means it already engages
-        // another monitor — nested synchronized blocks, which the Figure-1
+        // a monitor — nested synchronized blocks, which the Figure-1
         // protocol does not model (that is the lock-order-deadlock world).
+        // On a one-monitor projection it is a second request for the same
+        // monitor, which T1 does not allow either.
         if (m[tl.A[i]] == 0) {
           rep.inScope = false;
           std::ostringstream os;
           os << "thread " << e.thread << " requests monitor " << e.monitor
-             << " while engaging another monitor (nested synchronization is"
-                " outside the Figure-1 protocol)";
+             << " while it already engages a monitor (nested or repeated"
+                " requests are outside the Figure-1 protocol)";
           rep.message = os.str();
           return rep;
         }
@@ -174,10 +116,44 @@ ModelReplay replayTraceOnModel(const events::Trace& trace,
       return rep;
     }
     m = tl.net.fire(t, m);
-    rep.markings.push_back(m);
+    if (keepMarkings) rep.markings.push_back(m);
     ++rep.eventsChecked;
   }
   return rep;
+}
+
+}  // namespace
+
+ValidationResult validateTraceAgainstModel(const events::Trace& trace,
+                                           events::MonitorId mon,
+                                           unsigned maxThreads) {
+  ValidationResult result;
+  const std::vector<Event> events = trace.monitorProjection(mon);
+  const TraceShape shape = shapeOf(events);
+  if (shape.threads > maxThreads) {
+    result.ok = false;
+    result.message = "more threads than maxThreads";
+    return result;
+  }
+  if (shape.threads == 0) return result;  // nothing to check
+  const ModelReplay rep = replayEvents(
+      events, buildThreadLockNet(shape.threads, NotifyModel::Free),
+      /*keepMarkings=*/false);
+  // One monitor: a request from a thread already engaging it (the replay's
+  // out-of-scope case) is a plain violation, T1 not being enabled.
+  result.ok = rep.ok && rep.inScope;
+  result.eventsChecked = rep.eventsChecked;
+  result.message = rep.message;
+  return result;
+}
+
+TraceShape traceShape(const events::Trace& trace) {
+  return shapeOf(trace.events());
+}
+
+ModelReplay replayTraceOnModel(const events::Trace& trace,
+                               const ThreadLockNet& tl) {
+  return replayEvents(trace.events(), tl, /*keepMarkings=*/true);
 }
 
 }  // namespace confail::petri

@@ -197,8 +197,6 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
   std::uint64_t fpLookupsTotal = 0;
   // Incremental-session tallies (merged under mergeMu like everything else).
   std::uint64_t snapStores = 0;
-  std::uint64_t snapEvictions = 0;
-  std::uint64_t snapBudgetSkips = 0;
   std::uint64_t incrementalFallbacksTotal = 0;
   std::size_t snapRetainedBytes = 0;
 
@@ -307,8 +305,7 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
       if (incrementalMode &&
           !snapshotUnsafe.load(std::memory_order_relaxed)) {
         if (incRunner == nullptr) {
-          incRunner = std::make_unique<IncrementalRunner>(
-              program, runOpts, opts_.snapshotBudgetBytes);
+          incRunner = std::make_unique<IncrementalRunner>(program, runOpts);
         }
         if (incRunner->usable()) {
           if (incRunner->run(result, item->node, prefixBuf, avoid,
@@ -712,8 +709,6 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
       stats.replayStepsAvoided += t.replayStepsAvoided;
       stats.snapshotPeakBytes = std::max(stats.snapshotPeakBytes, t.peakBytes);
       snapStores += t.stores;
-      snapEvictions += t.evictions;
-      snapBudgetSkips += t.budgetSkips;
       snapRetainedBytes += t.retainedBytes;
     }
     if (local.hasFailure &&
@@ -779,8 +774,6 @@ ExhaustiveExplorer::Stats ExhaustiveExplorer::explore(const Program& program,
         .set(visited ? visited->maxShardLoadFactor() : 0.0);
     metrics->counter("explorer.snapshot_restores").add(stats.snapshotRestores);
     metrics->counter("explorer.snapshot_stores").add(snapStores);
-    metrics->counter("explorer.snapshot_evictions").add(snapEvictions);
-    metrics->counter("explorer.snapshot_budget_skips").add(snapBudgetSkips);
     metrics->counter("explorer.replay_steps_avoided")
         .add(stats.replayStepsAvoided);
     metrics->counter("explorer.incremental_fallbacks")

@@ -123,13 +123,6 @@ class ExhaustiveExplorer {
     /// docs/exploration.md.
     bool incremental = true;
 
-    /// Per-worker cap on retained checkpoint memory (estimated fresh bytes
-    /// plus path data).  A backstop: checkpoint lifetime already bounds
-    /// retention by the live frontier.  Over the cap, live checkpoints are
-    /// dropped oldest-first and affected children replay the gap from the
-    /// nearest retained ancestor — graceful degradation, never failure.
-    std::size_t snapshotBudgetBytes = 256ull * 1024 * 1024;
-
     /// Optional metrics sink.  When set, explore() publishes throughput
     /// (explorer.runs_per_sec), reduction effectiveness
     /// (explorer.dedup_hit_rate, explorer.dpor_backtracks), work-stealing

@@ -17,8 +17,8 @@
 // the same schedule.
 // Snapshots are copy-on-write: stacks and payloads carry process-wide
 // unique version stamps (snapshot.hpp), so sibling checkpoints share every
-// piece that did not change between them and the budget only pays for
-// fresh bytes.
+// piece that did not change between them and a checkpoint is charged only
+// for its fresh bytes.
 //
 // Equivalence by construction: the session drives the SAME runLoop as
 // VirtualScheduler::run() with the SAME PrefixReplayStrategy (global step
@@ -38,16 +38,19 @@
 // node's slot, possibly on another worker and before this runner next
 // looks, so a checkpoint is keyed by the node's address *and* its slot
 // generation: a key whose slot has since been reused names a node that is
-// gone, never matches a lookup, and is dropped like a dead one.  The byte
-// budget stays as a backstop: over it, checkpoints are dropped
-// oldest-first (the root checkpoint is pinned) and a child whose
-// immediate ancestor was evicted transparently restores a shallower
-// ancestor and replays the gap — the self-healing fallback re-stores what
-// it re-reaches.
+// gone, never matches a lookup, and is dropped like a dead one.  That is
+// the only retention rule: no byte cap, no eviction.  The step-0
+// checkpoint is keyed to the tree's root, which stays live until the
+// exploration has no work left, so every run can at worst restore it.
+//
+// Fallback: a run restores its deepest checkpointed ancestor and replays
+// the gap down to its own depth through the same strategy.  Stolen work
+// needs this — its ancestors were checkpointed by another worker's
+// session, so this session often holds only a shallower one (the root at
+// worst) — and the replayed steps re-store the checkpoints they reach.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -95,8 +98,6 @@ class IncrementalRunner {
   struct Tally {
     std::uint64_t restores = 0;           ///< checkpoint restores performed
     std::uint64_t stores = 0;             ///< checkpoints stored
-    std::uint64_t evictions = 0;          ///< checkpoints evicted (budget)
-    std::uint64_t budgetSkips = 0;        ///< checkpoints skipped (budget)
     std::uint64_t replayStepsAvoided = 0; ///< prefix steps not re-executed
     std::size_t retainedBytes = 0;        ///< current checkpoint estimate
     std::size_t peakBytes = 0;            ///< high-water mark of the above
@@ -106,14 +107,9 @@ class IncrementalRunner {
   /// build the object graph, and checks it declared itself snapshot-safe.
   /// Requires fibersSupported().  `runOpts` are the scheduler options of
   /// every explorer run (step bound, state capture, metrics); the session
-  /// publishes the sched.* counters of each run itself.  `budgetBytes`
-  /// caps retained checkpoint memory (fresh bytes + path data, estimated).
-  /// It is a backstop: dead nodes' checkpoints are dropped regardless;
-  /// over the cap, live ones are evicted oldest-first, and the pinned root
-  /// checkpoint never goes, so every run can at worst full-replay.
+  /// publishes the sched.* counters of each run itself.
   IncrementalRunner(const std::function<void(VirtualScheduler&)>& program,
-                    const VirtualScheduler::Options& runOpts,
-                    std::size_t budgetBytes);
+                    const VirtualScheduler::Options& runOpts);
   ~IncrementalRunner();
 
   IncrementalRunner(const IncrementalRunner&) = delete;
@@ -155,7 +151,7 @@ class IncrementalRunner {
     ChoiceSets choiceSets;
     std::vector<std::uint64_t> fingerprints;
     std::vector<Footprint> stepFootprints;
-    std::size_t costBytes = 0;  ///< budget charge (fresh + path estimate)
+    std::size_t costBytes = 0;  ///< retained-bytes charge (fresh + path)
   };
 
   /// A prefix-tree node for one slot generation (see the file comment).
@@ -183,16 +179,14 @@ class IncrementalRunner {
   };
 
   void onCheckpoint(std::uint64_t step, std::size_t runnableCount);
+  /// Freeze the session at `depth` and charge it to the retained bytes.
   Checkpoint makeCheckpoint(std::size_t depth);
-  /// Admit `ck` under the budget (evicting oldest-first); false = skipped.
-  bool admit(Checkpoint& ck, bool pinned);
   void insert(Key key, Checkpoint ck);
   /// Drop the checkpoints of gone nodes (Key::gone): no later run's prefix
   /// passes through them, so they can never be restored again.
   void dropDead();
   void dropPending();
 
-  std::size_t budgetBytes_;
   SwapStrategy swap_;
   VirtualScheduler sched_;
   /// The sched.* counters, resolved once (null without metrics): a
@@ -209,9 +203,6 @@ class IncrementalRunner {
   /// node only for one lifetime: keys carry the slot generation too, and
   /// entries for gone nodes are reclaimed by dropDead().
   std::unordered_map<Key, Checkpoint, KeyHash> cache_;
-  /// Every key but the root's, oldest first (the eviction order).
-  std::deque<Key> evictOrder_;
-  Key rootKey_;  ///< pinned (never evicted); the root is never recycled
 
   /// Checkpoints taken during the current run at depths past the replayed
   /// prefix, awaiting bind() to their spine nodes; keyed by depth.

@@ -84,8 +84,8 @@ class StateSource {
   /// Payload for the object's current state, reusing the cached one when
   /// nothing mutated since it was produced.  `versionOut` receives the
   /// stamp the payload corresponds to.  `freshBytes` is incremented by the
-  /// payload size only when a new payload had to be serialized (budget
-  /// accounting: shared payloads are free).
+  /// payload size only when a new payload had to be serialized (retained-
+  /// bytes accounting: shared payloads are free).
   std::shared_ptr<const void> snapshotSave(std::uint64_t& versionOut,
                                            std::size_t& freshBytes) {
     if (!cached_ || cachedVersion_ != version_) {
@@ -108,8 +108,9 @@ class StateSource {
     cachedVersion_ = version;
   }
 
-  /// Approximate heap size of one saved payload, for the snapshot-memory
-  /// budget.  An estimate is fine; it only steers eviction.
+  /// Approximate heap size of one saved payload, for the retained-bytes
+  /// figures (explorer.snapshot_bytes_peak).  An estimate is fine; it
+  /// steers no decision.
   virtual std::size_t snapshotBytes() const = 0;
 
  protected:

@@ -117,7 +117,7 @@ class ChoiceSets {
     ends_.clear();
   }
 
-  /// Approximate heap bytes held, for the snapshot-memory budget.
+  /// Approximate heap bytes held, for the retained-checkpoint tally.
   std::size_t bytes() const {
     return ids_.size() * sizeof(ThreadId) +
            ends_.size() * sizeof(std::uint32_t);
@@ -390,7 +390,8 @@ class VirtualScheduler {
     std::vector<SourceSnap> sources;
     std::uint64_t sourceGen = 0;
     /// Heap bytes newly serialized for this snapshot (payloads and stack
-    /// images not shared with an earlier snapshot): the budget increment.
+    /// images not shared with an earlier snapshot): what a checkpoint of
+    /// it adds to the retained bytes.
     std::size_t freshBytes = 0;
   };
 

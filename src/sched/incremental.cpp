@@ -20,8 +20,8 @@ VirtualScheduler::Options sessionOptions(VirtualScheduler::Options o) {
 
 IncrementalRunner::IncrementalRunner(
     const std::function<void(VirtualScheduler&)>& program,
-    const VirtualScheduler::Options& runOpts, std::size_t budgetBytes)
-    : budgetBytes_(budgetBytes), sched_(swap_, sessionOptions(runOpts)) {
+    const VirtualScheduler::Options& runOpts)
+    : sched_(swap_, sessionOptions(runOpts)) {
   CONFAIL_CHECK(fibersSupported(), UsageError,
                 "incremental exploration requires fiber support");
   if (runOpts.metrics != nullptr) {
@@ -94,9 +94,9 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
     result.stepFootprints = from->stepFootprints;
     result.steps = fromDepth;
   } else if (!firstRun_) {
-    // Dirty session state and nothing to rewind to.  The pinned root
-    // checkpoint makes this unreachable in practice; bail out rather than
-    // run from a corrupt state.
+    // Dirty session state and nothing to rewind to.  The root checkpoint
+    // lives while any work does, so this is unreachable in practice; bail
+    // out rather than run from a corrupt state.
     usable_ = false;
     return false;
   }
@@ -110,8 +110,8 @@ bool IncrementalRunner::run(RunResult& result, const PrefixNode* node,
 
   // The full prefix, not the tail: PrefixReplayStrategy indexes by the
   // GLOBAL step, so a run seeded at depth d simply never consults entries
-  // below d — and any gap [d, prefixLen) left by an evicted checkpoint is
-  // replayed through the very same strategy (self-healing fallback).
+  // below d — and any gap [d, prefixLen) between the restored checkpoint
+  // and the item's depth is replayed through the very same strategy.
   PrefixReplayStrategy replay(prefix.data(), prefixLen, avoidAtFirstFree);
   swap_.reset(&replay);
   curPrefixLen_ = prefixLen;
@@ -155,7 +155,8 @@ void IncrementalRunner::onCheckpoint(std::uint64_t step,
   const std::size_t s = static_cast<std::size_t>(step);
   // No branch is ever attached at or past the branch-depth bound, and a
   // single-choice point cannot host one either — except step 0, whose
-  // checkpoint is the session's pinned always-restorable root.
+  // checkpoint is keyed to the root and so restorable until the
+  // exploration runs out of work.
   if (s >= curBranchLimit_ && s != 0) return;
   if (runnableCount <= 1 && s != 0) return;
   if (s <= curPrefixLen_) {
@@ -163,18 +164,13 @@ void IncrementalRunner::onCheckpoint(std::uint64_t step,
     // prefix tree — key the checkpoint directly.
     const Key key(chain_[s]);
     if (cache_.count(key) != 0) return;  // already restorable
-    Checkpoint ck = makeCheckpoint(s);
-    if (!admit(ck, /*pinned=*/s == 0)) return;
-    if (s == 0) rootKey_ = key;
-    insert(key, std::move(ck));
+    insert(key, makeCheckpoint(s));
   } else {
     // Past the prefix: the spine node for this depth is materialized by
     // the explorer only after the run, when it attaches branches.  Park
     // the checkpoint by depth; bind() attaches it to its node.
     if (pending_.count(s) != 0) return;
-    Checkpoint ck = makeCheckpoint(s);
-    if (!admit(ck, /*pinned=*/false)) return;
-    pending_.emplace(s, std::move(ck));
+    pending_.emplace(s, makeCheckpoint(s));
   }
 }
 
@@ -196,55 +192,30 @@ IncrementalRunner::Checkpoint IncrementalRunner::makeCheckpoint(
   // freshBytes undercounts shared pieces on purpose: COW means a sibling
   // checkpoint only pays for what changed since the last save.
   ck.costBytes = ck.snap->freshBytes + path;
-  return ck;
-}
-
-bool IncrementalRunner::admit(Checkpoint& ck, bool pinned) {
-  while (tally_.retainedBytes + ck.costBytes > budgetBytes_ &&
-         !evictOrder_.empty()) {
-    const Key victim = evictOrder_.front();
-    evictOrder_.pop_front();
-    auto it = cache_.find(victim);
-    if (it == cache_.end()) continue;
-    tally_.retainedBytes -= std::min(tally_.retainedBytes,
-                                     it->second.costBytes);
-    cache_.erase(it);
-    ++tally_.evictions;
-  }
-  if (!pinned && tally_.retainedBytes + ck.costBytes > budgetBytes_) {
-    ++tally_.budgetSkips;
-    return false;
-  }
   tally_.retainedBytes += ck.costBytes;
   tally_.peakBytes = std::max(tally_.peakBytes, tally_.retainedBytes);
   ++tally_.stores;
-  return true;
+  return ck;
 }
 
 void IncrementalRunner::insert(Key key, Checkpoint ck) {
-  if (cache_.count(key) != 0) {
-    // Already restorable under this key (a prior run checkpointed the same
-    // path); keep the existing entry and refund the duplicate.
-    tally_.retainedBytes -= std::min(tally_.retainedBytes, ck.costBytes);
-    return;
+  // Already restorable under this key (a prior run checkpointed the same
+  // path): keep the existing entry and refund the duplicate.
+  const std::size_t cost = ck.costBytes;
+  if (!cache_.try_emplace(key, std::move(ck)).second) {
+    tally_.retainedBytes -= std::min(tally_.retainedBytes, cost);
   }
-  if (key != rootKey_) evictOrder_.push_back(key);
-  cache_.emplace(key, std::move(ck));
 }
 
 void IncrementalRunner::dropDead() {
-  auto kept = evictOrder_.begin();
-  for (const Key& key : evictOrder_) {
-    if (!key.gone()) {
-      *kept++ = key;
-      continue;
-    }
-    auto it = cache_.find(key);
+  // The root never reads as gone here: it stays live while any work item
+  // is queued or running, and this run's own item is one of them.
+  std::erase_if(cache_, [this](const auto& entry) {
+    if (!entry.first.gone()) return false;
     tally_.retainedBytes -= std::min(tally_.retainedBytes,
-                                     it->second.costBytes);
-    cache_.erase(it);
-  }
-  evictOrder_.erase(kept, evictOrder_.end());
+                                     entry.second.costBytes);
+    return true;
+  });
 }
 
 void IncrementalRunner::dropPending() {

@@ -139,13 +139,19 @@ struct Server::Impl {
     anyFailed = true;
   }
 
-  void openJob(const std::string& id, JobSpec spec) {
+  /// Register job `id` and queue every shard its journal does not settle.
+  /// An adopted job whose spec does not expand counts as failed.  On
+  /// resume (`resuming`) such a job already reads as failed
+  /// (CampaignStore::status), and so does one whose journal settles every
+  /// shard with at least one failure: either is left uncounted and
+  /// untouched.
+  void openJob(const std::string& id, JobSpec spec, bool resuming) {
     JobRun jr;
     jr.spec = std::move(spec);
     try {
       jr.shards = inject::expandShards(jr.spec);
     } catch (const Error&) {
-      failJob();
+      if (!resuming) failJob();
       return;
     }
     const std::size_t n = jr.shards.size();
@@ -157,6 +163,10 @@ struct Server::Impl {
     // before the line copied) is cut away, so those shards run again and
     // land their events once.
     CampaignStore::Journal journal = store.readJournal(id, n);
+    if (resuming && !journal.failed.empty() &&
+        journal.landings.size() + journal.failed.size() == n) {
+      return;
+    }
     if (!store.truncateJournal(id, journal.end)) {
       failJob();
       return;
@@ -193,19 +203,26 @@ struct Server::Impl {
         failJob();
         continue;
       }
-      openJob(id, std::move(spec));
+      openJob(id, std::move(spec), /*resuming=*/false);
     }
   }
 
-  /// Reopen every job an earlier daemon adopted and did not finish.
+  /// Reopen every job an earlier daemon adopted and did not finish.  Each
+  /// job's spec and journal are read once, by loadJob and openJob.
   void resumeAdopted() {
     for (const std::string& id : store.listJobs()) {
-      JobState st;
+      // The merge writes matrix.json last: all three documents exist only
+      // once the job has completed.
+      std::error_code ec;
+      if (std::filesystem::is_regular_file(store.findingsPath(id), ec) &&
+          std::filesystem::is_regular_file(store.sarifPath(id), ec) &&
+          std::filesystem::is_regular_file(store.matrixPath(id), ec)) {
+        continue;
+      }
       JobSpec spec;
       std::string error;
-      if (store.status(id, st) && st.status == "running" &&
-          store.loadJob(id, spec, error)) {
-        openJob(id, std::move(spec));
+      if (store.loadJob(id, spec, error)) {
+        openJob(id, std::move(spec), /*resuming=*/true);
       }
     }
   }

@@ -13,15 +13,16 @@
 // mechanism counters (snapshotRestores, replayStepsAvoided,
 // snapshotPeakBytes) may differ — they count machinery, not tree shape.
 //
-// A deliberately tiny snapshot budget must degrade *performance only*: the
-// runner falls back to prefix replay from the nearest retained checkpoint
-// (the pinned root at worst) and all observables stay identical.
+// A run whose nearest checkpoint is a shallower ancestor restores it and
+// replays the gap: the result is still the one a from-scratch replay gives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -62,8 +63,7 @@ struct Exploration {
 
 Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
                     std::size_t maxDepth, std::size_t workers,
-                    bool incremental,
-                    std::size_t budgetBytes = 256ull * 1024 * 1024) {
+                    bool incremental) {
   sched::ExhaustiveExplorer::Options eo;
   eo.maxRuns = 200000;
   eo.maxSteps = 20000;
@@ -71,7 +71,6 @@ Exploration explore(const scenarios::NamedScenario& sc, Reduction reduction,
   eo.reduction = reduction;
   eo.workers = workers;
   eo.incremental = incremental;
-  eo.snapshotBudgetBytes = budgetBytes;
   sched::ExhaustiveExplorer explorer(eo);
   Exploration out;
   out.stats = explorer.explore(
@@ -177,25 +176,6 @@ TEST(SchedIncrementalTest, SnapshotsEngageWhenFibersAvailable) {
   EXPECT_EQ(rep.stats.snapshotPeakBytes, 0u);
 }
 
-// Budget fallback: a snapshot budget too small to retain anything but the
-// pinned root checkpoint must not change a single observable — branches
-// fall back to prefix replay from the nearest retained snapshot.
-TEST(SchedIncrementalTest, TinySnapshotBudgetFallsBackToReplay) {
-  for (const char* name : {"fig2", "ff_t5_small"}) {
-    const scenarios::NamedScenario* sc = scenarios::find(name);
-    ASSERT_NE(sc, nullptr);
-    const std::size_t depth = depthFor(name);
-    const Exploration rep =
-        explore(*sc, Reduction::Dpor, depth, 1, /*incremental=*/false);
-    for (std::size_t budget : {std::size_t{1}, std::size_t{64} * 1024}) {
-      SCOPED_TRACE(std::string(name) + " budget=" + std::to_string(budget));
-      const Exploration inc = explore(*sc, Reduction::Dpor, depth, 2,
-                                      /*incremental=*/true, budget);
-      expectEquivalent(inc, rep);
-    }
-  }
-}
-
 // Injector state is part of the snapshot protocol: a restored branch must
 // observe exactly the injected-fault state its prefix produced, and the
 // per-run trace must be indistinguishable from a from-scratch execution —
@@ -291,9 +271,9 @@ TEST(SchedIncrementalTest, LargeStackBufferSurvivesRestore) {
 
 // Checkpoint lifetime: a checkpoint dies with the last work item queued or
 // running in its prefix-tree subtree, so retained snapshot memory follows
-// the live DFS frontier instead of growing until the byte budget evicts.
-// On ff_t5 at branch depth 14 that frontier needs a fraction of one MiB,
-// while keeping every checkpoint until eviction retains tens of MB.
+// the live DFS frontier instead of growing with the runs so far.  On ff_t5
+// at branch depth 14 that frontier needs a fraction of one MiB, while
+// keeping every checkpoint would retain tens of MB.
 TEST(SchedIncrementalTest, CheckpointsDieWithTheirSubtree) {
   if (!sched::fibersSupported()) {
     GTEST_SKIP() << "no fiber support: nothing is retained";
@@ -323,7 +303,6 @@ TEST(SchedIncrementalTest, CheckpointsDieWithTheirSubtree) {
     EXPECT_EQ(inc.deadlocks, rep.stats.deadlocks);
     EXPECT_GT(inc.snapshotRestores, 0u);
     EXPECT_LE(inc.snapshotPeakBytes, std::size_t{4} * 1024 * 1024);
-    EXPECT_EQ(metrics.counter("explorer.snapshot_evictions").value(), 0u);
   }
 }
 
@@ -342,7 +321,7 @@ TEST(SchedIncrementalTest, CheckpointOfARecycledSlotIsNeverRestored) {
   sched::VirtualScheduler::Options ro;
   ro.maxSteps = 20000;
   constexpr std::size_t kBranchLimit = 64;
-  sched::IncrementalRunner runner(sc->fn, ro, 256ull * 1024 * 1024);
+  sched::IncrementalRunner runner(sc->fn, ro);
   ASSERT_TRUE(runner.usable());
   sched::PrefixArena arena(1);
   const sched::PrefixNode* root = arena.root();
@@ -402,4 +381,104 @@ TEST(SchedIncrementalTest, CheckpointOfARecycledSlotIsNeverRestored) {
   EXPECT_EQ(second.schedule[d - 1], alt);
   EXPECT_EQ(second.schedule, reference.schedule);
   EXPECT_EQ(second.outcome, reference.outcome);
+}
+
+// Gap replay, the one fallback: a run whose nearest checkpointed ancestor
+// sits k steps down restores it and replays steps [k, d) through the same
+// strategy.  Stolen work takes this path whenever its own session never
+// checkpointed the item's parent.  Only the root and one spine node at
+// depth k are bound here, so a depth-d child must restore at k, and its
+// result must be the one a from-scratch replay of its prefix gives, with
+// and without the DPOR sleep window.
+TEST(SchedIncrementalTest, RunReplaysTheGapBelowAShallowerCheckpoint) {
+  if (!sched::fibersSupported()) {
+    GTEST_SKIP() << "no fiber support: nothing is checkpointed";
+  }
+  const scenarios::NamedScenario* sc = scenarios::find("fig2");
+  ASSERT_NE(sc, nullptr);
+  constexpr std::size_t kBranchLimit = 64;
+  for (bool dporMode : {false, true}) {
+    SCOPED_TRACE(dporMode ? "dpor" : "no dpor");
+    sched::VirtualScheduler::Options ro;
+    ro.maxSteps = 20000;
+    ro.captureState = dporMode;  // the sleep wake rule reads footprints
+    sched::IncrementalRunner runner(sc->fn, ro);
+    ASSERT_TRUE(runner.usable());
+    sched::PrefixArena arena(1);
+    const sched::PrefixNode* root = arena.root();
+    root->retain();
+
+    sched::RunResult first;
+    std::vector<sched::ThreadId> prefix;
+    ASSERT_TRUE(runner.run(first, root, prefix, confail::events::kNoThread,
+                           kBranchLimit, dporMode));
+    // k: the first choice point past the root (the run checkpoints there).
+    // d: at least two steps deeper, with a choice at d-1 to branch on.
+    const std::size_t limit = std::min(first.choiceSets.size(), kBranchLimit);
+    std::size_t k = 1;
+    while (k < limit && first.choiceSets[k].size() < 2) ++k;
+    std::size_t d = k + 2;
+    while (d <= limit && first.choiceSets[d - 1].size() < 2) ++d;
+    ASSERT_LE(d, limit);
+
+    // The run's spine down to depth d-1; only the depth-k node is bound.
+    const sched::PrefixNode* parent = root;
+    for (std::size_t i = 0; i + 1 < d; ++i) {
+      sched::PrefixNode* n = arena.child(0, parent, first.schedule[i]);
+      if (n->depth == k) runner.bind(n);
+      parent = n;
+    }
+    // The child branches off the spine at d-1; under DPOR it sleeps on the
+    // spine's step there, as the explorer's branch would.
+    sched::ThreadId alt = confail::events::kNoThread;
+    for (sched::ThreadId t : first.choiceSets[d - 1]) {
+      if (t != first.schedule[d - 1]) alt = t;
+    }
+    sched::PrefixNode* child = arena.child(0, parent, alt);
+    if (dporMode) {
+      const sched::SleepEntry spine{first.schedule[d - 1],
+                                    first.stepFootprints[d - 1]};
+      child->sleep = arena.sleepSet(0, {}, &spine);
+    }
+    child->retain();
+
+    sched::materializePrefix(child, prefix);
+    const std::uint64_t avoidedBefore = runner.tally().replayStepsAvoided;
+    sched::RunResult gap;
+    ASSERT_TRUE(runner.run(gap, child, prefix, confail::events::kNoThread,
+                           kBranchLimit, dporMode));
+    EXPECT_EQ(runner.tally().replayStepsAvoided - avoidedBefore, k);
+
+    sched::PrefixReplayStrategy replayStrategy(prefix);
+    sched::VirtualScheduler::Options replayOpts = ro;
+    replayOpts.setSleepWindow(
+        dporMode ? child->sleep : std::span<const sched::SleepEntry>(), d,
+        kBranchLimit);
+    sched::VirtualScheduler replayed(replayStrategy, replayOpts);
+    sc->fn(replayed);
+    const sched::RunResult reference = replayed.run();
+    ASSERT_GE(gap.schedule.size(), d);
+    EXPECT_EQ(gap.schedule[d - 1], alt);
+    EXPECT_EQ(gap.outcome, reference.outcome);
+    EXPECT_EQ(gap.steps, reference.steps);
+    EXPECT_EQ(gap.schedule, reference.schedule);
+    EXPECT_EQ(gap.fingerprints, reference.fingerprints);
+    ASSERT_EQ(gap.choiceSets.size(), reference.choiceSets.size());
+    for (std::size_t i = 0; i < gap.choiceSets.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(gap.choiceSets[i],
+                                     reference.choiceSets[i]))
+          << "choice set " << i;
+    }
+    ASSERT_EQ(gap.stepFootprints.size(), reference.stepFootprints.size());
+    for (std::size_t i = 0; i < gap.stepFootprints.size(); ++i) {
+      EXPECT_EQ(gap.stepFootprints[i].read, reference.stepFootprints[i].read);
+      EXPECT_EQ(gap.stepFootprints[i].write,
+                reference.stepFootprints[i].write);
+      EXPECT_EQ(gap.stepFootprints[i].global,
+                reference.stepFootprints[i].global);
+    }
+    EXPECT_EQ(gap.sleepPruned, reference.sleepPruned);
+    EXPECT_EQ(deadlockSignature(gap), deadlockSignature(reference));
+    EXPECT_EQ(gap.errorMessage, reference.errorMessage);
+  }
 }

@@ -7,7 +7,6 @@
 // exceptions), 2 on usage errors, 3 on internal errors.
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "cli.hpp"
@@ -31,8 +30,7 @@ int usage(const char* prog) {
                "[--prune] [--reduction none|sleep|dpor]\n"
                "               [--sleep-sets] [--max-runs N] [--max-depth N] "
                "[--max-steps N] [--json]\n"
-               "               [--incremental | --no-incremental] "
-               "[--snapshot-budget-mb N]\n"
+               "               [--incremental | --no-incremental]\n"
                "               [--metrics-out FILE] "
                "[--chrome-trace FILE] [--jsonl-out FILE] [--progress]\n\n"
                "--sleep-sets is shorthand for --reduction sleep.\n"
@@ -85,14 +83,6 @@ int cmdExplore(const char* prog, int argc, char** argv) {
       eo.incremental = true;
     } else if (arg == "--no-incremental") {
       eo.incremental = false;
-    } else if (arg == "--snapshot-budget-mb") {
-      std::size_t mb = 0;
-      if (!parseU64(prog, arg.c_str(), next(), mb)) return usage(prog);
-      if (mb > std::numeric_limits<std::size_t>::max() >> 20) {
-        std::fprintf(stderr, "%s: bad value for %s\n", prog, arg.c_str());
-        return usage(prog);
-      }
-      eo.snapshotBudgetBytes = mb << 20;
     } else if (arg == "--sleep-sets") {
       eo.reduction = sched::ExhaustiveExplorer::Reduction::Sleep;
     } else if (arg == "--reduction" || arg.rfind("--reduction=", 0) == 0) {
